@@ -37,7 +37,7 @@ from .invariants import (CHECK_TAGS, AlternatingFormReport, CoradicalTraces,
                          lemma24_check, normal_form, omega_for_index,
                          projection_traces, trace_s2p_report, x_exponent)
 from .linalg import (Mat, Subspace, charpoly, eigenspace, hstack, inverse,
-                     kronecker, mat_trace, null_space, operator_order,
+                     kronecker, null_space, operator_order,
                      restrict_operator, roots_in_field, rref, vstack)
 from .zoo import (build_cyclic_group_algebra, build_dual,
                   build_group_algebra, build_taft, build_tensor,

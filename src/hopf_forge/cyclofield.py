@@ -20,7 +20,6 @@ from __future__ import annotations
 import functools
 from fractions import Fraction as Rational
 from math import gcd
-from typing import Union
 
 from .errors import BoundExceeded, DivisionByZero, OrderMismatch
 
@@ -28,8 +27,6 @@ CYCLOTOMIC_ORDER_BOUND = 1000
 
 _R0 = Rational(0)
 _R1 = Rational(1)
-
-Scalarish = Union["CycNumber", Rational, int]
 
 
 # -- rational polynomial helpers (ascending coefficient lists) --------------
@@ -314,21 +311,6 @@ def root_of_unity(order: int, k: int) -> CycNumber:
     """zeta_order^k as a canonical element of Q(zeta_order)."""
     f = _field(order)
     return CycNumber(order, f.zeta_rows[k % order])
-
-
-def cyc_arith(lhs: CycNumber, rhs: Scalarish, kind: str) -> CycNumber:
-    """Named arithmetic entry point: kind is 'add', 'sub' or 'mul'."""
-    if kind == "add":
-        return lhs + rhs
-    if kind == "sub":
-        return lhs - rhs
-    if kind == "mul":
-        return lhs * rhs
-    raise ValueError(f"unknown arithmetic kind {kind!r}")
-
-
-def cyc_invert(a: CycNumber) -> CycNumber:
-    return a.inverse()
 
 
 def galois_conjugate(a: CycNumber, u: int) -> CycNumber:

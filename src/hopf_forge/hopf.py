@@ -230,23 +230,30 @@ class HopfPresentation:
                         acc[key] = acc.get(key, z) + left * cq
         return {k: v for k, v in acc.items() if v}
 
-    # -- antipode access ------------------------------------------------------
+    # -- derived quantities ---------------------------------------------------
+
+    def memo(self, key, compute):
+        """The derived quantity stored under key, from compute() on first use.
+
+        key names the quantity and its arguments.  Entries live as long as
+        the presentation, which is therefore never mutated after
+        construction.  A compute() that raises stores nothing.
+        """
+        if key not in self._cache:
+            self._cache[key] = compute()
+        return self._cache[key]
 
     def antipode_matrix(self) -> Mat:
         """Stored antipode, or the one computed from the axioms (cached)."""
         if self.antipode is not None:
             return self.antipode
-        if "antipode" not in self._cache:
-            self._cache["antipode"] = compute_antipode(self)
-        return self._cache["antipode"]
+        return self.memo(("antipode",), lambda: compute_antipode(self))
 
     def s_power_matrix(self, t: int) -> Mat:
         if t < 0:
             raise ValueError("antipode power must be >= 0")
-        key = ("s_pow", t)
-        if key not in self._cache:
-            self._cache[key] = self.antipode_matrix().pow(t)
-        return self._cache[key]
+        return self.memo(("s_pow", t),
+                         lambda: self.antipode_matrix().pow(t))
 
     def same_structure(self, other) -> bool:
         """Structure-constant equality, ignoring names and labels."""
@@ -401,24 +408,31 @@ def check_axioms(h: HopfPresentation) -> AxiomChecklist:
 
     if h.antipode is not None:
         for side in ("left", "right"):
-            ok, detail = True, ""
-            for i in range(n):
-                acc = [z] * n
-                for (j, k), c in h.comult[i].items():
-                    if side == "left":
-                        img = h.multiply(h.antipode.col(j), h.basis_element(k))
-                    else:
-                        img = h.multiply(h.basis_element(j), h.antipode.col(k))
-                    for t in range(n):
-                        if img[t]:
-                            acc[t] = acc[t] + c * img[t]
-                want = tuple(h.counit[i] * u for u in h.unit)
-                if tuple(acc) != want:
-                    ok, detail = False, f"antipode {side} axiom fails on e{i}"
-                    break
-            record(f"antipode-{side}", ok, detail)
+            i = _antipode_axiom_failure(h, h.antipode, side)
+            record(f"antipode-{side}", i is None,
+                   "" if i is None else f"antipode {side} axiom fails on e{i}")
 
     return AxiomChecklist(tuple(results))
+
+
+def _antipode_axiom_failure(h: HopfPresentation, s: Mat, side: str):
+    """The first i where s fails the left (S(x_1) x_2) or right
+    (x_1 S(x_2)) antipode axiom on e_i, or None when it holds."""
+    n = h.dim
+    z = h.zero_scalar()
+    for i in range(n):
+        acc = [z] * n
+        for (j, k), c in h.comult[i].items():
+            if side == "left":
+                img = h.multiply(s.col(j), h.basis_element(k))
+            else:
+                img = h.multiply(h.basis_element(j), s.col(k))
+            for t in range(n):
+                if img[t]:
+                    acc[t] = acc[t] + c * img[t]
+        if tuple(acc) != tuple(h.counit[i] * u for u in h.unit):
+            return i
+    return None
 
 
 # -- antipode from scratch ---------------------------------------------------
@@ -493,32 +507,13 @@ def compute_antipode(h: HopfPresentation) -> Mat:
             for u in range(1, len(nu)):
                 if nu[u]:
                     cand = cand + powers[u - 1].scale(nu[u] * inv0)
-            if _antipode_ok(h, cand):
+            if _antipode_axiom_failure(h, cand, "left") is None and \
+                    _antipode_axiom_failure(h, cand, "right") is None:
                 return cand
             raise NoAntipode("identity map is not convolution-invertible")
         cur = _convolve_with_id(h, cur) if t else Mat.identity(h.order, n)
         powers.append(cur)
     raise NoAntipode("no convolution relation found (not a bialgebra?)")
-
-
-def _antipode_ok(h: HopfPresentation, s: Mat) -> bool:
-    n = h.dim
-    z = h.zero_scalar()
-    for i in range(n):
-        left = [z] * n
-        right = [z] * n
-        for (j, k), c in h.comult[i].items():
-            li = h.multiply(s.col(j), h.basis_element(k))
-            ri = h.multiply(h.basis_element(j), s.col(k))
-            for t in range(n):
-                if li[t]:
-                    left[t] = left[t] + c * li[t]
-                if ri[t]:
-                    right[t] = right[t] + c * ri[t]
-        want = tuple(h.counit[i] * u for u in h.unit)
-        if tuple(left) != want or tuple(right) != want:
-            return False
-    return True
 
 
 # -- dual, harpoons, S powers -------------------------------------------------
@@ -607,6 +602,10 @@ def find_grouplikes(h: HopfPresentation) -> tuple:
     not split over that set, EigenvalueNotInField is raised, since
     completeness of the enumeration could not be certified.
     """
+    return h.memo(("find_grouplikes",), lambda: _grouplike_search(h))
+
+
+def _grouplike_search(h: HopfPresentation) -> tuple:
     n = h.dim
     z, o = cyc(h.order, 0), cyc(h.order, 1)
     full = Subspace.from_vectors(

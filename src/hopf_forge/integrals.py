@@ -19,14 +19,13 @@ Trace formulas (variant argument of radford_trace):
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 
 from .cyclofield import CycNumber
 from .errors import (DegeneratePairing, IntegralSpaceNotOneDim,
                      NotNormalized, NotProportional)
-from .hopf import (Functional, HopfElement, HopfPresentation, _coords,
-                   harpoon_left, harpoon_right, is_grouplike)
+from .hopf import (Functional, HopfElement, HopfPresentation, _coords, dual,
+                   harpoon_left, harpoon_right)
 from .linalg import Mat, Subspace, null_space
 
 
@@ -42,6 +41,11 @@ def integral_subspace(h: HopfPresentation, side: str = "left") -> Subspace:
     with a final direct verification once it is down to a line (so an
     early exit cannot over-report).
     """
+    return h.memo(("integral_subspace", side),
+                  lambda: _refine_integrals(h, side))
+
+
+def _refine_integrals(h: HopfPresentation, side: str) -> Subspace:
     n = h.dim
     w = Subspace.from_vectors(h.order, n,
                               [h.basis_element(i) for i in range(n)])
@@ -85,54 +89,9 @@ def right_integral(h: HopfPresentation) -> HopfElement:
 
 
 def dual_right_integral(h: HopfPresentation) -> Functional:
-    """A right integral lambda on H (right integral of the dual algebra).
-
-    Computed directly from the transposed structure constants without
-    materializing the dual presentation.
-    """
-    n = h.dim
-    z = h.zero_scalar()
-    # dual mult: (beta_i beta_j)_k = comult[k][(i, j)]; dual counit = h.unit
-    dual_mult = [[{} for _ in range(n)] for _ in range(n)]
-    for k in range(n):
-        for (i, j), c in h.comult[k].items():
-            dual_mult[i][j][k] = c
-
-    def mul(a, b):
-        out = [z] * n
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        f = ai * bj
-                        for k, c in dual_mult[i][j].items():
-                            out[k] = out[k] + f * c
-        return tuple(out)
-
-    w = Subspace.from_vectors(h.order, n,
-                              [h.basis_element(i) for i in range(n)])
-    basis_vecs = [h.basis_element(i) for i in range(n)]
-    for i in range(n):
-        op = Mat.from_cols(h.order,
-                           [mul(v, basis_vecs[i]) for v in basis_vecs],
-                           rows_n=n)
-        bt = w.basis.transpose()
-        ker = null_space((op @ bt) - bt.scale(h.unit[i]))
-        if ker.dim == 0:
-            raise IntegralSpaceNotOneDim(
-                f"right integral space of dual({h.name}) has dimension 0")
-        w = Subspace.from_vectors(h.order, n, (ker.basis @ w.basis).data)
-        if w.dim <= 1:
-            break
-    if w.dim != 1:
-        raise IntegralSpaceNotOneDim(
-            f"right integral space of dual({h.name}) has dimension {w.dim}")
-    lam = tuple(w.basis.data[0])
-    for i in range(n):
-        if mul(lam, basis_vecs[i]) != tuple(c * h.unit[i] for c in lam):
-            raise IntegralSpaceNotOneDim(
-                f"right integral space of dual({h.name}) has dimension 0")
-    return Functional(lam)
+    """A right integral lambda on H (right integral of the dual algebra)."""
+    return h.memo(("dual_right_integral",), lambda: Functional(
+        _one_dimensional(dual(h), "right", f"dual({h.name})")))
 
 
 @dataclass(frozen=True)
@@ -153,6 +112,10 @@ def integral_pair(h: HopfPresentation) -> IntegralPair:
     for an actual finite-dimensional Hopf algebra and therefore flags
     corrupted input.
     """
+    return h.memo(("integral_pair",), lambda: _normalized_pair(h))
+
+
+def _normalized_pair(h: HopfPresentation) -> IntegralPair:
     lam_el = left_integral(h)
     lam_fn = dual_right_integral(h)
     val = h.pair(lam_fn, lam_el)
@@ -181,6 +144,11 @@ def distinguished_grouplike(h: HopfPresentation,
                             pair: IntegralPair | None = None) -> HopfElement:
     """The grouplike g in H with beta lambda = beta(g) lambda for all beta."""
     pair = pair or integral_pair(h)
+    return h.memo(("distinguished_grouplike", pair),
+                  lambda: _grouplike_of(h, pair))
+
+
+def _grouplike_of(h: HopfPresentation, pair: IntegralPair) -> HopfElement:
     lam = pair.dual_integral.coords
     n = h.dim
     z = h.zero_scalar()
@@ -202,6 +170,11 @@ def distinguished_character(h: HopfPresentation,
                             pair: IntegralPair | None = None) -> Functional:
     """The character alpha on H with Lambda a = alpha(a) Lambda."""
     pair = pair or integral_pair(h)
+    return h.memo(("distinguished_character", pair),
+                  lambda: _character_of(h, pair))
+
+
+def _character_of(h: HopfPresentation, pair: IntegralPair) -> Functional:
     lam = pair.integral.coords
     al = []
     for j in range(h.dim):
@@ -246,15 +219,7 @@ def is_cosemisimple(h: HopfPresentation) -> bool:
 # -- trace formulas ---------------------------------------------------------------
 
 
-_trace_ctx: "weakref.WeakKeyDictionary[IntegralPair, dict]" = \
-    weakref.WeakKeyDictionary()
-
-
-def _trace_context(pair: IntegralPair) -> dict:
-    ctx = _trace_ctx.get(pair)
-    if ctx is not None:
-        return ctx
-    h = pair.presentation
+def _trace_context(h: HopfPresentation, pair: IntegralPair) -> dict:
     if pair.pairing() != 1:
         raise NotNormalized(
             f"integral pair on {h.name} has lambda(Lambda) != 1")
@@ -272,7 +237,7 @@ def _trace_context(pair: IntegralPair) -> dict:
     bmat = Mat(h.order, b, cols=n)
     s = h.antipode_matrix()
     w1 = s.transpose() @ bmat  # row k = lambda(S(e_k) e_*)
-    ctx = {
+    return {
         "C": h.comult_pairs(pair.integral.coords),
         "B": bmat,
         "Bcols": [bmat.col(j) for j in range(n)],
@@ -281,8 +246,6 @@ def _trace_context(pair: IntegralPair) -> dict:
         "S": s,
         "Scols": [s.col(k) for k in range(n)],
     }
-    _trace_ctx[pair] = ctx
-    return ctx
 
 
 def _dot(u, v, z):
@@ -304,7 +267,7 @@ def radford_trace(h: HopfPresentation, f: Mat, pair: IntegralPair,
     """
     if pair.presentation is not h:
         raise NotNormalized("integral pair belongs to a different algebra")
-    ctx = _trace_context(pair)
+    ctx = h.memo(("trace_context", pair), lambda: _trace_context(h, pair))
     z = h.zero_scalar()
     acc = z
     if variant == 1:

@@ -30,15 +30,15 @@ from typing import Optional
 from .cyclofield import CycNumber, cyc, root_of_unity, scalar_to_json
 from .errors import (BadParameters, IndexEven, IndexOne, NonCommuting,
                      NonSplitting, NotARootPower, NotInvariant,
-                     OffPatternBlock, PreconditionFailed,
+                     OffPatternBlock, OrderExceedsBound, PreconditionFailed,
                      SpectrumNotPlusMinusOne)
 from .hopf import HopfPresentation, find_grouplikes
 from .integrals import (IntegralPair, distinguished_character,
                         distinguished_grouplike, integral_pair,
                         is_cosemisimple, is_semisimple, is_unimodular,
                         radford_trace, verify_s4_formula)
-from .linalg import (Mat, Subspace, eigenspace, inverse, mat_trace,
-                     null_space, operator_order, rref)
+from .linalg import (Mat, Subspace, eigenspace, inverse, null_space,
+                     operator_order, rref)
 
 
 def _as_int(c: CycNumber) -> Optional[int]:
@@ -46,6 +46,10 @@ def _as_int(c: CycNumber) -> Optional[int]:
     if r is None or r.denominator != 1:
         return None
     return int(r)
+
+
+def _is_prime(m: int) -> bool:
+    return m >= 2 and all(m % r for r in range(2, int(m ** 0.5) + 1))
 
 
 # -- index and omega ------------------------------------------------------------
@@ -66,6 +70,10 @@ def compute_index(h: HopfPresentation,
                   pair: IntegralPair | None = None) -> IndexData:
     """Least n with S^(4n) = id and g^n = 1, as lcm of the two orders."""
     pair = pair or integral_pair(h)
+    return h.memo(("compute_index", pair), lambda: _index_of(h, pair))
+
+
+def _index_of(h: HopfPresentation, pair: IntegralPair) -> IndexData:
     bound = index_bound(h)
     s4_order = operator_order(h.s_power_matrix(4), bound)
     g = distinguished_grouplike(h, pair).coords
@@ -76,7 +84,6 @@ def compute_index(h: HopfPresentation,
         power = h.multiply(power, g)
         g_order += 1
         if g_order > bound:
-            from .errors import OrderExceedsBound
             raise OrderExceedsBound(
                 f"distinguished grouplike order exceeds bound {bound}")
     return IndexData(n=lcm(s4_order, g_order), s4_order=s4_order,
@@ -342,7 +349,7 @@ def projection_traces(t: EigenTable, pair: IntegralPair) -> dict:
     out = {}
     for key in t.labels():
         e = t.projection(key)
-        out[key] = (mat_trace(e), radford_trace(h, e, pair, variant=1))
+        out[key] = (e.trace(), radford_trace(h, e, pair, variant=1))
     return out
 
 
@@ -466,9 +473,6 @@ def trace_s2p_report(h: HopfPresentation, pair: IntegralPair, p: int,
     and all findings are reported as booleans rather than exceptions:
     a False is a mathematical event, not a usage error.
     """
-    def _is_prime(m):
-        return m >= 2 and all(m % r for r in range(2, int(m ** 0.5) + 1))
-
     if not (_is_prime(p) and _is_prime(q) and p % 2 and q % 2):
         raise PreconditionFailed(f"p = {p}, q = {q} must be odd primes")
     if h.dim != p * q:
@@ -480,7 +484,7 @@ def trace_s2p_report(h: HopfPresentation, pair: IntegralPair, p: int,
     if idx != p:
         raise PreconditionFailed(f"index of {h.name} is {idx}, not p = {p}")
     m = h.s_power_matrix(2 * p)
-    direct = mat_trace(m)
+    direct = m.trace()
     via_formula = radford_trace(h, m, pair, variant=1)
     hp, hm = h_plus_minus(h, pair, p)
     trace_int = _as_int(direct)
@@ -556,6 +560,10 @@ def coradical(h: HopfPresentation) -> Subspace:
     representation (valid in characteristic zero); the coradical is the
     subspace of H annihilated by it.
     """
+    return h.memo(("coradical",), lambda: _annihilator_of_radical(h))
+
+
+def _annihilator_of_radical(h: HopfPresentation) -> Subspace:
     n = h.dim
     z = h.zero_scalar()
     # left multiplication in the dual: L_i[(k, j)] = comult[k][(i, j)]
@@ -628,7 +636,7 @@ def coradical_traces(h: HopfPresentation, c: Subspace,
     z = h.zero_scalar()
     on_c = sum((mprime.data[i][i] for i in range(d)), z)
     on_quot = sum((mprime.data[i][i] for i in range(d, n)), z)
-    additivity = (on_c + on_quot) == mat_trace(m)
+    additivity = (on_c + on_quot) == m.trace()
     pointed = c.dim == len(find_grouplikes(h))
     tc = _as_int(on_c)
     inequality = tc is not None and tc >= p
@@ -683,8 +691,8 @@ class InvariantReport:
     d: Optional[int]
     congruence_mod4_ok: Optional[bool]
     coradical_dim: int
-    trace_s2p_on_c: Optional[CycNumber]
-    trace_s2p_on_quotient: Optional[CycNumber]
+    trace_s2p_on_c: CycNumber
+    trace_s2p_on_quotient: CycNumber
     pointed: bool
     grouplike_count: int
     checks: list  # of (tag, status, detail)
@@ -715,12 +723,9 @@ class InvariantReport:
             "d": self.d,
             "congruence_mod4_ok": self.congruence_mod4_ok,
             "coradical_dim": self.coradical_dim,
-            "trace_s2p_on_coradical": (
-                scalar_to_json(self.trace_s2p_on_c)
-                if self.trace_s2p_on_c is not None else None),
-            "trace_s2p_on_quotient": (
-                scalar_to_json(self.trace_s2p_on_quotient)
-                if self.trace_s2p_on_quotient is not None else None),
+            "trace_s2p_on_coradical": scalar_to_json(self.trace_s2p_on_c),
+            "trace_s2p_on_quotient": scalar_to_json(
+                self.trace_s2p_on_quotient),
             "pointed": self.pointed,
             "grouplike_count": self.grouplike_count,
             "checks": [
@@ -733,8 +738,6 @@ class InvariantReport:
 
 def _factor_pq(dim: int):
     """(p, q) with dim = p*q, p <= q odd primes, or None."""
-    def _is_prime(m):
-        return m >= 2 and all(m % r for r in range(2, int(m ** 0.5) + 1))
     for p in range(3, int(dim ** 0.5) + 1, 2):
         if dim % p == 0 and _is_prime(p):
             q = dim // p
@@ -781,7 +784,7 @@ def build_report(h: HopfPresentation, omega_power: int = 1,
                     [[cyc(h.order, rng.randint(-3, 3))
                       for _ in range(h.dim)] for _ in range(h.dim)],
                     cols=h.dim)
-            want_tr = mat_trace(f)
+            want_tr = f.trace()
             for variant in (1, 2, 3):
                 got = radford_trace(h, f, pair, variant)
                 if got != want_tr:
@@ -921,26 +924,19 @@ def build_report(h: HopfPresentation, omega_power: int = 1,
                f"dim H_- = {tc.dim_h_minus}")
 
     cora = coradical(h)
-    corat = None
+    corat = coradical_traces(h, cora, n)
     if n == 1 or semi:
         reason = "skipped:IndexOne" if n == 1 else "skipped:Semisimple"
-        corat = coradical_traces(h, cora, max(n, 1))
-        record("thm3.4:coradical-dim-geq-p", reason)
-        if want("thm3.4:trace-additivity"):
-            record("thm3.4:trace-additivity",
-                   "pass" if corat.additivity_ok else "fail")
-        record("thm3.4:trace-on-coradical-geq-p", reason)
+        dim_geq_p = on_c_geq_p = (reason,)
     else:
-        corat = coradical_traces(h, cora, n)
-        record("thm3.4:coradical-dim-geq-p",
-               "pass" if cora.dim >= n else "fail",
-               f"dim C = {cora.dim}, p = {n}")
-        if want("thm3.4:trace-additivity"):
-            record("thm3.4:trace-additivity",
-                   "pass" if corat.additivity_ok else "fail")
-        record("thm3.4:trace-on-coradical-geq-p",
-               "pass" if corat.inequality_ok else "fail",
-               f"Tr on C = {_as_int(corat.trace_on_c)}, p = {n}")
+        dim_geq_p = ("pass" if cora.dim >= n else "fail",
+                     f"dim C = {cora.dim}, p = {n}")
+        on_c_geq_p = ("pass" if corat.inequality_ok else "fail",
+                      f"Tr on C = {_as_int(corat.trace_on_c)}, p = {n}")
+    record("thm3.4:coradical-dim-geq-p", *dim_geq_p)
+    record("thm3.4:trace-additivity",
+           "pass" if corat.additivity_ok else "fail")
+    record("thm3.4:trace-on-coradical-geq-p", *on_c_geq_p)
 
     return InvariantReport(
         name=h.name, dim=h.dim, order=h.order, omega_power=omega_power,
@@ -952,9 +948,8 @@ def build_report(h: HopfPresentation, omega_power: int = 1,
         d=tc.d if tc is not None else None,
         congruence_mod4_ok=tc.congruence_ok if tc is not None else None,
         coradical_dim=cora.dim,
-        trace_s2p_on_c=corat.trace_on_c if corat is not None else None,
-        trace_s2p_on_quotient=(corat.trace_on_quotient
-                               if corat is not None else None),
-        pointed=corat.pointed if corat is not None else False,
+        trace_s2p_on_c=corat.trace_on_c,
+        trace_s2p_on_quotient=corat.trace_on_quotient,
+        pointed=corat.pointed,
         grouplike_count=len(find_grouplikes(h)),
         checks=checks)

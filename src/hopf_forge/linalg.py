@@ -153,10 +153,6 @@ class Mat:
         return f"Mat({self.rows}x{self.cols}, order {self.order})"
 
 
-def mat_trace(m: Mat) -> CycNumber:
-    return m.trace()
-
-
 def hstack(a: Mat, b: Mat) -> Mat:
     a._check(b)
     return Mat(a.order, [ra + rb for ra, rb in zip(a.data, b.data)],
