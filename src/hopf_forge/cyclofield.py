@@ -67,9 +67,33 @@ def _poly_divmod(a, b):
     return _trim(q), a
 
 
+# Primes below this bound are found by trial division; a cofactor left
+# over below its square is then prime.
+_TRIAL_DIVISION_BOUND = 10_000
+
+
 def _divisors(n):
-    out = [d for d in range(1, n + 1) if n % d == 0]
-    return out
+    """Positive divisors of n >= 1, ascending.
+
+    Factors n by trial division, then enumerates.  sympy.factorint is
+    imported only for a cofactor that trial division cannot split.
+    """
+    factors = {}
+    d = 2
+    while d < _TRIAL_DIVISION_BOUND and d * d <= n:
+        while n % d == 0:
+            factors[d] = factors.get(d, 0) + 1
+            n //= d
+        d += 1 if d == 2 else 2
+    if n >= _TRIAL_DIVISION_BOUND ** 2:
+        from sympy import factorint
+        factors.update(factorint(n))
+    elif n > 1:
+        factors[n] = 1
+    divs = [1]
+    for p, e in factors.items():
+        divs = [q * p ** k for q in divs for k in range(e + 1)]
+    return sorted(divs)
 
 
 @functools.lru_cache(maxsize=None)

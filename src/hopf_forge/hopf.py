@@ -607,7 +607,7 @@ def find_grouplikes(h: HopfPresentation) -> tuple:
 
 def _grouplike_search(h: HopfPresentation) -> tuple:
     n = h.dim
-    z, o = cyc(h.order, 0), cyc(h.order, 1)
+    z = cyc(h.order, 0)
     full = Subspace.from_vectors(
         h.order, n, [h.basis_element(i) for i in range(n)])
     states = [(full, [])]

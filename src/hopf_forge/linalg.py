@@ -11,9 +11,12 @@ matrix holds the coordinates of the image of basis vector j.
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import gcd
 from typing import Iterable, Sequence
 
-from .cyclofield import CycNumber, cyc
+from .cyclofield import (CycNumber, _divisors, cyc, galois_conjugate,
+                         root_of_unity)
 from .errors import NotInvariant, NotInvertible, OrderExceedsBound, OrderMismatch
 
 
@@ -409,9 +412,6 @@ def _rational_roots(coeffs):
 
     coeffs is ascending with nonzero constant term and nonzero lead.
     """
-    from fractions import Fraction
-    from math import gcd
-
     den = 1
     for c in coeffs:
         den = den * c.denominator // gcd(den, c.denominator)
@@ -421,18 +421,28 @@ def _rational_roots(coeffs):
         g = gcd(g, c)
     if g > 1:
         ints = [c // g for c in ints]
-    from sympy import divisors
+    # a root a/q in lowest terms makes f = (q s - a) g with g integral
+    # (Gauss), so q - a divides f(1) and q + a divides f(-1)
+    at_one = sum(ints)
+    at_minus_one = sum(ints[0::2]) - sum(ints[1::2])
+    lead_divisors = _divisors(abs(ints[-1]))
     roots = []
-    for p in divisors(abs(ints[0])):
-        for q in divisors(abs(ints[-1])):
+    for p in _divisors(abs(ints[0])):
+        for q in lead_divisors:
             if gcd(p, q) != 1:
                 continue
-            for r in (Fraction(p, q), Fraction(-p, q)):
-                acc = Fraction(0)
-                for c in reversed(ints):
-                    acc = acc * r + c
+            for a in (p, -p):
+                if q != a and at_one % (q - a):
+                    continue
+                if q != -a and at_minus_one % (q + a):
+                    continue
+                # q^deg f(a/q), in integers
+                acc, q_power = ints[-1], 1
+                for c in reversed(ints[:-1]):
+                    q_power *= q
+                    acc = acc * a + c * q_power
                 if not acc:
-                    roots.append(r)
+                    roots.append(Fraction(a, q))
     return roots
 
 
@@ -444,15 +454,17 @@ def roots_in_field(coeffs: Sequence[CycNumber], order: int):
     algorithms may legitimately produce, and anything outside the family
     is reported via the unsplit remainder degree rather than guessed at.
 
+    For each twist p(zeta^t s), the candidates r are the rational roots
+    of the product of its *distinct* Galois conjugates.  That set is
+    Galois-stable, so the product has rational coefficients, and the full
+    norm (the product over all phi(order) conjugates) is a power of it,
+    so both have the same rational roots.  Twists with the same set of
+    conjugates share one product.
+
     Returns (roots, remainder_degree) where roots is a list of
     (CycNumber, multiplicity) pairs and remainder_degree is the degree
     left after dividing out all found roots (0 means fully split).
     """
-    from fractions import Fraction
-    from math import gcd as _gcd
-
-    from .cyclofield import galois_conjugate, root_of_unity
-
     zero, one = cyc(order, 0), cyc(order, 1)
     poly = [c for c in coeffs]
     while poly and not poly[-1]:
@@ -467,36 +479,40 @@ def roots_in_field(coeffs: Sequence[CycNumber], order: int):
         zmult += 1
     if zmult:
         roots.append((zero, zmult))
+    if len(poly) == 1:
+        return roots, 0
 
+    zeta = [root_of_unity(order, k) for k in range(order)]
+    units = [u for u in range(1, order + 1) if gcd(u, order) == 1]
+    conjugates = [(u, [galois_conjugate(c, u) for c in poly]) for u in units]
+    norm_roots = {}  # set of conjugates -> rational roots of their product
     candidates = {}
     for t in range(order):
-        zt = root_of_unity(order, t)
-        twisted = []
-        p = one
-        for c in poly:
-            twisted.append(c * p)
-            p = p * zt
-        # norm down to Q by multiplying all galois conjugates
-        units = [u for u in range(1, order + 1) if _gcd(u, order) == 1]
-        norm = [one]
-        for u in units:
-            conj = [galois_conjugate(c, u) for c in twisted]
-            acc = [zero] * (len(norm) + len(conj) - 1)
-            for i, a in enumerate(norm):
-                if a:
-                    for j, b in enumerate(conj):
-                        if b:
-                            acc[i + j] = acc[i + j] + a * b
-            norm = acc
-        rat = []
-        for c in norm:
-            r = c.as_rational()
-            assert r is not None, "galois norm must be rational"
-            rat.append(r)
-        while rat and not rat[-1]:
-            rat.pop()
-        for r in _rational_roots(rat):
-            cand = zt * r
+        # the conjugate of p(zeta^t s) under zeta |-> zeta^u has
+        # coefficients sigma_u(c_i) * zeta^(t*u*i)
+        distinct = {}
+        for u, conj in conjugates:
+            twisted = [c * zeta[t * u * i % order] for i, c in enumerate(conj)]
+            distinct.setdefault(tuple(c.coeffs for c in twisted), twisted)
+        orbit = frozenset(distinct)
+        if orbit not in norm_roots:
+            norm = [one]
+            for conj in distinct.values():
+                acc = [zero] * (len(norm) + len(conj) - 1)
+                for i, a in enumerate(norm):
+                    if a:
+                        for j, b in enumerate(conj):
+                            if b:
+                                acc[i + j] = acc[i + j] + a * b
+                norm = acc
+            rat = []
+            for c in norm:
+                r = c.as_rational()
+                assert r is not None, "galois norm must be rational"
+                rat.append(r)
+            norm_roots[orbit] = _rational_roots(rat)
+        for r in norm_roots[orbit]:
+            cand = zeta[t] * r
             key = tuple((f.numerator, f.denominator) for f in cand.coeffs)
             candidates[key] = cand
 

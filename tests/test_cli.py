@@ -195,3 +195,18 @@ def test_console_script_end_to_end(tmp_path):
         capture_output=True, text=True)
     assert verify.returncode == 0, verify.stderr
     assert "associativity: ok" in verify.stdout
+
+
+def test_report_does_not_import_sympy(tmp_path):
+    path = str(tmp_path / "t3.json")
+    script = (
+        "import sys\n"
+        "from hopf_forge.cli import main\n"
+        f"assert main(['zoo', 'taft', '--n', '3', '--out', {path!r}]) == 0\n"
+        f"assert main(['report', {path!r}, '--json']) == 0\n"
+        "sys.stderr.write('sympy loaded: %s' % ('sympy' in sys.modules))\n")
+    run = subprocess.run([sys.executable, "-c", script],
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout)["dim"] == 9
+    assert run.stderr.endswith("sympy loaded: False")

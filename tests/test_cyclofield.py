@@ -6,10 +6,12 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from hopf_forge import (BoundExceeded, DivisionByZero, OrderMismatch, cyc,
                         cyclotomic_poly, galois_conjugate, lift_scalar,
                         root_of_unity, scalar_from_json, scalar_to_json)
+from hopf_forge.cyclofield import _divisors
 
 ORDERS = (1, 2, 3, 4, 5, 12, 15)
 
@@ -159,3 +161,19 @@ def test_order_bound():
         cyclotomic_poly(0)
     with pytest.raises(BoundExceeded):
         cyclotomic_poly(100000)
+
+
+def test_divisors_match_brute_force():
+    for n in range(1, 2001):
+        assert _divisors(n) == [d for d in range(1, n + 1) if n % d == 0]
+
+
+@pytest.mark.parametrize("n", (
+    999_983 * 1_000_003,
+    999_979 * 999_983 * 2 ** 5,
+    1_000_003 ** 2 * 3 * 7,
+    # a prime above 10^12: trial division cannot split it
+    1_000_000_000_039,
+))
+def test_divisors_match_sympy(n):
+    assert _divisors(n) == sympy.divisors(n)

@@ -267,6 +267,37 @@ def test_roots_in_field_scaled_roots_of_unity():
     coeffs = poly_from_roots(15, [target])
     found, remainder = roots_in_field(coeffs, 15)
     assert remainder == 0 and found == [(target, 1)]
+    # all eight Galois conjugates of this polynomial are distinct
+    other = root_of_unity(15, 1) * 2
+    coeffs = poly_from_roots(15, [target, other])
+    found, remainder = roots_in_field(coeffs, 15)
+    assert remainder == 0
+    assert sorted_multiset(found) == sorted_multiset(
+        [(target, 1), (other, 1)])
+
+
+def test_roots_in_field_constant_after_zero_roots(monkeypatch):
+    import hopf_forge.linalg as linalg
+    calls = []
+    real = linalg.galois_conjugate
+
+    def counting(a, u):
+        calls.append(u)
+        return real(a, u)
+
+    monkeypatch.setattr(linalg, "galois_conjugate", counting)
+    # s over Q(zeta_15): nothing is left to norm once the zero root is out
+    found, remainder = roots_in_field([cyc(15, 0), cyc(15, 1)], 15)
+    assert found == [(cyc(15, 0), 1)] and remainder == 0
+    assert calls == []
+
+
+def test_roots_in_field_zero_and_repeated_rational_roots():
+    # s^42 (s - 1)^3 over Q(zeta_15)
+    coeffs = [cyc(15, 0)] * 42 + poly_from_roots(15, [cyc(15, 1)] * 3)
+    found, remainder = roots_in_field(coeffs, 15)
+    assert remainder == 0
+    assert found == [(cyc(15, 0), 42), (cyc(15, 1), 3)]
 
 
 def format_key(c):
