@@ -399,8 +399,9 @@ def scalar_from_json(obj, order: int) -> CycNumber:
     if isinstance(obj, dict) and set(obj) == {"num", "den"}:
         num, den = obj["num"], obj["den"]
         d = _field(order).degree
-        if (not isinstance(den, int) or den == 0 or not isinstance(num, list)
-                or len(num) > d or not all(isinstance(x, int) for x in num)):
+        # bool subclasses int, so type() is what keeps JSON true/false out
+        if (type(den) is not int or den == 0 or not isinstance(num, list)
+                or len(num) > d or not all(type(x) is int for x in num)):
             raise OrderMismatch(f"bad scalar object {obj!r} for order {order}")
         coeffs = [Rational(x, den) for x in num] + [_R0] * (d - len(num))
         return CycNumber(order, tuple(coeffs))

@@ -17,10 +17,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .cyclofield import CycNumber, cyc, root_of_unity
-from .errors import (EigenvalueNotInField, MalformedTensor, NoAntipode,
-                     OrderMismatch)
-from .linalg import Mat, Subspace, charpoly, null_space, roots_in_field
+from .cyclofield import CycNumber, cyc
+from .errors import (DegeneratePairing, EigenvalueNotInField,
+                     IntegralSpaceNotOneDim, MalformedTensor, NoAntipode,
+                     NotInvertible, OrderMismatch)
+from .linalg import (Mat, Subspace, charpoly, inverse, null_space,
+                     roots_in_field)
 
 
 @dataclass(frozen=True)
@@ -438,82 +440,39 @@ def _antipode_axiom_failure(h: HopfPresentation, s: Mat, side: str):
 # -- antipode from scratch ---------------------------------------------------
 
 
-def _convolve_with_id(h: HopfPresentation, p: Mat) -> Mat:
-    """(p * id)(x) = sum p(x_1) x_2, as a matrix."""
-    n = h.dim
-    z = h.zero_scalar()
-    out = [[z] * n for _ in range(n)]
-    for i in range(n):
-        for (j, k), c in h.comult[i].items():
-            pcol = p.col(j)
-            for b, v in enumerate(pcol):
-                if v:
-                    f = c * v
-                    for t, m in h.mult[b][k].items():
-                        out[t][i] = out[t][i] + f * m
-    return Mat(h.order, out, cols=n)
-
-
 def compute_antipode(h: HopfPresentation) -> Mat:
-    """The antipode from the bialgebra data alone.
+    """The antipode from the bialgebra data alone, through the integrals.
 
-    S is the convolution inverse of the identity map.  The convolution
-    powers id^(*t) span a finite-dimensional commutative subalgebra of
-    End(H); the first linear dependence among them yields a polynomial
-    relation, and when it has a nonzero constant term (after stripping a
-    power of the variable) it can be solved for the inverse.  The
-    candidate is then verified against both antipode axioms; failure at
-    any point raises NoAntipode.
+    For a left integral Lambda in H, a Lambda_1 (x) Lambda_2 =
+    Lambda_1 (x) S^-1(a) Lambda_2; a right integral lambda on H with
+    lambda(Lambda) = 1 applied to the first leg gives
+    S^-1(a) = sum lambda(a Lambda_1) Lambda_2 (Larson-Sweedler, Radford).
+    With B[a][c] = lambda(e_a e_c) and C = Delta(Lambda), column a of S^-1
+    is row a of B C, so S = ((B C)^T)^-1.
+
+    A finite-dimensional Hopf algebra always has such a pair, so a
+    bialgebra without one has no antipode.  NoAntipode is raised then,
+    when B C is singular, and when the candidate fails either antipode
+    axiom.
     """
-    n = h.dim
-    z, o = cyc(h.order, 0), cyc(h.order, 1)
-    # P_0 = unit . counit, P_1 = id
-    p0 = Mat(h.order, [[h.unit[i] * h.counit[j] for j in range(n)]
-                       for i in range(n)], cols=n)
-    powers = [p0]
-    echelon = []  # rows (pivot, vec, combo) over the flattened matrices
-
-    def flat(m):
-        return [x for row in m.data for x in row]
-
-    def insert(vec, t):
-        combo = [z] * t + [o]
-        for (piv, rvec, rcombo) in echelon:
-            f = vec[piv]
-            if f:
-                vec = [a - f * b for a, b in zip(vec, rvec)]
-                combo = [a - f * b for a, b in
-                         zip(combo + [z] * (len(rcombo) - len(combo)),
-                             rcombo + [z] * (len(combo) - len(rcombo)))]
-        piv = next((idx for idx, x in enumerate(vec) if x), None)
-        if piv is None:
-            return combo  # dependence: sum combo[s] * P_s = 0
-        inv = vec[piv].inverse()
-        echelon.append((piv, [x * inv for x in vec],
-                        [x * inv for x in combo]))
-        echelon.sort(key=lambda r: r[0])
-        return None
-
-    cur = p0
-    for t in range(n * n + 2):
-        dep = insert(flat(cur), t)
-        if dep is not None:
-            v = next(idx for idx, c in enumerate(dep) if c)
-            nu = dep[v:]
-            if len(nu) < 2:
-                raise NoAntipode("identity map is not convolution-invertible")
-            inv0 = -nu[0].inverse()
-            cand = Mat.zeros(h.order, n, n)
-            for u in range(1, len(nu)):
-                if nu[u]:
-                    cand = cand + powers[u - 1].scale(nu[u] * inv0)
-            if _antipode_axiom_failure(h, cand, "left") is None and \
-                    _antipode_axiom_failure(h, cand, "right") is None:
-                return cand
-            raise NoAntipode("identity map is not convolution-invertible")
-        cur = _convolve_with_id(h, cur) if t else Mat.identity(h.order, n)
-        powers.append(cur)
-    raise NoAntipode("no convolution relation found (not a bialgebra?)")
+    from .integrals import integral_form, integral_pair
+    try:
+        pair = integral_pair(h)
+    except (IntegralSpaceNotOneDim, DegeneratePairing) as exc:
+        raise NoAntipode(f"no normalized integral pair: {exc}") from exc
+    c = h.comult_matrix(pair.integral)
+    try:
+        s = inverse((integral_form(h, pair) @ c).transpose())
+    except NotInvertible as exc:
+        raise NoAntipode("the integral candidate for S^-1 is singular") \
+            from exc
+    for side in ("left", "right"):
+        i = _antipode_axiom_failure(h, s, side)
+        if i is not None:
+            raise NoAntipode(
+                f"the integral candidate fails the {side} antipode axiom "
+                f"on e{i}")
+    return s
 
 
 # -- dual, harpoons, S powers -------------------------------------------------

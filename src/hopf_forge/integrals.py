@@ -219,10 +219,16 @@ def is_cosemisimple(h: HopfPresentation) -> bool:
 # -- trace formulas ---------------------------------------------------------------
 
 
-def _trace_context(h: HopfPresentation, pair: IntegralPair) -> dict:
-    if pair.pairing() != 1:
-        raise NotNormalized(
-            f"integral pair on {h.name} has lambda(Lambda) != 1")
+def integral_form(h: HopfPresentation, pair: IntegralPair) -> Mat:
+    """B[a][c] = lambda(e_a e_c), the bilinear form of the right integral.
+
+    Both the antipode (hopf.compute_antipode) and the trace formulas are
+    read off this one matrix.
+    """
+    return h.memo(("integral_form", pair), lambda: _form_of(h, pair))
+
+
+def _form_of(h: HopfPresentation, pair: IntegralPair) -> Mat:
     n = h.dim
     z = h.zero_scalar()
     lam = pair.dual_integral.coords
@@ -234,7 +240,15 @@ def _trace_context(h: HopfPresentation, pair: IntegralPair) -> dict:
                 if lam[k]:
                     acc = acc + m * lam[k]
             b[a][c] = acc
-    bmat = Mat(h.order, b, cols=n)
+    return Mat(h.order, b, cols=n)
+
+
+def _trace_context(h: HopfPresentation, pair: IntegralPair) -> dict:
+    if pair.pairing() != 1:
+        raise NotNormalized(
+            f"integral pair on {h.name} has lambda(Lambda) != 1")
+    n = h.dim
+    bmat = integral_form(h, pair)
     s = h.antipode_matrix()
     w1 = s.transpose() @ bmat  # row k = lambda(S(e_k) e_*)
     return {

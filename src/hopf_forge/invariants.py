@@ -438,8 +438,13 @@ def h_plus_minus(h: HopfPresentation, pair: IntegralPair, n: int):
     """(dim H_+, dim H_-) for the involution-like S^(2n).
 
     The two eigenspaces (+1, -1) must exhaust H; anything else means
-    S^(4n) != id and raises SpectrumNotPlusMinusOne.
+    S^(4n) != id and raises SpectrumNotPlusMinusOne.  The split depends
+    on S alone, so pair is not used.
     """
+    return h.memo(("h_plus_minus", n), lambda: _plus_minus_split(h, n))
+
+
+def _plus_minus_split(h: HopfPresentation, n: int):
     m = h.s_power_matrix(2 * n)
     plus = eigenspace(m, cyc(h.order, 1))
     minus = eigenspace(m, cyc(h.order, -1))

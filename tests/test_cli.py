@@ -102,12 +102,49 @@ def test_malformed_files_exit_two(taft3_file, tmp_path, capsys):
     assert run_cli(capsys, "verify", str(badscalar))[0] == 2
 
     doc = json.loads(text)
+    doc["unit"][0] = {"num": [True], "den": True}  # would read as 1
+    boolscalar = tmp_path / "boolscalar.json"
+    boolscalar.write_text(json.dumps(doc))
+    assert run_cli(capsys, "verify", str(boolscalar))[0] == 2
+
+    doc = json.loads(text)
     doc["antipode"] = [[1, 0], [0, 1]]
     badshape = tmp_path / "badshape.json"
     badshape.write_text(json.dumps(doc))
     assert run_cli(capsys, "verify", str(badshape))[0] == 2
 
     assert run_cli(capsys, "verify", str(tmp_path / "absent.json"))[0] == 2
+
+
+def test_verify_and_report_without_stored_antipode(taft3_file, tmp_path,
+                                                   capsys):
+    doc = json.loads(taft3_file.read_text())
+    del doc["antipode"]
+    bare = tmp_path / "bare.json"
+    bare.write_text(json.dumps(doc))
+    code, out, _ = run_cli(capsys, "verify", str(bare))
+    assert code == 0
+    assert "antipode: ok (computed; none stored)" in out.splitlines()
+    stored, computed = tmp_path / "stored.json", tmp_path / "computed.json"
+    assert run_cli(capsys, "report", str(taft3_file), "--json",
+                   "--out", str(stored))[0] == 0
+    assert run_cli(capsys, "report", str(bare), "--json",
+                   "--out", str(computed))[0] == 0
+    assert computed.read_bytes() == stored.read_bytes()
+
+
+def test_verify_fails_monoid_bialgebra(tmp_path, capsys):
+    # k{1, m} with m^2 = m: a bialgebra whose grouplike m has no inverse
+    doc = {"name": "k{1,m}", "dim": 2, "cyclotomic_order": 1,
+           "basis": ["1", "m"],
+           "mult": [[0, 0, 0, 1], [0, 1, 1, 1], [1, 0, 1, 1], [1, 1, 1, 1]],
+           "comult": [[0, 0, 0, 1], [1, 1, 1, 1]],
+           "unit": [1, 0], "counit": [1, 1]}
+    path = tmp_path / "monoid.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run_cli(capsys, "verify", str(path))
+    assert code == 1
+    assert "FAIL" in out
 
 
 def test_report_text_and_filtering(taft3_file, capsys):

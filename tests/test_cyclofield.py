@@ -137,6 +137,13 @@ def test_scalar_json_round_trip():
     assert scalar_from_json(2, 4) == cyc(4, 2)
 
 
+def test_scalar_json_rejects_booleans():
+    for doc in (True, {"num": [True], "den": True}, {"num": [1], "den": True},
+                {"num": [True], "den": 1}, {"num": [1, False], "den": 2}):
+        with pytest.raises(OrderMismatch):
+            scalar_from_json(doc, 3)
+
+
 def test_scalar_json_is_deterministic_text():
     a = (root_of_unity(12, 7) * Fraction(3, 2)) + Fraction(1, 6)
     s1 = json.dumps(scalar_to_json(a), sort_keys=True)

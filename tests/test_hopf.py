@@ -2,15 +2,17 @@
 harpoon actions, and group-like enumeration (with an independent
 polynomial-system oracle for completeness)."""
 
+import itertools
+
 import pytest
 import sympy as sp
 
 from hopf_forge import (EigenvalueNotInField, HopfPresentation,
                         MalformedTensor, Mat, NoAntipode, OrderMismatch,
-                        apply_S_power, check_axioms, compute_antipode, cyc,
-                        delta_op, dual, find_grouplikes, harpoon_left,
-                        harpoon_right, is_grouplike, lift_order,
-                        root_of_unity)
+                        apply_S_power, build_group_algebra, build_tensor,
+                        check_axioms, compute_antipode, cyc, delta_op, dual,
+                        find_grouplikes, harpoon_left, harpoon_right,
+                        is_grouplike, lift_order, root_of_unity)
 
 
 def test_axioms_hold_on_corpus(corpus, sw):
@@ -27,8 +29,8 @@ def test_axiom_names_are_stable(t3):
                      "antipode-left", "antipode-right"]
 
 
-def test_recomputed_antipode_matches_stored(z3, z15, t3, t5, t3d, sw):
-    for h in (z3, z15, t3, t5, t3d, sw):
+def test_recomputed_antipode_matches_stored(corpus, sw):
+    for h in (*corpus.values(), sw):
         assert compute_antipode(h) == h.antipode, h.name
 
 
@@ -276,6 +278,80 @@ def test_bialgebra_axioms_without_antipode():
 def test_no_antipode_detected():
     with pytest.raises(NoAntipode):
         compute_antipode(idempotent_monoid_bialgebra())
+
+
+def monoid_tables(n):
+    """Every associative n x n table with identity 0.
+
+    Products with 0 are fixed, so only the (n-1)^2 other entries vary and
+    associativity needs checking only on triples without 0.
+    """
+    rest = range(1, n)
+    free = [(i, j) for i in rest for j in rest]
+    for values in itertools.product(range(n), repeat=len(free)):
+        t = [list(range(n))] + [[i] + [0] * (n - 1) for i in rest]
+        for (i, j), v in zip(free, values):
+            t[i][j] = v
+        if all(t[t[a][b]][c] == t[a][t[b][c]]
+               for a in rest for b in rest for c in rest):
+            yield t
+
+
+def monoid_bialgebra(table):
+    """k[M] with every monoid element grouplike."""
+    n = len(table)
+    one, zero = cyc(1, 1), cyc(1, 0)
+    return HopfPresentation(
+        name=f"k[M{table}]", dim=n, order=1,
+        mult_entries=[(i, j, table[i][j], one)
+                      for i in range(n) for j in range(n)],
+        comult_entries=[(i, i, i, one) for i in range(n)],
+        unit=tuple(one if i == 0 else zero for i in range(n)),
+        counit=(one,) * n)
+
+
+def test_monoid_bialgebra_has_antipode_iff_group():
+    tables = [t for n in range(1, 5) for t in monoid_tables(n)]
+    assert len(tables) == 1 + 2 + 11 + 156
+    groups = 0
+    for t in tables:
+        n = len(t)
+        h = monoid_bialgebra(t)
+        inv = [next((j for j in range(n) if t[i][j] == 0 == t[j][i]), None)
+               for i in range(n)]
+        if None in inv:
+            with pytest.raises(NoAntipode):
+                compute_antipode(h)
+            continue
+        groups += 1
+        s = compute_antipode(h)
+        for i in range(n):
+            assert s.col(i) == h.basis_element(inv[i]), t
+    # Z1, Z2, Z3 and, with identity 0, three labellings of Z4 and one of V4
+    assert groups == 7
+
+
+def _without_antipode(h):
+    mult, comult = _entries(h)
+    return HopfPresentation(
+        name=h.name, dim=h.dim, order=h.order, mult_entries=mult,
+        comult_entries=comult, unit=h.unit, counit=h.counit, basis=h.basis)
+
+
+def s3_table():
+    perms = list(itertools.permutations(range(3)))
+    return [[perms.index(tuple(p[q[i]] for i in range(3))) for q in perms]
+            for p in perms]
+
+
+def test_antipode_matrix_without_stored_antipode(z3, t3, t3d, t3z5):
+    s3 = build_group_algebra(s3_table(), name="k[S3]")
+    t3z3 = build_tensor(t3, lift_order(z3, 3))
+    for h in (s3, t3d, t3z3, t3z5):
+        bare = _without_antipode(h)
+        assert bare.antipode is None
+        assert bare.antipode_matrix() == h.antipode, h.name
+        assert bare.antipode_matrix() is bare.antipode_matrix()
 
 
 def test_lift_order_preserves_structure(t3):

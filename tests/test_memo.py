@@ -8,6 +8,7 @@ the grouplikes only once.
 import pytest
 
 import hopf_forge.hopf as hopf_module
+import hopf_forge.invariants as invariants_module
 from hopf_forge import (HopfPresentation, IntegralSpaceNotOneDim,
                         build_report, build_taft, compute_index, coradical,
                         cyc, distinguished_character,
@@ -86,3 +87,19 @@ def test_dual_right_integral_dimension_messages():
                        match=r"^right integral space of dual\(zero3\) has "
                              r"dimension 2$"):
         dual_right_integral(zero3)
+
+
+def test_report_splits_s2n_once(monkeypatch):
+    h = build_taft(3)
+    s6 = h.s_power_matrix(6)
+    calls = []
+    original = invariants_module.eigenspace
+
+    def counting(m, c):
+        if m is s6:
+            calls.append(c)
+        return original(m, c)
+
+    monkeypatch.setattr(invariants_module, "eigenspace", counting)
+    build_report(h)
+    assert len(calls) == 2  # the +1 and the -1 eigenspace, once each
