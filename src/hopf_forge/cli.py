@@ -40,7 +40,7 @@ from .errors import (BadParameters, BoundExceeded, EigenvalueNotInField,
 from .hopf import HopfPresentation, check_axioms, compute_antipode, dual, \
     lift_order
 from .integrals import integral_pair
-from .invariants import build_report
+from .invariants import CHECK_TAGS, build_report, selects
 from .linalg import Mat
 from .zoo import (build_cyclic_group_algebra, build_group_algebra,
                   build_taft, build_tensor, cyclic_table,
@@ -225,10 +225,16 @@ def _render_text_report(doc: dict) -> str:
 
 
 def cmd_report(args) -> int:
-    h = load_presentation(args.path)
     selected = None
     if args.check:
         selected = [s.strip() for s in args.check.split(",") if s.strip()]
+        unknown = [s for s in selected
+                   if not any(selects(s, tag) for tag in CHECK_TAGS)]
+        if unknown or not selected:
+            raise BadParameters(
+                f"--check {', '.join(unknown) or args.check}: matches no "
+                "check tag")
+    h = load_presentation(args.path)
     rep = build_report(h, omega_power=args.omega, selected=selected)
     doc = rep.to_document()
     if args.json:

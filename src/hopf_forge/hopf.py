@@ -555,22 +555,63 @@ def find_grouplikes(h: HopfPresentation) -> tuple:
 
     A grouplike is a common eigenvector of the operator family
     T_k : a |-> (e_k^* (x) id) Delta(a), with eigenvalue tuple equal to its
-    own coordinates.  The state space is refined one operator at a time;
-    eigenvalue candidates come from characteristic polynomials, searched
-    over {r zeta^t : r rational}.  If some characteristic polynomial does
-    not split over that set, EigenvalueNotInField is raised, since
-    completeness of the enumeration could not be certified.
+    own coordinates.  Delta(g) = g (x) g is symmetric, so every grouplike
+    lies in the cocommutative subspace K = {a : Delta(a) = Delta^op(a)},
+    whatever the input; the search starts from K and refines it one
+    operator at a time.  A state of dimension >= 2 is split by the roots
+    of its characteristic polynomial, searched over {r zeta^t : r
+    rational}.  A one-dimensional state span(v), with v = 1 at its pivot
+    p, is closed at once: its only possible grouplike is lambda v with
+    lambda = Delta(v)_(p,p), which is tested directly, so its eigenvalues
+    need not lie in that family.  If the characteristic polynomial of a
+    state of dimension >= 2 does not split over the family,
+    EigenvalueNotInField is raised, since completeness of the enumeration
+    could not be certified.
     """
     return h.memo(("find_grouplikes",), lambda: _grouplike_search(h))
+
+
+def _cocommutative_subspace(h: HopfPresentation) -> Subspace:
+    """K = {a : Delta(a) = Delta^op(a)}: one equation per pair k < l."""
+    n = h.dim
+    z = cyc(h.order, 0)
+    eqs = {}
+    for i in range(n):
+        for (k, l), c in h.comult[i].items():
+            if k != l:
+                row = eqs.setdefault((min(k, l), max(k, l)), [z] * n)
+                row[i] = row[i] + c if k < l else row[i] - c
+    rows = {tuple(row): None for row in eqs.values() if any(row)}
+    return null_space(Mat(h.order, list(rows), cols=n))
+
+
+def _line_grouplike(h: HopfPresentation, w: Subspace):
+    """The grouplike in the one-dimensional w, or None.
+
+    With w = span(v) and v = 1 at its pivot p, Delta(lambda v) =
+    (lambda v) (x) (lambda v) forces lambda = Delta(v)_(p,p).
+    """
+    v = w.basis.data[0]
+    lam = h.comult_pairs(v).get((w.pivots[0], w.pivots[0]), h.zero_scalar())
+    cand = tuple(lam * x for x in v)
+    return cand if is_grouplike(h, cand) else None
 
 
 def _grouplike_search(h: HopfPresentation) -> tuple:
     n = h.dim
     z = cyc(h.order, 0)
-    full = Subspace.from_vectors(
-        h.order, n, [h.basis_element(i) for i in range(n)])
-    states = [(full, [])]
+    found = []
+    states = [(_cocommutative_subspace(h), [])]
     for k in range(n):
+        open_states = []
+        for (w, assigned) in states:
+            if w.dim > 1:
+                open_states.append((w, assigned))
+            elif w.dim == 1 and (g := _line_grouplike(h, w)) is not None:
+                found.append(g)
+        states = open_states
+        if not states:
+            break
         tk = Mat(h.order, [[h.comult[i].get((k, l), z) for i in range(n)]
                            for l in range(n)], cols=n)
         new_states = []
@@ -591,9 +632,6 @@ def _grouplike_search(h: HopfPresentation) -> tuple:
                     w2 = Subspace.from_vectors(h.order, n, vecs)
                     new_states.append((w2, assigned + [c]))
         states = new_states
-        if not states:
-            break
-    found = []
     for (_w, assigned) in states:
         cand = tuple(assigned)
         if is_grouplike(h, cand):

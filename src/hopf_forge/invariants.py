@@ -675,6 +675,13 @@ CHECK_TAGS = (
     "thm3.4:trace-on-coradical-geq-p",
 )
 
+
+def selects(selector: str, tag: str) -> bool:
+    """Whether a --check selector (a whole tag, or the part of one before
+    a colon) names tag."""
+    return tag == selector or tag.startswith(selector.rstrip(":") + ":")
+
+
 _REPORT_SEED = 94111  # fixed: reports must be byte-stable across runs
 
 
@@ -770,10 +777,7 @@ def build_report(h: HopfPresentation, omega_power: int = 1,
     n = idx.n
 
     def want(tag):
-        if selected is None:
-            return True
-        return any(tag == s or tag.startswith(s.rstrip(":") + ":")
-                   for s in selected)
+        return selected is None or any(selects(s, tag) for s in selected)
 
     checks = []
 

@@ -6,12 +6,19 @@ Exit codes: 0 ok, 1 checks failed, 2 malformed input/parameters,
 3 field too small (lift the cyclotomic order)."""
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import hopf_forge
 from hopf_forge.cli import main
+
+# child interpreters import the package under test, wherever it was found
+_CHILD_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    p for p in (os.path.dirname(os.path.dirname(hopf_forge.__file__)),
+                os.environ.get("PYTHONPATH")) if p))
 
 
 def run_cli(capsys, *args):
@@ -163,6 +170,21 @@ def test_report_text_and_filtering(taft3_file, capsys):
                       "thm3.4:trace-on-coradical-geq-p"]
 
 
+def test_report_rejects_unknown_check_selector(taft3_file, tmp_path,
+                                              capsys):
+    code, out, err = run_cli(capsys, "report", str(taft3_file),
+                             "--check", "thm3.4,bogus")
+    assert (code, out) == (2, "")
+    assert "bogus" in err and "thm3.4" not in err
+    # rejected before the file is read
+    code, _, err = run_cli(capsys, "report", str(tmp_path / "missing.json"),
+                           "--check", "thm3")
+    assert code == 2
+    assert "thm3" in err and "cannot read" not in err
+    # a list with no selector in it selects nothing either
+    assert run_cli(capsys, "report", str(taft3_file), "--check", ",")[0] == 2
+
+
 def test_report_json_is_byte_stable(taft3_file, tmp_path, capsys):
     out1 = tmp_path / "r1.json"
     out2 = tmp_path / "r2.json"
@@ -225,11 +247,11 @@ def test_console_script_end_to_end(tmp_path):
     build = subprocess.run(
         [sys.executable, "-m", "hopf_forge.cli", "zoo", "sweedler",
          "--out", str(path)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=_CHILD_ENV)
     assert build.returncode == 0, build.stderr
     verify = subprocess.run(
         [sys.executable, "-m", "hopf_forge.cli", "verify", str(path)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=_CHILD_ENV)
     assert verify.returncode == 0, verify.stderr
     assert "associativity: ok" in verify.stdout
 
@@ -243,7 +265,7 @@ def test_report_does_not_import_sympy(tmp_path):
         f"assert main(['report', {path!r}, '--json']) == 0\n"
         "sys.stderr.write('sympy loaded: %s' % ('sympy' in sys.modules))\n")
     run = subprocess.run([sys.executable, "-c", script],
-                         capture_output=True, text=True)
+                         capture_output=True, text=True, env=_CHILD_ENV)
     assert run.returncode == 0, run.stderr
     assert json.loads(run.stdout)["dim"] == 9
     assert run.stderr.endswith("sympy loaded: False")

@@ -7,12 +7,14 @@ import itertools
 import pytest
 import sympy as sp
 
+import hopf_forge.hopf as hopf_module
 from hopf_forge import (EigenvalueNotInField, HopfPresentation,
                         MalformedTensor, Mat, NoAntipode, OrderMismatch,
-                        apply_S_power, build_group_algebra, build_tensor,
-                        check_axioms, compute_antipode, cyc, delta_op, dual,
-                        find_grouplikes, harpoon_left, harpoon_right,
-                        is_grouplike, lift_order, root_of_unity)
+                        apply_S_power, build_group_algebra, build_taft,
+                        build_tensor, check_axioms, compute_antipode, cyc,
+                        delta_op, dual, find_grouplikes, harpoon_left,
+                        harpoon_right, is_grouplike, lift_order,
+                        root_of_unity)
 
 
 def test_axioms_hold_on_corpus(corpus, sw):
@@ -190,6 +192,65 @@ def test_zero_is_not_grouplike(t3):
 def test_grouplike_enumeration_raises_when_field_too_small(z5):
     with pytest.raises(EigenvalueNotInField):
         find_grouplikes(dual(z5))
+
+
+def test_grouplike_search_splits_only_the_cocommutative_subspace(
+        monkeypatch):
+    # every grouplike lies in {a : Delta(a) = Delta^op(a)}, which is
+    # 5-dimensional for taft(5); the search never works in all of H
+    sizes = []
+    original = hopf_module.charpoly
+
+    def recording(m):
+        sizes.append(m.rows)
+        return original(m)
+
+    monkeypatch.setattr(hopf_module, "charpoly", recording)
+    assert len(find_grouplikes(build_taft(5))) == 5
+    assert sizes and max(sizes) <= 5
+
+
+def test_grouplikes_do_not_depend_on_the_counit(t3):
+    # a grouplike is fixed by Delta alone; scaling a candidate by the
+    # counit would change the answer here
+    counit = (t3.counit[0] * 2,) + t3.counit[1:]
+    h = HopfPresentation(
+        name="taft(3), eps(e0) doubled", dim=t3.dim, order=t3.order,
+        mult_entries=[(i, j, k, c) for i in range(t3.dim)
+                      for j in range(t3.dim)
+                      for k, c in t3.mult[i][j].items()],
+        comult_entries=[(i, j, k, c) for i in range(t3.dim)
+                        for (j, k), c in t3.comult[i].items()],
+        unit=t3.unit, counit=counit)
+    assert find_grouplikes(h) == find_grouplikes(t3)
+
+
+def test_grouplike_with_coordinate_outside_roots_of_unity():
+    # k[Z2] over Q(zeta_3) on the basis e0 = 1, e1 = (2 + zeta) g: the
+    # grouplike g = e1 / (2 + zeta) = ((1 - zeta) / 3) e1 has a coordinate
+    # that is no rational multiple of a root of unity
+    zeta = root_of_unity(3, 1)
+    one, zero, s = cyc(3, 1), cyc(3, 0), zeta + 2
+    h = HopfPresentation(
+        name="k[Z2] scaled", dim=2, order=3,
+        mult_entries=[(0, 0, 0, one), (0, 1, 1, one), (1, 0, 1, one),
+                      (1, 1, 0, s * s)],
+        comult_entries=[(0, 0, 0, one), (1, 1, 1, s.inverse())],
+        unit=(one, zero), counit=(one, s))
+    got = {g.coords for g in find_grouplikes(h)}
+    assert got == {(one, zero), (zero, (1 - zeta) / 3)}
+
+
+def test_no_grouplikes_without_cocommutative_elements():
+    # Delta(e0) = e0 (x) e1, Delta(e1) = e0 (x) e2, Delta(e2) = e1 (x) e2:
+    # Delta(a) = Delta^op(a) forces a = 0
+    one, zero = cyc(1, 1), cyc(1, 0)
+    h = HopfPresentation(
+        name="no cocommutative element", dim=3, order=1,
+        mult_entries=[(0, 0, 0, one)],
+        comult_entries=[(0, 0, 1, one), (1, 0, 2, one), (2, 1, 2, one)],
+        unit=(one, zero, zero), counit=(one, zero, zero))
+    assert find_grouplikes(h) == ()
 
 
 def _oracle_grouplike_vectors(h, min_poly_of_w=None):
