@@ -22,7 +22,7 @@ from .errors import (DegeneratePairing, EigenvalueNotInField,
                      IntegralSpaceNotOneDim, MalformedTensor, NoAntipode,
                      NotInvertible, OrderMismatch)
 from .linalg import (Mat, Subspace, charpoly, inverse, null_space,
-                     roots_in_field)
+                     null_space_of_terms, roots_in_field)
 
 
 @dataclass(frozen=True)
@@ -573,16 +573,9 @@ def find_grouplikes(h: HopfPresentation) -> tuple:
 
 def _cocommutative_subspace(h: HopfPresentation) -> Subspace:
     """K = {a : Delta(a) = Delta^op(a)}: one equation per pair k < l."""
-    n = h.dim
-    z = cyc(h.order, 0)
-    eqs = {}
-    for i in range(n):
-        for (k, l), c in h.comult[i].items():
-            if k != l:
-                row = eqs.setdefault((min(k, l), max(k, l)), [z] * n)
-                row[i] = row[i] + c if k < l else row[i] - c
-    rows = {tuple(row): None for row in eqs.values() if any(row)}
-    return null_space(Mat(h.order, list(rows), cols=n))
+    return null_space_of_terms(h.order, h.dim, (
+        ((min(k, l), max(k, l)), i, c if k < l else -c)
+        for i in range(h.dim) for (k, l), c in h.comult[i].items() if k != l))
 
 
 def _line_grouplike(h: HopfPresentation, w: Subspace):

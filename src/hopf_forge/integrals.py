@@ -24,9 +24,9 @@ from dataclasses import dataclass
 from .cyclofield import CycNumber
 from .errors import (DegeneratePairing, IntegralSpaceNotOneDim,
                      NotNormalized, NotProportional)
-from .hopf import (Functional, HopfElement, HopfPresentation, _coords, dual,
+from .hopf import (Functional, HopfElement, HopfPresentation, _coords,
                    harpoon_left, harpoon_right)
-from .linalg import Mat, Subspace, null_space
+from .linalg import Mat, Subspace, null_space_of_terms
 
 
 # -- integral spaces -----------------------------------------------------------
@@ -35,43 +35,28 @@ from .linalg import Mat, Subspace, null_space
 def integral_subspace(h: HopfPresentation, side: str = "left") -> Subspace:
     """The space of left (or right) integrals in H, as a subspace.
 
-    Left integrals satisfy a x = counit(a) x for all a; right integrals
-    satisfy x a = counit(a) x.  The space is found by refining the
-    ambient space through the kernel of one basis operator at a time,
-    with a final direct verification once it is down to a line (so an
-    early exit cannot over-report).
+    Left integrals satisfy e_i x = counit(e_i) x for every basis element
+    e_i, right integrals x e_i = counit(e_i) x.  The space is the null
+    space of all these equations at once, one per (i, k) coordinate, read
+    straight from mult.
     """
+    mult = h.mult if side == "left" else tuple(zip(*h.mult))
+    actions = ((i, j, k, c) for i, row in enumerate(mult)
+               for j, prod in enumerate(row) for k, c in prod.items())
     return h.memo(("integral_subspace", side),
-                  lambda: _refine_integrals(h, side))
+                  lambda: _integrals(h, actions, h.counit))
 
 
-def _refine_integrals(h: HopfPresentation, side: str) -> Subspace:
-    n = h.dim
-    w = Subspace.from_vectors(h.order, n,
-                              [h.basis_element(i) for i in range(n)])
-    for i in range(n):
-        a = h.basis_element(i)
-        op = h.left_mult_matrix(a) if side == "left" else h.right_mult_matrix(a)
-        bt = w.basis.transpose()
-        ker = null_space((op @ bt) - bt.scale(h.counit[i]))
-        if ker.dim == 0:
-            return Subspace.from_vectors(h.order, n, [])
-        w = Subspace.from_vectors(h.order, n, (ker.basis @ w.basis).data)
-        if w.dim <= 1:
-            break
-    # verify every remaining constraint on the surviving line
-    if w.dim == 1:
-        x = w.basis.data[0]
-        for i in range(n):
-            a = h.basis_element(i)
-            prod = h.multiply(a, x) if side == "left" else h.multiply(x, a)
-            if prod != tuple(c * h.counit[i] for c in x):
-                return Subspace.from_vectors(h.order, n, [])
-    return w
+def _integrals(h: HopfPresentation, actions, counit) -> Subspace:
+    """{x : a_i x = counit_i x for every i}, where each (i, j, k, c) in
+    actions says that a_i sends e_j to c e_k plus other terms."""
+    terms = [((i, k), j, c) for i, j, k, c in actions]
+    terms += [((i, k), k, -e) for i, e in enumerate(counit) if e
+              for k in range(h.dim)]
+    return null_space_of_terms(h.order, h.dim, terms)
 
 
-def _one_dimensional(h, side, where) -> tuple:
-    space = integral_subspace(h, side)
+def _one_dimensional(space: Subspace, side: str, where: str) -> tuple:
     if space.dim != 1:
         raise IntegralSpaceNotOneDim(
             f"{side} integral space of {where} has dimension {space.dim}")
@@ -80,18 +65,25 @@ def _one_dimensional(h, side, where) -> tuple:
 
 def left_integral(h: HopfPresentation) -> HopfElement:
     """A left integral Lambda, canonically scaled (leading coordinate 1)."""
-    return HopfElement(_one_dimensional(h, "left", h.name))
+    return HopfElement(
+        _one_dimensional(integral_subspace(h, "left"), "left", h.name))
 
 
 def right_integral(h: HopfPresentation) -> HopfElement:
     """A right integral in H, canonically scaled."""
-    return HopfElement(_one_dimensional(h, "right", h.name))
+    return HopfElement(
+        _one_dimensional(integral_subspace(h, "right"), "right", h.name))
 
 
 def dual_right_integral(h: HopfPresentation) -> Functional:
-    """A right integral lambda on H (right integral of the dual algebra)."""
+    """A right integral lambda on H: lambda beta = beta(1) lambda in H*,
+    read straight from comult and unit (beta_j beta_i has coefficient
+    comult[k][(j, i)] on beta_k, and beta_i(1) = unit[i])."""
+    actions = ((i, j, k, c) for k, tensor in enumerate(h.comult)
+               for (j, i), c in tensor.items())
     return h.memo(("dual_right_integral",), lambda: Functional(
-        _one_dimensional(dual(h), "right", f"dual({h.name})")))
+        _one_dimensional(_integrals(h, actions, h.unit), "right",
+                         f"dual({h.name})")))
 
 
 @dataclass(frozen=True)

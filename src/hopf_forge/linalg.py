@@ -1,9 +1,11 @@
 """Dense exact linear algebra over Q(zeta_N).
 
-Matrices are immutable row-major tuples of CycNumber.  Reduction always
-picks the first nonzero pivot in column order, so RREF output (and hence
-every Subspace basis) is canonical: the same input yields byte-identical
-results on every run.
+Matrices are immutable row-major tuples of CycNumber.  rref takes pivot
+columns in order and eliminates on sparse rows, pivoting each column on
+its shortest candidate row.  The reduced row echelon form of a row space
+is unique, so RREF output (and hence every Subspace basis) is canonical:
+it does not depend on the pivot rows chosen, on row order or on repeated
+rows, and the same input yields byte-identical results on every run.
 
 Operators act on column coordinate vectors: column j of an operator
 matrix holds the coordinates of the image of basis vector j.
@@ -170,32 +172,37 @@ def vstack(a: Mat, b: Mat) -> Mat:
 
 
 def rref(m: Mat):
-    """Reduced row echelon form; returns (Mat, rank, pivot column tuple)."""
-    work = [list(row) for row in m.data]
-    rows, cols = m.rows, m.cols
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pivot = None
-        for i in range(r, rows):
-            if work[i][c]:
-                pivot = i
-                break
-        if pivot is None:
+    """Reduced row echelon form; returns (Mat, rank, pivot column tuple).
+
+    Elimination runs on sparse {column: value} rows.  Each column is
+    pivoted on its shortest candidate row, the first one on ties.
+    """
+    z = cyc(m.order, 0)
+    open_rows = [{c: a for c, a in enumerate(row) if a} for row in m.data]
+    done, pivots = [], []
+    for c in range(m.cols):
+        best = min((i for i, row in enumerate(open_rows) if c in row),
+                   key=lambda i: len(open_rows[i]), default=None)
+        if best is None:
             continue
-        work[r], work[pivot] = work[pivot], work[r]
-        inv = work[r][c].inverse()
-        work[r] = [a * inv for a in work[r]]
-        prow = work[r]
-        for i in range(rows):
-            if i != r and work[i][c]:
-                f = work[i][c]
-                work[i] = [a - f * b for a, b in zip(work[i], prow)]
+        prow = open_rows.pop(best)
+        inv = prow[c].inverse()
+        prow = {k: a * inv for k, a in prow.items()}
+        for row in open_rows + done:
+            f = row.get(c)
+            if f is not None:
+                for k, b in prow.items():
+                    v = row.get(k, z) - f * b
+                    if v:
+                        row[k] = v
+                    else:
+                        del row[k]
+        open_rows = [row for row in open_rows if row]
+        done.append(prow)
         pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return Mat(m.order, work, cols=cols), r, tuple(pivots)
+    data = [[row.get(c, z) for c in range(m.cols)] for row in done]
+    data += [[z] * m.cols] * (m.rows - len(done))
+    return Mat(m.order, data, cols=m.cols), len(done), tuple(pivots)
 
 
 class Subspace:
@@ -272,6 +279,17 @@ def null_space(m: Mat) -> Subspace:
             v[pc] = -red.data[r][fc]
         vectors.append(v)
     return Subspace.from_vectors(m.order, m.cols, vectors)
+
+
+def null_space_of_terms(order, cols, terms) -> Subspace:
+    """null_space of the equations given as (equation label, column,
+    coefficient) terms; terms with the same label and column add up."""
+    z = cyc(order, 0)
+    rows = {}
+    for eq, col, c in terms:
+        row = rows.setdefault(eq, [z] * cols)
+        row[col] = row[col] + c
+    return null_space(Mat(order, list(rows.values()), cols=cols))
 
 
 def eigenspace(m: Mat, c: CycNumber) -> Subspace:

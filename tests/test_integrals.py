@@ -8,8 +8,9 @@ import pytest
 
 from hopf_forge import (DegeneratePairing, Functional, HopfPresentation,
                         IntegralSpaceNotOneDim, Mat, NotNormalized,
-                        character_inverse, cyc, distinguished_character,
-                        distinguished_grouplike, dual_right_integral,
+                        build_taft, character_inverse, cyc,
+                        distinguished_character, distinguished_grouplike,
+                        dual, dual_right_integral,
                         integral_pair, is_cosemisimple, is_semisimple,
                         is_unimodular, left_integral, null_space,
                         radford_trace, right_integral, root_of_unity,
@@ -19,7 +20,8 @@ from conftest import random_endomorphism
 
 def stacked_integral_kernel(h):
     """Oracle: solutions of a v = eps(a) v for every basis a, computed as
-    one big kernel instead of the library's iterative refinement."""
+    one dense kernel of stacked operator matrices, independently of the
+    library's sparse equation assembly."""
     blocks = None
     for i in range(h.dim):
         li = h.left_mult_matrix(h.basis_element(i))
@@ -225,6 +227,21 @@ def test_degenerate_pairing_guard():
             [(0, 0, 0, one), (0, 1, 1, one), (1, 0, 1, one), (1, 1, 0, one)],
             [(0, 0, 0, one), (0, 0, 1, one), (0, 1, 1, one), (1, 1, 0, one)],
             (one, zero), (one, one)))
+
+
+def test_dual_right_integral_builds_no_dual(monkeypatch):
+    h = build_taft(3)
+    via_dual = right_integral(dual(h)).coords
+    built = []
+    original = HopfPresentation.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("name"))
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(HopfPresentation, "__init__", counting)
+    assert dual_right_integral(h).coords == via_dual
+    assert built == []
 
 
 def test_functional_container_protocol(t3):

@@ -7,6 +7,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from hopf_forge import (Mat, NotInvariant, NotInvertible, Subspace, charpoly,
                         cyc, eigenspace, hstack, inverse, kronecker,
@@ -47,6 +48,54 @@ def test_rank_nullity(order):
         # rref is idempotent
         red2, rank2, pivots2 = rref(red)
         assert red2 == red and rank2 == rank and pivots2 == pivots
+
+
+def degenerate_mat(order, rows, cols, rng):
+    """A sparse random matrix with a zero row, a repeated row and a row
+    that is a combination of two others, in shuffled order."""
+    data = [list(r) for r in rand_mat(order, rows, cols, rng, 0.3).data]
+    a, b = cyc(order, rng.randint(1, 3)), cyc(order, Fraction(-1, 2))
+    data.append([cyc(order, 0)] * cols)
+    data.append(list(rng.choice(data)))
+    r1, r2 = rng.choice(data), rng.choice(data)
+    data.append([a * x + b * y for x, y in zip(r1, r2)])
+    rng.shuffle(data)
+    return Mat(order, data, cols=cols)
+
+
+def to_sympy(m):
+    return sympy.Matrix(m.rows, m.cols, [sympy.Rational(c.as_rational())
+                                         for row in m.data for c in row])
+
+
+_SHAPES = ((1, 4), (2, 7), (3, 9), (4, 4), (6, 6), (9, 3), (12, 4), (7, 1))
+
+
+def test_rref_matches_sympy_over_q():
+    rng = random.Random(1957)
+    for rows, cols in _SHAPES * 3:
+        m = degenerate_mat(1, rows, cols, rng)
+        red, rank, pivots = rref(m)
+        oracle, oracle_pivots = to_sympy(m).rref()
+        assert pivots == oracle_pivots and rank == len(oracle_pivots)
+        assert to_sympy(red) == oracle
+
+
+@pytest.mark.parametrize("order", (3, 15))
+def test_rref_ignores_row_order_and_repeats(order):
+    rng = random.Random(order * 101)
+    for rows, cols in _SHAPES:
+        m = degenerate_mat(order, rows, cols, rng)
+        red, rank, pivots = rref(m)
+        shuffled = list(m.data)
+        rng.shuffle(shuffled)
+        repeated = shuffled + [rng.choice(m.data) for _ in range(3)]
+        for other in (shuffled, repeated):
+            red2, rank2, pivots2 = rref(Mat(order, other, cols=cols))
+            assert (rank2, pivots2) == (rank, pivots)
+            assert red2.data[:rank] == red.data[:rank]
+            assert not any(any(row) for row in red2.data[rank:])
+        assert red.rows == m.rows
 
 
 def brute_charpoly(m):
