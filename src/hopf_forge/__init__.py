@@ -39,8 +39,8 @@ from .invariants import (CHECK_TAGS, AlternatingFormReport, CoradicalTraces,
 from .linalg import (Mat, Subspace, charpoly, eigenspace, hstack, inverse,
                      kronecker, null_space, operator_order,
                      restrict_operator, roots_in_field, rref, vstack)
-from .zoo import (build_cyclic_group_algebra, build_dual,
-                  build_group_algebra, build_taft, build_tensor,
-                  cyclic_table, direct_product_table, sweedler)
+from .zoo import (build_cyclic_group_algebra, build_group_algebra,
+                  build_taft, build_tensor, cyclic_table,
+                  direct_product_table, sweedler)
 
 __version__ = "1.0.0"

@@ -64,9 +64,6 @@ class AxiomChecklist:
     def failures(self):
         return [(name, detail) for name, ok, detail in self.results if not ok]
 
-    def as_dict(self):
-        return {name: ok for name, ok, _ in self.results}
-
 
 class HopfPresentation:
     """A (bi/Hopf) algebra given by structure constants over Q(zeta_N).

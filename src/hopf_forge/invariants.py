@@ -189,7 +189,6 @@ class EigenTable:
         pinv = self.eigen_basis_inverse()
         idx = [c for c, lbl in enumerate(labels) if lbl == key]
         n = p.rows
-        z = cyc(p.order, 0)
         if not idx:
             return Mat.zeros(p.order, n, n)
         cols = Mat.from_cols(p.order, [p.col(c) for c in idx], rows_n=n)
@@ -399,30 +398,18 @@ def alternating_form_check(h: HopfPresentation, pair: IntegralPair,
     alternating = all(not block[i][i] for i in range(vdim)) and all(
         block[i][j] == -block[j][i]
         for i in range(vdim) for j in range(vdim))
-    if vdim:
-        _, vrank, _ = rref(Mat(h.order, block, cols=vdim))
-        nondeg = vrank == vdim
-    else:
-        nondeg = True
+    nondeg = not vdim or rref(Mat(h.order, block, cols=vdim))[1] == vdim
     # Delta^op Gram in eigen coordinates is the transpose of the Delta one
     cop_prime = nf.cprime.transpose()
-    delta_op_ok, witness = True, None
-    minus_one = cyc(h.order, -1)
-    for r in range(h.dim):
-        a, i, j = labels[r]
-        factor = t.omega ** ((-i - j) % n)
-        if a:
-            factor = factor * minus_one
-        for s in range(h.dim):
-            if cop_prime.data[r][s] != factor * nf.cprime.data[r][s]:
-                delta_op_ok, witness = False, (labels[r], labels[s])
-                break
-        if not delta_op_ok:
-            break
+    factors = [(-1) ** a * t.omega ** ((-i - j) % n) for a, i, j in labels]
+    witness = next(((labels[r], labels[s])
+                    for r in range(h.dim) for s in range(h.dim)
+                    if cop_prime.data[r][s]
+                    != factors[r] * nf.cprime.data[r][s]), None)
     return AlternatingFormReport(
         ell=ell, global_rank=rank, global_full_rank=(rank == h.dim),
         v_dim=vdim, v_dim_even=(vdim % 2 == 0), alternating_ok=alternating,
-        nondegenerate_on_v=nondeg, delta_op_ok=delta_op_ok,
+        nondegenerate_on_v=nondeg, delta_op_ok=witness is None,
         delta_op_witness=witness)
 
 
@@ -527,14 +514,9 @@ def lemma24_check(t: EigenTable, d: int, pair: IntegralPair) -> Lemma24Result:
         raise PreconditionFailed(
             f"distinguished grouplike of {h.name} is trivial")
     n = t.n
-    diff_ok, diff_wit = True, None
-    for i in range(n):
-        for j in range(n):
-            if t.dims[(0, i, j)] - t.dims[(1, i, j)] != d:
-                diff_ok, diff_wit = False, (i, j)
-                break
-        if not diff_ok:
-            break
+    diff_wit = next(((i, j) for i in range(n) for j in range(n)
+                     if t.dims[(0, i, j)] - t.dims[(1, i, j)] != d), None)
+    diff_ok = diff_wit is None
     alpha = distinguished_character(h, pair)
     if tuple(alpha.coords) == tuple(h.counit):
         return Lemma24Result(d, diff_ok, diff_wit, None, None)
@@ -613,33 +595,25 @@ def coradical_traces(h: HopfPresentation, c: Subspace,
     """Block traces of S^(2p) over the coradical and its complement.
 
     The coradical must be S^(2p)-invariant (NotInvariant otherwise).
-    The quotient trace is read from the complementary diagonal block
-    after completing the coradical basis with unit vectors at its
-    non-pivot coordinates.  pointed records dim C = #grouplikes;
-    inequality_ok records Tr(S^(2p)|_C) >= p.
+    The trace on C is that of S^(2p) restricted to C; the quotient trace
+    is that of the transpose restricted to the annihilator of C, which is
+    dual to H/C.  additivity_ok checks that the two add up to
+    Tr(S^(2p)).  pointed records dim C = #grouplikes; inequality_ok
+    records Tr(S^(2p)|_C) >= p.
     """
     m = h.s_power_matrix(2 * p)
-    for vec in c.basis.data:
-        if c.coords_of(m.apply(vec)) is None:
-            raise NotInvariant(
-                f"coradical of {h.name} is not S^(2*{p})-invariant")
-    n = h.dim
-    comp = [t for t in range(n) if t not in c.pivots]
-    cols = [list(row) for row in c.basis.data] + \
-           [h.basis_element(t) for t in comp]
-    q = Mat.from_cols(h.order, cols, rows_n=n)
-    mprime = inverse(q) @ m @ q
-    d = c.dim
-    z = h.zero_scalar()
-    on_c = sum((mprime.data[i][i] for i in range(d)), z)
-    on_quot = sum((mprime.data[i][i] for i in range(d, n)), z)
-    additivity = (on_c + on_quot) == m.trace()
-    pointed = c.dim == len(find_grouplikes(h))
+    try:
+        on_c = restrict_operator(m, c).trace()
+    except NotInvariant:
+        raise NotInvariant(
+            f"coradical of {h.name} is not S^(2*{p})-invariant") from None
+    on_quot = restrict_operator(m.transpose(), null_space(c.basis)).trace()
     tc = _as_int(on_c)
-    inequality = tc is not None and tc >= p
-    return CoradicalTraces(trace_on_c=on_c, trace_on_quotient=on_quot,
-                           additivity_ok=additivity, pointed=pointed,
-                           inequality_ok=inequality)
+    return CoradicalTraces(
+        trace_on_c=on_c, trace_on_quotient=on_quot,
+        additivity_ok=on_c + on_quot == m.trace(),
+        pointed=c.dim == len(find_grouplikes(h)),
+        inequality_ok=tc is not None and tc >= p)
 
 
 # -- the aggregated report ---------------------------------------------------------
@@ -751,15 +725,27 @@ def _factor_pq(dim: int):
     return None
 
 
+def _outcome(ok: bool, detail: str = "", failure: Optional[str] = None):
+    """(status, detail) of a check: detail on a pass; on a fail, failure
+    if given, else detail."""
+    if ok:
+        return "pass", detail
+    return "fail", detail if failure is None else failure
+
+
 def build_report(h: HopfPresentation, omega_power: int = 1,
                  selected: Optional[list] = None) -> InvariantReport:
     """Run every applicable named check on one presentation.
 
-    selected filters the emitted checks by tag prefix (e.g. "lem3.1" or
-    the full tag); unselected checks are neither run nor reported,
-    except that their prerequisite data (integrals, index) is always
-    computed.  Sampling for the trace-variant check uses a fixed seed so
-    that two runs on the same input are byte-identical.
+    Each check's (status, detail) is recorded once under its tag, and the
+    report lists CHECK_TAGS in order, keeping the tags that a selector in
+    selected names (see selects).  A stage that cannot run gives its
+    skipped:REASON to every tag of its group still unrecorded.  The
+    trace variants, the S^4 formula, the reconstruction, the projection
+    traces and the alternating form run only when a tag of their group is
+    selected; every other stage always runs.  Sampling for the
+    trace-variant check uses a fixed seed so that two runs on the same
+    input are byte-identical.
     """
     pair = integral_pair(h)
     semi = is_semisimple(h)
@@ -767,177 +753,125 @@ def build_report(h: HopfPresentation, omega_power: int = 1,
     unimod = is_unimodular(h)
     idx = compute_index(h, pair)
     n = idx.n
+    results = {}  # tag -> (status, detail)
 
-    def want(tag):
-        return selected is None or any(selects(s, tag) for s in selected)
+    def group(*prefixes):
+        return [tag for tag in CHECK_TAGS
+                if any(selects(p, tag) for p in prefixes)]
 
-    checks = []
+    def wanted(*prefixes):
+        return selected is None or any(
+            selects(s, tag) for tag in group(*prefixes) for s in selected)
 
-    def record(tag, status, detail=""):
-        if want(tag):
-            checks.append((tag, status, detail))
+    def skip(reason, *prefixes, detail=""):
+        for tag in group(*prefixes):
+            results.setdefault(tag, (reason, detail))
 
-    rng = random.Random(_REPORT_SEED + h.dim * 7919 + h.order)
-    if want("thm1.2:trace-variants"):
-        ok, detail = True, ""
-        for _ in range(_TRACE_SAMPLES):
-            f = Mat(h.order,
-                    [[cyc(h.order, rng.randint(-3, 3))
-                      for _ in range(h.dim)] for _ in range(h.dim)],
-                    cols=h.dim)
-            want_tr = f.trace()
-            for variant in (1, 2, 3):
-                got = radford_trace(h, f, pair, variant)
-                if got != want_tr:
-                    ok, detail = False, f"variant {variant} disagrees"
-                    break
-            if not ok:
-                break
-        record("thm1.2:trace-variants", "pass" if ok else "fail", detail)
-
-    if want("eq1:s4-formula"):
-        record("eq1:s4-formula",
-               "pass" if verify_s4_formula(h, pair) else "fail")
+    if wanted("thm1.2:trace-variants"):
+        rng = random.Random(_REPORT_SEED + h.dim * 7919 + h.order)
+        samples = (Mat(h.order, [[cyc(h.order, rng.randint(-3, 3))
+                                  for _ in range(h.dim)]
+                                 for _ in range(h.dim)], cols=h.dim)
+                   for _ in range(_TRACE_SAMPLES))
+        bad = next((variant for f in samples for variant in (1, 2, 3)
+                    if radford_trace(h, f, pair, variant) != f.trace()), None)
+        results["thm1.2:trace-variants"] = _outcome(
+            bad is None, failure=f"variant {bad} disagrees")
+    if wanted("eq1:s4-formula"):
+        results["eq1:s4-formula"] = _outcome(verify_s4_formula(h, pair))
 
     # trace congruences first: their d (when available) feeds lemma 2.4
     pq = _factor_pq(h.dim)
     tc = None
-    trace_skip = None
-    if pq is None:
-        trace_skip = "skipped:NotPQ"
-    elif semi:
-        trace_skip = "skipped:Semisimple"
-    elif n not in pq:
-        trace_skip = "skipped:IndexNotP"
+    if pq is None or semi or n not in pq:
+        skip("skipped:NotPQ" if pq is None else "skipped:Semisimple" if semi
+             else "skipped:IndexNotP", "thm2.2", "thm3.3")
     else:
-        p, q = (pq if n == pq[0] else (pq[1], pq[0]))
+        p, q = pq if n == pq[0] else pq[::-1]
         tc = trace_s2p_report(h, pair, p, q)
+        results["thm2.2:trace-p2d"] = _outcome(
+            tc.routes_agree and tc.p2_divisible and tc.d_odd,
+            f"trace {tc.trace}, d = {tc.d}")
+        results["thm3.3:congruence-mod4"] = _outcome(tc.congruence_ok,
+                                                     f"d = {tc.d}")
+        results["thm3.3:h-minus-formula"] = _outcome(
+            tc.h_minus_formula_ok, f"dim H_- = {tc.dim_h_minus}")
 
-    table = None
-    nf = None
-    x_exp = None
-    off_pattern = None
-    skip_reason = None
-    if n == 1:
-        skip_reason = "skipped:IndexOne"
-    elif n % 2 == 0:
-        skip_reason = "skipped:IndexEven"
+    table = x_exp = None
+    if n == 1 or n % 2 == 0:
+        skip("skipped:IndexOne" if n == 1 else "skipped:IndexEven",
+             "eq2", "sec2", "lem2.4", "eq3", "lem3.1")
     else:
-        omega = omega_for_index(h, n, omega_power)
-        table = eigen_decomposition(h, pair, omega)
+        table = eigen_decomposition(h, pair,
+                                    omega_for_index(h, n, omega_power))
         x_exp = table.x_exp
         try:
-            nf = normal_form(h, pair, table)
+            nf, off_pattern = normal_form(h, pair, table), None
         except OffPatternBlock as exc:
-            off_pattern = str(exc)
-
-    decomposition_tags = (
-        "eq2:eigen-partition", "sec2:dim-symmetry",
-        "lem2.4:dim-difference", "lem2.4:j-independence",
-        "eq3:normal-form-pattern", "eq3:reconstruction",
-        "eq3:projection-traces", "lem3.1:global-form-rank",
-        "lem3.1:alternating-even", "lem3.1:delta-op-expansion")
-    if table is None:
-        for tag in decomposition_tags:
-            record(tag, skip_reason)
-    else:
-        record("eq2:eigen-partition",
-               "pass" if sum(table.dims.values()) == h.dim else "fail")
+            nf, off_pattern = None, str(exc)
+        results["eq2:eigen-partition"] = _outcome(
+            sum(table.dims.values()) == h.dim)
         sym_ok, witness = check_dim_symmetry(table)
-        record("sec2:dim-symmetry", "pass" if sym_ok else "fail",
-               "" if sym_ok else f"witness {witness}")
+        results["sec2:dim-symmetry"] = _outcome(sym_ok,
+                                                failure=f"witness {witness}")
         d_for_24 = (tc.d if tc is not None and tc.d is not None
                     else table.dims[(0, 0, 0)] - table.dims[(1, 0, 0)])
         try:
             l24 = lemma24_check(table, d_for_24, pair)
-            record("lem2.4:dim-difference",
-                   "pass" if l24.difference_ok else "fail",
-                   f"d = {l24.d}" if l24.difference_ok
-                   else f"witness {l24.difference_witness}")
-            if l24.j_independence_ok is None:
-                record("lem2.4:j-independence", "skipped:AlphaTrivial")
-            else:
-                record("lem2.4:j-independence",
-                       "pass" if l24.j_independence_ok else "fail",
-                       "" if l24.j_independence_ok
-                       else f"witness {l24.j_independence_witness}")
         except PreconditionFailed as exc:
-            record("lem2.4:dim-difference", "skipped:GTrivial", str(exc))
-            record("lem2.4:j-independence", "skipped:GTrivial", str(exc))
-        record("eq3:normal-form-pattern",
-               "pass" if off_pattern is None else "fail",
-               off_pattern or "")
-        if nf is None:
-            for tag in ("eq3:reconstruction", "eq3:projection-traces",
-                        "lem3.1:global-form-rank", "lem3.1:alternating-even",
-                        "lem3.1:delta-op-expansion"):
-                record(tag, "skipped:OffPatternBlock")
+            skip("skipped:GTrivial", "lem2.4", detail=str(exc))
         else:
-            if want("eq3:reconstruction"):
+            results["lem2.4:dim-difference"] = _outcome(
+                l24.difference_ok, f"d = {l24.d}",
+                f"witness {l24.difference_witness}")
+            if l24.j_independence_ok is None:
+                skip("skipped:AlphaTrivial", "lem2.4")
+            else:
+                results["lem2.4:j-independence"] = _outcome(
+                    l24.j_independence_ok,
+                    failure=f"witness {l24.j_independence_witness}")
+        results["eq3:normal-form-pattern"] = _outcome(nf is not None,
+                                                      failure=off_pattern)
+        if nf is None:
+            skip("skipped:OffPatternBlock", "eq3", "lem3.1")
+        else:
+            if wanted("eq3:reconstruction"):
                 target = [cyc(h.order, 0)] * (h.dim * h.dim)
                 for (j, k), c in h.comult_pairs(pair.integral.coords).items():
                     target[j * h.dim + k] = c
-                ok = nf.reconstruction(h) == tuple(target)
-                record("eq3:reconstruction", "pass" if ok else "fail")
-            if want("eq3:projection-traces"):
-                traces = projection_traces(table, pair)
-                bad = [key for key, (direct, via) in traces.items()
-                       if _as_int(direct) != table.dims[key]
-                       or _as_int(via) != table.dims[key]]
-                record("eq3:projection-traces",
-                       "pass" if not bad else "fail",
-                       "" if not bad else f"witness {sorted(bad)[0]}")
-            if want("lem3.1:global-form-rank") or \
-                    want("lem3.1:alternating-even") or \
-                    want("lem3.1:delta-op-expansion"):
+                results["eq3:reconstruction"] = _outcome(
+                    nf.reconstruction(h) == tuple(target))
+            if wanted("eq3:projection-traces"):
+                bad = min((key for key, traces
+                           in projection_traces(table, pair).items()
+                           if any(_as_int(t) != table.dims[key]
+                                  for t in traces)), default=None)
+                results["eq3:projection-traces"] = _outcome(
+                    bad is None, failure=f"witness {bad}")
+            if wanted("lem3.1"):
                 alt = alternating_form_check(h, pair, table, nf=nf)
-                record("lem3.1:global-form-rank",
-                       "pass" if alt.global_full_rank else "fail",
-                       f"rank {alt.global_rank} of {h.dim}")
-                alt_ok = (alt.alternating_ok and alt.v_dim_even
-                          and alt.nondegenerate_on_v)
-                record("lem3.1:alternating-even",
-                       "pass" if alt_ok else "fail",
-                       f"dim V = {alt.v_dim}")
-                record("lem3.1:delta-op-expansion",
-                       "pass" if alt.delta_op_ok else "fail",
-                       "" if alt.delta_op_ok
-                       else f"witness {alt.delta_op_witness}")
+                results["lem3.1:global-form-rank"] = _outcome(
+                    alt.global_full_rank, f"rank {alt.global_rank} of {h.dim}")
+                results["lem3.1:alternating-even"] = _outcome(
+                    alt.alternating_ok and alt.v_dim_even
+                    and alt.nondegenerate_on_v, f"dim V = {alt.v_dim}")
+                results["lem3.1:delta-op-expansion"] = _outcome(
+                    alt.delta_op_ok, failure=f"witness {alt.delta_op_witness}")
 
     hp, hm = h_plus_minus(h, pair, n)
-    if want("cor3.2:h-minus-even"):
-        record("cor3.2:h-minus-even", "pass" if hm % 2 == 0 else "fail",
-               f"dim H_- = {hm}")
-
-    if tc is None:
-        for tag in ("thm2.2:trace-p2d", "thm3.3:congruence-mod4",
-                    "thm3.3:h-minus-formula"):
-            record(tag, trace_skip)
-    else:
-        ok22 = tc.routes_agree and tc.p2_divisible and tc.d_odd
-        record("thm2.2:trace-p2d", "pass" if ok22 else "fail",
-               f"trace {tc.trace}, d = {tc.d}")
-        record("thm3.3:congruence-mod4",
-               "pass" if tc.congruence_ok else "fail",
-               f"d = {tc.d}")
-        record("thm3.3:h-minus-formula",
-               "pass" if tc.h_minus_formula_ok else "fail",
-               f"dim H_- = {tc.dim_h_minus}")
+    results["cor3.2:h-minus-even"] = _outcome(hm % 2 == 0, f"dim H_- = {hm}")
 
     cora = coradical(h)
     corat = coradical_traces(h, cora, n)
+    results["thm3.4:trace-additivity"] = _outcome(corat.additivity_ok)
     if n == 1 or semi:
-        reason = "skipped:IndexOne" if n == 1 else "skipped:Semisimple"
-        dim_geq_p = on_c_geq_p = (reason,)
+        skip("skipped:IndexOne" if n == 1 else "skipped:Semisimple", "thm3.4")
     else:
-        dim_geq_p = ("pass" if cora.dim >= n else "fail",
-                     f"dim C = {cora.dim}, p = {n}")
-        on_c_geq_p = ("pass" if corat.inequality_ok else "fail",
-                      f"Tr on C = {_as_int(corat.trace_on_c)}, p = {n}")
-    record("thm3.4:coradical-dim-geq-p", *dim_geq_p)
-    record("thm3.4:trace-additivity",
-           "pass" if corat.additivity_ok else "fail")
-    record("thm3.4:trace-on-coradical-geq-p", *on_c_geq_p)
+        results["thm3.4:coradical-dim-geq-p"] = _outcome(
+            cora.dim >= n, f"dim C = {cora.dim}, p = {n}")
+        results["thm3.4:trace-on-coradical-geq-p"] = _outcome(
+            corat.inequality_ok,
+            f"Tr on C = {_as_int(corat.trace_on_c)}, p = {n}")
 
     return InvariantReport(
         name=h.name, dim=h.dim, order=h.order, omega_power=omega_power,
@@ -953,4 +887,4 @@ def build_report(h: HopfPresentation, omega_power: int = 1,
         trace_s2p_on_quotient=corat.trace_on_quotient,
         pointed=corat.pointed,
         grouplike_count=len(find_grouplikes(h)),
-        checks=checks)
+        checks=[(tag, *results[tag]) for tag in CHECK_TAGS if wanted(tag)])

@@ -1,9 +1,10 @@
 """Dense exact linear algebra over Q(zeta_N).
 
-Matrices are immutable row-major tuples of CycNumber.  rref takes pivot
-columns in order and eliminates on sparse rows, pivoting each column on
-its shortest candidate row.  The reduced row echelon form of a row space
-is unique, so RREF output (and hence every Subspace basis) is canonical:
+Matrices are immutable row-major tuples of CycNumber.  rref, null_space
+and null_space_of_terms share one elimination on sparse {column: value}
+rows, which takes pivot columns in order and pivots each on its shortest
+candidate row.  The reduced row echelon form of a row space is unique,
+so RREF output (and hence every Subspace basis) is canonical:
 it does not depend on the pivot rows chosen, on row order or on repeated
 rows, and the same input yields byte-identical results on every run.
 
@@ -171,16 +172,17 @@ def vstack(a: Mat, b: Mat) -> Mat:
     return Mat(a.order, a.data + b.data, cols=a.cols)
 
 
-def rref(m: Mat):
-    """Reduced row echelon form; returns (Mat, rank, pivot column tuple).
+def _eliminate(order, rows):
+    """Reduced row echelon form of {column: value} rows, which hold no
+    zero values and are changed in place: (nonzero rows, pivot columns).
 
-    Elimination runs on sparse {column: value} rows.  Each column is
-    pivoted on its shortest candidate row, the first one on ties.
+    Pivot columns are taken in order, each pivoted on its shortest
+    candidate row, the first one on ties.
     """
-    z = cyc(m.order, 0)
-    open_rows = [{c: a for c, a in enumerate(row) if a} for row in m.data]
+    z = cyc(order, 0)
+    open_rows = [row for row in rows if row]
     done, pivots = [], []
-    for c in range(m.cols):
+    for c in sorted({c for row in open_rows for c in row}):
         best = min((i for i, row in enumerate(open_rows) if c in row),
                    key=lambda i: len(open_rows[i]), default=None)
         if best is None:
@@ -200,9 +202,20 @@ def rref(m: Mat):
         open_rows = [row for row in open_rows if row]
         done.append(prow)
         pivots.append(c)
+    return done, tuple(pivots)
+
+
+def _sparse(row):
+    return {c: a for c, a in enumerate(row) if a}
+
+
+def rref(m: Mat):
+    """Reduced row echelon form; returns (Mat, rank, pivot column tuple)."""
+    z = cyc(m.order, 0)
+    done, pivots = _eliminate(m.order, [_sparse(row) for row in m.data])
     data = [[row.get(c, z) for c in range(m.cols)] for row in done]
     data += [[z] * m.cols] * (m.rows - len(done))
-    return Mat(m.order, data, cols=m.cols), len(done), tuple(pivots)
+    return Mat(m.order, data, cols=m.cols), len(done), pivots
 
 
 class Subspace:
@@ -267,18 +280,7 @@ class Subspace:
 
 def null_space(m: Mat) -> Subspace:
     """Canonical basis of the right kernel {v : m v = 0}."""
-    red, rank, pivots = rref(m)
-    pivot_set = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivot_set]
-    z, o = cyc(m.order, 0), cyc(m.order, 1)
-    vectors = []
-    for fc in free:
-        v = [z] * m.cols
-        v[fc] = o
-        for r, pc in enumerate(pivots):
-            v[pc] = -red.data[r][fc]
-        vectors.append(v)
-    return Subspace.from_vectors(m.order, m.cols, vectors)
+    return _kernel(m.order, m.cols, [_sparse(row) for row in m.data])
 
 
 def null_space_of_terms(order, cols, terms) -> Subspace:
@@ -287,9 +289,27 @@ def null_space_of_terms(order, cols, terms) -> Subspace:
     z = cyc(order, 0)
     rows = {}
     for eq, col, c in terms:
-        row = rows.setdefault(eq, [z] * cols)
-        row[col] = row[col] + c
-    return null_space(Mat(order, list(rows.values()), cols=cols))
+        row = rows.setdefault(eq, {})
+        row[col] = row.get(col, z) + c
+    return _kernel(order, cols, [{k: a for k, a in row.items() if a}
+                                 for row in rows.values()])
+
+
+def _kernel(order, cols, rows) -> Subspace:
+    """Kernel of the {column: value} rows, from their sparse elimination."""
+    done, pivots = _eliminate(order, rows)
+    pivot_set = set(pivots)
+    z, o = cyc(order, 0), cyc(order, 1)
+    vectors = []
+    for fc in range(cols):
+        if fc in pivot_set:
+            continue
+        v = [z] * cols
+        v[fc] = o
+        for row, pc in zip(done, pivots):
+            v[pc] = -row.get(fc, z)
+        vectors.append(v)
+    return Subspace.from_vectors(order, cols, vectors)
 
 
 def eigenspace(m: Mat, c: CycNumber) -> Subspace:

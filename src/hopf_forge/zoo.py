@@ -11,7 +11,7 @@ from math import gcd
 
 from .cyclofield import cyc, root_of_unity
 from .errors import BadParameters, NotAGroup, OrderMismatch
-from .hopf import HopfPresentation, dual
+from .hopf import HopfPresentation
 from .linalg import Mat, kronecker
 
 
@@ -272,11 +272,3 @@ def build_tensor(h1: HopfPresentation, h2: HopfPresentation,
         order=h1.order, mult_entries=mult_entries,
         comult_entries=comult_entries, unit=unit, counit=counit,
         antipode=s, basis=labels)
-
-
-def build_dual(h: HopfPresentation, name: str | None = None):
-    """Dual Hopf algebra on the dual basis (convenience re-export)."""
-    d = dual(h)
-    if name is not None:
-        d.name = name
-    return d

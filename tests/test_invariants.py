@@ -10,8 +10,9 @@ import pytest
 
 from hopf_forge import (CHECK_TAGS, BadParameters, EigenTable,
                         HopfPresentation, IndexData, IndexEven, IndexOne,
-                        Mat, NonCommuting, NonSplitting, NotARootPower,
-                        NotInvariant, PreconditionFailed,
+                        Lemma24Result, Mat, NonCommuting, NonSplitting,
+                        NotARootPower, NotInvariant, OffPatternBlock,
+                        PreconditionFailed,
                         SpectrumNotPlusMinusOne, Subspace,
                         alternating_form_check, build_report,
                         check_dim_symmetry, compute_index, coradical,
@@ -20,7 +21,8 @@ from hopf_forge import (CHECK_TAGS, BadParameters, EigenTable,
                         index_bound, integral_pair, lemma24_check,
                         normal_form, omega_for_index, projection_traces,
                         root_of_unity, trace_s2p_report, x_exponent)
-from hopf_forge.invariants import NormalForm
+from hopf_forge import invariants
+from hopf_forge.invariants import NormalForm, selects
 
 
 def table_of(h, pair, power=1):
@@ -216,7 +218,6 @@ def test_normal_form_taft(t3, pair_of):
 
 
 def test_normal_form_off_pattern_detected(t3, pair_of):
-    from hopf_forge import OffPatternBlock
     pair = pair_of(t3)
     table = table_of(t3, pair)
     spaces = dict(table.spaces)
@@ -421,10 +422,25 @@ def test_coradical_pointedness_matches_grouplikes(t5, sw, z3z3):
         assert c.dim == len(find_grouplikes(h))
 
 
+def test_coradical_traces_on_other_invariant_subspaces(sw):
+    # on sweedler's basis (1, x, g, gx), S^2 fixes 1 and g and negates x
+    # and gx; the trace on a subspace and on the quotient by it are read
+    # by two separate restrictions, and must add up to Tr(S^2) = 0
+    one, zero = cyc(1, 1), cyc(1, 0)
+    for vectors, on_c in (([[one, zero, zero, zero], [zero, zero, one, zero]],
+                           2),
+                          ([[zero, one, zero, zero]], -1),
+                          ([[one, zero, one, zero], [zero, one, zero, one]],
+                           0)):
+        res = coradical_traces(sw, Subspace.from_vectors(1, 4, vectors), 1)
+        assert (res.trace_on_c, res.trace_on_quotient) == (on_c, -on_c)
+        assert res.additivity_ok
+
+
 def test_coradical_traces_rejects_non_invariant_subspace(sw):
     one, zero = cyc(1, 1), cyc(1, 0)
     bogus = Subspace.from_vectors(1, 4, [[one, one, zero, zero]])
-    with pytest.raises(NotInvariant):
+    with pytest.raises(NotInvariant, match=r"not S\^\(2\*1\)-invariant"):
         coradical_traces(sw, bogus, 1)  # S^2(1 + x) = 1 - x leaves the span
 
 
@@ -513,3 +529,66 @@ def test_report_tensor_product_values(t3z5):
     assert status["lem3.1:global-form-rank"] == "pass"
     assert detail["lem3.1:global-form-rank"] == "rank 45 of 45"
     assert status["thm3.4:trace-on-coradical-geq-p"] == "pass"
+
+
+@pytest.mark.parametrize("name", ["t3", "sw", "z15"])
+def test_report_selection_matches_filtered_full_report(name, request):
+    # a selected report is the full one filtered by the selector: a check
+    # gated on its group must run whenever any one tag of the group is
+    # asked for, by whole tag or by the part before the colon
+    h = request.getfixturevalue(name)
+    full = build_report(h).checks
+    selectors = set(CHECK_TAGS) | {tag.split(":")[0] for tag in CHECK_TAGS}
+    for s in sorted(selectors):
+        expect = [check for check in full if selects(s, check[0])]
+        assert expect, s
+        assert build_report(h, selected=[s]).checks == expect, s
+
+
+def _statuses(rep):
+    return {tag: (status, detail) for tag, status, detail in rep.checks}
+
+
+def test_report_off_pattern_block_skips_dependent_checks(t3, monkeypatch):
+    message = ("Delta(Lambda) on taft(3) has a nonzero block "
+               "(0, 0, 0) (x) (0, 0, 0)")
+
+    def off_pattern(h, pair, t):
+        raise OffPatternBlock(message)
+
+    monkeypatch.setattr(invariants, "normal_form", off_pattern)
+    rep = build_report(t3)
+    assert [tag for tag, _, _ in rep.checks] == list(CHECK_TAGS)
+    status = _statuses(rep)
+    assert status["eq3:normal-form-pattern"] == ("fail", message)
+    for tag in ("eq3:reconstruction", "eq3:projection-traces",
+                "lem3.1:global-form-rank", "lem3.1:alternating-even",
+                "lem3.1:delta-op-expansion"):
+        assert status[tag] == ("skipped:OffPatternBlock", ""), tag
+    assert status["lem2.4:dim-difference"] == ("pass", "d = 1")
+    assert not rep.all_ok
+
+
+def test_report_trivial_grouplike_skips_lemma24(t3, monkeypatch):
+    message = "distinguished grouplike of taft(3) is trivial"
+
+    def g_trivial(t, d, pair):
+        raise PreconditionFailed(message)
+
+    monkeypatch.setattr(invariants, "lemma24_check", g_trivial)
+    rep = build_report(t3, selected=["lem2.4", "eq3:normal-form-pattern"])
+    assert rep.checks == [
+        ("lem2.4:dim-difference", "skipped:GTrivial", message),
+        ("lem2.4:j-independence", "skipped:GTrivial", message),
+        ("eq3:normal-form-pattern", "pass", "")]
+
+
+def test_report_trivial_alpha_skips_j_independence(t3, monkeypatch):
+    monkeypatch.setattr(invariants, "lemma24_check",
+                        lambda t, d, pair: Lemma24Result(d, True, None,
+                                                         None, None))
+    rep = build_report(t3, selected=["lem2.4"])
+    assert rep.checks == [
+        ("lem2.4:dim-difference", "pass", "d = 1"),
+        ("lem2.4:j-independence", "skipped:AlphaTrivial", "")]
+    assert rep.all_ok

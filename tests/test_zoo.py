@@ -7,12 +7,11 @@ loudly rather than emit a broken presentation."""
 import pytest
 
 from hopf_forge import (BadParameters, NotAGroup, OrderMismatch,
-                        build_cyclic_group_algebra, build_dual,
-                        build_group_algebra, build_taft, build_tensor,
-                        check_axioms, cyc, cyclic_table,
-                        direct_product_table, dual, find_grouplikes,
-                        integral_pair, lift_order, operator_order,
-                        root_of_unity, sweedler)
+                        build_cyclic_group_algebra, build_group_algebra,
+                        build_taft, build_tensor, check_axioms, cyc,
+                        cyclic_table, direct_product_table, dual,
+                        find_grouplikes, integral_pair, lift_order,
+                        operator_order, root_of_unity, sweedler)
 
 
 def assert_well_formed(h):
@@ -169,12 +168,6 @@ def test_lifted_tensor_corpus_member(t3z5):
     assert t3z5.dim == 45 and t3z5.order == 15
     assert_well_formed(t3z5)
     assert len(find_grouplikes(t3z5)) == 15
-
-
-def test_build_dual_naming():
-    d = build_dual(build_taft(3), name="X")
-    assert d.name == "X"
-    assert d.same_structure(dual(build_taft(3)))
 
 
 def test_lift_order_roundtrip_structure(t3):
