@@ -1,10 +1,13 @@
 """Exact arithmetic in the cyclotomic fields Q(zeta_N).
 
-A value is a vector of Fraction coefficients over the power basis
-1, zeta, ..., zeta^(phi(N)-1), reduced modulo the N-th cyclotomic
-polynomial Phi_N.  The representation is canonical: two values are equal
-exactly when their orders and coefficient tuples are equal.  Order 1
-gives plain rationals (zeta_1 = 1).
+A value is a tuple of integer numerators over one positive integer
+denominator: the coordinates in the power basis 1, zeta, ...,
+zeta^(phi(N)-1), reduced modulo the N-th cyclotomic polynomial Phi_N.
+Phi_N is monic with integer coefficients, so reduction, products and
+Galois conjugation stay in the integers.  The representation is
+canonical: den > 0, gcd(*num, den) = 1 and zero is (0, ..., 0)/1, so two
+values are equal exactly when their orders, numerators and denominators
+are equal.  Order 1 gives plain rationals (zeta_1 = 1).
 
 Scalars of different orders are never coerced; mixing them raises
 OrderMismatch.  Plain ints and Fractions, which live in every Q(zeta_N),
@@ -19,17 +22,16 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction as Rational
-from math import gcd
+from itertools import zip_longest
+from math import gcd, lcm
+from operator import add, mul, sub
 
 from .errors import BoundExceeded, DivisionByZero, OrderMismatch
 
 CYCLOTOMIC_ORDER_BOUND = 1000
 
-_R0 = Rational(0)
-_R1 = Rational(1)
 
-
-# -- rational polynomial helpers (ascending coefficient lists) --------------
+# -- integer polynomial helpers (ascending coefficient lists) ---------------
 
 def _trim(p):
     while p and not p[-1]:
@@ -38,7 +40,7 @@ def _trim(p):
 
 
 def _poly_mul(a, b):
-    out = [_R0] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
@@ -47,24 +49,23 @@ def _poly_mul(a, b):
     return _trim(out)
 
 
-def _poly_divmod(a, b):
-    # b must be nonzero; exact over Q
-    a = _trim(list(a))
-    b = _trim(list(b))
-    q = [_R0] * max(len(a) - len(b) + 1, 0)
-    inv_lead = _R1 / b[-1]
-    while len(a) >= len(b):
-        if not a[-1]:
-            a.pop()
-            continue
-        shift = len(a) - len(b)
-        c = a[-1] * inv_lead
-        q[shift] = c
-        for i, bi in enumerate(b):
-            a[shift + i] -= c * bi
-        a.pop()
-        _trim(a)
-    return _trim(q), a
+def _pseudo_divmod(a, b):
+    """Integer pseudo-division of trimmed a by trimmed nonzero b:
+    (q, r, m) with m * a == q * b + r, deg r < deg b, and m a power of
+    b's leading coefficient (1 when b is monic)."""
+    lc, db = b[-1], len(b) - 1
+    r, q, m = list(a), [0] * max(len(a) - db, 0), 1
+    while len(r) > db:
+        c = r[-1]
+        if c:
+            if lc != 1:
+                r, q, m = [x * lc for x in r], [x * lc for x in q], m * lc
+            shift = len(r) - 1 - db
+            q[shift] += c
+            for i, bi in enumerate(b):
+                r[shift + i] -= c * bi
+        r.pop()
+    return _trim(q), _trim(r), m
 
 
 # Primes below this bound are found by trial division; a cofactor left
@@ -98,7 +99,7 @@ def _divisors(n):
 
 @functools.lru_cache(maxsize=None)
 def cyclotomic_poly(order: int) -> tuple:
-    """Coefficients of Phi_order, ascending, as Fractions (monic).
+    """Coefficients of Phi_order, ascending, as ints (monic).
 
     Computed by dividing x^order - 1 by the cyclotomic polynomials of all
     proper divisors.  Orders outside 1..CYCLOTOMIC_ORDER_BOUND raise
@@ -106,49 +107,40 @@ def cyclotomic_poly(order: int) -> tuple:
     """
     if order < 1 or order > CYCLOTOMIC_ORDER_BOUND:
         raise BoundExceeded(f"cyclotomic order {order} outside 1..{CYCLOTOMIC_ORDER_BOUND}")
-    num = [_R0] * (order + 1)
-    num[0], num[order] = Rational(-1), _R1
-    den = [_R1]
+    num = [-1] + [0] * (order - 1) + [1]
+    den = [1]
     for d in _divisors(order):
         if d < order:
             den = _poly_mul(den, list(cyclotomic_poly(d)))
-    q, r = _poly_divmod(num, den)
+    q, r, _ = _pseudo_divmod(num, den)
     assert not r, "cyclotomic division must be exact"
     return tuple(q)
 
 
 class _Field:
-    """Per-order context: modulus, reduction rows and zeta power table."""
+    """Per-order context: modulus, zeta power table and reduction columns."""
 
-    __slots__ = ("order", "degree", "modulus", "red_rows", "zeta_rows")
+    __slots__ = ("order", "degree", "modulus", "zeta_rows", "red_cols")
 
     def __init__(self, order):
         self.order = order
         self.modulus = cyclotomic_poly(order)
-        self.degree = len(self.modulus) - 1
-        d = self.degree
-        # x^d mod Phi, then x^(d+1), ..., x^(2d-2): enough to reduce any
-        # product of two reduced values.
-        top = [-c for c in self.modulus[:d]]
-        rows = [tuple(top)]
-        cur = list(top)
-        for _ in range(d - 2):
-            cur = [_R0] + cur
-            lead = cur.pop()
-            if lead:
-                cur = [a + lead * b for a, b in zip(cur, rows[0])]
-            rows.append(tuple(cur))
-        self.red_rows = tuple(rows)
+        d = self.degree = len(self.modulus) - 1
         # zeta^k for k in 0..order-1, as reduced coefficient tuples
         zrows = []
-        cur = [_R1] + [_R0] * (d - 1)
+        cur = [1] + [0] * (d - 1)
         for _ in range(order):
             zrows.append(tuple(cur))
-            cur = [_R0] + cur
+            cur = [0] + cur
             lead = cur.pop()
             if lead:
-                cur = [a + lead * b for a, b in zip(cur, rows[0])]
+                cur = [a - lead * b for a, b in zip(cur, self.modulus)]
         self.zeta_rows = tuple(zrows)
+        # red_cols[t][e] is coordinate t of x^(d+e) mod Phi, e < d-1:
+        # enough to reduce any product of two reduced values
+        self.red_cols = tuple(
+            tuple(zrows[(d + e) % order][t] for e in range(d - 1))
+            for t in range(d))
 
 
 @functools.lru_cache(maxsize=None)
@@ -156,44 +148,66 @@ def _field(order: int) -> _Field:
     return _Field(order)
 
 
-class CycNumber:
-    """An element of Q(zeta_order) in canonical power-basis form."""
+def _sum(op, a, ad, b, bd):
+    """a/ad op b/bd for op in (add, sub), as (numerators, denominator)."""
+    if ad == bd:
+        return tuple(map(op, a, b)), ad
+    return tuple(map(op, [x * bd for x in a], [y * ad for y in b])), ad * bd
 
-    __slots__ = ("order", "coeffs")
+
+class CycNumber:
+    """An element of Q(zeta_order): num / den in canonical power-basis form.
+
+    CycNumber(order, coeffs) builds the value with rational coordinates
+    coeffs (ints or Fractions); arithmetic builds results with _make.
+    """
+
+    __slots__ = ("order", "num", "den")
 
     def __init__(self, order, coeffs):
+        # the lcm of lowest-terms denominators leaves gcd(*num, den) = 1
+        den = lcm(*(c.denominator for c in coeffs))
         self.order = order
-        self.coeffs = coeffs
+        self.num = tuple(c.numerator * (den // c.denominator) for c in coeffs)
+        self.den = den
+
+    @property
+    def coeffs(self):
+        """The power-basis coordinates as Fractions."""
+        return tuple(Rational(n, self.den) for n in self.num)
 
     # -- constructors --------------------------------------------------
 
     @staticmethod
     def from_rational(order, value) -> "CycNumber":
-        f = _field(order)
-        return CycNumber(order, (Rational(value),) + (_R0,) * (f.degree - 1))
+        if not isinstance(value, (int, Rational)):
+            value = Rational(value)
+        return _make(order, (value.numerator,)
+                     + (0,) * (_field(order).degree - 1), value.denominator)
 
     def _coerce(self, other):
+        """other as (numerators, denominator), or None if not a scalar."""
         if isinstance(other, CycNumber):
             if other.order != self.order:
                 raise OrderMismatch(
                     f"scalar orders differ: {self.order} vs {other.order}")
-            return other.coeffs
+            return other.num, other.den
         if isinstance(other, (int, Rational)):
-            d = len(self.coeffs)
-            return (Rational(other),) + (_R0,) * (d - 1)
+            return ((other.numerator,) + (0,) * (len(self.num) - 1),
+                    other.denominator)
         return None
 
     # -- predicates ----------------------------------------------------
 
     def __bool__(self):
-        return any(self.coeffs)
+        return any(self.num)
 
     def is_rational(self):
-        return not any(self.coeffs[1:])
+        return not any(self.num[1:])
 
     def as_rational(self):
         """The value as a Fraction, or None if it is irrational."""
-        return self.coeffs[0] if self.is_rational() else None
+        return Rational(self.num[0], self.den) if self.is_rational() else None
 
     # -- arithmetic ------------------------------------------------------
 
@@ -201,7 +215,7 @@ class CycNumber:
         oc = self._coerce(other)
         if oc is None:
             return NotImplemented
-        return CycNumber(self.order, tuple(a + b for a, b in zip(self.coeffs, oc)))
+        return _make(self.order, *_sum(add, self.num, self.den, *oc))
 
     __radd__ = __add__
 
@@ -209,91 +223,82 @@ class CycNumber:
         oc = self._coerce(other)
         if oc is None:
             return NotImplemented
-        return CycNumber(self.order, tuple(a - b for a, b in zip(self.coeffs, oc)))
+        return _make(self.order, *_sum(sub, self.num, self.den, *oc))
 
     def __rsub__(self, other):
         oc = self._coerce(other)
         if oc is None:
             return NotImplemented
-        return CycNumber(self.order, tuple(b - a for a, b in zip(self.coeffs, oc)))
+        return _make(self.order, *_sum(sub, *oc, self.num, self.den))
 
     def __neg__(self):
-        return CycNumber(self.order, tuple(-a for a in self.coeffs))
+        return _make(self.order, tuple([-x for x in self.num]), self.den)
 
     def __mul__(self, other):
         oc = self._coerce(other)
         if oc is None:
             return NotImplemented
-        a, b = self.coeffs, oc
+        a, (b, bden) = self.num, oc
+        den = self.den * bden
         # scalar fast paths cover most structure constants
         if not any(b[1:]):
             s = b[0]
-            if not s:
-                return CycNumber(self.order, (_R0,) * len(a))
-            return CycNumber(self.order, tuple(x * s for x in a))
+            return _make(self.order, tuple([x * s for x in a]), den)
         if not any(a[1:]):
             s = a[0]
-            if not s:
-                return CycNumber(self.order, (_R0,) * len(a))
-            return CycNumber(self.order, tuple(x * s for x in b))
+            return _make(self.order, tuple([x * s for x in b]), den)
+        # conv[k] = sum_i a[i] * b[k-i], then x^(d+e) -> red_cols[.][e]
         d = len(a)
-        conv = [_R0] * (2 * d - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        conv[i + j] += ai * bj
-        out = conv[:d]
-        rows = _field(self.order).red_rows
-        for e in range(d, 2 * d - 1):
-            c = conv[e]
-            if c:
-                row = rows[e - d]
-                for t in range(d):
-                    if row[t]:
-                        out[t] += c * row[t]
-        return CycNumber(self.order, tuple(out))
+        pad = (0,) * (d - 1)
+        a, rb = pad + a + pad, b[::-1]
+        conv = [sum(map(mul, a[k:k + d], rb)) for k in range(2 * d - 1)]
+        high = conv[d:]
+        return _make(self.order, tuple([
+            c + sum(map(mul, high, col))
+            for c, col in zip(conv, _field(self.order).red_cols)]), den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "CycNumber":
-        """Multiplicative inverse via the extended Euclidean algorithm
-        on the coefficient polynomial and Phi_order."""
+        """Multiplicative inverse by the extended Euclidean algorithm on
+        the numerator polynomial A and Phi_order, in integers: every
+        remainder r is kept primitive, with t * r = s * A (mod Phi) for an
+        integer polynomial s and a positive integer t."""
         if not self:
             raise DivisionByZero("inverse of zero")
-        mod = list(_field(self.order).modulus)
-        # invariant: r_i = s_i * self  (mod Phi)
-        r0, r1 = mod, _trim(list(self.coeffs))
-        s0, s1 = [], [_R1]
+        r0, s0, t0 = list(_field(self.order).modulus), [], 1
+        r1, s1, t1 = _trim(list(self.num)), [1], 1
         while len(r1) > 1:
-            q, r = _poly_divmod(r0, r1)
-            qs1 = _poly_mul(q, s1) if q and s1 else []
-            width = max(len(s0), len(qs1))
-            s_new = [(s0[i] if i < len(s0) else _R0)
-                     - (qs1[i] if i < len(qs1) else _R0)
-                     for i in range(width)]
-            r0, r1 = r1, r
-            s0, s1 = s1, _trim(s_new)
-        # r1 is a nonzero constant: gcd(self, Phi) = 1 since Phi irreducible
-        assert r1, "cyclotomic polynomial must be coprime to nonzero elements"
-        c = _R1 / r1[0]
-        d = len(self.coeffs)
-        inv = [x * c for x in s1] + [_R0] * (d - len(s1))
-        out = CycNumber(self.order, tuple(inv[:d]))
-        assert (out * self).as_rational() == 1
+            q, r, m = _pseudo_divmod(r0, r1)
+            # m * r0 = q * r1 + r, so t0 * t1 * r = s * A (mod Phi) for
+            s = _trim([m * t1 * x - t0 * y for x, y in
+                       zip_longest(s0, _poly_mul(q, s1), fillvalue=0)])
+            g = gcd(*r)
+            assert g, "cyclotomic polynomial must be coprime to nonzero elements"
+            t = t0 * t1 * g
+            h = gcd(t, *s)
+            r0, s0, t0 = r1, s1, t1
+            r1, s1, t1 = [x // g for x in r], [x // h for x in s], t // h
+        # r1 = [c] and t1 * c = s1 * A, so 1/self = den * s1 / (t1 * c)
+        c = t1 * r1[0]
+        if c < 0:
+            c, s1 = -c, [-x for x in s1]
+        pad = (0,) * (len(self.num) - len(s1))
+        out = _make(self.order, tuple([self.den * x for x in s1]) + pad, c)
+        assert (out * self) == 1
         return out
 
     def __truediv__(self, other):
         oc = self._coerce(other)
         if oc is None:
             return NotImplemented
-        return self * CycNumber(self.order, oc).inverse()
+        return self * _make(self.order, *oc).inverse()
 
     def __rtruediv__(self, other):
         oc = self._coerce(other)
         if oc is None:
             return NotImplemented
-        return CycNumber(self.order, oc) * self.inverse()
+        return _make(self.order, *oc) * self.inverse()
 
     def __pow__(self, n):
         if not isinstance(n, int):
@@ -312,18 +317,42 @@ class CycNumber:
 
     def __eq__(self, other):
         if isinstance(other, CycNumber):
-            return self.order == other.order and self.coeffs == other.coeffs
+            return (self.order == other.order and self.den == other.den
+                    and self.num == other.num)
         if isinstance(other, (int, Rational)):
-            return self.is_rational() and self.coeffs[0] == other
+            return (self.den == other.denominator and self.is_rational()
+                    and self.num[0] == other.numerator)
         return NotImplemented
 
     def __hash__(self):
         if self.is_rational():
-            return hash(self.coeffs[0])
-        return hash((self.order, self.coeffs))
+            return hash(Rational(self.num[0], self.den))
+        return hash((self.order, self.num, self.den))
 
     def __repr__(self):
         return f"CycNumber({self.order}, {format_scalar(self)!r})"
+
+
+_new = object.__new__
+
+
+def _make(order, num, den) -> CycNumber:
+    """num / den (a tuple of ints, den > 0) in canonical form; every
+    arithmetic result is built here, so equality and hashing are exact."""
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            num, den = tuple([x // g for x in num]), den // g
+    out = _new(CycNumber)
+    out.order, out.num, out.den = order, num, den
+    return out
+
+
+def coordinate_key(a: CycNumber) -> tuple:
+    """(numerator, denominator) of each power-basis coordinate in lowest
+    terms: the order in which search results are listed."""
+    den = a.den
+    return tuple((n // (g := gcd(n, den)), den // g) for n in a.num)
 
 
 def cyc(order: int, value) -> CycNumber:
@@ -333,23 +362,25 @@ def cyc(order: int, value) -> CycNumber:
 
 def root_of_unity(order: int, k: int) -> CycNumber:
     """zeta_order^k as a canonical element of Q(zeta_order)."""
-    f = _field(order)
-    return CycNumber(order, f.zeta_rows[k % order])
+    return _make(order, _field(order).zeta_rows[k % order], 1)
+
+
+def _substitute(num, f: _Field, u: int) -> tuple:
+    """Coordinates in f of sum_t num[t] * zeta^(t*u)."""
+    out = [0] * f.degree
+    for t, c in enumerate(num):
+        if c:
+            for s, z in enumerate(f.zeta_rows[(t * u) % f.order]):
+                if z:
+                    out[s] += c * z
+    return tuple(out)
 
 
 def galois_conjugate(a: CycNumber, u: int) -> CycNumber:
     """Image of a under zeta |-> zeta^u; u must be coprime to the order."""
     if gcd(u, a.order) != 1:
         raise ValueError(f"{u} not coprime to order {a.order}")
-    f = _field(a.order)
-    out = [_R0] * f.degree
-    for t, c in enumerate(a.coeffs):
-        if c:
-            row = f.zeta_rows[(t * u) % a.order]
-            for s in range(f.degree):
-                if row[s]:
-                    out[s] += c * row[s]
-    return CycNumber(a.order, tuple(out))
+    return _make(a.order, _substitute(a.num, _field(a.order), u), a.den)
 
 
 def lift_scalar(a: CycNumber, new_order: int) -> CycNumber:
@@ -363,15 +394,7 @@ def lift_scalar(a: CycNumber, new_order: int) -> CycNumber:
     if new_order == a.order:
         return a
     step = new_order // a.order
-    f = _field(new_order)
-    out = [_R0] * f.degree
-    for t, c in enumerate(a.coeffs):
-        if c:
-            row = f.zeta_rows[(t * step) % new_order]
-            for s in range(f.degree):
-                if row[s]:
-                    out[s] += c * row[s]
-    return CycNumber(new_order, tuple(out))
+    return _make(new_order, _substitute(a.num, _field(new_order), step), a.den)
 
 
 # -- serialization -----------------------------------------------------------
@@ -379,14 +402,9 @@ def lift_scalar(a: CycNumber, new_order: int) -> CycNumber:
 def scalar_to_json(a: CycNumber):
     """Canonical JSON form: bare int for rational integers, else an object
     with a common-denominator integer numerator vector."""
-    r = a.as_rational()
-    if r is not None and r.denominator == 1:
-        return int(r)
-    den = 1
-    for c in a.coeffs:
-        den = den * c.denominator // gcd(den, c.denominator)
-    num = [int(c * den) for c in a.coeffs]
-    return {"num": num, "den": den}
+    if a.den == 1 and a.is_rational():
+        return a.num[0]
+    return {"num": list(a.num), "den": a.den}
 
 
 def scalar_from_json(obj, order: int) -> CycNumber:
@@ -403,8 +421,9 @@ def scalar_from_json(obj, order: int) -> CycNumber:
         if (type(den) is not int or den == 0 or not isinstance(num, list)
                 or len(num) > d or not all(type(x) is int for x in num)):
             raise OrderMismatch(f"bad scalar object {obj!r} for order {order}")
-        coeffs = [Rational(x, den) for x in num] + [_R0] * (d - len(num))
-        return CycNumber(order, tuple(coeffs))
+        sign = 1 if den > 0 else -1
+        return _make(order, tuple([sign * x for x in num])
+                     + (0,) * (d - len(num)), sign * den)
     raise OrderMismatch(f"unreadable scalar {obj!r}")
 
 
@@ -412,12 +431,8 @@ def format_scalar(a: CycNumber) -> str:
     """Short human-readable form; z stands for zeta_order."""
     if not a:
         return "0"
-    den = 1
-    for c in a.coeffs:
-        den = den * c.denominator // gcd(den, c.denominator)
     parts = []
-    for t, c in enumerate(a.coeffs):
-        n = int(c * den)
+    for t, n in enumerate(a.num):
         if not n:
             continue
         mag = abs(n)
@@ -429,6 +444,6 @@ def format_scalar(a: CycNumber) -> str:
         parts.append(("-" if n < 0 else "+") + body)
     s = "".join(parts)
     s = s[1:] if s.startswith("+") else s
-    if den != 1:
-        s = f"({s})/{den}" if len(parts) > 1 else f"{s}/{den}"
+    if a.den != 1:
+        s = f"({s})/{a.den}" if len(parts) > 1 else f"{s}/{a.den}"
     return s

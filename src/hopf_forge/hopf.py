@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .cyclofield import CycNumber, cyc
+from .cyclofield import CycNumber, coordinate_key, cyc
 from .errors import (DegeneratePairing, EigenvalueNotInField,
                      IntegralSpaceNotOneDim, MalformedTensor, NoAntipode,
                      NotInvertible, OrderMismatch)
@@ -626,8 +626,7 @@ def _grouplike_search(h: HopfPresentation) -> tuple:
         cand = tuple(assigned)
         if is_grouplike(h, cand):
             found.append(cand)
-    found.sort(key=lambda v: tuple(
-        (c.numerator, c.denominator) for x in v for c in x.coeffs))
+    found.sort(key=lambda v: tuple(map(coordinate_key, v)))
     return tuple(HopfElement(v) for v in found)
 
 

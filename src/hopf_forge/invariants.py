@@ -43,9 +43,7 @@ from .linalg import (Mat, Subspace, eigenspace, inverse, null_space,
 
 def _as_int(c: CycNumber) -> Optional[int]:
     r = c.as_rational()
-    if r is None or r.denominator != 1:
-        return None
-    return int(r)
+    return int(r) if r is not None and r.denominator == 1 else None
 
 
 def _is_prime(m: int) -> bool:
@@ -520,15 +518,10 @@ def lemma24_check(t: EigenTable, d: int, pair: IntegralPair) -> Lemma24Result:
     alpha = distinguished_character(h, pair)
     if tuple(alpha.coords) == tuple(h.counit):
         return Lemma24Result(d, diff_ok, diff_wit, None, None)
-    j_ok, j_wit = True, None
-    for a in (0, 1):
-        for i in range(n):
-            base = t.dims[(a, i, 0)]
-            for j in range(1, n):
-                if t.dims[(a, i, j)] != base:
-                    j_ok, j_wit = False, (a, i, j)
-                    break
-    return Lemma24Result(d, diff_ok, diff_wit, j_ok, j_wit)
+    j_wit = next(((a, i, j) for a in (0, 1) for i in range(n)
+                  for j in range(1, n)
+                  if t.dims[(a, i, j)] != t.dims[(a, i, 0)]), None)
+    return Lemma24Result(d, diff_ok, diff_wit, j_wit is None, j_wit)
 
 
 # -- coradical --------------------------------------------------------------------

@@ -15,11 +15,11 @@ matrix holds the coordinates of the image of basis vector j.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
-from .cyclofield import (CycNumber, _divisors, cyc, galois_conjugate,
-                         root_of_unity)
+from .cyclofield import (CycNumber, _divisors, coordinate_key, cyc,
+                         galois_conjugate, root_of_unity)
 from .errors import NotInvariant, NotInvertible, OrderExceedsBound, OrderMismatch
 
 
@@ -445,18 +445,14 @@ def charpoly(m: Mat):
 # -- root finding over Q(zeta_N) ----------------------------------------------
 
 
-def _rational_roots(coeffs):
-    """All rational roots of a polynomial with Fraction coefficients.
+def _rational_roots(poly):
+    """All rational roots of a polynomial over Q, given as CycNumbers.
 
-    coeffs is ascending with nonzero constant term and nonzero lead.
+    poly is ascending with nonzero constant term and nonzero lead.
     """
-    den = 1
-    for c in coeffs:
-        den = den * c.denominator // gcd(den, c.denominator)
-    ints = [int(c * den) for c in coeffs]
-    g = 0
-    for c in ints:
-        g = gcd(g, c)
+    den = lcm(*(c.den for c in poly))
+    ints = [c.num[0] * (den // c.den) for c in poly]
+    g = gcd(*ints)
     if g > 1:
         ints = [c // g for c in ints]
     # a root a/q in lowest terms makes f = (q s - a) g with g integral
@@ -531,7 +527,7 @@ def roots_in_field(coeffs: Sequence[CycNumber], order: int):
         distinct = {}
         for u, conj in conjugates:
             twisted = [c * zeta[t * u * i % order] for i, c in enumerate(conj)]
-            distinct.setdefault(tuple(c.coeffs for c in twisted), twisted)
+            distinct.setdefault(tuple(twisted), twisted)
         orbit = frozenset(distinct)
         if orbit not in norm_roots:
             norm = [one]
@@ -543,16 +539,12 @@ def roots_in_field(coeffs: Sequence[CycNumber], order: int):
                             if b:
                                 acc[i + j] = acc[i + j] + a * b
                 norm = acc
-            rat = []
-            for c in norm:
-                r = c.as_rational()
-                assert r is not None, "galois norm must be rational"
-                rat.append(r)
-            norm_roots[orbit] = _rational_roots(rat)
+            assert all(c.is_rational() for c in norm), \
+                "galois norm must be rational"
+            norm_roots[orbit] = _rational_roots(norm)
         for r in norm_roots[orbit]:
             cand = zeta[t] * r
-            key = tuple((f.numerator, f.denominator) for f in cand.coeffs)
-            candidates[key] = cand
+            candidates[coordinate_key(cand)] = cand
 
     for key in sorted(candidates):
         cand = candidates[key]

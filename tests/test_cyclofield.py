@@ -2,16 +2,18 @@
 tables, Galois action, order lifting, and the JSON scalar codec."""
 
 import json
+import math
 import random
 from fractions import Fraction
 
 import pytest
 import sympy
 
-from hopf_forge import (BoundExceeded, DivisionByZero, OrderMismatch, cyc,
-                        cyclotomic_poly, galois_conjugate, lift_scalar,
-                        root_of_unity, scalar_from_json, scalar_to_json)
-from hopf_forge.cyclofield import _divisors
+from hopf_forge import (BoundExceeded, CycNumber, DivisionByZero,
+                        OrderMismatch, cyc, cyclotomic_poly, galois_conjugate,
+                        lift_scalar, root_of_unity, scalar_from_json,
+                        scalar_to_json)
+from hopf_forge.cyclofield import _divisors, coordinate_key
 
 ORDERS = (1, 2, 3, 4, 5, 12, 15)
 
@@ -184,3 +186,112 @@ def test_divisors_match_brute_force():
 ))
 def test_divisors_match_sympy(n):
     assert _divisors(n) == sympy.divisors(n)
+
+
+# -- integer representation against an independent sympy oracle ----------------
+
+ORACLE_ORDERS = ORDERS + (105,)
+
+
+def oracle_value(a):
+    """a as a sympy polynomial over QQ, read from its integer fields."""
+    x = sympy.Symbol("x")
+    return sympy.Poly([sympy.Rational(n, a.den) for n in reversed(a.num)],
+                      x, domain=sympy.QQ)
+
+
+def oracle_coeffs(p, order):
+    """Power-basis coordinates of p mod Phi_order, as Fractions."""
+    phi = sympy.Poly(sympy.cyclotomic_poly(order, p.gen), p.gen,
+                     domain=sympy.QQ)
+    r = p.rem(phi).all_coeffs()[::-1]
+    degree = phi.degree()
+    r = r + [0] * (degree - len(r))
+    return tuple(Fraction(int(q.p), int(q.q)) for q in map(sympy.Rational, r))
+
+
+def substitute(p, u, order):
+    """p(x^u), exponents taken mod order since x^order = 1 mod Phi_order."""
+    x = p.gen
+    return sympy.Poly(sum((c * x ** (t * u % order) for (t,), c in p.terms()),
+                          sympy.Integer(0)), x, domain=sympy.QQ)
+
+
+def assert_canonical(a):
+    assert type(a.den) is int and all(type(n) is int for n in a.num)
+    assert a.den > 0 and math.gcd(a.den, *a.num) == 1
+    if not any(a.num):
+        assert a.den == 1
+    assert CycNumber(a.order, a.coeffs) == a
+    assert a.coeffs == tuple(Fraction(n, a.den) for n in a.num)
+
+
+def sparse_scalar(order, rng):
+    """A seeded value with some zero coordinates and varied denominators;
+    every fifth one is rational, one in ten is zero."""
+    degree = len(cyclotomic_poly(order)) - 1
+    kind = rng.randrange(10)
+    coeffs = [Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 4, 6, 9)))
+              if rng.random() < 0.7 else Fraction(0) for _ in range(degree)]
+    if kind < 2:
+        coeffs[1:] = [Fraction(0)] * (degree - 1)
+    if kind == 0:
+        coeffs[0] = Fraction(0)
+    return CycNumber(order, tuple(coeffs))
+
+
+@pytest.mark.parametrize("order", ORACLE_ORDERS)
+def test_arithmetic_matches_sympy_oracle(order):
+    rng = random.Random(2000 + order)
+    units = [u for u in range(1, order + 1) if math.gcd(u, order) == 1]
+    for _ in range(10 if order > 100 else 40):
+        a, b = sparse_scalar(order, rng), sparse_scalar(order, rng)
+        pa, pb = oracle_value(a), oracle_value(b)
+        for got, want in ((a + b, pa + pb), (a - b, pa - pb),
+                          (a * b, pa * pb), (-a, -pa)):
+            assert_canonical(got)
+            assert got.coeffs == oracle_coeffs(want, order)
+        if a:
+            inv = a.inverse()
+            assert_canonical(inv)
+            assert oracle_coeffs(pa * oracle_value(inv), order) == \
+                (1,) + (0,) * (len(a.num) - 1)
+        u = rng.choice(units)
+        conj = galois_conjugate(a, u)
+        assert_canonical(conj)
+        assert conj.coeffs == oracle_coeffs(substitute(pa, u, order), order)
+        for step in (2, 3):
+            lifted = lift_scalar(a, step * order)
+            assert_canonical(lifted)
+            assert lifted.coeffs == oracle_coeffs(
+                substitute(pa, step, step * order), step * order)
+
+
+@pytest.mark.parametrize("order", ORACLE_ORDERS)
+def test_rational_values_hash_and_read_as_fractions(order):
+    rng = random.Random(3000 + order)
+    for _ in range(30):
+        r = Fraction(rng.randint(-20, 20), rng.randint(1, 12))
+        a = cyc(order, r)
+        assert_canonical(a)
+        assert hash(a) == hash(r) and a == r and r == a
+        assert type(a.as_rational()) is Fraction and a.as_rational() == r
+        b = sparse_scalar(order, rng)
+        for rational in (b - b, b * 0, cyc(order, r.numerator)):
+            assert_canonical(rational)
+            assert type(rational.as_rational()) is Fraction
+            assert hash(rational) == hash(rational.as_rational())
+        if b:
+            assert b * b.inverse() == 1 and hash(b * b.inverse()) == hash(1)
+
+
+def test_coordinate_key_is_lowest_terms_order():
+    # the listing order of grouplikes and of roots_in_field candidates
+    rng = random.Random(4000)
+    for order in (3, 5, 15):
+        values = [sparse_scalar(order, rng) for _ in range(60)]
+        values += [root_of_unity(order, k) * Fraction(-k, 6)
+                   for k in range(order)]
+        for v in values:
+            assert coordinate_key(v) == tuple(
+                (f.numerator, f.denominator) for f in v.coeffs)

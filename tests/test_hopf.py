@@ -185,6 +185,15 @@ def test_dual_taft_grouplikes_are_characters(t3d):
         assert is_grouplike(t3d, g)
 
 
+def test_grouplikes_listed_by_lowest_terms_coordinates(t3d, t3z5):
+    # the report lists grouplikes in this order
+    for h in (t3d, t3z5):
+        keys = [tuple((f.numerator, f.denominator)
+                      for x in g.coords for f in x.coeffs)
+                for g in find_grouplikes(h)]
+        assert keys == sorted(keys) and len(set(keys)) == len(keys)
+
+
 def test_zero_is_not_grouplike(t3):
     assert not is_grouplike(t3, (cyc(3, 0),) * t3.dim)
 

@@ -257,6 +257,19 @@ def test_lemma24_wrong_d_gives_witness(t3, pair_of):
     assert res.difference_witness == (0, 0)
 
 
+def test_lemma24_j_independence_reports_first_witness(t3, pair_of):
+    pair = pair_of(t3)
+    table = table_of(t3, pair)
+    dims = dict(table.dims)
+    dims[(0, 0, 1)] += 1
+    dims[(1, 2, 1)] += 1
+    broken = EigenTable(omega=table.omega, n=table.n, x_exp=table.x_exp,
+                        spaces=table.spaces, dims=dims)
+    res = lemma24_check(broken, 1, pair)
+    assert res.j_independence_ok is False
+    assert res.j_independence_witness == (0, 0, 1)
+
+
 def test_lemma24_requires_nontrivial_grouplike(t3, z15, pair_of):
     table = table_of(t3, pair_of(t3))
     with pytest.raises(PreconditionFailed):

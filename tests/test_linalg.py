@@ -325,6 +325,16 @@ def test_roots_in_field_scaled_roots_of_unity():
         [(target, 1), (other, 1)])
 
 
+def test_roots_in_field_lists_roots_by_lowest_terms_coordinates():
+    roots = [root_of_unity(15, k) * Fraction(a, b)
+             for k, a, b in ((7, -5, 3), (1, 2, 1), (4, -1, 2), (11, 5, 6))]
+    found, remainder = roots_in_field(poly_from_roots(15, roots), 15)
+    assert remainder == 0 and len(found) == len(roots)
+    keys = [tuple((f.numerator, f.denominator) for f in r.coeffs)
+            for r, _ in found]
+    assert keys == sorted(keys)
+
+
 def test_roots_in_field_constant_after_zero_roots(monkeypatch):
     import hopf_forge.linalg as linalg
     calls = []
