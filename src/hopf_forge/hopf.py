@@ -145,6 +145,7 @@ class HopfPresentation:
 
     def multiply(self, a, b) -> tuple:
         a, b = _coords(a), _coords(b)
+        z = self.zero_scalar()
         acc = {}
         for i, ai in enumerate(a):
             if ai:
@@ -152,8 +153,7 @@ class HopfPresentation:
                     if bj:
                         f = ai * bj
                         for k, c in self.mult[i][j].items():
-                            acc[k] = acc.get(k, self.zero_scalar()) + f * c
-        z = self.zero_scalar()
+                            acc[k] = acc.get(k, z) + f * c
         return tuple(acc.get(k, z) for k in range(self.dim))
 
     def comult_pairs(self, a) -> dict:
@@ -294,21 +294,32 @@ def check_axioms(h: HopfPresentation) -> AxiomChecklist:
 
     Antipode axioms are only checked when an antipode is stored; the
     checklist then certifies a Hopf algebra, otherwise a bialgebra.
+
+    Associativity and the multiplicativity of Delta and the counit are
+    certified on the rows of algebra_generators(h) alone.  For any bilinear
+    product the left nucleus N = {a : (ab)c = a(bc) for all b, c} is a
+    subspace closed under the product: for a, a' in N,
+    ((aa')b)c = (a(a'b))c = a((a'b)c) = a(a'(bc)) = (aa')(bc).  So when
+    every generator lies in N, so does every left-normed word in them, and
+    those words span H.  Once associativity holds, {a : Delta(ab) =
+    Delta(a) Delta(b) for all b} and {a : eps(ab) = eps(a) eps(b) for all
+    b} are subalgebras by the same chain, so generator rows certify them
+    too; otherwise they scan every row.  When a generator row fails, the
+    same row scan runs over every basis index, so each witness is the first
+    failure in row-major order.
     """
     n = h.dim
     z = h.zero_scalar()
-    results = []
+    gens = algebra_generators(h)
 
-    def record(name, ok, detail=""):
-        results.append((name, ok, detail))
+    def scan(row, certify=False):
+        """The first failure detail of row(i) over i in range(n), or None."""
+        if certify and not any(map(row, gens)):
+            return None
+        return next(filter(None, map(row, range(n))), None)
 
-    ok, detail = True, ""
-    for i in range(n):
-        if not ok:
-            break
+    def associativity(i):
         for j in range(n):
-            if not ok:
-                break
             ij = h.mult[i][j]
             for l in range(n):
                 lhs = {}
@@ -320,20 +331,16 @@ def check_axioms(h: HopfPresentation) -> AxiomChecklist:
                     for m, c2 in h.mult[i][k].items():
                         rhs[m] = rhs.get(m, z) + c * c2
                 if not _dict_eq(lhs, rhs):
-                    ok, detail = False, f"(e{i} e{j}) e{l} != e{i} (e{j} e{l})"
-                    break
-    record("associativity", ok, detail)
+                    return f"(e{i} e{j}) e{l} != e{i} (e{j} e{l})"
+        return None
 
-    ok, detail = True, ""
-    for j in range(n):
+    def unit(j):
         ej = h.basis_element(j)
         if h.multiply(h.unit, ej) != ej or h.multiply(ej, h.unit) != ej:
-            ok, detail = False, f"unit fails on e{j}"
-            break
-    record("unit", ok, detail)
+            return f"unit fails on e{j}"
+        return None
 
-    ok, detail = True, ""
-    for i in range(n):
+    def coassociativity(i):
         lhs, rhs = {}, {}
         for (j, k), c in h.comult[i].items():
             for (a, b), c2 in h.comult[j].items():
@@ -342,15 +349,10 @@ def check_axioms(h: HopfPresentation) -> AxiomChecklist:
             for (a, b), c2 in h.comult[k].items():
                 key = (j, a, b)
                 rhs[key] = rhs.get(key, z) + c * c2
-        if not _dict_eq(lhs, rhs):
-            ok, detail = False, f"coassociativity fails on e{i}"
-            break
-    record("coassociativity", ok, detail)
+        return None if _dict_eq(lhs, rhs) else f"coassociativity fails on e{i}"
 
-    ok, detail = True, ""
-    for i in range(n):
-        left = [z] * n
-        right = [z] * n
+    def counit(i):
+        left, right = [z] * n, [z] * n
         for (j, k), c in h.comult[i].items():
             if h.counit[j]:
                 left[k] = left[k] + h.counit[j] * c
@@ -358,60 +360,96 @@ def check_axioms(h: HopfPresentation) -> AxiomChecklist:
                 right[j] = right[j] + h.counit[k] * c
         ei = h.basis_element(i)
         if tuple(left) != ei or tuple(right) != ei:
-            ok, detail = False, f"counit fails on e{i}"
-            break
-    record("counit", ok, detail)
+            return f"counit fails on e{i}"
+        return None
 
-    ok, detail = True, ""
-    unit_pairs = h.comult_pairs(h.unit)
-    expect = {}
-    for j, uj in enumerate(h.unit):
-        if uj:
-            for k, uk in enumerate(h.unit):
-                if uk:
-                    expect[(j, k)] = uj * uk
-    if not _dict_eq(unit_pairs, expect):
-        ok, detail = False, "Delta(1) != 1 (x) 1"
-    else:
-        for i in range(n):
-            if not ok:
-                break
-            di = h.comult[i]
-            for j in range(n):
-                lhs = {}
-                for k, c in h.mult[i][j].items():
-                    for jk, c2 in h.comult[k].items():
-                        lhs[jk] = lhs.get(jk, z) + c * c2
-                rhs = h.tensor_square_product(di, h.comult[j])
-                if not _dict_eq(lhs, rhs):
-                    ok, detail = False, f"Delta not multiplicative on (e{i}, e{j})"
-                    break
-    record("comult-algebra-map", ok, detail)
+    def comult_multiplicative(i):
+        di = h.comult[i]
+        for j in range(n):
+            lhs = {}
+            for k, c in h.mult[i][j].items():
+                for jk, c2 in h.comult[k].items():
+                    lhs[jk] = lhs.get(jk, z) + c * c2
+            if not _dict_eq(lhs, h.tensor_square_product(di, h.comult[j])):
+                return f"Delta not multiplicative on (e{i}, e{j})"
+        return None
 
-    ok, detail = True, ""
-    if h.counit_of(h.unit) != 1:
-        ok, detail = False, "counit(1) != 1"
-    else:
-        for i in range(n):
-            if not ok:
-                break
-            for j in range(n):
-                acc = z
-                for k, c in h.mult[i][j].items():
-                    if h.counit[k]:
-                        acc = acc + c * h.counit[k]
-                if acc != h.counit[i] * h.counit[j]:
-                    ok, detail = False, f"counit not multiplicative on (e{i}, e{j})"
-                    break
-    record("counit-algebra-map", ok, detail)
+    def counit_multiplicative(i):
+        for j in range(n):
+            acc = z
+            for k, c in h.mult[i][j].items():
+                if h.counit[k]:
+                    acc = acc + c * h.counit[k]
+            if acc != h.counit[i] * h.counit[j]:
+                return f"counit not multiplicative on (e{i}, e{j})"
+        return None
 
+    assoc = scan(associativity, certify=True)
+    expect = {(j, k): uj * uk for j, uj in enumerate(h.unit) if uj
+              for k, uk in enumerate(h.unit) if uk}
+    results = [
+        ("associativity", assoc),
+        ("unit", scan(unit)),
+        ("coassociativity", scan(coassociativity)),
+        ("counit", scan(counit)),
+        ("comult-algebra-map",
+         "Delta(1) != 1 (x) 1"
+         if not _dict_eq(h.comult_pairs(h.unit), expect)
+         else scan(comult_multiplicative, certify=assoc is None)),
+        ("counit-algebra-map",
+         "counit(1) != 1" if h.counit_of(h.unit) != 1
+         else scan(counit_multiplicative, certify=assoc is None)),
+    ]
     if h.antipode is not None:
         for side in ("left", "right"):
             i = _antipode_axiom_failure(h, h.antipode, side)
-            record(f"antipode-{side}", i is None,
-                   "" if i is None else f"antipode {side} axiom fails on e{i}")
+            results.append((f"antipode-{side}", None if i is None
+                            else f"antipode {side} axiom fails on e{i}"))
+    return AxiomChecklist(tuple((name, detail is None, detail or "")
+                                for name, detail in results))
 
-    return AxiomChecklist(tuple(results))
+
+def algebra_generators(h: HopfPresentation) -> tuple:
+    """Basis indices whose left-normed words s1 (s2 (... s_k)) span H.
+
+    Greedy in basis order: e_i becomes a generator unless it lies in the
+    span V of the words in the generators before it, and V is then closed
+    under left multiplication by every generator.  Products are read from
+    h.mult and reduced fraction-free against an echelon basis of V, so no
+    scalar is inverted.  At worst every index is a generator.
+    """
+    one, z = cyc(h.order, 1), h.zero_scalar()
+    rows, gens = [], []  # echelon basis of V: (pivot, sparse vector)
+
+    def add(w):
+        """Reduce w against V; add the remainder, and say if it was new."""
+        for p, b in rows:
+            c = w.get(p)
+            if c:
+                w = {k: b[p] * x for k, x in w.items()}
+                for k, x in b.items():
+                    w[k] = w.get(k, z) - c * x
+                w = {k: x for k, x in w.items() if x}
+        if w:
+            p = min(w)
+            rows.append((p, {p: one} if len(w) == 1 else w))
+        return bool(w)
+
+    for i in range(h.dim):
+        if not add({i: one}):
+            continue
+        gens.append(i)
+        todo = ([(i, b) for _, b in rows[:-1]]
+                + [(s, rows[-1][1]) for s in gens])
+        while todo:
+            s, v = todo.pop()
+            w = {}
+            for j, c in v.items():
+                for k, x in h.mult[s][j].items():
+                    w[k] = w.get(k, z) + c * x
+            if add({k: x for k, x in w.items() if x}):
+                todo += [(t, rows[-1][1]) for t in gens]
+    return tuple(gens)
 
 
 def _antipode_axiom_failure(h: HopfPresentation, s: Mat, side: str):
@@ -422,13 +460,15 @@ def _antipode_axiom_failure(h: HopfPresentation, s: Mat, side: str):
     for i in range(n):
         acc = [z] * n
         for (j, k), c in h.comult[i].items():
-            if side == "left":
-                img = h.multiply(s.col(j), h.basis_element(k))
-            else:
-                img = h.multiply(h.basis_element(j), s.col(k))
-            for t in range(n):
-                if img[t]:
-                    acc[t] = acc[t] + c * img[t]
+            if side == "left":  # S(e_j) e_k = sum_t S[t][j] e_t e_k
+                terms = ((s.data[t][j], h.mult[t][k]) for t in range(n))
+            else:  # e_j S(e_k) = sum_t S[t][k] e_j e_t
+                terms = ((s.data[t][k], h.mult[j][t]) for t in range(n))
+            for st, row in terms:
+                if st:
+                    f = c * st
+                    for m, x in row.items():
+                        acc[m] = acc[m] + f * x
         if tuple(acc) != tuple(h.counit[i] * u for u in h.unit):
             return i
     return None

@@ -3,18 +3,19 @@ harpoon actions, and group-like enumeration (with an independent
 polynomial-system oracle for completeness)."""
 
 import itertools
+import random
 
 import pytest
 import sympy as sp
 
 import hopf_forge.hopf as hopf_module
-from hopf_forge import (EigenvalueNotInField, HopfPresentation,
+from hopf_forge import (CycNumber, EigenvalueNotInField, HopfPresentation,
                         MalformedTensor, Mat, NoAntipode, OrderMismatch,
-                        apply_S_power, build_group_algebra, build_taft,
-                        build_tensor, check_axioms, compute_antipode, cyc,
-                        delta_op, dual, find_grouplikes, harpoon_left,
-                        harpoon_right, is_grouplike, lift_order,
-                        root_of_unity)
+                        Subspace, apply_S_power, build_group_algebra,
+                        build_taft, build_tensor, check_axioms,
+                        compute_antipode, cyc, delta_op, dual,
+                        find_grouplikes, harpoon_left, harpoon_right,
+                        is_grouplike, lift_order, root_of_unity)
 
 
 def test_axioms_hold_on_corpus(corpus, sw):
@@ -432,3 +433,153 @@ def test_lift_order_preserves_structure(t3):
     assert len(find_grouplikes(lifted)) == 3
     with pytest.raises(OrderMismatch):
         lift_order(t3, 5)
+
+
+# -- axioms certified on algebra generators --------------------------------------
+
+
+def _word_span(h, gens):
+    """Span of the left-normed words s1 (s2 (... s_k)) in gens, grown one
+    word at a time; a word inside the span so far is dropped, since its
+    left multiples lie in the span of the kept words' multiples."""
+    words = [h.basis_element(s) for s in gens]
+    span = Subspace.from_vectors(h.order, h.dim, words)
+    frontier = words
+    while frontier:
+        new = []
+        for s in gens:
+            for w in frontier:
+                p = h.multiply(h.basis_element(s), w)
+                if not span.contains(p):
+                    new.append(p)
+                    span = Subspace.from_vectors(h.order, h.dim, words + new)
+        words, frontier = words + new, new
+    return span
+
+
+def test_generators_span_and_follow_the_basis_order(z15, t3, t3z5):
+    s3 = dual(build_group_algebra(s3_table(), name="k[S3]"))
+    for h, expect in ((z15, (0, 1)), (t3, (0, 1, 3)), (s3, tuple(range(6))),
+                      (idempotent_monoid_bialgebra(), (0, 1)),
+                      (t3z5, (0, 1, 5, 15))):
+        gens = hopf_module.algebra_generators(h)
+        assert gens == expect, h.name
+        assert _word_span(h, gens).dim == h.dim, h.name
+
+
+def test_check_axioms_inverts_no_scalar(t3, monkeypatch):
+    calls = []
+    original = CycNumber.inverse
+
+    def counting(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(CycNumber, "inverse", counting)
+    assert check_axioms(lift_order(t3, 999)).all_pass
+    assert calls == []
+
+
+def _oracle_axioms(h):
+    """The six bialgebra axioms on every basis triple or pair, in row-major
+    order, with check_axioms' detail strings: a plain reference scan."""
+    zero, one, r = cyc(h.order, 0), cyc(h.order, 1), range(h.dim)
+
+    def lin(vec, image):
+        # sum_i vec[i] image(i), for sparse {key: scalar} vectors
+        out = {}
+        for i, c in vec.items():
+            for key, x in image(i).items():
+                out[key] = out.get(key, zero) + c * x
+        return {key: x for key, x in out.items() if x}
+
+    def mul(a, b):
+        return lin(a, lambda i: lin(b, lambda j: h.mult[i][j]))
+
+    def delta(a):
+        return lin(a, lambda i: h.comult[i])
+
+    def eps(a):
+        return sum((c * h.counit[i] for i, c in a.items()), zero)
+
+    def tensor_mul(s, t):
+        return lin(s, lambda ab: lin(t, lambda cd: {
+            (p, q): x * y for p, x in h.mult[ab[0]][cd[0]].items()
+            for q, y in h.mult[ab[1]][cd[1]].items()}))
+
+    def first(failures):
+        return next(failures, None)
+
+    def e(i):
+        return {i: one}
+
+    unit = {i: c for i, c in enumerate(h.unit) if c}
+    details = {
+        "associativity": first(
+            f"(e{i} e{j}) e{l} != e{i} (e{j} e{l})"
+            for i in r for j in r for l in r
+            if mul(mul(e(i), e(j)), e(l)) != mul(e(i), mul(e(j), e(l)))),
+        "unit": first(f"unit fails on e{j}" for j in r
+                      if mul(unit, e(j)) != e(j) or mul(e(j), unit) != e(j)),
+        "coassociativity": first(
+            f"coassociativity fails on e{i}" for i in r
+            if lin(delta(e(i)), lambda jk: {
+                (a, b, jk[1]): c for (a, b), c in h.comult[jk[0]].items()})
+            != lin(delta(e(i)), lambda jk: {
+                (jk[0], a, b): c for (a, b), c in h.comult[jk[1]].items()})),
+        "counit": first(
+            f"counit fails on e{i}" for i in r
+            if lin(delta(e(i)), lambda jk: {jk[1]: h.counit[jk[0]]}) != e(i)
+            or lin(delta(e(i)), lambda jk: {jk[0]: h.counit[jk[1]]}) != e(i)),
+        "comult-algebra-map":
+            "Delta(1) != 1 (x) 1"
+            if delta(unit) != lin(unit, lambda j: {
+                (j, k): c for k, c in unit.items()})
+            else first(f"Delta not multiplicative on (e{i}, e{j})"
+                       for i in r for j in r
+                       if delta(mul(e(i), e(j)))
+                       != tensor_mul(delta(e(i)), delta(e(j)))),
+        "counit-algebra-map":
+            "counit(1) != 1" if eps(unit) != 1
+            else first(f"counit not multiplicative on (e{i}, e{j})"
+                       for i in r for j in r
+                       if eps(mul(e(i), e(j))) != eps(e(i)) * eps(e(j))),
+    }
+    return tuple((name, d is None, d or "") for name, d in details.items())
+
+
+def _corrupted(h, table, site, shift):
+    """h without its antipode, with one mult or comult entry shifted."""
+    mult, comult = _entries(h)
+    extra = [(*site, cyc(h.order, shift))]
+    return HopfPresentation(
+        name=f"{h.name} {table}{site}{shift:+d}", dim=h.dim, order=h.order,
+        mult_entries=mult + extra if table == "mult" else mult,
+        comult_entries=comult + extra if table == "comult" else comult,
+        unit=h.unit, counit=h.counit)
+
+
+def _sites(h):
+    return list(itertools.product(range(h.dim), repeat=3))
+
+
+def test_single_entry_corruptions_match_the_oracle(sw, t3):
+    # every sweedler site; for taft(3) a seeded sample per table, most of
+    # it outside the generator rows (0, 1, 3)
+    cases = [(sw, table, site, shift) for table in ("mult", "comult")
+             for site in _sites(sw) for shift in (1, -1)]
+    rng = random.Random(9)
+    inside = [s for s in _sites(t3) if s[0] in (0, 1, 3)]
+    outside = [s for s in _sites(t3) if s[0] not in (0, 1, 3)]
+    for table in ("mult", "comult"):
+        picked = rng.sample(outside, 24) + rng.sample(inside, 16)
+        cases += [(t3, table, site, rng.choice((1, -1))) for site in picked]
+    failing = 0
+    for h, table, site, shift in cases:
+        m = _corrupted(h, table, site, shift)
+        got = check_axioms(m)
+        assert got.results == _oracle_axioms(m), m.name
+        failing += not got.all_pass
+    assert _oracle_axioms(t3) == check_axioms(_without_antipode(t3)).results
+    # nearly every corruption breaks some axiom
+    assert failing > 0.9 * len(cases)
