@@ -21,8 +21,8 @@ from .cyclofield import CycNumber, coordinate_key, cyc
 from .errors import (DegeneratePairing, EigenvalueNotInField,
                      IntegralSpaceNotOneDim, MalformedTensor, NoAntipode,
                      NotInvertible, OrderMismatch)
-from .linalg import (Mat, Subspace, charpoly, inverse, null_space,
-                     null_space_of_terms, roots_in_field)
+from .linalg import (Mat, Subspace, charpoly, inverse, null_space_of_terms,
+                     roots_in_field)
 
 
 @dataclass(frozen=True)
@@ -628,9 +628,23 @@ def _line_grouplike(h: HopfPresentation, w: Subspace):
 
 
 def _grouplike_search(h: HopfPresentation) -> tuple:
+    """Refine states of K by T_0, T_1, ..., splitting each state w (RREF
+    basis, pivots p_j, d = dim w) in its own d coordinates.
+
+    A = T_k w^T is read from the Delta terms with left leg k, m is A on
+    the pivot rows and R = A - w^T m, which is zero on the pivot rows.  For v = w^T x,
+    T_k v = c v exactly when (m - c) x = 0 and R x = 0.  If the kernel X
+    is in RREF with pivots q_r, so is X w, with pivots p_(q_r): row r of
+    X w vanishes before column p_(q_r), is 1 there and 0 at every other
+    p_(q_s).  So the new state is the canonical basis an rref would give.
+    """
     n = h.dim
     z = cyc(h.order, 0)
     found = []
+    by_k = [[] for _ in range(n)]
+    for i in range(n):
+        for (k, l), c in h.comult[i].items():
+            by_k[k].append((i, l, c))
     states = [(_cocommutative_subspace(h), [])]
     for k in range(n):
         open_states = []
@@ -642,24 +656,34 @@ def _grouplike_search(h: HopfPresentation) -> tuple:
         states = open_states
         if not states:
             break
-        tk = Mat(h.order, [[h.comult[i].get((k, l), z) for i in range(n)]
-                           for l in range(n)], cols=n)
         new_states = []
         for (w, assigned) in states:
-            bt = w.basis.transpose()  # n x d
-            a_mat = tk @ bt
-            m = Mat(h.order, [a_mat.data[p] for p in w.pivots], cols=w.dim)
+            d, wrows = w.dim, w.basis.data
+            a_mat = [[z] * d for _ in range(n)]
+            for (i, l, c) in by_k[k]:
+                row = a_mat[l]
+                for r in range(d):
+                    if wrows[r][i]:
+                        row[r] = row[r] + c * wrows[r][i]
+            m = Mat(h.order, [a_mat[p] for p in w.pivots], cols=d)
             chi = charpoly(m)
             roots, rem_deg = roots_in_field(chi, h.order)
             if rem_deg:
                 raise EigenvalueNotInField(
                     f"operator {k}: characteristic polynomial leaves a "
                     f"degree-{rem_deg} factor unsplit over Q(zeta_{h.order})")
+            wm = w.basis.transpose() @ m
+            eqs = [(j, r, x) for j, row in enumerate(m.data)
+                   for r, x in enumerate(row) if x]
+            eqs += [(d + l, r, x - y) for l in range(n)
+                    for r, (x, y) in enumerate(zip(a_mat[l], wm.data[l]))
+                    if x != y]
             for (c, _mult) in roots:
-                ker = null_space(a_mat - bt.scale(c))
+                ker = null_space_of_terms(
+                    h.order, d, eqs + [(j, j, -c) for j in range(d)])
                 if ker.dim:
-                    vecs = (ker.basis @ w.basis).data
-                    w2 = Subspace.from_vectors(h.order, n, vecs)
+                    w2 = Subspace(h.order, n, ker.basis @ w.basis,
+                                  tuple(w.pivots[j] for j in ker.pivots))
                     new_states.append((w2, assigned + [c]))
         states = new_states
     for (_w, assigned) in states:

@@ -276,16 +276,17 @@ def radford_trace(h: HopfPresentation, f: Mat, pair: IntegralPair,
     ctx = h.memo(("trace_context", pair), lambda: _trace_context(h, pair))
     z = h.zero_scalar()
     acc = z
+    fcols = [f.col(j) for j in range(f.cols)] if variant in (1, 2) else None
     if variant == 1:
         # sum C[j,k] lambda(S(e_k) f(e_j)) ; row k of W1 = lambda(S(e_k) e_*)
         w1 = ctx["W1"]
         for (j, k), c in ctx["C"].items():
-            acc = acc + c * _dot(w1.data[k], f.col(j), z)
+            acc = acc + c * _dot(w1.data[k], fcols[j], z)
     elif variant == 2:
         # sum C[j,k] lambda(S(f(e_k)) e_j) = dot(f(e_k), W1 col j)
         w1cols = ctx["W1cols"]
         for (j, k), c in ctx["C"].items():
-            acc = acc + c * _dot(f.col(k), w1cols[j], z)
+            acc = acc + c * _dot(fcols[k], w1cols[j], z)
     elif variant == 3:
         # sum C[j,k] lambda(f(S(e_k)) e_j) = dot(f(S e_k), B col j)
         scols, bcols = ctx["Scols"], ctx["Bcols"]

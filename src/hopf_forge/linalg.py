@@ -313,10 +313,13 @@ def _kernel(order, cols, rows) -> Subspace:
 
 
 def eigenspace(m: Mat, c: CycNumber) -> Subspace:
+    """{v : m v = c v}, the kernel of m - c with c taken off the
+    diagonal only."""
     if m.rows != m.cols:
         raise OrderMismatch("eigenspace of a non-square matrix")
-    shift = Mat.identity(m.order, m.rows).scale(c)
-    return null_space(m - shift)
+    rows = [_sparse(row[:i] + (row[i] - c,) + row[i + 1:])
+            for i, row in enumerate(m.data)]
+    return _kernel(m.order, m.cols, rows)
 
 
 def inverse(m: Mat) -> Mat:

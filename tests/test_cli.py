@@ -7,6 +7,7 @@ Exit codes: 0 ok, 1 checks failed, 2 malformed input/parameters,
 
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -87,6 +88,37 @@ def test_verify_detects_corrupt_stored_antipode(taft3_file, tmp_path,
     code, out, _ = run_cli(capsys, "verify", str(bad))
     assert code == 1
     assert "antipode-left: FAIL" in out or "antipode-crosscheck: FAIL" in out
+
+
+def _shifted(scalar, delta):
+    """A file scalar (int or num/den object) plus delta."""
+    if isinstance(scalar, int):
+        return scalar + delta
+    num = list(scalar["num"])
+    num[0] += delta * scalar["den"]
+    return {"num": num, "den": scalar["den"]}
+
+
+def test_verify_rejects_every_unit_counit_and_antipode_corruption(
+        taft3_file, tmp_path, capsys):
+    # unit, counit and antipode are unique when they exist, so changing
+    # any one entry leaves an input that is not a Hopf algebra
+    doc = json.loads(taft3_file.read_text())
+    rng = random.Random(2024)
+    sites = [(key, (i,), delta) for key in ("unit", "counit")
+             for i in range(doc["dim"]) for delta in (1, -1)]
+    sites += [("antipode", (i, j), rng.choice((-2, -1, 1, 2, 3)))
+              for i in range(doc["dim"]) for j in range(doc["dim"])]
+    bad = tmp_path / "bad.json"
+    for key, index, delta in sites:
+        mutant = json.loads(json.dumps(doc))
+        owner = mutant[key]
+        for i in index[:-1]:
+            owner = owner[i]
+        owner[index[-1]] = _shifted(owner[index[-1]], delta)
+        bad.write_text(json.dumps(mutant))
+        code, out, _ = run_cli(capsys, "verify", str(bad))
+        assert code == 1 and ": FAIL" in out, (key, index, delta)
 
 
 def test_malformed_files_exit_two(taft3_file, tmp_path, capsys):

@@ -15,7 +15,8 @@ from hopf_forge import (CycNumber, EigenvalueNotInField, HopfPresentation,
                         build_taft, build_tensor, check_axioms,
                         compute_antipode, cyc, delta_op, dual,
                         find_grouplikes, harpoon_left, harpoon_right,
-                        is_grouplike, lift_order, root_of_unity)
+                        is_grouplike, lift_order, null_space,
+                        root_of_unity)
 
 
 def test_axioms_hold_on_corpus(corpus, sw):
@@ -218,6 +219,63 @@ def test_grouplike_search_splits_only_the_cocommutative_subspace(
     monkeypatch.setattr(hopf_module, "charpoly", recording)
     assert len(find_grouplikes(build_taft(5))) == 5
     assert sizes and max(sizes) <= 5
+
+
+def _lowest_terms_key(coords):
+    return tuple((f.numerator, f.denominator)
+                 for x in coords for f in x.coeffs)
+
+
+@pytest.mark.parametrize("left", ("taft(3)", "dual(taft(3))"))
+def test_grouplikes_of_a_tensor_product_are_the_products(t3, t3d, z3, left):
+    # G(A (x) B) = {g (x) h}; build_tensor indexes (i1, i2) as
+    # i1 * dim2 + i2, so g (x) h has Kronecker coordinates
+    a = {"taft(3)": t3, "dual(taft(3))": t3d}[left]
+    b = lift_order(z3, 3)
+    want = sorted((tuple(x * y for x in g for y in k)
+                   for g in find_grouplikes(a) for k in find_grouplikes(b)),
+                  key=_lowest_terms_key)
+    got = [g.coords for g in find_grouplikes(build_tensor(a, b))]
+    assert len(want) == 9 and got == want
+
+
+@pytest.mark.parametrize("which", ("taft(5)", "taft(3) x k[Z3]"))
+def test_grouplike_search_solves_in_the_state_coordinates(
+        monkeypatch, t3, t5, z3, which):
+    # each state w of dimension d is split by systems in d unknowns; no
+    # solve (kernel or rref of spanning vectors) is as wide as H
+    h = t5 if which == "taft(5)" else build_tensor(t3, lift_order(z3, 3))
+    want = find_grouplikes(h)
+    state = [h.dim]     # the search starts from a subspace of H
+    solves = []
+    charpoly, terms = hopf_module.charpoly, hopf_module.null_space_of_terms
+
+    def recording_charpoly(m):
+        state[0] = m.rows
+        return charpoly(m)
+
+    def recording_terms(order, cols, eqs):
+        solves.append((cols, state[0]))
+        return terms(order, cols, eqs)
+
+    def recording_null_space(m):
+        solves.append((m.cols, state[0]))
+        return null_space(m)
+
+    class RecordingSubspace(Subspace):
+        @staticmethod
+        def from_vectors(order, ambient_dim, vectors):
+            solves.append((ambient_dim, state[0]))
+            return Subspace.from_vectors(order, ambient_dim, vectors)
+
+    monkeypatch.setattr(hopf_module, "charpoly", recording_charpoly)
+    monkeypatch.setattr(hopf_module, "null_space_of_terms", recording_terms)
+    monkeypatch.setattr(hopf_module, "null_space", recording_null_space,
+                        raising=False)
+    monkeypatch.setattr(hopf_module, "Subspace", RecordingSubspace)
+    assert hopf_module._grouplike_search(h) == want
+    splits = [(cols, d) for cols, d in solves if d < h.dim]
+    assert splits and all(cols <= d for cols, d in splits), solves
 
 
 def test_grouplikes_do_not_depend_on_the_counit(t3):

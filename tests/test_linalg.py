@@ -194,6 +194,39 @@ def test_eigenspace_of_diagonal():
     assert eigenspace(m, cyc(12, 7)).dim == 0
 
 
+@pytest.mark.parametrize("order", (1, 3, 15))
+def test_eigenspace_is_null_space_of_the_dense_shift(order):
+    # oracle: m - c I built densely, then the plain null_space
+    rng = random.Random(order * 101)
+
+    def shifted(m, c):
+        return m - Mat.identity(order, m.rows).scale(c)
+
+    def scalar():
+        return rand_mat(order, 1, 1, rng, density=1.0).data[0][0]
+
+    for _ in range(6):
+        n = rng.randint(1, 6)
+        # b is singular (its last row is a combination of the others, or
+        # zero), so c is an eigenvalue of m = b + c I and 0 one of b
+        rows = [list(r) for r in rand_mat(order, n - 1, n, rng).data]
+        a, b = scalar(), scalar()
+        rows.append([a * x + b * y for x, y in
+                     zip(rows[0], rows[-1])] if rows else [cyc(order, 0)])
+        sing = Mat(order, rows, cols=n)
+        c = scalar()
+        m = sing + Mat.identity(order, n).scale(c)
+        off = scalar()
+        while null_space(shifted(m, off)).dim:
+            off = off + 1
+        cases = [(m, c), (sing, cyc(order, 0)), (m, off), (m, cyc(order, 0))]
+        assert null_space(shifted(m, c)).dim >= 1
+        assert null_space(sing).dim >= 1
+        for mat, value in cases:
+            got, want = eigenspace(mat, value), null_space(shifted(mat, value))
+            assert got == want and got.pivots == want.pivots
+
+
 def test_operator_order():
     # permutation of a 3-cycle has order 3
     z, o = cyc(1, 0), cyc(1, 1)
