@@ -26,7 +26,7 @@ from .integrals import (IntegralPair, character_inverse,
                         dual_right_integral, integral_pair,
                         integral_subspace, is_cosemisimple, is_semisimple,
                         is_unimodular, left_integral, radford_trace,
-                        right_integral, verify_s4_formula)
+                        right_integral, trace_form, verify_s4_formula)
 from .invariants import (CHECK_TAGS, AlternatingFormReport, CoradicalTraces,
                          EigenTable, IndexData, InvariantReport,
                          Lemma24Result, NormalForm, TraceCongruence,

@@ -15,6 +15,11 @@ Trace formulas (variant argument of radford_trace):
   1:  Tr(f) = lambda( S(Lambda_2) f(Lambda_1) )
   2:  Tr(f) = lambda( S(f(Lambda_2)) Lambda_1 )
   3:  Tr(f) = lambda( f(S(Lambda_2)) Lambda_1 )
+Each right side is linear in f, so it equals Tr(G_v f) for one matrix
+G_v (trace_form).  With C[j][k] the coefficient of e_j (x) e_k in
+Delta(Lambda), B = integral_form and W1 = S^T B:
+  G1 = C W1,   G2 = (W1 C)^T,   G3 = S C^T B^T.
+Formula v holds for every endomorphism f exactly when G_v = I.
 """
 
 from __future__ import annotations
@@ -235,69 +240,46 @@ def _form_of(h: HopfPresentation, pair: IntegralPair) -> Mat:
     return Mat(h.order, b, cols=n)
 
 
-def _trace_context(h: HopfPresentation, pair: IntegralPair) -> dict:
+def trace_form(h: HopfPresentation, pair: IntegralPair,
+               variant: int = 1) -> Mat:
+    """The matrix G_v with Tr(G_v f) = formula v applied to f; see the
+    module docstring.  Formula v holds for every f exactly when G_v = I."""
+    if pair.presentation is not h:
+        raise NotNormalized("integral pair belongs to a different algebra")
+    if variant not in (1, 2, 3):
+        raise ValueError(f"unknown trace variant {variant!r}")
+    return h.memo(("trace_form", pair, variant),
+                  lambda: _trace_matrix(h, pair, variant))
+
+
+def _trace_matrix(h: HopfPresentation, pair: IntegralPair,
+                  variant: int) -> Mat:
     if pair.pairing() != 1:
         raise NotNormalized(
             f"integral pair on {h.name} has lambda(Lambda) != 1")
-    n = h.dim
-    bmat = integral_form(h, pair)
+    c = h.comult_matrix(pair.integral.coords)
+    b = integral_form(h, pair)
     s = h.antipode_matrix()
-    w1 = s.transpose() @ bmat  # row k = lambda(S(e_k) e_*)
-    return {
-        "C": h.comult_pairs(pair.integral.coords),
-        "B": bmat,
-        "Bcols": [bmat.col(j) for j in range(n)],
-        "W1": w1,
-        "W1cols": [w1.col(j) for j in range(n)],
-        "S": s,
-        "Scols": [s.col(k) for k in range(n)],
-    }
-
-
-def _dot(u, v, z):
-    acc = z
-    for a, b in zip(u, v):
-        if a and b:
-            acc = acc + a * b
-    return acc
+    if variant == 3:
+        return (s @ c.transpose()) @ b.transpose()
+    w1 = s.transpose() @ b  # row k = lambda(S(e_k) e_*)
+    return c @ w1 if variant == 1 else (w1 @ c).transpose()
 
 
 def radford_trace(h: HopfPresentation, f: Mat, pair: IntegralPair,
                   variant: int = 1) -> CycNumber:
-    """Tr(f) through the integral pair; see the module docstring.
+    """Tr(f) through the integral pair, as Tr(G_v f) with G_v from
+    trace_form.
 
     All three variants return the honest matrix trace of f for genuine
     Hopf data; disagreement between variants (or with the matrix trace)
     is a structural red flag, which is exactly what the verification
     commands look for.
     """
-    if pair.presentation is not h:
-        raise NotNormalized("integral pair belongs to a different algebra")
-    ctx = h.memo(("trace_context", pair), lambda: _trace_context(h, pair))
-    z = h.zero_scalar()
-    acc = z
-    fcols = [f.col(j) for j in range(f.cols)] if variant in (1, 2) else None
-    if variant == 1:
-        # sum C[j,k] lambda(S(e_k) f(e_j)) ; row k of W1 = lambda(S(e_k) e_*)
-        w1 = ctx["W1"]
-        for (j, k), c in ctx["C"].items():
-            acc = acc + c * _dot(w1.data[k], fcols[j], z)
-    elif variant == 2:
-        # sum C[j,k] lambda(S(f(e_k)) e_j) = dot(f(e_k), W1 col j)
-        w1cols = ctx["W1cols"]
-        for (j, k), c in ctx["C"].items():
-            acc = acc + c * _dot(fcols[k], w1cols[j], z)
-    elif variant == 3:
-        # sum C[j,k] lambda(f(S(e_k)) e_j) = dot(f(S e_k), B col j)
-        scols, bcols = ctx["Scols"], ctx["Bcols"]
-        cache = {}
-        for (j, k), c in ctx["C"].items():
-            if k not in cache:
-                cache[k] = f.apply(scols[k])
-            acc = acc + c * _dot(cache[k], bcols[j], z)
-    else:
-        raise ValueError(f"unknown trace variant {variant!r}")
-    return acc
+    g = trace_form(h, pair, variant)
+    return sum((x * f.data[c][j] for j, row in enumerate(g.data)
+                for c, x in enumerate(row) if x and f.data[c][j]),
+               h.zero_scalar())
 
 
 def verify_s4_formula(h: HopfPresentation,

@@ -1,10 +1,10 @@
-"""`report --json` bytes of the benchmark's genuine small inputs.
+"""`report --json` bytes of every benchmark golden.
 
-The inputs are built in a temporary directory by the benchmark's own
-set-up commands for the `small` workload (bench/corpus.py), and each
-report is compared byte for byte with its committed file in
-bench/golden/, which this test only reads.  The dimension-45 member
-(t3z5) is left to the benchmark: its report takes seconds.
+Each input is built in a temporary directory by the set-up commands of
+its own benchmark workload (bench/corpus.py): the nine genuine `small`
+inputs by the `small` workload's, and the dimension-45 t3z5 by the
+`t3z5` workload's.  Each report is compared byte for byte with its
+committed file in bench/golden/, which this test only reads.
 """
 
 import contextlib
@@ -22,8 +22,8 @@ sys.path.insert(0, BENCH)
 
 from corpus import GOLDEN_DIR, Workload  # noqa: E402
 
-MEMBERS = sorted(name[:-len(".json")] for name in os.listdir(GOLDEN_DIR)
-                 if name != "t3z5.json")
+GOLDENS = sorted(name[:-len(".json")] for name in os.listdir(GOLDEN_DIR))
+MEMBERS = [name for name in GOLDENS if name != "t3z5"]
 
 
 def _run(argv):
@@ -33,10 +33,10 @@ def _run(argv):
     return rc, out.getvalue()
 
 
-@pytest.fixture(scope="module")
-def small_dir(tmp_path_factory):
-    work = tmp_path_factory.mktemp("small")
-    workload = Workload("small", str(work), seed=1)
+def _built(tmp_path_factory, name):
+    """The directory where workload name's set-up commands have run."""
+    work = tmp_path_factory.mktemp(name)
+    workload = Workload(name, str(work), seed=1)
     workload.prepare()
     cwd = os.getcwd()
     os.chdir(work)
@@ -48,13 +48,32 @@ def small_dir(tmp_path_factory):
     return work
 
 
+@pytest.fixture(scope="module")
+def small_dir(tmp_path_factory):
+    return _built(tmp_path_factory, "small")
+
+
+@pytest.fixture(scope="module")
+def t3z5_dir(tmp_path_factory):
+    return _built(tmp_path_factory, "t3z5")
+
+
 def test_golden_members_are_the_small_genuine_inputs():
     assert len(MEMBERS) == 9
+    assert GOLDENS == sorted(MEMBERS + ["t3z5"])
+
+
+def _assert_golden(work, member):
+    rc, out = _run(["report", str(work / f"{member}.json"), "--json"])
+    assert rc == 0
+    with open(os.path.join(GOLDEN_DIR, f"{member}.json"), "rb") as fh:
+        assert out.encode() == fh.read()
 
 
 @pytest.mark.parametrize("member", MEMBERS)
 def test_report_json_matches_golden_bytes(small_dir, member):
-    rc, out = _run(["report", str(small_dir / f"{member}.json"), "--json"])
-    assert rc == 0
-    with open(os.path.join(GOLDEN_DIR, f"{member}.json"), "rb") as fh:
-        assert out.encode() == fh.read()
+    _assert_golden(small_dir, member)
+
+
+def test_t3z5_report_json_matches_golden_bytes(t3z5_dir):
+    _assert_golden(t3z5_dir, "t3z5")

@@ -14,7 +14,7 @@ from hopf_forge import (DegeneratePairing, Functional, HopfPresentation,
                         integral_pair, is_cosemisimple, is_semisimple,
                         is_unimodular, left_integral, null_space,
                         radford_trace, right_integral, root_of_unity,
-                        verify_s4_formula, vstack)
+                        trace_form, verify_s4_formula, vstack)
 from conftest import random_endomorphism
 
 
@@ -108,6 +108,9 @@ def test_larson_radford_trace_criterion(corpus, sw):
 def test_trace_formula_variants_match_matrix_trace(z3, t3, t3d, sw, pair_of):
     for h in (z3, t3, t3d, sw):
         pair = pair_of(h)
+        for variant in (1, 2, 3):
+            assert trace_form(h, pair, variant) == \
+                Mat.identity(h.order, h.dim), (h.name, variant)
         rng = random.Random(hash(h.name) % (2 ** 31))
         for _ in range(10):
             f = random_endomorphism(h, rng)
@@ -123,6 +126,48 @@ def test_trace_formula_on_structural_operators(t3, t5, pair_of):
         for variant in (1, 2, 3):
             assert radford_trace(h, ident, pair, variant) == h.dim
             assert radford_trace(h, h.s_power_matrix(2), pair, variant) == 0
+
+
+def _literal_trace(h, f, pair, variant):
+    """Formula `variant` of the integrals module docstring, term by term
+    over Delta(Lambda), with products in H and lambda as a functional."""
+    s = h.antipode_matrix()
+    acc = cyc(h.order, 0)
+    for (j, k), c in h.comult_pairs(pair.integral.coords).items():
+        first, second = h.basis_element(j), h.basis_element(k)
+        if variant == 1:
+            x = h.multiply(s.apply(second), f.apply(first))
+        elif variant == 2:
+            x = h.multiply(s.apply(f.apply(second)), first)
+        else:
+            x = h.multiply(f.apply(s.apply(second)), first)
+        acc = acc + c * h.pair(pair.dual_integral, x)
+    return acc
+
+
+def test_trace_form_is_the_literal_functional_off_the_identity(t3):
+    # one shifted antipode entry moves every G_v off the identity, so the
+    # matrix form is compared with the formulas where they are not Tr
+    rows = [list(row) for row in t3.antipode_matrix().data]
+    rows[1][3] = rows[1][3] + 1
+    bent = HopfPresentation(
+        name="bent", dim=t3.dim, order=t3.order,
+        mult_entries=[(i, j, k, c) for i in range(t3.dim)
+                      for j in range(t3.dim)
+                      for k, c in t3.mult[i][j].items()],
+        comult_entries=[(i, j, k, c) for i in range(t3.dim)
+                        for (j, k), c in t3.comult[i].items()],
+        unit=t3.unit, counit=t3.counit,
+        antipode=Mat(t3.order, rows, cols=t3.dim))
+    pair = integral_pair(bent)
+    ident = Mat.identity(bent.order, bent.dim)
+    rng = random.Random(7)
+    for variant in (1, 2, 3):
+        assert trace_form(bent, pair, variant) != ident
+        for _ in range(4):
+            f = random_endomorphism(bent, rng)
+            assert radford_trace(bent, f, pair, variant) == \
+                _literal_trace(bent, f, pair, variant)
 
 
 def test_trace_formula_rejects_unknown_variant(t3, pair_of):

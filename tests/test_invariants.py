@@ -149,17 +149,19 @@ def test_pattern_partner_formula(t3, pair_of):
 
 
 def test_eigen_projections_resolve_identity(t3, pair_of):
+    # the projection onto H_key is E_key = sum of P[:, c] Pinv[c] over the
+    # key's columns c; the E_key sum to P Pinv, and E_a E_b is
+    # P_a (Pinv_a P_b) Pinv_b, so P Pinv = I and Pinv P = I say exactly
+    # that they resolve the identity, are idempotent and are orthogonal
     table = table_of(t3, pair_of(t3))
-    total = Mat.zeros(t3.order, t3.dim, t3.dim)
-    nonzero = [key for key in table.labels() if table.dims[key]]
-    for key in nonzero:
-        p = table.projection(key)
-        assert p @ p == p
-        total = total + p
-    assert total == Mat.identity(t3.order, t3.dim)
-    p0 = table.projection(nonzero[0])
-    p1 = table.projection(nonzero[1])
-    assert (p0 @ p1).is_zero()
+    p, labels = table.eigen_basis()
+    pinv = table.eigen_basis_inverse()
+    ident = Mat.identity(t3.order, t3.dim)
+    assert p @ pinv == ident
+    assert pinv @ p == ident
+    for c, key in enumerate(labels):
+        assert table.spaces[key].contains(p.col(c))
+    assert len(set(labels)) > 1
 
 
 def test_eigen_decomposition_guards(z15, sw, t3, pair_of):
@@ -235,6 +237,32 @@ def test_projection_traces_match_dimensions(t3, pair_of):
     for key, (direct, via_formula) in traces.items():
         assert direct == table.dims[key]
         assert via_formula == table.dims[key]
+
+
+def test_eq3_checks_catch_a_shifted_eigen_basis_inverse(t3, pair_of):
+    # the eq3 stages read Pinv; a wrong entry there must not slip through
+    pair = pair_of(t3)
+    table = table_of(t3, pair)
+    p, labels = table.eigen_basis()
+    pinv = table.eigen_basis_inverse()
+
+    def shifted(r, c):
+        rows = [list(row) for row in pinv.data]
+        rows[r][c] = rows[r][c] + 1
+        return EigenTable(omega=table.omega, n=table.n, x_exp=table.x_exp,
+                          spaces=table.spaces, dims=table.dims,
+                          _cache={"basis": (p, labels), "basis_inv":
+                                  Mat(t3.order, rows, cols=t3.dim)})
+
+    for r in range(t3.dim):
+        for c in range(t3.dim):
+            with pytest.raises(OffPatternBlock):
+                normal_form(t3, pair, shifted(r, c))
+    # (Pinv P)[0][0] moves by P[0][0], and with it both traces of the block
+    assert p.data[0][0]
+    direct, via_formula = projection_traces(shifted(0, 0), pair)[labels[0]]
+    assert direct != table.dims[labels[0]]
+    assert via_formula != table.dims[labels[0]]
 
 
 # -- lemma 2.4 -------------------------------------------------------------------
