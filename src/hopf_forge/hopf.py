@@ -14,8 +14,7 @@ slips, so they are spelled out once here):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from collections import namedtuple
 
 from .cyclofield import CycNumber, coordinate_key, cyc
 from .errors import (DegeneratePairing, EigenvalueNotInField,
@@ -25,9 +24,24 @@ from .linalg import (Mat, Subspace, charpoly, inverse, null_space_of_terms,
                      roots_in_field)
 
 
-@dataclass(frozen=True)
-class HopfElement:
-    coords: tuple
+class _Coords:
+    """A coordinate tuple that iterates as its coordinates and equals only
+    a value of the same class."""
+    __slots__ = ("coords",)
+
+    def __init__(self, coords):
+        self.coords = coords
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.coords == other.coords
+
+    def __hash__(self):
+        return hash((self.coords,))
+
+    def __repr__(self):
+        return f"{type(self).__name__}(coords={self.coords!r})"
 
     def __iter__(self):
         return iter(self.coords)
@@ -36,26 +50,23 @@ class HopfElement:
         return len(self.coords)
 
 
-@dataclass(frozen=True)
-class Functional:
-    coords: tuple
+class HopfElement(_Coords):
+    __slots__ = ()
 
-    def __iter__(self):
-        return iter(self.coords)
 
-    def __len__(self):
-        return len(self.coords)
+class Functional(_Coords):
+    __slots__ = ()
 
 
 def _coords(x):
-    if isinstance(x, (HopfElement, Functional)):
+    if isinstance(x, _Coords):
         return x.coords
     return tuple(x)
 
 
-@dataclass(frozen=True)
-class AxiomChecklist:
-    results: tuple  # of (name, ok, detail)
+class AxiomChecklist(namedtuple("AxiomChecklist", "results")):
+    """results: a tuple of (name, ok, detail)."""
+    __slots__ = ()
 
     @property
     def all_pass(self):
@@ -74,7 +85,7 @@ class HopfPresentation:
     """
 
     def __init__(self, name, dim, order, mult_entries, comult_entries,
-                 unit, counit, antipode: Optional[Mat] = None, basis=None):
+                 unit, counit, antipode: Mat | None = None, basis=None):
         self.name = name
         self.dim = dim
         self.order = order

@@ -24,7 +24,7 @@ Formula v holds for every endomorphism f exactly when G_v = I.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .cyclofield import CycNumber
 from .errors import (DegeneratePairing, IntegralSpaceNotOneDim,
@@ -91,12 +91,12 @@ def dual_right_integral(h: HopfPresentation) -> Functional:
                          f"dual({h.name})")))
 
 
-@dataclass(frozen=True)
-class IntegralPair:
-    """A left integral in H and a right integral on H with lambda(Lambda)=1."""
-    presentation: HopfPresentation
-    integral: HopfElement        # Lambda
-    dual_integral: Functional    # lambda
+class IntegralPair(namedtuple("IntegralPair",
+                              "presentation integral dual_integral")):
+    """A left integral in H and a right integral on H with lambda(Lambda)=1:
+    integral is the HopfElement Lambda, dual_integral the Functional
+    lambda."""
+    __slots__ = ()
 
     def pairing(self) -> CycNumber:
         return self.presentation.pair(self.dual_integral, self.integral)

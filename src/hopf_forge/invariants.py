@@ -22,9 +22,8 @@ first-class result, never absorbed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from math import gcd, lcm
-from typing import Optional
 
 from .cyclofield import CycNumber, cyc, root_of_unity, scalar_to_json
 from .errors import (BadParameters, IndexEven, IndexOne, NonCommuting,
@@ -40,7 +39,7 @@ from .linalg import (Mat, Subspace, eigenspace, inverse, null_space,
                      operator_order, restrict_operator, rref)
 
 
-def _as_int(c: CycNumber) -> Optional[int]:
+def _as_int(c: CycNumber) -> int | None:
     r = c.as_rational()
     return int(r) if r is not None and r.denominator == 1 else None
 
@@ -52,11 +51,9 @@ def _is_prime(m: int) -> bool:
 # -- index and omega ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IndexData:
-    n: int         # lcm of the two orders below
-    s4_order: int  # multiplicative order of S^4
-    g_order: int   # order of the distinguished grouplike
+IndexData = namedtuple("IndexData", "n s4_order g_order")
+IndexData.__doc__ = """n is the lcm of s4_order, the multiplicative order of
+S^4, and g_order, the order of the distinguished grouplike."""
 
 
 def index_bound(h: HopfPresentation) -> int:
@@ -137,19 +134,20 @@ def x_exponent(h: HopfPresentation, pair: IntegralPair, omega: CycNumber,
 # -- eigenspace decomposition ----------------------------------------------------
 
 
-@dataclass(eq=False)
 class EigenTable:
     """Joint eigenspaces H_(a,i,j) of S^2 and right translation by g.
 
     spaces/dims are total maps on Z_2 x Z_n x Z_n (zero-dimensional
     blocks included).  x_exp is the exponent with alpha(g) = omega^x.
     """
-    omega: CycNumber
-    n: int
-    x_exp: int
-    spaces: dict
-    dims: dict
-    _cache: dict = field(default_factory=dict, repr=False)
+
+    def __init__(self, omega, n, x_exp, spaces, dims, _cache=None):
+        self.omega = omega
+        self.n = n
+        self.x_exp = x_exp
+        self.spaces = spaces
+        self.dims = dims
+        self._cache = {} if _cache is None else _cache
 
     def labels(self):
         return sorted(self.spaces)
@@ -248,17 +246,14 @@ def check_dim_symmetry(t: EigenTable):
 # -- normal form of Delta(Lambda) ------------------------------------------------
 
 
-@dataclass(eq=False)
-class NormalForm:
+class NormalForm(namedtuple("NormalForm",
+                            "x_vec components labels p_mat p_inv cprime")):
     """Blocks of Delta(Lambda): components[key] is the part of
     Delta(Lambda) lying in H_key (x) H_(partner of key), as a sparse
-    {(leg1, leg2): coefficient} map."""
-    x_vec: tuple
-    components: dict
-    labels: tuple       # eigen-coordinate column -> (a, i, j)
-    p_mat: Mat
-    p_inv: Mat
-    cprime: Mat         # Delta(Lambda) in eigen coordinates
+    {(leg1, leg2): coefficient} map.  labels[c] is the (a, i, j) of
+    eigen-coordinate column c, and cprime is Delta(Lambda) in eigen
+    coordinates."""
+    __slots__ = ()
 
     def reconstruction(self, h: HopfPresentation) -> tuple:
         """The sum of the components as a flat tensor-square vector
@@ -350,17 +345,9 @@ def projection_traces(t: EigenTable, pair: IntegralPair) -> dict:
 # -- alternating form (self-paired block) ----------------------------------------
 
 
-@dataclass(frozen=True)
-class AlternatingFormReport:
-    ell: int
-    global_rank: int
-    global_full_rank: bool
-    v_dim: int
-    v_dim_even: bool
-    alternating_ok: bool
-    nondegenerate_on_v: bool
-    delta_op_ok: bool
-    delta_op_witness: Optional[tuple]
+AlternatingFormReport = namedtuple("AlternatingFormReport", (
+    "ell global_rank global_full_rank v_dim v_dim_even alternating_ok "
+    "nondegenerate_on_v delta_op_ok delta_op_witness"))
 
 
 def alternating_form_check(h: HopfPresentation, pair: IntegralPair,
@@ -437,17 +424,9 @@ def _plus_minus_split(h: HopfPresentation, n: int):
     return plus.dim, minus.dim
 
 
-@dataclass(frozen=True)
-class TraceCongruence:
-    trace: int
-    d: Optional[int]
-    congruence_ok: bool
-    routes_agree: bool
-    p2_divisible: bool
-    d_odd: bool
-    h_minus_formula_ok: bool
-    dim_h_plus: int
-    dim_h_minus: int
+TraceCongruence = namedtuple("TraceCongruence", (
+    "trace d congruence_ok routes_agree p2_divisible d_odd "
+    "h_minus_formula_ok dim_h_plus dim_h_minus"))
 
 
 def trace_s2p_report(h: HopfPresentation, pair: IntegralPair, p: int,
@@ -491,13 +470,11 @@ def trace_s2p_report(h: HopfPresentation, pair: IntegralPair, p: int,
         h_minus_formula_ok=h_minus_ok, dim_h_plus=hp, dim_h_minus=hm)
 
 
-@dataclass(frozen=True)
-class Lemma24Result:
-    d: int
-    difference_ok: bool
-    difference_witness: Optional[tuple]
-    j_independence_ok: Optional[bool]   # None when alpha = counit (skipped)
-    j_independence_witness: Optional[tuple]
+Lemma24Result = namedtuple("Lemma24Result", (
+    "d difference_ok difference_witness j_independence_ok "
+    "j_independence_witness"))
+Lemma24Result.__doc__ = """The j-independence fields are None when alpha is
+the counit (check skipped)."""
 
 
 def lemma24_check(t: EigenTable, d: int, pair: IntegralPair) -> Lemma24Result:
@@ -576,13 +553,8 @@ def coradical_is_subcoalgebra(h: HopfPresentation, c: Subspace) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class CoradicalTraces:
-    trace_on_c: CycNumber
-    trace_on_quotient: CycNumber
-    additivity_ok: bool
-    pointed: bool
-    inequality_ok: bool
+CoradicalTraces = namedtuple("CoradicalTraces", (
+    "trace_on_c trace_on_quotient additivity_ok pointed inequality_ok"))
 
 
 def coradical_traces(h: HopfPresentation, c: Subspace,
@@ -643,29 +615,14 @@ def selects(selector: str, tag: str) -> bool:
     return tag == selector or tag.startswith(selector.rstrip(":") + ":")
 
 
-@dataclass(eq=False)
-class InvariantReport:
-    name: str
-    dim: int
-    order: int
-    omega_power: int
-    semisimple: bool
-    cosemisimple: bool
-    unimodular: bool
-    index: IndexData
-    x_exp: Optional[int]
-    dims: Optional[dict]
-    dim_h_plus: int
-    dim_h_minus: int
-    trace_s2p: Optional[int]
-    d: Optional[int]
-    congruence_mod4_ok: Optional[bool]
-    coradical_dim: int
-    trace_s2p_on_c: CycNumber
-    trace_s2p_on_quotient: CycNumber
-    pointed: bool
-    grouplike_count: int
-    checks: list  # of (tag, status, detail)
+class InvariantReport(namedtuple("InvariantReport", (
+        "name dim order omega_power semisimple cosemisimple unimodular "
+        "index x_exp dims dim_h_plus dim_h_minus trace_s2p d "
+        "congruence_mod4_ok coradical_dim trace_s2p_on_c "
+        "trace_s2p_on_quotient pointed grouplike_count checks"))):
+    """Everything build_report found on one presentation; checks is a
+    list of (tag, status, detail) in CHECK_TAGS order."""
+    __slots__ = ()
 
     @property
     def all_ok(self) -> bool:
@@ -716,7 +673,7 @@ def _factor_pq(dim: int):
     return None
 
 
-def _outcome(ok: bool, detail: str = "", failure: Optional[str] = None):
+def _outcome(ok: bool, detail: str = "", failure: str | None = None):
     """(status, detail) of a check: detail on a pass; on a fail, failure
     if given, else detail."""
     if ok:
@@ -725,7 +682,7 @@ def _outcome(ok: bool, detail: str = "", failure: Optional[str] = None):
 
 
 def build_report(h: HopfPresentation, omega_power: int = 1,
-                 selected: Optional[list] = None) -> InvariantReport:
+                 selected: list | None = None) -> InvariantReport:
     """Run every applicable named check on one presentation.
 
     Each check's (status, detail) is recorded once under its tag, and the

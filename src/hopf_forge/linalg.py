@@ -14,9 +14,9 @@ matrix holds the coordinates of the image of basis vector j.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence
 
 from .cyclofield import (CycNumber, _divisors, coordinate_key, cyc,
                          galois_conjugate, root_of_unity)
@@ -129,9 +129,6 @@ class Mat:
         for i in range(min(self.rows, self.cols)):
             acc = acc + self.data[i][i]
         return acc
-
-    def is_zero(self):
-        return not any(any(row) for row in self.data)
 
     def pow(self, n: int):
         if self.rows != self.cols:

@@ -301,3 +301,21 @@ def test_report_does_not_import_sympy(tmp_path):
     assert run.returncode == 0, run.stderr
     assert json.loads(run.stdout)["dim"] == 9
     assert run.stderr.endswith("sympy loaded: False")
+
+
+def test_cli_import_generates_no_code():
+    # every CLI process pays for what importing the package pulls in:
+    # dataclasses brings inspect, ast, dis and tokenize and compiles code
+    # for each decorated class; typing, random and sympy are never needed
+    script = ("import sys\n"
+              "before = set(sys.modules)\n"
+              "import hopf_forge.cli\n"
+              "print(' '.join(sorted(set(sys.modules) - before)))\n")
+    run = subprocess.run([sys.executable, "-S", "-c", script],
+                         capture_output=True, text=True, env=_CHILD_ENV)
+    assert run.returncode == 0, run.stderr
+    added = set(run.stdout.split())
+    assert "hopf_forge.cli" in added
+    banned = {"dataclasses", "inspect", "ast", "dis", "tokenize", "typing",
+              "random", "sympy"}
+    assert sorted(added & banned) == []

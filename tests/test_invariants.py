@@ -14,7 +14,7 @@ from hopf_forge import (CHECK_TAGS, BadParameters, EigenTable,
                         NotARootPower, NotInvariant, OffPatternBlock,
                         PreconditionFailed,
                         SpectrumNotPlusMinusOne, Subspace,
-                        alternating_form_check, build_report,
+                        alternating_form_check, build_report, build_taft,
                         check_dim_symmetry, compute_index, coradical,
                         coradical_is_subcoalgebra, coradical_traces, cyc,
                         eigen_decomposition, find_grouplikes, h_plus_minus,
@@ -486,6 +486,13 @@ def test_coradical_traces_rejects_non_invariant_subspace(sw):
 
 
 # -- the aggregated report ----------------------------------------------------------
+
+
+def test_readme_library_tour_values():
+    h = build_taft(3)
+    assert repr(compute_index(h, integral_pair(h))) == \
+        "IndexData(n=3, s4_order=3, g_order=3)"
+    assert build_report(h).all_ok is True
 
 
 def test_report_taft3_values_and_statuses(t3):
