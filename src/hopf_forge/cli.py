@@ -269,24 +269,7 @@ def _zoo_build(args) -> HopfPresentation:
         name = "k[Z" + "xZ".join(str(p) for p in parts) + "]"
         return build_group_algebra(table, cyclotomic_order=args.order or 1,
                                    name=name)
-    if family == "dual":
-        if not args.a:
-            raise BadParameters("dual needs --a <path>")
-        return dual(load_presentation(args.a))
-    if family == "tensor":
-        if not (args.a and args.b):
-            raise BadParameters("tensor needs --a <path> and --b <path>")
-        return _tensor_of(args.a, args.b, args.lift_order)
     raise BadParameters(f"unknown zoo family {family!r}")
-
-
-def _tensor_of(path_a, path_b, lift: int | None) -> HopfPresentation:
-    a = load_presentation(path_a)
-    b = load_presentation(path_b)
-    if lift is not None:
-        a = lift_order(a, lift)
-        b = lift_order(b, lift)
-    return build_tensor(a, b)
 
 
 def cmd_zoo(args) -> int:
@@ -302,7 +285,12 @@ def cmd_dual(args) -> int:
 
 
 def cmd_tensor(args) -> int:
-    h = _tensor_of(args.a, args.b, args.lift_order)
+    a = load_presentation(args.a)
+    b = load_presentation(args.b)
+    if args.lift_order is not None:
+        a = lift_order(a, args.lift_order)
+        b = lift_order(b, args.lift_order)
+    h = build_tensor(a, b)
     _emit(canonical_bytes(presentation_to_document(h)), args.out)
     return 0
 
@@ -330,18 +318,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("zoo", help="emit a built-in example algebra")
-    p.add_argument("family",
-                   choices=("taft", "group", "sweedler", "tensor", "dual"))
+    p.add_argument("family", choices=("taft", "group", "sweedler"))
     p.add_argument("--n", type=int, default=None, help="taft dimension root")
     p.add_argument("--root-power", type=int, default=1)
     p.add_argument("--order", type=int, default=None,
                    help="cyclotomic order of the coefficient field")
     p.add_argument("--cyclic", default=None, metavar="N[,N2,...]",
                    help="cyclic group orders (product if several)")
-    p.add_argument("--a", default=None, metavar="PATH")
-    p.add_argument("--b", default=None, metavar="PATH")
-    p.add_argument("--lift-order", type=int, default=None, metavar="N",
-                   help="lift both tensor factors to this order first")
     p.add_argument("--out", default=None, metavar="PATH")
     p.set_defaults(func=cmd_zoo)
 

@@ -91,7 +91,6 @@ class HopfPresentation:
         self.order = order
         if dim < 1:
             raise MalformedTensor("dimension must be >= 1")
-        zero = cyc(order, 0)
         mult = [[{} for _ in range(dim)] for _ in range(dim)]
         for (i, j, k, c) in mult_entries:
             self._check_scalar(c)

@@ -195,7 +195,6 @@ def eigen_decomposition(h: HopfPresentation, pair: IntegralPair,
         raise IndexEven(
             f"{h.name} has even index {n}; the eigenvalue labels "
             "(-1)^a omega^i collide")
-    _check_primitive(omega, n)
     x = x_exponent(h, pair, omega, n)
     g = distinguished_grouplike(h, pair)
     s2 = h.s_power_matrix(2)

@@ -134,79 +134,32 @@ def build_taft(n: int, root_power: int = 1,
             f"use a cyclotomic order divisible by {n}")
     dim = n * n
     zero, one = cyc(order, 0), cyc(order, 1)
-
-    def idx(i, j):
-        return (i % n) * n + j
-
-    # products of basis monomials: (g^i x^j)(g^k x^l) = w^(jk) g^(i+k) x^(j+l)
-    mult_entries = []
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    if j + l < n:
-                        mult_entries.append(
-                            (idx(i, j), idx(k, l), idx(i + k, j + l),
-                             omega ** (j * k)))
-
-    def el_mult(a: dict, b: dict) -> dict:
-        out = {}
-        for (i, j), ca in a.items():
-            for (k, l), cb in b.items():
-                if j + l < n:
-                    key = ((i + k) % n, j + l)
-                    c = ca * cb * omega ** (j * k)
-                    out[key] = out.get(key, zero) + c
-        return {k: v for k, v in out.items() if v}
-
-    def tens_mult(a: dict, b: dict) -> dict:
-        out = {}
-        for (p1, q1), ca in a.items():
-            for (p2, q2), cb in b.items():
-                left = el_mult({p1: one}, {p2: one})
-                right = el_mult({q1: one}, {q2: one})
-                for lk, lc in left.items():
-                    for rk, rc in right.items():
-                        c = ca * cb * lc * rc
-                        key = (lk, rk)
-                        out[key] = out.get(key, zero) + c
-        return {k: v for k, v in out.items() if v}
-
-    # Delta on monomials: Delta(g)^i * Delta(x)^j
-    dx = {((0, 0), (0, 1)): one, ((0, 1), (1, 0)): one}
-    dx_pows = [{((0, 0), (0, 0)): one}]
-    for _ in range(n - 1):
-        dx_pows.append(tens_mult(dx_pows[-1], dx))
-    comult_entries = []
-    for i in range(n):
-        dg_i = {((i, 0), (i, 0)): one}
-        for j in range(n):
-            for ((p1, q1), (p2, q2)), c in tens_mult(dg_i, dx_pows[j]).items():
-                comult_entries.append(
-                    (idx(i, j), idx(p1, q1), idx(p2, q2), c))
-
-    unit = tuple(one if t == idx(0, 0) else zero for t in range(dim))
+    w = [omega ** e for e in range(n)]  # omega^e, exponents taken mod n
+    # product: (g^i x^j)(g^k x^l) = omega^(jk) g^(i+k) x^(j+l) for j + l < n
+    mult_entries = [(i * n + j, k * n + l, (i + k) % n * n + j + l,
+                     w[j * k % n])
+                    for i in range(n) for j in range(n)
+                    for k in range(n) for l in range(n - j)]
+    # coproduct: Delta(g^i x^j) = sum_k C(j, k) g^i x^k (x) g^(i+k) x^(j-k)
+    # with the omega-binomials C(j, k) = C(j-1, k-1) + omega^k C(j-1, k)
+    binom = [[one]]
+    for j in range(1, n):
+        prev = binom[-1] + [zero]
+        binom.append([one] + [prev[k - 1] + w[k] * prev[k]
+                              for k in range(1, j + 1)])
+    comult_entries = [(i * n + j, i * n + k, (i + k) % n * n + j - k,
+                       binom[j][k])
+                      for i in range(n) for j in range(n)
+                      for k in range(j + 1)]
+    unit = tuple(one if t == 0 else zero for t in range(dim))
     counit = tuple(one if t % n == 0 else zero for t in range(dim))
-
-    # S(g) = g^(n-1), S(x) = -x g^(n-1); extend antimultiplicatively:
-    # S(g^i x^j) = S(x)^j S(g)^i
-    sg = {(n - 1, 0): one}
-    sx = el_mult({(0, 1): -one}, sg)
-    s_cols = []
+    # antipode: S(g^i x^j) = (-1)^j omega^(-j(j+1)/2 - ij) g^(-(i+j)) x^j
+    rows = [[zero] * dim for _ in range(dim)]
     for i in range(n):
-        sg_i = {(0, 0): one}
-        for _ in range(i):
-            sg_i = el_mult(sg_i, sg)
-        sx_j = {(0, 0): one}
         for j in range(n):
-            img = el_mult(sx_j, sg_i)
-            col = [zero] * dim
-            for (p, q), c in img.items():
-                col[idx(p, q)] = c
-            s_cols.append((idx(i, j), col))
-            sx_j = el_mult(sx_j, sx)
-    s_cols.sort()
-    s = Mat.from_cols(order, [c for _, c in s_cols], rows_n=dim)
+            c = w[(-(j * (j + 1) // 2) - i * j) % n]
+            rows[-(i + j) % n * n + j][i * n + j] = -c if j % 2 else c
+    s = Mat(order, rows, cols=dim)
 
     labels = []
     for i in range(n):

@@ -63,6 +63,17 @@ def test_zoo_group_and_dual_and_sweedler(tmp_path, capsys):
     assert run_cli(capsys, "verify", str(dual_out))[0] == 0
 
 
+def test_zoo_builds_no_duals_or_tensors(taft3_file, capsys):
+    # the top-level dual and tensor commands are the one path to each
+    f = str(taft3_file)
+    for argv in (["zoo", "dual", "--a", f],
+                 ["zoo", "tensor", "--a", f, "--b", f]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"invalid choice: '{argv[1]}'" in capsys.readouterr().err
+
+
 def test_zoo_rejects_missing_parameters(capsys):
     code, _, err = run_cli(capsys, "zoo", "taft")
     assert code == 2

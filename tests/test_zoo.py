@@ -32,6 +32,8 @@ def test_every_builder_output_is_well_formed():
         build_taft(3, root_power=2),
         build_taft(2, cyclotomic_order=3),
         build_taft(3, cyclotomic_order=12),
+        build_taft(7, root_power=3),
+        build_taft(4, root_power=3, cyclotomic_order=8),
         sweedler(),
         dual(build_taft(4)),
         dual(build_cyclic_group_algebra(4, cyclotomic_order=4)),
@@ -90,6 +92,14 @@ def test_taft_structure_constants():
     assert h.mult[x][g] == {n + 1: omega}         # x g = omega g x
     assert h.mult[g][x] == {n + 1: one}
     assert h.comult[x] == {(0, x): one, (x, g): one}  # 1(x)x + x(x)g
+    assert h.comult[g] == {(g, g): one}                # g(x)g
+    g_last = (n - 1) * n                                 # g^(n-1)
+    assert h.antipode.col(g) == tuple(
+        one if t == g_last else cyc(n, 0) for t in range(n * n))
+    # S(x) = -x g^(n-1) = -omega^(n-1) g^(n-1) x
+    assert h.antipode.col(x) == tuple(
+        -omega ** (n - 1) if t == g_last + x else cyc(n, 0)
+        for t in range(n * n))
     assert all(h.counit[i * n + j] == (one if j == 0 else cyc(n, 0))
                for i in range(n) for j in range(n))
     # x^n = 0
