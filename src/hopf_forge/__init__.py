@@ -13,10 +13,9 @@ from .errors import (BadParameters, BoundExceeded, DegeneratePairing,
                      IndexEven, IndexOne, IntegralSpaceNotOneDim,
                      MalformedFile, MalformedTensor, NoAntipode,
                      NonCommuting, NonSplitting, NotAGroup, NotARootPower,
-                     NotInvariant, NotInvertible, NotNormalized,
-                     NotProportional, OffPatternBlock, OrderExceedsBound,
-                     OrderMismatch, PreconditionFailed,
-                     SpectrumNotPlusMinusOne)
+                     NotInvariant, NotInvertible, NotProportional,
+                     OffPatternBlock, OrderExceedsBound, OrderMismatch,
+                     PreconditionFailed, SpectrumNotPlusMinusOne)
 from .hopf import (AxiomChecklist, Functional, HopfElement,
                    HopfPresentation, apply_S_power, check_axioms,
                    compute_antipode, delta_op, dual, find_grouplikes,

@@ -226,7 +226,7 @@ def _render_text_report(doc: dict) -> str:
 
 def cmd_report(args) -> int:
     selected = None
-    if args.check:
+    if args.check is not None:
         selected = [s.strip() for s in args.check.split(",") if s.strip()]
         unknown = [s for s in selected
                    if not any(selects(s, tag) for tag in CHECK_TAGS)]

@@ -73,10 +73,6 @@ class NotProportional(HopfForgeError):
     """A vector expected to be a scalar multiple of another is not."""
 
 
-class NotNormalized(HopfForgeError):
-    """Trace formulas require a pair normalized to lambda(Lambda) = 1."""
-
-
 # -- invariants -------------------------------------------------------------
 
 class NonCommuting(HopfForgeError):

@@ -509,7 +509,7 @@ def compute_antipode(h: HopfPresentation) -> Mat:
         raise NoAntipode(f"no normalized integral pair: {exc}") from exc
     c = h.comult_matrix(pair.integral)
     try:
-        s = inverse((integral_form(h, pair) @ c).transpose())
+        s = inverse((integral_form(h) @ c).transpose())
     except NotInvertible as exc:
         raise NoAntipode("the integral candidate for S^-1 is singular") \
             from exc

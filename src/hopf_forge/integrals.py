@@ -11,6 +11,9 @@ out the competing sign/side choices):
 - Fourth power of the antipode:  S^4(h) = g (alpha -> h <- alpha^-1) g^-1
   where -> and <- are the harpoon actions and alpha^-1 = alpha o S.
 
+Each derived quantity reads the normalized pair from integral_pair(h),
+which is unique because integrals are unique up to a scalar.
+
 Trace formulas (variant argument of radford_trace):
   1:  Tr(f) = lambda( S(Lambda_2) f(Lambda_1) )
   2:  Tr(f) = lambda( S(f(Lambda_2)) Lambda_1 )
@@ -28,7 +31,7 @@ from collections import namedtuple
 
 from .cyclofield import CycNumber
 from .errors import (DegeneratePairing, IntegralSpaceNotOneDim,
-                     NotNormalized, NotProportional)
+                     NotProportional)
 from .hopf import (Functional, HopfElement, HopfPresentation, _coords,
                    harpoon_left, harpoon_right)
 from .linalg import Mat, Subspace, null_space_of_terms
@@ -91,15 +94,10 @@ def dual_right_integral(h: HopfPresentation) -> Functional:
                          f"dual({h.name})")))
 
 
-class IntegralPair(namedtuple("IntegralPair",
-                              "presentation integral dual_integral")):
-    """A left integral in H and a right integral on H with lambda(Lambda)=1:
-    integral is the HopfElement Lambda, dual_integral the Functional
-    lambda."""
-    __slots__ = ()
-
-    def pairing(self) -> CycNumber:
-        return self.presentation.pair(self.dual_integral, self.integral)
+IntegralPair = namedtuple("IntegralPair", "integral dual_integral")
+IntegralPair.__doc__ = """A left integral in H and a right integral on H with
+lambda(Lambda) = 1: integral is the HopfElement Lambda, dual_integral the
+Functional lambda."""
 
 
 def integral_pair(h: HopfPresentation) -> IntegralPair:
@@ -121,7 +119,7 @@ def _normalized_pair(h: HopfPresentation) -> IntegralPair:
             f"lambda(Lambda) = 0 on {h.name}; input is not a Hopf algebra")
     inv = val.inverse()
     lam_fn = Functional(tuple(c * inv for c in lam_fn.coords))
-    return IntegralPair(h, lam_el, lam_fn)
+    return IntegralPair(lam_el, lam_fn)
 
 
 # -- distinguished elements -----------------------------------------------------
@@ -137,16 +135,13 @@ def _proportionality(vec, target, context):
     return c
 
 
-def distinguished_grouplike(h: HopfPresentation,
-                            pair: IntegralPair | None = None) -> HopfElement:
+def distinguished_grouplike(h: HopfPresentation) -> HopfElement:
     """The grouplike g in H with beta lambda = beta(g) lambda for all beta."""
-    pair = pair or integral_pair(h)
-    return h.memo(("distinguished_grouplike", pair),
-                  lambda: _grouplike_of(h, pair))
+    return h.memo(("distinguished_grouplike",), lambda: _grouplike_of(h))
 
 
-def _grouplike_of(h: HopfPresentation, pair: IntegralPair) -> HopfElement:
-    lam = pair.dual_integral.coords
+def _grouplike_of(h: HopfPresentation) -> HopfElement:
+    lam = integral_pair(h).dual_integral.coords
     n = h.dim
     z = h.zero_scalar()
     g = []
@@ -163,16 +158,13 @@ def _grouplike_of(h: HopfPresentation, pair: IntegralPair) -> HopfElement:
     return HopfElement(tuple(g))
 
 
-def distinguished_character(h: HopfPresentation,
-                            pair: IntegralPair | None = None) -> Functional:
+def distinguished_character(h: HopfPresentation) -> Functional:
     """The character alpha on H with Lambda a = alpha(a) Lambda."""
-    pair = pair or integral_pair(h)
-    return h.memo(("distinguished_character", pair),
-                  lambda: _character_of(h, pair))
+    return h.memo(("distinguished_character",), lambda: _character_of(h))
 
 
-def _character_of(h: HopfPresentation, pair: IntegralPair) -> Functional:
-    lam = pair.integral.coords
+def _character_of(h: HopfPresentation) -> Functional:
+    lam = integral_pair(h).integral.coords
     al = []
     for j in range(h.dim):
         v = h.multiply(lam, h.basis_element(j))
@@ -216,19 +208,19 @@ def is_cosemisimple(h: HopfPresentation) -> bool:
 # -- trace formulas ---------------------------------------------------------------
 
 
-def integral_form(h: HopfPresentation, pair: IntegralPair) -> Mat:
+def integral_form(h: HopfPresentation) -> Mat:
     """B[a][c] = lambda(e_a e_c), the bilinear form of the right integral.
 
     Both the antipode (hopf.compute_antipode) and the trace formulas are
     read off this one matrix.
     """
-    return h.memo(("integral_form", pair), lambda: _form_of(h, pair))
+    return h.memo(("integral_form",), lambda: _form_of(h))
 
 
-def _form_of(h: HopfPresentation, pair: IntegralPair) -> Mat:
+def _form_of(h: HopfPresentation) -> Mat:
     n = h.dim
     z = h.zero_scalar()
-    lam = pair.dual_integral.coords
+    lam = integral_pair(h).dual_integral.coords
     b = [[z] * n for _ in range(n)]
     for a in range(n):
         for c in range(n):
@@ -240,25 +232,17 @@ def _form_of(h: HopfPresentation, pair: IntegralPair) -> Mat:
     return Mat(h.order, b, cols=n)
 
 
-def trace_form(h: HopfPresentation, pair: IntegralPair,
-               variant: int = 1) -> Mat:
+def trace_form(h: HopfPresentation, variant: int = 1) -> Mat:
     """The matrix G_v with Tr(G_v f) = formula v applied to f; see the
     module docstring.  Formula v holds for every f exactly when G_v = I."""
-    if pair.presentation is not h:
-        raise NotNormalized("integral pair belongs to a different algebra")
     if variant not in (1, 2, 3):
         raise ValueError(f"unknown trace variant {variant!r}")
-    return h.memo(("trace_form", pair, variant),
-                  lambda: _trace_matrix(h, pair, variant))
+    return h.memo(("trace_form", variant), lambda: _trace_matrix(h, variant))
 
 
-def _trace_matrix(h: HopfPresentation, pair: IntegralPair,
-                  variant: int) -> Mat:
-    if pair.pairing() != 1:
-        raise NotNormalized(
-            f"integral pair on {h.name} has lambda(Lambda) != 1")
-    c = h.comult_matrix(pair.integral.coords)
-    b = integral_form(h, pair)
+def _trace_matrix(h: HopfPresentation, variant: int) -> Mat:
+    c = h.comult_matrix(integral_pair(h).integral.coords)
+    b = integral_form(h)
     s = h.antipode_matrix()
     if variant == 3:
         return (s @ c.transpose()) @ b.transpose()
@@ -266,9 +250,8 @@ def _trace_matrix(h: HopfPresentation, pair: IntegralPair,
     return c @ w1 if variant == 1 else (w1 @ c).transpose()
 
 
-def radford_trace(h: HopfPresentation, f: Mat, pair: IntegralPair,
-                  variant: int = 1) -> CycNumber:
-    """Tr(f) through the integral pair, as Tr(G_v f) with G_v from
+def radford_trace(h: HopfPresentation, f: Mat, variant: int = 1) -> CycNumber:
+    """Tr(f) through the integral pair of h, as Tr(G_v f) with G_v from
     trace_form.
 
     All three variants return the honest matrix trace of f for genuine
@@ -276,22 +259,20 @@ def radford_trace(h: HopfPresentation, f: Mat, pair: IntegralPair,
     is a structural red flag, which is exactly what the verification
     commands look for.
     """
-    g = trace_form(h, pair, variant)
+    g = trace_form(h, variant)
     return sum((x * f.data[c][j] for j, row in enumerate(g.data)
                 for c, x in enumerate(row) if x and f.data[c][j]),
                h.zero_scalar())
 
 
-def verify_s4_formula(h: HopfPresentation,
-                      pair: IntegralPair | None = None) -> bool:
+def verify_s4_formula(h: HopfPresentation) -> bool:
     """S^4 = conjugation by g composed with the two-sided alpha twist.
 
     Checks S^4(e) = g (alpha -> e <- alpha^-1) g^-1 on every basis
     element; exact equality or bust.
     """
-    pair = pair or integral_pair(h)
-    g = distinguished_grouplike(h, pair)
-    alpha = distinguished_character(h, pair)
+    g = distinguished_grouplike(h)
+    alpha = distinguished_character(h)
     alpha_inv = character_inverse(h, alpha)
     ginv = h.antipode_matrix().apply(g.coords)
     s4 = h.s_power_matrix(4)

@@ -31,10 +31,10 @@ from .errors import (BadParameters, IndexEven, IndexOne, NonCommuting,
                      OffPatternBlock, OrderExceedsBound, PreconditionFailed,
                      SpectrumNotPlusMinusOne)
 from .hopf import HopfPresentation, find_grouplikes
-from .integrals import (IntegralPair, distinguished_character,
-                        distinguished_grouplike, integral_pair,
-                        is_cosemisimple, is_semisimple, is_unimodular,
-                        radford_trace, trace_form, verify_s4_formula)
+from .integrals import (distinguished_character, distinguished_grouplike,
+                        integral_pair, is_cosemisimple, is_semisimple,
+                        is_unimodular, radford_trace, trace_form,
+                        verify_s4_formula)
 from .linalg import (Mat, Subspace, eigenspace, inverse, null_space,
                      operator_order, restrict_operator, rref)
 
@@ -60,17 +60,15 @@ def index_bound(h: HopfPresentation) -> int:
     return 4 * h.dim * h.order
 
 
-def compute_index(h: HopfPresentation,
-                  pair: IntegralPair | None = None) -> IndexData:
+def compute_index(h: HopfPresentation) -> IndexData:
     """Least n with S^(4n) = id and g^n = 1, as lcm of the two orders."""
-    pair = pair or integral_pair(h)
-    return h.memo(("compute_index", pair), lambda: _index_of(h, pair))
+    return h.memo(("compute_index",), lambda: _index_of(h))
 
 
-def _index_of(h: HopfPresentation, pair: IntegralPair) -> IndexData:
+def _index_of(h: HopfPresentation) -> IndexData:
     bound = index_bound(h)
     s4_order = operator_order(h.s_power_matrix(4), bound)
-    g = distinguished_grouplike(h, pair).coords
+    g = distinguished_grouplike(h).coords
     unit = h.unit
     power = g
     g_order = 1
@@ -92,9 +90,7 @@ def omega_for_index(h: HopfPresentation, n: int,
     the field contains no primitive n-th root, NonSplitting reports the
     cyclotomic order to lift to.
     """
-    if n < 1 or gcd(power, n) != 1:
-        raise BadParameters(
-            f"omega power {power} is not coprime to the index {n}")
+    _check_coprime(power, n)
     if n == 1:
         return cyc(h.order, 1)
     if h.order % n == 0:
@@ -106,6 +102,12 @@ def omega_for_index(h: HopfPresentation, n: int,
         f"re-present the algebra over Q(zeta_{lcm(h.order, 2 * n)})")
 
 
+def _check_coprime(power: int, n: int):
+    if n < 1 or gcd(power, n) != 1:
+        raise BadParameters(
+            f"omega power {power} is not coprime to the index {n}")
+
+
 def _check_primitive(omega: CycNumber, n: int):
     if omega ** n != 1:
         raise BadParameters(f"omega is not an {n}-th root of unity")
@@ -114,12 +116,11 @@ def _check_primitive(omega: CycNumber, n: int):
             raise BadParameters(f"omega is an {n // r}-th root, not primitive")
 
 
-def x_exponent(h: HopfPresentation, pair: IntegralPair, omega: CycNumber,
-               n: int) -> int:
+def x_exponent(h: HopfPresentation, omega: CycNumber, n: int) -> int:
     """The unique x in Z_n with alpha(g) = omega^x."""
     _check_primitive(omega, n)
-    g = distinguished_grouplike(h, pair)
-    alpha = distinguished_character(h, pair)
+    g = distinguished_grouplike(h)
+    alpha = distinguished_character(h)
     value = h.pair(alpha, g)
     acc = cyc(h.order, 1)
     for t in range(n):
@@ -179,15 +180,14 @@ class EigenTable:
         return self._cache["basis_inv"]
 
 
-def eigen_decomposition(h: HopfPresentation, pair: IntegralPair,
-                        omega: CycNumber) -> EigenTable:
+def eigen_decomposition(h: HopfPresentation, omega: CycNumber) -> EigenTable:
     """The decomposition H = (+)_(a,i,j) H_(a,i,j); see module docstring.
 
     Requires odd index > 1: index 1 is rejected with IndexOne (the
     machinery degenerates), even index with IndexEven (the labels
     (-1)^a omega^i collide, so the direct sum would double count).
     """
-    idx = compute_index(h, pair)
+    idx = compute_index(h)
     n = idx.n
     if n == 1:
         raise IndexOne(f"{h.name} has index 1; decomposition is degenerate")
@@ -195,8 +195,8 @@ def eigen_decomposition(h: HopfPresentation, pair: IntegralPair,
         raise IndexEven(
             f"{h.name} has even index {n}; the eigenvalue labels "
             "(-1)^a omega^i collide")
-    x = x_exponent(h, pair, omega, n)
-    g = distinguished_grouplike(h, pair)
+    x = x_exponent(h, omega, n)
+    g = distinguished_grouplike(h)
     s2 = h.s_power_matrix(2)
     rg = h.right_mult_matrix(g)
     if s2 @ rg != rg @ s2:
@@ -269,8 +269,7 @@ def _nonzero_cols(m: Mat) -> list:
     return [[(r, x) for r, x in enumerate(col) if x] for col in zip(*m.data)]
 
 
-def normal_form(h: HopfPresentation, pair: IntegralPair,
-                t: EigenTable) -> NormalForm:
+def normal_form(h: HopfPresentation, t: EigenTable) -> NormalForm:
     """Split Delta(Lambda) into its eigen blocks and verify the pairing.
 
     Every nonzero block must couple label key with pattern_partner(key);
@@ -284,7 +283,8 @@ def normal_form(h: HopfPresentation, pair: IntegralPair,
     z = h.zero_scalar()
     pinv_cols = _nonzero_cols(pinv)
     entries = {}
-    for (j, k), c in h.comult_pairs(pair.integral.coords).items():
+    lam = integral_pair(h).integral.coords
+    for (j, k), c in h.comult_pairs(lam).items():
         for r, u in pinv_cols[j]:
             f = u * c
             for s, v in pinv_cols[k]:
@@ -313,19 +313,18 @@ def normal_form(h: HopfPresentation, pair: IntegralPair,
                       cprime=Mat(h.order, rows, cols=n))
 
 
-def projection_traces(t: EigenTable, pair: IntegralPair) -> dict:
+def projection_traces(h: HopfPresentation, t: EigenTable) -> dict:
     """Tr of each block projection, by matrix trace and by trace formula.
 
     The projection onto H_key along the other blocks is the sum of
     P[:, c] Pinv[c] over the key's eigenvectors c.  Its matrix trace is
     therefore the sum of (Pinv P)[c][c], and its formula trace, Tr(G1 E)
-    with G1 = trace_form(h, pair, 1), the sum of (Pinv G1 P)[c][c]; only
+    with G1 = trace_form(h, 1), the sum of (Pinv G1 P)[c][c]; only
     these two diagonals are formed.
 
     Returns {label: (direct, via_formula)}; both must equal dims[label]
     for genuine inputs, and the caller is expected to compare.
     """
-    h = pair.presentation
     p, labels = t.eigen_basis()
     pinv = t.eigen_basis_inverse()
     z = h.zero_scalar()
@@ -336,7 +335,7 @@ def projection_traces(t: EigenTable, pair: IntegralPair) -> dict:
 
     out = {key: (z, z) for key in t.labels()}
     for key, direct, formula in zip(labels, diagonal(p),
-                                    diagonal(trace_form(h, pair, 1) @ p)):
+                                    diagonal(trace_form(h, 1) @ p)):
         out[key] = (out[key][0] + direct, out[key][1] + formula)
     return out
 
@@ -349,9 +348,8 @@ AlternatingFormReport = namedtuple("AlternatingFormReport", (
     "nondegenerate_on_v delta_op_ok delta_op_witness"))
 
 
-def alternating_form_check(h: HopfPresentation, pair: IntegralPair,
-                           t: EigenTable, ell: int | None = None,
-                           nf: NormalForm | None = None
+def alternating_form_check(h: HopfPresentation, t: EigenTable,
+                           ell: int | None = None, nf: NormalForm | None = None
                            ) -> AlternatingFormReport:
     """The bilinear form (f, h) = (f (x) h)(Delta(Lambda)) on the dual.
 
@@ -373,8 +371,8 @@ def alternating_form_check(h: HopfPresentation, pair: IntegralPair,
     if (2 * ell - t.x_exp) % n != 0:
         raise BadParameters(f"2*{ell} is not {t.x_exp} mod {n}")
     if nf is None:
-        nf = normal_form(h, pair, t)
-    c = h.comult_matrix(pair.integral.coords)
+        nf = normal_form(h, t)
+    c = h.comult_matrix(integral_pair(h).integral.coords)
     _, rank, _ = rref(c)
     labels = nf.labels
     vkey = (1, (-ell) % n, ell % n)
@@ -402,12 +400,11 @@ def alternating_form_check(h: HopfPresentation, pair: IntegralPair,
 # -- parity and congruence -------------------------------------------------------
 
 
-def h_plus_minus(h: HopfPresentation, pair: IntegralPair, n: int):
+def h_plus_minus(h: HopfPresentation, n: int):
     """(dim H_+, dim H_-) for the involution-like S^(2n).
 
     The two eigenspaces (+1, -1) must exhaust H; anything else means
-    S^(4n) != id and raises SpectrumNotPlusMinusOne.  The split depends
-    on S alone, so pair is not used.
+    S^(4n) != id and raises SpectrumNotPlusMinusOne.
     """
     return h.memo(("h_plus_minus", n), lambda: _plus_minus_split(h, n))
 
@@ -428,8 +425,7 @@ TraceCongruence = namedtuple("TraceCongruence", (
     "h_minus_formula_ok dim_h_plus dim_h_minus"))
 
 
-def trace_s2p_report(h: HopfPresentation, pair: IntegralPair, p: int,
-                     q: int) -> TraceCongruence:
+def trace_s2p_report(h: HopfPresentation, p: int, q: int) -> TraceCongruence:
     """Tr(S^(2p)) = p^2 d with d odd, d = pq mod 4, dim H_- = p(q-pd)/2.
 
     Preconditions (PreconditionFailed otherwise): dim H = p*q with p, q
@@ -445,13 +441,13 @@ def trace_s2p_report(h: HopfPresentation, pair: IntegralPair, p: int,
             f"dim {h.dim} is not p*q = {p * q}")
     if is_semisimple(h):
         raise PreconditionFailed(f"{h.name} is semisimple")
-    idx = compute_index(h, pair).n
+    idx = compute_index(h).n
     if idx != p:
         raise PreconditionFailed(f"index of {h.name} is {idx}, not p = {p}")
     m = h.s_power_matrix(2 * p)
     direct = m.trace()
-    via_formula = radford_trace(h, m, pair, variant=1)
-    hp, hm = h_plus_minus(h, pair, p)
+    via_formula = radford_trace(h, m, variant=1)
+    hp, hm = h_plus_minus(h, p)
     trace_int = _as_int(direct)
     routes_agree = (direct == via_formula and trace_int is not None
                     and trace_int == hp - hm)
@@ -476,7 +472,7 @@ Lemma24Result.__doc__ = """The j-independence fields are None when alpha is
 the counit (check skipped)."""
 
 
-def lemma24_check(t: EigenTable, d: int, pair: IntegralPair) -> Lemma24Result:
+def lemma24_check(h: HopfPresentation, t: EigenTable, d: int) -> Lemma24Result:
     """dim H_(0,i,j) - dim H_(1,i,j) = d, and j-independence of dims.
 
     The difference identity needs g nontrivial (PreconditionFailed
@@ -484,8 +480,7 @@ def lemma24_check(t: EigenTable, d: int, pair: IntegralPair) -> Lemma24Result:
     alpha != counit and is reported as None (skipped) when alpha is
     trivial.
     """
-    h = pair.presentation
-    g = distinguished_grouplike(h, pair)
+    g = distinguished_grouplike(h)
     if tuple(g.coords) == tuple(h.unit):
         raise PreconditionFailed(
             f"distinguished grouplike of {h.name} is trivial")
@@ -493,7 +488,7 @@ def lemma24_check(t: EigenTable, d: int, pair: IntegralPair) -> Lemma24Result:
     diff_wit = next(((i, j) for i in range(n) for j in range(n)
                      if t.dims[(0, i, j)] - t.dims[(1, i, j)] != d), None)
     diff_ok = diff_wit is None
-    alpha = distinguished_character(h, pair)
+    alpha = distinguished_character(h)
     if tuple(alpha.coords) == tuple(h.counit):
         return Lemma24Result(d, diff_ok, diff_wit, None, None)
     j_wit = next(((a, i, j) for a in (0, 1) for i in range(n)
@@ -690,14 +685,16 @@ def build_report(h: HopfPresentation, omega_power: int = 1,
     skipped:REASON to every tag of its group still unrecorded.  The
     trace variants, the S^4 formula, the reconstruction, the projection
     traces and the alternating form run only when a tag of their group is
-    selected; every other stage always runs.
+    selected; every other stage always runs.  omega_power must be coprime
+    to the index (BadParameters otherwise), whatever the index.
     """
-    pair = integral_pair(h)
+    lam = integral_pair(h).integral.coords  # a degenerate pairing fails first
     semi = is_semisimple(h)
     cosemi = is_cosemisimple(h)
     unimod = is_unimodular(h)
-    idx = compute_index(h, pair)
+    idx = compute_index(h)
     n = idx.n
+    _check_coprime(omega_power, n)
     results = {}  # tag -> (status, detail)
 
     def group(*prefixes):
@@ -716,11 +713,11 @@ def build_report(h: HopfPresentation, omega_power: int = 1,
         # formula v holds for every endomorphism exactly when G_v = I
         ident = Mat.identity(h.order, h.dim)
         bad = next((v for v in (1, 2, 3)
-                    if trace_form(h, pair, v) != ident), None)
+                    if trace_form(h, v) != ident), None)
         results["thm1.2:trace-variants"] = _outcome(
             bad is None, failure=f"variant {bad} disagrees")
     if wanted("eq1:s4-formula"):
-        results["eq1:s4-formula"] = _outcome(verify_s4_formula(h, pair))
+        results["eq1:s4-formula"] = _outcome(verify_s4_formula(h))
 
     # trace congruences first: their d (when available) feeds lemma 2.4
     pq = _factor_pq(h.dim)
@@ -730,7 +727,7 @@ def build_report(h: HopfPresentation, omega_power: int = 1,
              else "skipped:IndexNotP", "thm2.2", "thm3.3")
     else:
         p, q = pq if n == pq[0] else pq[::-1]
-        tc = trace_s2p_report(h, pair, p, q)
+        tc = trace_s2p_report(h, p, q)
         results["thm2.2:trace-p2d"] = _outcome(
             tc.routes_agree and tc.p2_divisible and tc.d_odd,
             f"trace {tc.trace}, d = {tc.d}")
@@ -744,11 +741,10 @@ def build_report(h: HopfPresentation, omega_power: int = 1,
         skip("skipped:IndexOne" if n == 1 else "skipped:IndexEven",
              "eq2", "sec2", "lem2.4", "eq3", "lem3.1")
     else:
-        table = eigen_decomposition(h, pair,
-                                    omega_for_index(h, n, omega_power))
+        table = eigen_decomposition(h, omega_for_index(h, n, omega_power))
         x_exp = table.x_exp
         try:
-            nf, off_pattern = normal_form(h, pair, table), None
+            nf, off_pattern = normal_form(h, table), None
         except OffPatternBlock as exc:
             nf, off_pattern = None, str(exc)
         results["eq2:eigen-partition"] = _outcome(
@@ -759,7 +755,7 @@ def build_report(h: HopfPresentation, omega_power: int = 1,
         d_for_24 = (tc.d if tc is not None and tc.d is not None
                     else table.dims[(0, 0, 0)] - table.dims[(1, 0, 0)])
         try:
-            l24 = lemma24_check(table, d_for_24, pair)
+            l24 = lemma24_check(h, table, d_for_24)
         except PreconditionFailed as exc:
             skip("skipped:GTrivial", "lem2.4", detail=str(exc))
         else:
@@ -779,19 +775,19 @@ def build_report(h: HopfPresentation, omega_power: int = 1,
         else:
             if wanted("eq3:reconstruction"):
                 target = [cyc(h.order, 0)] * (h.dim * h.dim)
-                for (j, k), c in h.comult_pairs(pair.integral.coords).items():
+                for (j, k), c in h.comult_pairs(lam).items():
                     target[j * h.dim + k] = c
                 results["eq3:reconstruction"] = _outcome(
                     nf.reconstruction(h) == tuple(target))
             if wanted("eq3:projection-traces"):
                 bad = min((key for key, traces
-                           in projection_traces(table, pair).items()
+                           in projection_traces(h, table).items()
                            if any(_as_int(t) != table.dims[key]
                                   for t in traces)), default=None)
                 results["eq3:projection-traces"] = _outcome(
                     bad is None, failure=f"witness {bad}")
             if wanted("lem3.1"):
-                alt = alternating_form_check(h, pair, table, nf=nf)
+                alt = alternating_form_check(h, table, nf=nf)
                 results["lem3.1:global-form-rank"] = _outcome(
                     alt.global_full_rank, f"rank {alt.global_rank} of {h.dim}")
                 results["lem3.1:alternating-even"] = _outcome(
@@ -800,7 +796,7 @@ def build_report(h: HopfPresentation, omega_power: int = 1,
                 results["lem3.1:delta-op-expansion"] = _outcome(
                     alt.delta_op_ok, failure=f"witness {alt.delta_op_witness}")
 
-    hp, hm = h_plus_minus(h, pair, n)
+    hp, hm = h_plus_minus(h, n)
     results["cor3.2:h-minus-even"] = _outcome(hm % 2 == 0, f"dim H_- = {hm}")
 
     cora = coradical(h)

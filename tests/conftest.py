@@ -10,8 +10,8 @@ import pytest
 
 from hopf_forge import (Mat, build_cyclic_group_algebra, build_group_algebra,
                         build_taft, build_tensor, cyc, cyclic_table,
-                        direct_product_table, dual, integral_pair,
-                        lift_order, root_of_unity, sweedler)
+                        direct_product_table, dual, lift_order,
+                        root_of_unity, sweedler)
 
 
 @pytest.fixture(scope="session")
@@ -64,19 +64,6 @@ def t3z5(t3, z5):
 def corpus(z3, z5, z15, z3z3, t3, t5, t3d, t3z5):
     """The eight-algebra verification corpus, keyed by name."""
     return {h.name: h for h in (z3, z5, z15, z3z3, t3, t5, t3d, t3z5)}
-
-
-@pytest.fixture(scope="session")
-def pair_of():
-    """Memoized normalized integral pairs, keyed by presentation identity."""
-    cache = {}
-
-    def get(h):
-        if id(h) not in cache:
-            cache[id(h)] = integral_pair(h)
-        return cache[id(h)]
-
-    return get
 
 
 def random_endomorphism(h, rng: random.Random) -> Mat:

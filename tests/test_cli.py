@@ -1,7 +1,8 @@
 """Command-line interface: build, verify, report, dual, tensor.
 
-Most tests drive ``main(argv)`` in-process for speed; one test goes
-through the installed console script to cover the entry point itself.
+Most tests drive ``main(argv)`` in-process for speed; one test runs
+``python -m hopf_forge.cli`` in a child process to cover the module's
+entry point.
 Exit codes: 0 ok, 1 checks failed, 2 malformed input/parameters,
 3 field too small (lift the cyclotomic order)."""
 
@@ -225,7 +226,10 @@ def test_report_rejects_unknown_check_selector(taft3_file, tmp_path,
     assert code == 2
     assert "thm3" in err and "cannot read" not in err
     # a list with no selector in it selects nothing either
-    assert run_cli(capsys, "report", str(taft3_file), "--check", ",")[0] == 2
+    for empty in (",", ""):
+        code, out, _ = run_cli(capsys, "report", str(taft3_file),
+                               "--check", empty)
+        assert (code, out) == (2, ""), repr(empty)
 
 
 def test_report_json_is_byte_stable(taft3_file, tmp_path, capsys):
@@ -246,6 +250,20 @@ def test_report_omega_power(taft3_file, capsys):
                            "--json", "--omega", "2")
     assert code == 0
     assert json.loads(out)["x_exponent"] == 1
+
+
+@pytest.mark.parametrize("zoo_args, power", [(["sweedler"], 2),
+                                              (["taft", "--n", "3"], 3)])
+def test_report_rejects_omega_power_sharing_a_factor_with_the_index(
+        zoo_args, power, tmp_path, capsys):
+    # sweedler has index 2 and taft(3) index 3: zeta_n^power is not
+    # primitive on either, whether or not the index is odd
+    path = tmp_path / "h.json"
+    assert run_cli(capsys, "zoo", *zoo_args, "--out", str(path))[0] == 0
+    code, out, err = run_cli(capsys, "report", str(path), "--json",
+                             "--omega", str(power))
+    assert (code, out) == (2, "")
+    assert f"omega power {power} is not coprime" in err
 
 
 def test_report_exit_three_with_lift_hint(tmp_path, capsys):

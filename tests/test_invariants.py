@@ -25,15 +25,15 @@ from hopf_forge import invariants
 from hopf_forge.invariants import NormalForm, selects
 
 
-def table_of(h, pair, power=1):
+def table_of(h, power=1):
     return eigen_decomposition(
-        h, pair, omega_for_index(h, compute_index(h, pair).n, power))
+        h, omega_for_index(h, compute_index(h).n, power))
 
 
 # -- index and omega ---------------------------------------------------------------
 
 
-def test_index_of_corpus(corpus, sw, pair_of):
+def test_index_of_corpus(corpus, sw):
     expect = {
         "k[Z3]": IndexData(1, 1, 1), "k[Z5]": IndexData(1, 1, 1),
         "k[Z15]": IndexData(1, 1, 1), "k[Z3xZ3]": IndexData(1, 1, 1),
@@ -42,7 +42,7 @@ def test_index_of_corpus(corpus, sw, pair_of):
     }
     for name, h in corpus.items():
         want = expect.get(name, IndexData(3, 3, 3))  # tensor keeps index 3
-        assert compute_index(h, pair_of(h)) == want, name
+        assert compute_index(h) == want, name
     assert compute_index(sw) == IndexData(2, 1, 2)
 
 
@@ -63,21 +63,20 @@ def test_omega_for_index(t3, t3z5, z3, z5):
         omega_for_index(z5, 3)  # no cube root of unity over Q
 
 
-def test_x_exponent_taft(t3, t5, pair_of):
-    assert x_exponent(t3, pair_of(t3), root_of_unity(3, 1), 3) == 2
-    assert x_exponent(t3, pair_of(t3), root_of_unity(3, 2), 3) == 1
-    assert x_exponent(t5, pair_of(t5), root_of_unity(5, 1), 5) == 4
+def test_x_exponent_taft(t3, t5):
+    assert x_exponent(t3, root_of_unity(3, 1), 3) == 2
+    assert x_exponent(t3, root_of_unity(3, 2), 3) == 1
+    assert x_exponent(t5, root_of_unity(5, 1), 5) == 4
 
 
-def test_x_exponent_agrees_with_alpha_of_g(t3z5, pair_of):
+def test_x_exponent_agrees_with_alpha_of_g(t3z5):
     from hopf_forge import distinguished_character, distinguished_grouplike
     h = t3z5
-    pair = pair_of(h)
-    n = compute_index(h, pair).n
+    n = compute_index(h).n
     omega = omega_for_index(h, n)
-    x = x_exponent(h, pair, omega, n)
-    alpha = distinguished_character(h, pair)
-    g = distinguished_grouplike(h, pair)
+    x = x_exponent(h, omega, n)
+    alpha = distinguished_character(h)
+    g = distinguished_grouplike(h)
     assert omega ** x == h.pair(alpha, g)
 
 
@@ -99,25 +98,23 @@ def alpha_trivial_fixture():
 
 def test_x_exponent_rejects_non_root_value():
     h = alpha_trivial_fixture()
-    pair = integral_pair(h)
     # alpha(g) = eps((1,1,0)) = 2, which is no power of -1
     with pytest.raises(NotARootPower):
-        x_exponent(h, pair, cyc(1, -1), 2)
+        x_exponent(h, cyc(1, -1), 2)
 
 
 # -- eigenspace decomposition --------------------------------------------------------
 
 
-def test_taft_fourier_eigenvector_oracle(t3, t5, pair_of):
+def test_taft_fourier_eigenvector_oracle(t3, t5):
     # on monomials: S^2(g^i x^j) = w^(-j) g^i x^j and
     # (g^i x^j) g = w^j g^(i+1) x^j, so f = sum_i w^(-it) e_(i n + j) is a
     # joint eigenvector: S^2 f = w^(-j) f and f.g = w^(j+t) f
     for h, n in ((t3, 3), (t5, 5)):
-        pair = pair_of(h)
-        table = table_of(h, pair)
+        table = table_of(h)
         from hopf_forge import distinguished_grouplike
         s2 = h.s_power_matrix(2)
-        rg = h.right_mult_matrix(distinguished_grouplike(h, pair))
+        rg = h.right_mult_matrix(distinguished_grouplike(h))
         omega = table.omega
         zero = cyc(h.order, 0)
         for j in range(n):
@@ -137,8 +134,8 @@ def test_taft_fourier_eigenvector_oracle(t3, t5, pair_of):
                    for i in range(n) for j in range(n))
 
 
-def test_pattern_partner_formula(t3, pair_of):
-    table = table_of(t3, pair_of(t3))
+def test_pattern_partner_formula(t3):
+    table = table_of(t3)
     x, n = table.x_exp, table.n
     for (a, i, j) in table.labels():
         assert table.pattern_partner((a, i, j)) == \
@@ -148,12 +145,12 @@ def test_pattern_partner_formula(t3, pair_of):
             (a, i, j)
 
 
-def test_eigen_projections_resolve_identity(t3, pair_of):
+def test_eigen_projections_resolve_identity(t3):
     # the projection onto H_key is E_key = sum of P[:, c] Pinv[c] over the
     # key's columns c; the E_key sum to P Pinv, and E_a E_b is
     # P_a (Pinv_a P_b) Pinv_b, so P Pinv = I and Pinv P = I say exactly
     # that they resolve the identity, are idempotent and are orthogonal
-    table = table_of(t3, pair_of(t3))
+    table = table_of(t3)
     p, labels = table.eigen_basis()
     pinv = table.eigen_basis_inverse()
     ident = Mat.identity(t3.order, t3.dim)
@@ -164,11 +161,11 @@ def test_eigen_projections_resolve_identity(t3, pair_of):
     assert len(set(labels)) > 1
 
 
-def test_eigen_decomposition_guards(z15, sw, t3, pair_of):
+def test_eigen_decomposition_guards(z15, sw, t3):
     with pytest.raises(IndexOne):
-        table_of(z15, pair_of(z15))
+        table_of(z15)
     with pytest.raises(IndexEven):
-        eigen_decomposition(sw, integral_pair(sw), cyc(1, -1))
+        eigen_decomposition(sw, cyc(1, -1))
     # doctored antipode: S^2 no longer commutes with translation by g
     diag = [[cyc(3, 0)] * 9 for _ in range(9)]
     for i in range(9):
@@ -180,17 +177,16 @@ def test_eigen_decomposition_guards(z15, sw, t3, pair_of):
         comult_entries=[(i, j, k, c) for i in range(9)
                         for (j, k), c in t3.comult[i].items()],
         unit=t3.unit, counit=t3.counit, antipode=Mat(3, diag))
-    pair = integral_pair(doctored)
     with pytest.raises(NonCommuting):
-        eigen_decomposition(doctored, pair, root_of_unity(3, 1))
+        eigen_decomposition(doctored, root_of_unity(3, 1))
 
 
-def test_dim_symmetry_and_perturbation_witness(t3, t5, pair_of):
+def test_dim_symmetry_and_perturbation_witness(t3, t5):
     for h in (t3, t5):
-        table = table_of(h, pair_of(h))
+        table = table_of(h)
         ok, witness = check_dim_symmetry(table)
         assert ok and witness is None
-    table = table_of(t3, pair_of(t3))
+    table = table_of(t3)
     dims = dict(table.dims)
     dims[(0, 0, 1)] += 1  # partner (0, 1, 1) keeps dimension 1
     broken = EigenTable(omega=table.omega, n=table.n, x_exp=table.x_exp,
@@ -203,14 +199,14 @@ def test_dim_symmetry_and_perturbation_witness(t3, t5, pair_of):
 # -- normal form -----------------------------------------------------------------
 
 
-def test_normal_form_taft(t3, pair_of):
-    pair = pair_of(t3)
-    table = table_of(t3, pair)
-    nf = normal_form(t3, pair, table)
+def test_normal_form_taft(t3):
+    table = table_of(t3)
+    nf = normal_form(t3, table)
     assert nf.x_vec == (0, 1, 2)  # x = 2, so -x = 1 mod 3
     # blockwise reconstruction returns Delta(Lambda) exactly
     flat = [cyc(3, 0)] * 81
-    for (j, k), c in t3.comult_pairs(pair.integral.coords).items():
+    lam = integral_pair(t3).integral.coords
+    for (j, k), c in t3.comult_pairs(lam).items():
         flat[j * 9 + k] = c
     assert nf.reconstruction(t3) == tuple(flat)
     # nonzero blocks appear only on the pattern, and there are some
@@ -219,30 +215,27 @@ def test_normal_form_taft(t3, pair_of):
         assert table.dims[key] > 0
 
 
-def test_normal_form_off_pattern_detected(t3, pair_of):
-    pair = pair_of(t3)
-    table = table_of(t3, pair)
+def test_normal_form_off_pattern_detected(t3):
+    table = table_of(t3)
     spaces = dict(table.spaces)
     spaces[(0, 0, 0)], spaces[(0, 0, 1)] = spaces[(0, 0, 1)], spaces[(0, 0, 0)]
     mislabeled = EigenTable(omega=table.omega, n=table.n, x_exp=table.x_exp,
                             spaces=spaces, dims=table.dims)
     with pytest.raises(OffPatternBlock):
-        normal_form(t3, pair, mislabeled)
+        normal_form(t3, mislabeled)
 
 
-def test_projection_traces_match_dimensions(t3, pair_of):
-    pair = pair_of(t3)
-    table = table_of(t3, pair)
-    traces = projection_traces(table, pair)
+def test_projection_traces_match_dimensions(t3):
+    table = table_of(t3)
+    traces = projection_traces(t3, table)
     for key, (direct, via_formula) in traces.items():
         assert direct == table.dims[key]
         assert via_formula == table.dims[key]
 
 
-def test_eq3_checks_catch_a_shifted_eigen_basis_inverse(t3, pair_of):
+def test_eq3_checks_catch_a_shifted_eigen_basis_inverse(t3):
     # the eq3 stages read Pinv; a wrong entry there must not slip through
-    pair = pair_of(t3)
-    table = table_of(t3, pair)
+    table = table_of(t3)
     p, labels = table.eigen_basis()
     pinv = table.eigen_basis_inverse()
 
@@ -257,10 +250,10 @@ def test_eq3_checks_catch_a_shifted_eigen_basis_inverse(t3, pair_of):
     for r in range(t3.dim):
         for c in range(t3.dim):
             with pytest.raises(OffPatternBlock):
-                normal_form(t3, pair, shifted(r, c))
+                normal_form(t3, shifted(r, c))
     # (Pinv P)[0][0] moves by P[0][0], and with it both traces of the block
     assert p.data[0][0]
-    direct, via_formula = projection_traces(shifted(0, 0), pair)[labels[0]]
+    direct, via_formula = projection_traces(t3, shifted(0, 0))[labels[0]]
     assert direct != table.dims[labels[0]]
     assert via_formula != table.dims[labels[0]]
 
@@ -268,50 +261,46 @@ def test_eq3_checks_catch_a_shifted_eigen_basis_inverse(t3, pair_of):
 # -- lemma 2.4 -------------------------------------------------------------------
 
 
-def test_lemma24_on_taft(t3, t5, pair_of):
+def test_lemma24_on_taft(t3, t5):
     for h in (t3, t5):
-        pair = pair_of(h)
-        table = table_of(h, pair)
-        res = lemma24_check(table, 1, pair)
+        table = table_of(h)
+        res = lemma24_check(h, table, 1)
         assert res.difference_ok and res.difference_witness is None
         assert res.j_independence_ok is True
 
 
-def test_lemma24_wrong_d_gives_witness(t3, pair_of):
-    pair = pair_of(t3)
-    table = table_of(t3, pair)
-    res = lemma24_check(table, 2, pair)
+def test_lemma24_wrong_d_gives_witness(t3):
+    table = table_of(t3)
+    res = lemma24_check(t3, table, 2)
     assert not res.difference_ok
     assert res.difference_witness == (0, 0)
 
 
-def test_lemma24_j_independence_reports_first_witness(t3, pair_of):
-    pair = pair_of(t3)
-    table = table_of(t3, pair)
+def test_lemma24_j_independence_reports_first_witness(t3):
+    table = table_of(t3)
     dims = dict(table.dims)
     dims[(0, 0, 1)] += 1
     dims[(1, 2, 1)] += 1
     broken = EigenTable(omega=table.omega, n=table.n, x_exp=table.x_exp,
                         spaces=table.spaces, dims=dims)
-    res = lemma24_check(broken, 1, pair)
+    res = lemma24_check(t3, broken, 1)
     assert res.j_independence_ok is False
     assert res.j_independence_witness == (0, 0, 1)
 
 
-def test_lemma24_requires_nontrivial_grouplike(t3, z15, pair_of):
-    table = table_of(t3, pair_of(t3))
+def test_lemma24_requires_nontrivial_grouplike(t3, z15):
+    table = table_of(t3)
     with pytest.raises(PreconditionFailed):
-        lemma24_check(table, 1, pair_of(z15))
+        lemma24_check(z15, table, 1)
 
 
-def test_lemma24_skips_j_independence_for_trivial_alpha(t3, pair_of):
+def test_lemma24_skips_j_independence_for_trivial_alpha(t3):
     # g != 1 with alpha = counit cannot happen in the desk-scale zoo
     # (it needs a unimodular algebra with nontrivial modular grouplike,
     # e.g. a Drinfeld double); the branch is driven with crafted data
     h = alpha_trivial_fixture()
-    pair = integral_pair(h)
-    table = table_of(t3, pair_of(t3))
-    res = lemma24_check(table, 1, pair)
+    table = table_of(t3)
+    res = lemma24_check(h, table, 1)
     assert res.difference_ok
     assert res.j_independence_ok is None
     assert res.j_independence_witness is None
@@ -320,11 +309,10 @@ def test_lemma24_skips_j_independence_for_trivial_alpha(t3, pair_of):
 # -- alternating form ---------------------------------------------------------------
 
 
-def test_alternating_form_on_taft(t3, t5, pair_of):
+def test_alternating_form_on_taft(t3, t5):
     for h, n, x in ((t3, 3, 2), (t5, 5, 4)):
-        pair = pair_of(h)
-        table = table_of(h, pair)
-        rep = alternating_form_check(h, pair, table)
+        table = table_of(h)
+        rep = alternating_form_check(h, table)
         assert rep.ell == (x * (n + 1) // 2) % n
         assert (2 * rep.ell - x) % n == 0
         assert rep.global_full_rank and rep.global_rank == h.dim
@@ -333,11 +321,10 @@ def test_alternating_form_on_taft(t3, t5, pair_of):
         assert rep.delta_op_ok and rep.delta_op_witness is None
 
 
-def test_alternating_form_rejects_bad_ell(t3, pair_of):
-    pair = pair_of(t3)
-    table = table_of(t3, pair)
+def test_alternating_form_rejects_bad_ell(t3):
+    table = table_of(t3)
     with pytest.raises(BadParameters):
-        alternating_form_check(t3, pair, table, ell=0)  # 2*0 != 2 mod 3
+        alternating_form_check(t3, table, ell=0)  # 2*0 != 2 mod 3
 
 
 def _v_block_setup(cprime_entries):
@@ -347,7 +334,6 @@ def _v_block_setup(cprime_entries):
     to a real rank-2 presentation (k[Z2] over Q(zeta_3))."""
     from hopf_forge import build_cyclic_group_algebra
     h = build_cyclic_group_algebra(2, cyclotomic_order=3)
-    pair = integral_pair(h)
     vkey = (1, 2, 1)  # n = 3, x = 2, l = 1
     table = EigenTable(omega=root_of_unity(3, 1), n=3, x_exp=2,
                        spaces={vkey: None}, dims={vkey: 2})
@@ -355,34 +341,34 @@ def _v_block_setup(cprime_entries):
     cprime = Mat(3, [[cyc(3, a) for a in row] for row in cprime_entries])
     nf = NormalForm(x_vec=(0, 1, 2), components={}, labels=(vkey, vkey),
                     p_mat=ident, p_inv=ident, cprime=cprime)
-    return h, pair, table, nf
+    return h, table, nf
 
 
 def test_alternating_v_block_accepts_symplectic_form():
-    h, pair, table, nf = _v_block_setup([[0, 2], [-2, 0]])
-    rep = alternating_form_check(h, pair, table, ell=1, nf=nf)
+    h, table, nf = _v_block_setup([[0, 2], [-2, 0]])
+    rep = alternating_form_check(h, table, ell=1, nf=nf)
     assert rep.v_dim == 2 and rep.v_dim_even
     assert rep.alternating_ok and rep.nondegenerate_on_v
     assert rep.delta_op_ok  # transpose = -block holds for this label
 
 
 def test_alternating_v_block_rejects_symmetric_form():
-    h, pair, table, nf = _v_block_setup([[0, 2], [2, 0]])
-    rep = alternating_form_check(h, pair, table, ell=1, nf=nf)
+    h, table, nf = _v_block_setup([[0, 2], [2, 0]])
+    rep = alternating_form_check(h, table, ell=1, nf=nf)
     assert not rep.alternating_ok
     assert not rep.delta_op_ok
     assert rep.delta_op_witness == ((1, 2, 1), (1, 2, 1))
 
 
 def test_alternating_v_block_rejects_diagonal_entry():
-    h, pair, table, nf = _v_block_setup([[1, 0], [0, -1]])
-    rep = alternating_form_check(h, pair, table, ell=1, nf=nf)
+    h, table, nf = _v_block_setup([[1, 0], [0, -1]])
+    rep = alternating_form_check(h, table, ell=1, nf=nf)
     assert not rep.alternating_ok
 
 
 def test_alternating_v_block_flags_degenerate_form():
-    h, pair, table, nf = _v_block_setup([[0, 0], [0, 0]])
-    rep = alternating_form_check(h, pair, table, ell=1, nf=nf)
+    h, table, nf = _v_block_setup([[0, 0], [0, 0]])
+    rep = alternating_form_check(h, table, ell=1, nf=nf)
     assert rep.alternating_ok and rep.v_dim == 2
     assert not rep.nondegenerate_on_v
 
@@ -390,18 +376,18 @@ def test_alternating_v_block_flags_degenerate_form():
 # -- parity, congruence, trace -----------------------------------------------------
 
 
-def test_h_plus_minus(t3, t5, sw, z15, pair_of):
-    assert h_plus_minus(t3, pair_of(t3), 3) == (9, 0)
-    assert h_plus_minus(t5, pair_of(t5), 5) == (25, 0)
-    assert h_plus_minus(sw, integral_pair(sw), 2) == (4, 0)
-    assert h_plus_minus(z15, pair_of(z15), 1) == (15, 0)
+def test_h_plus_minus(t3, t5, sw, z15):
+    assert h_plus_minus(t3, 3) == (9, 0)
+    assert h_plus_minus(t5, 5) == (25, 0)
+    assert h_plus_minus(sw, 2) == (4, 0)
+    assert h_plus_minus(z15, 1) == (15, 0)
     with pytest.raises(SpectrumNotPlusMinusOne):
-        h_plus_minus(t3, pair_of(t3), 1)  # S^2 has eigenvalues beyond +-1
+        h_plus_minus(t3, 1)  # S^2 has eigenvalues beyond +-1
 
 
-def test_trace_congruence_on_taft(t3, t5, pair_of):
+def test_trace_congruence_on_taft(t3, t5):
     for h, p in ((t3, 3), (t5, 5)):
-        tc = trace_s2p_report(h, pair_of(h), p, p)
+        tc = trace_s2p_report(h, p, p)
         assert tc.trace == p * p
         assert tc.d == 1
         assert tc.routes_agree and tc.p2_divisible and tc.d_odd
@@ -410,17 +396,17 @@ def test_trace_congruence_on_taft(t3, t5, pair_of):
         assert (tc.dim_h_plus, tc.dim_h_minus) == (p * p, 0)
 
 
-def test_trace_congruence_preconditions(t3, z15, t3z5, pair_of):
+def test_trace_congruence_preconditions(t3, z15, t3z5):
     with pytest.raises(PreconditionFailed):
-        trace_s2p_report(z15, pair_of(z15), 3, 5)   # semisimple
+        trace_s2p_report(z15, 3, 5)     # semisimple
     with pytest.raises(PreconditionFailed):
-        trace_s2p_report(t3, pair_of(t3), 3, 5)     # dim 9 != 15
+        trace_s2p_report(t3, 3, 5)      # dim 9 != 15
     with pytest.raises(PreconditionFailed):
-        trace_s2p_report(t3, pair_of(t3), 2, 3)     # p must be odd
+        trace_s2p_report(t3, 2, 3)      # p must be odd
     with pytest.raises(PreconditionFailed):
-        trace_s2p_report(t3, pair_of(t3), 9, 1)     # not primes
+        trace_s2p_report(t3, 9, 1)      # not primes
     with pytest.raises(PreconditionFailed):
-        trace_s2p_report(t3z5, pair_of(t3z5), 3, 15)  # 15 is not prime
+        trace_s2p_report(t3z5, 3, 15)  # 15 is not prime
 
 
 # -- coradical -------------------------------------------------------------------
@@ -490,7 +476,7 @@ def test_coradical_traces_rejects_non_invariant_subspace(sw):
 
 def test_readme_library_tour_values():
     h = build_taft(3)
-    assert repr(compute_index(h, integral_pair(h))) == \
+    assert repr(compute_index(h)) == \
         "IndexData(n=3, s4_order=3, g_order=3)"
     assert build_report(h).all_ok is True
 
@@ -601,7 +587,7 @@ def test_report_off_pattern_block_skips_dependent_checks(t3, monkeypatch):
     message = ("Delta(Lambda) on taft(3) has a nonzero block "
                "(0, 0, 0) (x) (0, 0, 0)")
 
-    def off_pattern(h, pair, t):
+    def off_pattern(h, t):
         raise OffPatternBlock(message)
 
     monkeypatch.setattr(invariants, "normal_form", off_pattern)
@@ -620,7 +606,7 @@ def test_report_off_pattern_block_skips_dependent_checks(t3, monkeypatch):
 def test_report_trivial_grouplike_skips_lemma24(t3, monkeypatch):
     message = "distinguished grouplike of taft(3) is trivial"
 
-    def g_trivial(t, d, pair):
+    def g_trivial(h, t, d):
         raise PreconditionFailed(message)
 
     monkeypatch.setattr(invariants, "lemma24_check", g_trivial)
@@ -633,8 +619,8 @@ def test_report_trivial_grouplike_skips_lemma24(t3, monkeypatch):
 
 def test_report_trivial_alpha_skips_j_independence(t3, monkeypatch):
     monkeypatch.setattr(invariants, "lemma24_check",
-                        lambda t, d, pair: Lemma24Result(d, True, None,
-                                                         None, None))
+                        lambda h, t, d: Lemma24Result(d, True, None,
+                                                      None, None))
     rep = build_report(t3, selected=["lem2.4"])
     assert rep.checks == [
         ("lem2.4:dim-difference", "pass", "d = 1"),

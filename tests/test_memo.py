@@ -5,9 +5,12 @@ repeated calls return the very same object and a full report enumerates
 the grouplikes only once.
 """
 
+import inspect
+
 import pytest
 
 import hopf_forge.hopf as hopf_module
+import hopf_forge.integrals as integrals_module
 import hopf_forge.invariants as invariants_module
 from hopf_forge import (HopfPresentation, IntegralSpaceNotOneDim,
                         build_report, build_taft, compute_index, coradical,
@@ -45,21 +48,27 @@ def test_repeated_calls_return_the_same_object():
     assert coradical(h) is coradical(h)
     assert integral_subspace(h, "right") is integral_subspace(h, "right")
     assert dual_right_integral(h) is dual_right_integral(h)
-
-
-def test_default_and_explicit_pair_share_an_entry():
-    h = build_taft(3)
-    pair = integral_pair(h)
-    assert distinguished_grouplike(h) is distinguished_grouplike(h, pair)
-    assert distinguished_character(h) is distinguished_character(h, pair)
-    assert compute_index(h) is compute_index(h, pair)
+    assert distinguished_grouplike(h) is distinguished_grouplike(h)
+    assert distinguished_character(h) is distinguished_character(h)
+    assert compute_index(h) is compute_index(h)
 
 
 def test_memo_is_per_presentation():
     a, b = build_taft(3), build_taft(3)
     assert integral_pair(a) is not integral_pair(b)
-    assert integral_pair(a).presentation is a
+    assert integral_pair(a) == integral_pair(b)
     assert find_grouplikes(a) == find_grouplikes(b)
+
+
+@pytest.mark.parametrize("module", [integrals_module, invariants_module])
+def test_no_public_function_takes_an_integral_pair(module):
+    # the normalized pair is a function of the presentation alone, so a
+    # derived quantity reads integral_pair(h) and never takes one
+    takers = [name for name, fn in vars(module).items()
+              if inspect.isfunction(fn) and not name.startswith("_")
+              and fn.__module__ == module.__name__
+              and "pair" in inspect.signature(fn).parameters]
+    assert takers == []
 
 
 def _presentation(name, dim, mult, comult, unit, counit):

@@ -18,7 +18,7 @@ def assert_well_formed(h):
     report = check_axioms(h)
     assert report.all_pass, (h.name, report.failures())
     pair = integral_pair(h)
-    assert pair.pairing() == cyc(h.order, 1)
+    assert h.pair(pair.dual_integral, pair.integral) == cyc(h.order, 1)
 
 
 def test_every_builder_output_is_well_formed():
