@@ -48,9 +48,23 @@ def test_repeated_calls_return_the_same_object():
     assert coradical(h) is coradical(h)
     assert integral_subspace(h, "right") is integral_subspace(h, "right")
     assert dual_right_integral(h) is dual_right_integral(h)
-    assert distinguished_grouplike(h) is distinguished_grouplike(h)
-    assert distinguished_character(h) is distinguished_character(h)
-    assert compute_index(h) is compute_index(h)
+
+
+def test_default_and_explicit_pair_share_an_entry():
+    # the pair is read from the presentation, so a quantity asked for
+    # before and after integral_pair(h) is memoised under one key
+    h = build_taft(3)
+    g = distinguished_grouplike(h)
+    alpha = distinguished_character(h)
+    index = compute_index(h)
+    integral_pair(h)
+    assert distinguished_grouplike(h) is g
+    assert distinguished_character(h) is alpha
+    assert compute_index(h) is index
+    names = [key[0] for key in h._cache]
+    for name in ("distinguished_grouplike", "distinguished_character",
+                 "compute_index"):
+        assert names.count(name) == 1
 
 
 def test_memo_is_per_presentation():
