@@ -309,14 +309,17 @@ def check_axioms(h: HopfPresentation) -> AxiomChecklist:
     certified on the rows of algebra_generators(h) alone.  For any bilinear
     product the left nucleus N = {a : (ab)c = a(bc) for all b, c} is a
     subspace closed under the product: for a, a' in N,
-    ((aa')b)c = (a(a'b))c = a((a'b)c) = a(a'(bc)) = (aa')(bc).  So when
-    every generator lies in N, so does every left-normed word in them, and
-    those words span H.  Once associativity holds, {a : Delta(ab) =
-    Delta(a) Delta(b) for all b} and {a : eps(ab) = eps(a) eps(b) for all
-    b} are subalgebras by the same chain, so generator rows certify them
-    too; otherwise they scan every row.  When a generator row fails, the
-    same row scan runs over every basis index, so each witness is the first
-    failure in row-major order.
+    ((aa')b)c = (a(a'b))c = a((a'b)c) = a(a'(bc)) = (aa')(bc).  The
+    generators' words, together with 1, span H.  The unit scan runs first;
+    once it passes, 1 lies in N, since (1b)c = bc = 1(bc), so when every
+    generator lies in N, N is all of H.  If the unit fails, associativity
+    scans every row.  Once associativity and the unit hold, {a : Delta(ab)
+    = Delta(a) Delta(b) for all b} and {a : eps(ab) = eps(a) eps(b) for
+    all b} are subalgebras by the same chain, and they contain 1 because
+    Delta(1) = 1 (x) 1 and eps(1) = 1 are checked before them, so generator
+    rows certify them too; otherwise they scan every row.  When a generator
+    row fails, the same row scan runs over every basis index, so each
+    witness is the first failure in row-major order.
     """
     n = h.dim
     z = h.zero_scalar()
@@ -332,15 +335,14 @@ def check_axioms(h: HopfPresentation) -> AxiomChecklist:
         for j in range(n):
             ij = h.mult[i][j]
             for l in range(n):
-                lhs = {}
+                acc = {}  # (e_i e_j) e_l - e_i (e_j e_l)
                 for k, c in ij.items():
                     for m, c2 in h.mult[k][l].items():
-                        lhs[m] = lhs.get(m, z) + c * c2
-                rhs = {}
+                        acc[m] = acc.get(m, z) + c * c2
                 for k, c in h.mult[j][l].items():
                     for m, c2 in h.mult[i][k].items():
-                        rhs[m] = rhs.get(m, z) + c * c2
-                if not _dict_eq(lhs, rhs):
+                        acc[m] = acc.get(m, z) - c * c2
+                if any(acc.values()):
                     return f"(e{i} e{j}) e{l} != e{i} (e{j} e{l})"
         return None
 
@@ -394,21 +396,23 @@ def check_axioms(h: HopfPresentation) -> AxiomChecklist:
                 return f"counit not multiplicative on (e{i}, e{j})"
         return None
 
-    assoc = scan(associativity, certify=True)
+    unital = scan(unit)
+    assoc = scan(associativity, certify=unital is None)
+    both = assoc is None and unital is None
     expect = {(j, k): uj * uk for j, uj in enumerate(h.unit) if uj
               for k, uk in enumerate(h.unit) if uk}
     results = [
         ("associativity", assoc),
-        ("unit", scan(unit)),
+        ("unit", unital),
         ("coassociativity", scan(coassociativity)),
         ("counit", scan(counit)),
         ("comult-algebra-map",
          "Delta(1) != 1 (x) 1"
          if not _dict_eq(h.comult_pairs(h.unit), expect)
-         else scan(comult_multiplicative, certify=assoc is None)),
+         else scan(comult_multiplicative, certify=both)),
         ("counit-algebra-map",
          "counit(1) != 1" if h.counit_of(h.unit) != 1
-         else scan(counit_multiplicative, certify=assoc is None)),
+         else scan(counit_multiplicative, certify=both)),
     ]
     if h.antipode is not None:
         for side in ("left", "right"):
@@ -420,14 +424,19 @@ def check_axioms(h: HopfPresentation) -> AxiomChecklist:
 
 
 def algebra_generators(h: HopfPresentation) -> tuple:
-    """Basis indices whose left-normed words s1 (s2 (... s_k)) span H.
+    """Basis indices whose left-normed words s1 (s2 (... s_k)), together
+    with the unit, span H (memoized).
 
-    Greedy in basis order: e_i becomes a generator unless it lies in the
-    span V of the words in the generators before it, and V is then closed
-    under left multiplication by every generator.  Products are read from
-    h.mult and reduced fraction-free against an echelon basis of V, so no
-    scalar is inverted.  At worst every index is a generator.
+    Greedy in basis order: the span V starts as span(h.unit), e_i becomes
+    a generator unless it lies in V, and V is then closed under left
+    multiplication by every generator.  Products are read from h.mult and
+    reduced fraction-free against an echelon basis of V, so no scalar is
+    inverted.  At worst every index is a generator.
     """
+    return h.memo(("algebra_generators",), lambda: _generators(h))
+
+
+def _generators(h: HopfPresentation) -> tuple:
     one, z = cyc(h.order, 1), h.zero_scalar()
     rows, gens = [], []  # echelon basis of V: (pivot, sparse vector)
 
@@ -445,6 +454,7 @@ def algebra_generators(h: HopfPresentation) -> tuple:
             rows.append((p, {p: one} if len(w) == 1 else w))
         return bool(w)
 
+    add({k: u for k, u in enumerate(h.unit) if u})
     for i in range(h.dim):
         if not add({i: one}):
             continue
@@ -467,19 +477,21 @@ def _antipode_axiom_failure(h: HopfPresentation, s: Mat, side: str):
     (x_1 S(x_2)) antipode axiom on e_i, or None when it holds."""
     n = h.dim
     z = h.zero_scalar()
+    cols = [[(t, row[j]) for t, row in enumerate(s.data) if row[j]]
+            for j in range(n)]  # the nonzero (t, S[t][j]) of column j
+    target = {e: tuple(e * u for u in h.unit) for e in set(h.counit)}
     for i in range(n):
         acc = [z] * n
         for (j, k), c in h.comult[i].items():
             if side == "left":  # S(e_j) e_k = sum_t S[t][j] e_t e_k
-                terms = ((s.data[t][j], h.mult[t][k]) for t in range(n))
+                terms = ((st, h.mult[t][k]) for t, st in cols[j])
             else:  # e_j S(e_k) = sum_t S[t][k] e_j e_t
-                terms = ((s.data[t][k], h.mult[j][t]) for t in range(n))
+                terms = ((st, h.mult[j][t]) for t, st in cols[k])
             for st, row in terms:
-                if st:
-                    f = c * st
-                    for m, x in row.items():
-                        acc[m] = acc[m] + f * x
-        if tuple(acc) != tuple(h.counit[i] * u for u in h.unit):
+                f = c * st
+                for m, x in row.items():
+                    acc[m] = acc[m] + f * x
+        if tuple(acc) != target[h.counit[i]]:
             return i
     return None
 

@@ -33,7 +33,7 @@ from .cyclofield import CycNumber
 from .errors import (DegeneratePairing, IntegralSpaceNotOneDim,
                      NotProportional)
 from .hopf import (Functional, HopfElement, HopfPresentation, _coords,
-                   harpoon_left, harpoon_right)
+                   algebra_generators, harpoon_left, harpoon_right)
 from .linalg import Mat, Subspace, null_space_of_terms
 
 
@@ -44,22 +44,54 @@ def integral_subspace(h: HopfPresentation, side: str = "left") -> Subspace:
     """The space of left (or right) integrals in H, as a subspace.
 
     Left integrals satisfy e_i x = counit(e_i) x for every basis element
-    e_i, right integrals x e_i = counit(e_i) x.  The space is the null
-    space of all these equations at once, one per (i, k) coordinate, read
-    straight from mult.
+    e_i, right integrals x e_i = counit(e_i) x: one equation per (i, k)
+    coordinate, read straight from mult.  The rows i of
+    algebra_generators(h) are solved first.  Their solutions contain the
+    whole space, so a zero space is the answer, and so is a line span(v)
+    once v passes every row in one sparse pass over mult: both spaces are
+    then equal, and their RREF bases are too.  Otherwise every row is
+    solved.
     """
-    mult = h.mult if side == "left" else tuple(zip(*h.mult))
-    actions = ((i, j, k, c) for i, row in enumerate(mult)
-               for j, prod in enumerate(row) for k, c in prod.items())
     return h.memo(("integral_subspace", side),
-                  lambda: _integrals(h, actions, h.counit))
+                  lambda: _integral_space(h, side))
+
+
+def _integral_space(h: HopfPresentation, side: str) -> Subspace:
+    mult = h.mult if side == "left" else tuple(zip(*h.mult))
+
+    def solve(rows):
+        return _integrals(h, ((i, j, k, c) for i in rows
+                              for j, prod in enumerate(mult[i])
+                              for k, c in prod.items()),
+                          {i: h.counit[i] for i in rows})
+
+    space = solve(algebra_generators(h))
+    if space.dim == 0 or (space.dim == 1 and _solves_every_row(
+            h, mult, space.basis.data[0])):
+        return space
+    return solve(range(h.dim))
+
+
+def _solves_every_row(h: HopfPresentation, mult, v) -> bool:
+    """Whether sum_j v_j mult[i][j] = counit_i v for every row i."""
+    z = h.zero_scalar()
+    support = [(j, x) for j, x in enumerate(v) if x]
+    for row, e in zip(mult, h.counit):
+        acc = {j: -e * x for j, x in support} if e else {}
+        for j, x in support:
+            for k, c in row[j].items():
+                acc[k] = acc.get(k, z) + x * c
+        if any(acc.values()):
+            return False
+    return True
 
 
 def _integrals(h: HopfPresentation, actions, counit) -> Subspace:
-    """{x : a_i x = counit_i x for every i}, where each (i, j, k, c) in
-    actions says that a_i sends e_j to c e_k plus other terms."""
+    """{x : a_i x = counit[i] x for every i in counit}, where each
+    (i, j, k, c) in actions says that a_i sends e_j to c e_k plus other
+    terms."""
     terms = [((i, k), j, c) for i, j, k, c in actions]
-    terms += [((i, k), k, -e) for i, e in enumerate(counit) if e
+    terms += [((i, k), k, -e) for i, e in counit.items() if e
               for k in range(h.dim)]
     return null_space_of_terms(h.order, h.dim, terms)
 
@@ -90,8 +122,8 @@ def dual_right_integral(h: HopfPresentation) -> Functional:
     actions = ((i, j, k, c) for k, tensor in enumerate(h.comult)
                for (j, i), c in tensor.items())
     return h.memo(("dual_right_integral",), lambda: Functional(
-        _one_dimensional(_integrals(h, actions, h.unit), "right",
-                         f"dual({h.name})")))
+        _one_dimensional(_integrals(h, actions, dict(enumerate(h.unit))),
+                         "right", f"dual({h.name})")))
 
 
 IntegralPair = namedtuple("IntegralPair", "integral dual_integral")

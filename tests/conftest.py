@@ -1,17 +1,19 @@
-"""Shared fixtures: the test corpus and random-endomorphism helper.
+"""Shared fixtures: the test corpus, the random-endomorphism helper and
+single-entry corruptions.
 
 Corpus algebras are built once per session; they are immutable
 presentations, so sharing them across tests is safe.
 """
 
+import itertools
 import random
 
 import pytest
 
-from hopf_forge import (Mat, build_cyclic_group_algebra, build_group_algebra,
-                        build_taft, build_tensor, cyc, cyclic_table,
-                        direct_product_table, dual, lift_order,
-                        root_of_unity, sweedler)
+from hopf_forge import (HopfPresentation, Mat, build_cyclic_group_algebra,
+                        build_group_algebra, build_taft, build_tensor, cyc,
+                        cyclic_table, direct_product_table, dual,
+                        lift_order, root_of_unity, sweedler)
 
 
 @pytest.fixture(scope="session")
@@ -83,3 +85,32 @@ def random_endomorphism(h, rng: random.Random) -> Mat:
                 row.append(zero)
         rows.append(row)
     return Mat(h.order, rows)
+
+
+def structure_entries(h):
+    """The (i, j, k, c) entries of h.mult and of h.comult."""
+    mult = [(i, j, k, c) for i in range(h.dim) for j in range(h.dim)
+            for k, c in h.mult[i][j].items()]
+    comult = [(i, j, k, c) for i in range(h.dim)
+              for (j, k), c in h.comult[i].items()]
+    return mult, comult
+
+
+def sites(h):
+    """Every (i, j, k) index triple of a mult or comult table of h."""
+    return list(itertools.product(range(h.dim), repeat=3))
+
+
+def corrupted(h, table, site, shift):
+    """h without its antipode, with one entry shifted by the integer shift:
+    mult or comult at site (i, j, k), or the unit at site (i,)."""
+    mult, comult = structure_entries(h)
+    extra = [(*site, cyc(h.order, shift))]
+    unit = list(h.unit)
+    if table == "unit":
+        unit[site[0]] = unit[site[0]] + shift
+    return HopfPresentation(
+        name=f"{h.name} {table}{site}{shift:+d}", dim=h.dim, order=h.order,
+        mult_entries=mult + extra if table == "mult" else mult,
+        comult_entries=comult + extra if table == "comult" else comult,
+        unit=unit, counit=h.counit)

@@ -17,6 +17,7 @@ from hopf_forge import (CycNumber, EigenvalueNotInField, HopfPresentation,
                         find_grouplikes, harpoon_left, harpoon_right,
                         is_grouplike, lift_order, null_space,
                         root_of_unity)
+from conftest import corrupted, sites, structure_entries
 
 
 def test_axioms_hold_on_corpus(corpus, sw):
@@ -43,19 +44,12 @@ def test_corrupted_antipode_fails_axioms(t3):
     bad[0][1] = bad[0][1] + 1
     h = HopfPresentation(
         name="corrupted", dim=t3.dim, order=t3.order,
-        mult_entries=_entries(t3)[0], comult_entries=_entries(t3)[1],
+        mult_entries=structure_entries(t3)[0],
+        comult_entries=structure_entries(t3)[1],
         unit=t3.unit, counit=t3.counit, antipode=Mat(t3.order, bad))
     checklist = check_axioms(h)
     failed = dict((name, ok) for name, ok, _ in checklist.results)
     assert not failed["antipode-left"] or not failed["antipode-right"]
-
-
-def _entries(h):
-    mult = [(i, j, k, c) for i in range(h.dim) for j in range(h.dim)
-            for k, c in h.mult[i][j].items()]
-    comult = [(i, j, k, c) for i in range(h.dim)
-              for (j, k), c in h.comult[i].items()]
-    return mult, comult
 
 
 def test_malformed_tensor_rejected():
@@ -461,7 +455,7 @@ def test_monoid_bialgebra_has_antipode_iff_group():
 
 
 def _without_antipode(h):
-    mult, comult = _entries(h)
+    mult, comult = structure_entries(h)
     return HopfPresentation(
         name=h.name, dim=h.dim, order=h.order, mult_entries=mult,
         comult_entries=comult, unit=h.unit, counit=h.counit, basis=h.basis)
@@ -497,10 +491,11 @@ def test_lift_order_preserves_structure(t3):
 
 
 def _word_span(h, gens):
-    """Span of the left-normed words s1 (s2 (... s_k)) in gens, grown one
-    word at a time; a word inside the span so far is dropped, since its
-    left multiples lie in the span of the kept words' multiples."""
-    words = [h.basis_element(s) for s in gens]
+    """Span of the unit and the left-normed words s1 (s2 (... s_k)) in
+    gens, grown one word at a time from the unit; a word inside the span so
+    far is dropped, since its left multiples lie in the span of the kept
+    words' multiples."""
+    words = [h.unit]
     span = Subspace.from_vectors(h.order, h.dim, words)
     frontier = words
     while frontier:
@@ -517,9 +512,11 @@ def _word_span(h, gens):
 
 def test_generators_span_and_follow_the_basis_order(z15, t3, t3z5):
     s3 = dual(build_group_algebra(s3_table(), name="k[S3]"))
-    for h, expect in ((z15, (0, 1)), (t3, (0, 1, 3)), (s3, tuple(range(6))),
-                      (idempotent_monoid_bialgebra(), (0, 1)),
-                      (t3z5, (0, 1, 5, 15))):
+    # the span starts at the unit: e_0 = 1 is no generator, and in
+    # dual(k[S3]) the unit, the sum of the idempotents, covers e_5
+    for h, expect in ((z15, (1,)), (t3, (1, 3)), (s3, tuple(range(5))),
+                      (idempotent_monoid_bialgebra(), (1,)),
+                      (t3z5, (1, 5, 15))):
         gens = hopf_module.algebra_generators(h)
         assert gens == expect, h.name
         assert _word_span(h, gens).dim == h.dim, h.name
@@ -606,38 +603,57 @@ def _oracle_axioms(h):
     return tuple((name, d is None, d or "") for name, d in details.items())
 
 
-def _corrupted(h, table, site, shift):
-    """h without its antipode, with one mult or comult entry shifted."""
-    mult, comult = _entries(h)
-    extra = [(*site, cyc(h.order, shift))]
-    return HopfPresentation(
-        name=f"{h.name} {table}{site}{shift:+d}", dim=h.dim, order=h.order,
-        mult_entries=mult + extra if table == "mult" else mult,
-        comult_entries=comult + extra if table == "comult" else comult,
-        unit=h.unit, counit=h.counit)
-
-
-def _sites(h):
-    return list(itertools.product(range(h.dim), repeat=3))
-
-
 def test_single_entry_corruptions_match_the_oracle(sw, t3):
     # every sweedler site; for taft(3) a seeded sample per table, most of
-    # it outside the generator rows (0, 1, 3)
+    # it outside the unit row 0 and the generator rows (1, 3).  A shifted
+    # unit entry fails the unit axiom, so associativity is then scanned on
+    # every row.
     cases = [(sw, table, site, shift) for table in ("mult", "comult")
-             for site in _sites(sw) for shift in (1, -1)]
+             for site in sites(sw) for shift in (1, -1)]
+    cases += [(h, "unit", (i,), shift) for h in (sw, t3)
+              for i in range(h.dim) for shift in (1, -1)]
     rng = random.Random(9)
-    inside = [s for s in _sites(t3) if s[0] in (0, 1, 3)]
-    outside = [s for s in _sites(t3) if s[0] not in (0, 1, 3)]
+    inside = [s for s in sites(t3) if s[0] in (0, 1, 3)]
+    outside = [s for s in sites(t3) if s[0] not in (0, 1, 3)]
     for table in ("mult", "comult"):
         picked = rng.sample(outside, 24) + rng.sample(inside, 16)
         cases += [(t3, table, site, rng.choice((1, -1))) for site in picked]
     failing = 0
     for h, table, site, shift in cases:
-        m = _corrupted(h, table, site, shift)
+        m = corrupted(h, table, site, shift)
         got = check_axioms(m)
         assert got.results == _oracle_axioms(m), m.name
         failing += not got.all_pass
     assert _oracle_axioms(t3) == check_axioms(_without_antipode(t3)).results
     # nearly every corruption breaks some axiom
     assert failing > 0.9 * len(cases)
+
+
+def test_a_failing_unit_certifies_no_row():
+    # e1 annihilates everything, so its row passes every row check and
+    # its words with the declared unit e0 span H; only row 0 fails, and a
+    # unit that fails need not lie in the nucleus or in the subalgebras
+    one, zero = cyc(1, 1), cyc(1, 0)
+
+    def fake_unit(mult, delta_e1):
+        return HopfPresentation(
+            name="fake unit", dim=2, order=1, mult_entries=mult,
+            comult_entries=[(0, 0, 0, one)] + delta_e1,
+            unit=(one, zero), counit=(one, zero))
+
+    # not associative: e0 e1 = e0 + e1
+    nonassoc = fake_unit([(0, 0, 0, one), (0, 1, 0, one), (0, 1, 1, one)],
+                         [(1, 1, 0, one), (1, 0, 1, one)])
+    # associative, with e0 e0 = -(e0 + e1) and every other product 0
+    assoc = fake_unit([(0, 0, 0, -one), (0, 0, 1, -one)],
+                      [(1, 0, 1, -one), (1, 1, 0, -one), (1, 1, 1, -one)])
+    for h in (nonassoc, assoc):
+        assert hopf_module.algebra_generators(h) == (1,)
+        assert check_axioms(h).results == _oracle_axioms(h)
+    assert check_axioms(nonassoc).failures()[0] == (
+        "associativity", "(e0 e0) e1 != e0 (e0 e1)")
+    got = {name: detail for name, _, detail in check_axioms(assoc).results}
+    assert (got["associativity"], got["unit"]) == ("", "unit fails on e0")
+    assert got["comult-algebra-map"] == "Delta not multiplicative on (e0, e0)"
+    assert got["counit-algebra-map"] == \
+        "counit not multiplicative on (e0, e0)"

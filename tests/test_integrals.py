@@ -2,29 +2,33 @@
 antipode identity.  Integral existence is cross-checked with a stacked
 kernel oracle built directly from the defining equations."""
 
+import collections
 import random
 
 import pytest
 
+import hopf_forge.integrals as integrals_module
 from hopf_forge import (DegeneratePairing, Functional, HopfPresentation,
                         IntegralSpaceNotOneDim, Mat,
                         build_taft, character_inverse, cyc,
                         distinguished_character, distinguished_grouplike,
                         dual, dual_right_integral,
-                        integral_pair, is_cosemisimple, is_semisimple,
-                        is_unimodular, left_integral, null_space,
+                        integral_pair, integral_subspace, is_cosemisimple,
+                        is_semisimple, is_unimodular, left_integral,
+                        null_space,
                         radford_trace, right_integral, root_of_unity,
                         trace_form, verify_s4_formula, vstack)
-from conftest import random_endomorphism
+from conftest import corrupted, random_endomorphism, sites
 
 
-def stacked_integral_kernel(h):
-    """Oracle: solutions of a v = eps(a) v for every basis a, computed as
-    one dense kernel of stacked operator matrices, independently of the
-    library's sparse equation assembly."""
+def stacked_integral_kernel(h, side="left"):
+    """Oracle: solutions of a v = eps(a) v (or v a = eps(a) v) for every
+    basis a, computed as one dense kernel of stacked operator matrices,
+    independently of the library's sparse equation assembly."""
+    op = h.left_mult_matrix if side == "left" else h.right_mult_matrix
     blocks = None
     for i in range(h.dim):
-        li = h.left_mult_matrix(h.basis_element(i))
+        li = op(h.basis_element(i))
         shifted = li - Mat.identity(h.order, h.dim).scale(h.counit[i])
         blocks = shifted if blocks is None else vstack(blocks, shifted)
     return null_space(blocks)
@@ -36,6 +40,35 @@ def test_left_integral_matches_stacked_kernel_oracle(corpus):
         assert ker.dim == 1, name
         lam = left_integral(h)
         assert ker.contains(lam.coords), name
+
+
+def test_integral_spaces_equal_the_stacked_kernel_oracle(corpus, sw, t3,
+                                                        monkeypatch):
+    # the generator-row solve must give the oracle's space whether it is
+    # confirmed on every row or falls back to solving all rows
+    solves = []
+    original = integrals_module.null_space_of_terms
+
+    def counting(*args):
+        solves.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(integrals_module, "null_space_of_terms", counting)
+    rng = random.Random(15)
+    cases = list(corpus.values())
+    cases += [corrupted(sw, "mult", site, shift)
+              for site in sites(sw) for shift in (1, -1)]
+    cases += [corrupted(t3, "mult", site, rng.choice((1, -1)))
+              for site in rng.sample(sites(t3), 40)]
+    paths = collections.Counter()  # (side, number of solves)
+    for h in cases:
+        for side in ("left", "right"):
+            solves.clear()
+            assert integral_subspace(h, side) == \
+                stacked_integral_kernel(h, side), (h.name, side)
+            paths[side, len(solves)] += 1
+    # both sides take the shortcut and, on some corruption, the fallback
+    assert all(paths[side, k] for side in ("left", "right") for k in (1, 2))
 
 
 def test_integral_defining_properties(corpus, sw):
