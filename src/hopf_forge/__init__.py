@@ -17,15 +17,15 @@ from .errors import (BadParameters, BoundExceeded, DegeneratePairing,
                      OffPatternBlock, OrderExceedsBound, OrderMismatch,
                      PreconditionFailed, SpectrumNotPlusMinusOne)
 from .hopf import (AxiomChecklist, Functional, HopfElement,
-                   HopfPresentation, apply_S_power, check_axioms,
-                   compute_antipode, delta_op, dual, find_grouplikes,
-                   harpoon_left, harpoon_right, is_grouplike, lift_order)
+                   HopfPresentation, check_axioms, compute_antipode, dual,
+                   find_grouplikes, harpoon_left, harpoon_right,
+                   is_grouplike, lift_order)
 from .integrals import (IntegralPair, character_inverse,
                         distinguished_character, distinguished_grouplike,
-                        dual_right_integral, integral_pair,
-                        integral_subspace, is_cosemisimple, is_semisimple,
-                        is_unimodular, left_integral, radford_trace,
-                        right_integral, trace_form, verify_s4_formula)
+                        dual_right_integral, integral_coproduct,
+                        integral_pair, integral_subspace, is_cosemisimple,
+                        is_semisimple, is_unimodular, left_integral,
+                        radford_trace, trace_form, verify_s4_formula)
 from .invariants import (CHECK_TAGS, AlternatingFormReport, CoradicalTraces,
                          EigenTable, IndexData, InvariantReport,
                          Lemma24Result, NormalForm, TraceCongruence,
@@ -37,7 +37,7 @@ from .invariants import (CHECK_TAGS, AlternatingFormReport, CoradicalTraces,
                          projection_traces, trace_s2p_report, x_exponent)
 from .linalg import (Mat, Subspace, charpoly, eigenspace, hstack, inverse,
                      kronecker, null_space, operator_order,
-                     restrict_operator, roots_in_field, rref, vstack)
+                     restrict_operator, roots_in_field, rref)
 from .zoo import (build_cyclic_group_algebra, build_group_algebra,
                   build_taft, build_tensor, cyclic_table,
                   direct_product_table, sweedler)

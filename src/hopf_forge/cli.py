@@ -118,10 +118,7 @@ def document_to_presentation(doc) -> HopfPresentation:
                             for t in entry[:3])):
                 raise MalformedFile(
                     f"{key}[{pos}] must be [i, j, k, scalar]")
-            i, j, k = entry[:3]
-            if not all(0 <= t < dim for t in (i, j, k)):
-                raise MalformedFile(f"{key}[{pos}] index out of range")
-            out.append((i, j, k, scalar(entry[3], f"{key}[{pos}]")))
+            out.append((*entry[:3], scalar(entry[3], f"{key}[{pos}]")))
         return out
 
     def dense(key):
@@ -158,7 +155,7 @@ def load_presentation(path: str) -> HopfPresentation:
             doc = json.load(fh)
     except OSError as exc:
         raise MalformedFile(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON, UTF-8 or nesting
         raise MalformedFile(f"{path} is not valid JSON: {exc}") from exc
     return document_to_presentation(doc)
 
@@ -251,8 +248,9 @@ def _zoo_build(args) -> HopfPresentation:
             raise BadParameters("taft needs --n")
         return build_taft(args.n, root_power=args.root_power,
                           cyclotomic_order=args.order)
+    order = 1 if args.order is None else args.order
     if family == "sweedler":
-        return sweedler(cyclotomic_order=args.order or 1)
+        return sweedler(cyclotomic_order=order)
     if family == "group":
         if not args.cyclic:
             raise BadParameters("group needs --cyclic N[,N2,...]")
@@ -262,12 +260,12 @@ def _zoo_build(args) -> HopfPresentation:
             raise BadParameters(f"bad --cyclic value: {args.cyclic!r}") from exc
         if len(parts) == 1:
             return build_cyclic_group_algebra(parts[0],
-                                              cyclotomic_order=args.order or 1)
+                                              cyclotomic_order=order)
         table = cyclic_table(parts[0])
         for n in parts[1:]:
             table = direct_product_table(table, cyclic_table(n))
         name = "k[Z" + "xZ".join(str(p) for p in parts) + "]"
-        return build_group_algebra(table, cyclotomic_order=args.order or 1,
+        return build_group_algebra(table, cyclotomic_order=order,
                                    name=name)
     raise BadParameters(f"unknown zoo family {family!r}")
 

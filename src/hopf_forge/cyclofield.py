@@ -176,14 +176,7 @@ class CycNumber:
         """The power-basis coordinates as Fractions."""
         return tuple(Rational(n, self.den) for n in self.num)
 
-    # -- constructors --------------------------------------------------
-
-    @staticmethod
-    def from_rational(order, value) -> "CycNumber":
-        if not isinstance(value, (int, Rational)):
-            value = Rational(value)
-        return _make(order, (value.numerator,)
-                     + (0,) * (_field(order).degree - 1), value.denominator)
+    # -- coercion ------------------------------------------------------
 
     def _coerce(self, other):
         """other as (numerators, denominator), or None if not a scalar."""
@@ -305,7 +298,7 @@ class CycNumber:
             return NotImplemented
         base = self if n >= 0 else self.inverse()
         n = abs(n)
-        acc = CycNumber.from_rational(self.order, 1)
+        acc = cyc(self.order, 1)
         while n:
             if n & 1:
                 acc = acc * base
@@ -357,7 +350,10 @@ def coordinate_key(a: CycNumber) -> tuple:
 
 def cyc(order: int, value) -> CycNumber:
     """A rational value embedded into Q(zeta_order)."""
-    return CycNumber.from_rational(order, value)
+    if not isinstance(value, (int, Rational)):
+        value = Rational(value)
+    return _make(order, (value.numerator,)
+                 + (0,) * (_field(order).degree - 1), value.denominator)
 
 
 def root_of_unity(order: int, k: int) -> CycNumber:

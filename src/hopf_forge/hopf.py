@@ -6,7 +6,7 @@ slips, so they are spelled out once here):
 - mult[i][j] is a sparse row {k: c} meaning  e_i e_j = sum_k c e_k.
 - comult[i] is a sparse tensor {(j, k): c} meaning
   Delta(e_i) = sum c e_j (x) e_k.  Leg order is part of the data and is
-  never swapped silently; delta_op is the only place legs are exchanged.
+  never swapped silently.
 - Operator matrices act on column coordinate vectors, so column i of the
   antipode matrix holds the coordinates of S(e_i).
 - Tensor squares flatten (j, k) to j * dim + k.
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .cyclofield import CycNumber, coordinate_key, cyc
+from .cyclofield import CycNumber, coordinate_key, cyc, lift_scalar
 from .errors import (DegeneratePairing, EigenvalueNotInField,
                      IntegralSpaceNotOneDim, MalformedTensor, NoAntipode,
                      NotInvertible, OrderMismatch)
@@ -68,10 +68,6 @@ class AxiomChecklist(namedtuple("AxiomChecklist", "results")):
     """results: a tuple of (name, ok, detail)."""
     __slots__ = ()
 
-    @property
-    def all_pass(self):
-        return all(ok for _, ok, _ in self.results)
-
     def failures(self):
         return [(name, detail) for name, ok, detail in self.results if not ok]
 
@@ -92,29 +88,24 @@ class HopfPresentation:
         if dim < 1:
             raise MalformedTensor("dimension must be >= 1")
         mult = [[{} for _ in range(dim)] for _ in range(dim)]
-        for (i, j, k, c) in mult_entries:
-            self._check_scalar(c)
-            if not all(0 <= t < dim for t in (i, j, k)):
-                raise MalformedTensor(f"mult index out of range: {(i, j, k)}")
-            if c:
-                prev = mult[i][j].get(k)
-                c = c if prev is None else prev + c
-                if c:
-                    mult[i][j][k] = c
-                elif prev is not None:
-                    del mult[i][j][k]
         comult = [{} for _ in range(dim)]
-        for (i, j, k, c) in comult_entries:
-            self._check_scalar(c)
-            if not all(0 <= t < dim for t in (i, j, k)):
-                raise MalformedTensor(f"comult index out of range: {(i, j, k)}")
-            if c:
-                prev = comult[i].get((j, k))
-                c = c if prev is None else prev + c
+        for table, entries, slot in (
+                ("mult", mult_entries, lambda i, j, k: (mult[i][j], k)),
+                ("comult", comult_entries,
+                 lambda i, j, k: (comult[i], (j, k)))):
+            for (i, j, k, c) in entries:
+                self._check_scalar(c)
+                if not all(0 <= t < dim for t in (i, j, k)):
+                    raise MalformedTensor(
+                        f"{table} index out of range: {(i, j, k)}")
                 if c:
-                    comult[i][(j, k)] = c
-                elif prev is not None:
-                    del comult[i][(j, k)]
+                    row, key = slot(i, j, k)
+                    prev = row.get(key)
+                    c = c if prev is None else prev + c
+                    if c:
+                        row[key] = c
+                    elif prev is not None:
+                        del row[key]
         self.mult = tuple(tuple(row) for row in mult)
         self.comult = tuple(comult)
         unit = tuple(unit)
@@ -199,18 +190,6 @@ class HopfPresentation:
                 acc = acc + bi * ai
         return acc
 
-    def left_mult_matrix(self, a) -> Mat:
-        """L_a with column j = coordinates of a * e_j."""
-        a = _coords(a)
-        z = self.zero_scalar()
-        out = [[z] * self.dim for _ in range(self.dim)]
-        for i, ai in enumerate(a):
-            if ai:
-                for j in range(self.dim):
-                    for k, c in self.mult[i][j].items():
-                        out[k][j] = out[k][j] + ai * c
-        return Mat(self.order, out, cols=self.dim)
-
     def right_mult_matrix(self, a) -> Mat:
         """R_a with column j = coordinates of e_j * a."""
         a = _coords(a)
@@ -263,19 +242,6 @@ class HopfPresentation:
             raise ValueError("antipode power must be >= 0")
         return self.memo(("s_pow", t),
                          lambda: self.antipode_matrix().pow(t))
-
-    def same_structure(self, other) -> bool:
-        """Structure-constant equality, ignoring names and labels."""
-        mine = (self.dim, self.order, self.mult, self.comult, self.unit,
-                self.counit)
-        theirs = (other.dim, other.order, other.mult, other.comult,
-                  other.unit, other.counit)
-        if mine != theirs:
-            return False
-        sa, sb = self.antipode, other.antipode
-        if (sa is None) != (sb is None):
-            return False
-        return sa is None or sa == sb
 
     def __repr__(self):
         return (f"HopfPresentation({self.name!r}, dim {self.dim}, "
@@ -514,12 +480,11 @@ def compute_antipode(h: HopfPresentation) -> Mat:
     when B C is singular, and when the candidate fails either antipode
     axiom.
     """
-    from .integrals import integral_form, integral_pair
+    from .integrals import integral_coproduct, integral_form
     try:
-        pair = integral_pair(h)
+        c = integral_coproduct(h)
     except (IntegralSpaceNotOneDim, DegeneratePairing) as exc:
         raise NoAntipode(f"no normalized integral pair: {exc}") from exc
-    c = h.comult_matrix(pair.integral)
     try:
         s = inverse((integral_form(h) @ c).transpose())
     except NotInvertible as exc:
@@ -534,7 +499,7 @@ def compute_antipode(h: HopfPresentation) -> Mat:
     return s
 
 
-# -- dual, harpoons, S powers -------------------------------------------------
+# -- dual and harpoons --------------------------------------------------------
 
 
 def dual(h: HopfPresentation) -> HopfPresentation:
@@ -576,19 +541,6 @@ def harpoon_right(h: HopfPresentation, a, beta) -> tuple:
         if beta[j]:
             out[k] = out[k] + c * beta[j]
     return tuple(out)
-
-
-def delta_op(h: HopfPresentation, a) -> tuple:
-    """Delta^op(a) as a flat tensor-square vector (legs swapped)."""
-    z = h.zero_scalar()
-    out = [z] * (h.dim * h.dim)
-    for (j, k), c in h.comult_pairs(a).items():
-        out[k * h.dim + j] = out[k * h.dim + j] + c
-    return tuple(out)
-
-
-def apply_S_power(h: HopfPresentation, t: int, a) -> tuple:
-    return h.s_power_matrix(t).apply(_coords(a))
 
 
 # -- grouplikes ---------------------------------------------------------------
@@ -722,7 +674,6 @@ def lift_order(h: HopfPresentation, new_order: int) -> HopfPresentation:
     new_order must be a multiple of the current order; scalars are mapped
     along zeta_old |-> zeta_new^(new/old).
     """
-    from .cyclofield import lift_scalar
     if new_order % h.order:
         raise OrderMismatch(
             f"cannot lift order {h.order} into order {new_order}")

@@ -20,7 +20,7 @@ Trace formulas (variant argument of radford_trace):
   3:  Tr(f) = lambda( f(S(Lambda_2)) Lambda_1 )
 Each right side is linear in f, so it equals Tr(G_v f) for one matrix
 G_v (trace_form).  With C[j][k] the coefficient of e_j (x) e_k in
-Delta(Lambda), B = integral_form and W1 = S^T B:
+Delta(Lambda) (integral_coproduct), B = integral_form and W1 = S^T B:
   G1 = C W1,   G2 = (W1 C)^T,   G3 = S C^T B^T.
 Formula v holds for every endomorphism f exactly when G_v = I.
 """
@@ -107,12 +107,6 @@ def left_integral(h: HopfPresentation) -> HopfElement:
     """A left integral Lambda, canonically scaled (leading coordinate 1)."""
     return HopfElement(
         _one_dimensional(integral_subspace(h, "left"), "left", h.name))
-
-
-def right_integral(h: HopfPresentation) -> HopfElement:
-    """A right integral in H, canonically scaled."""
-    return HopfElement(
-        _one_dimensional(integral_subspace(h, "right"), "right", h.name))
 
 
 def dual_right_integral(h: HopfPresentation) -> Functional:
@@ -264,6 +258,16 @@ def _form_of(h: HopfPresentation) -> Mat:
     return Mat(h.order, b, cols=n)
 
 
+def integral_coproduct(h: HopfPresentation) -> Mat:
+    """C[j][k], the coefficient of e_j (x) e_k in Delta(Lambda) (memoized).
+
+    The antipode, the trace formulas, the normal form and the global
+    form rank are all read off this one matrix.
+    """
+    return h.memo(("integral_coproduct",),
+                  lambda: h.comult_matrix(integral_pair(h).integral))
+
+
 def trace_form(h: HopfPresentation, variant: int = 1) -> Mat:
     """The matrix G_v with Tr(G_v f) = formula v applied to f; see the
     module docstring.  Formula v holds for every f exactly when G_v = I."""
@@ -273,7 +277,7 @@ def trace_form(h: HopfPresentation, variant: int = 1) -> Mat:
 
 
 def _trace_matrix(h: HopfPresentation, variant: int) -> Mat:
-    c = h.comult_matrix(integral_pair(h).integral.coords)
+    c = integral_coproduct(h)
     b = integral_form(h)
     s = h.antipode_matrix()
     if variant == 3:

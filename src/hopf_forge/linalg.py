@@ -39,11 +39,6 @@ class Mat:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def zeros(order, rows, cols):
-        z = cyc(order, 0)
-        return Mat(order, [[z] * cols for _ in range(rows)], cols=cols)
-
-    @staticmethod
     def identity(order, n):
         z, o = cyc(order, 0), cyc(order, 1)
         return Mat(order, [[o if i == j else z for j in range(n)] for i in range(n)])
@@ -56,9 +51,6 @@ class Mat:
                    cols=len(cols))
 
     # -- access --------------------------------------------------------------
-
-    def row(self, i):
-        return self.data[i]
 
     def col(self, j):
         return tuple(row[j] for row in self.data)
@@ -160,13 +152,6 @@ def hstack(a: Mat, b: Mat) -> Mat:
     a._check(b)
     return Mat(a.order, [ra + rb for ra, rb in zip(a.data, b.data)],
                cols=a.cols + b.cols)
-
-
-def vstack(a: Mat, b: Mat) -> Mat:
-    a._check(b)
-    if a.cols != b.cols:
-        raise OrderMismatch("column count mismatch")
-    return Mat(a.order, a.data + b.data, cols=a.cols)
 
 
 def _eliminate(order, rows):

@@ -87,6 +87,11 @@ def random_endomorphism(h, rng: random.Random) -> Mat:
     return Mat(h.order, rows)
 
 
+def structure(h):
+    """The structure constants of h, without its name and basis labels."""
+    return (h.dim, h.order, h.mult, h.comult, h.unit, h.counit, h.antipode)
+
+
 def structure_entries(h):
     """The (i, j, k, c) entries of h.mult and of h.comult."""
     mult = [(i, j, k, c) for i in range(h.dim) for j in range(h.dim)

@@ -81,6 +81,15 @@ def test_zoo_rejects_missing_parameters(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("family", [["taft", "--n", "3"], ["sweedler"],
+                                    ["group", "--cyclic", "3"],
+                                    ["group", "--cyclic", "3,3"]])
+def test_zoo_rejects_order_zero(family, capsys):
+    code, out, err = run_cli(capsys, "zoo", *family, "--order", "0")
+    assert code == 2 and out == ""
+    assert err.startswith("error:")
+
+
 def test_verify_names_failed_axiom(taft3_file, tmp_path, capsys):
     doc = json.loads(taft3_file.read_text())
     doc["mult"][0][3] = 2  # corrupt one structure constant
@@ -163,6 +172,25 @@ def test_malformed_files_exit_two(taft3_file, tmp_path, capsys):
     badshape = tmp_path / "badshape.json"
     badshape.write_text(json.dumps(doc))
     assert run_cli(capsys, "verify", str(badshape))[0] == 2
+
+    doc = json.loads(text)
+    doc["mult"][0][2] = doc["dim"]
+    outside = tmp_path / "outside.json"
+    outside.write_text(json.dumps(doc))
+    code, _, err = run_cli(capsys, "verify", str(outside))
+    assert code == 2 and "mult index out of range" in err
+
+    nested = tmp_path / "nested.json"
+    nested.write_text("[" * 200_000)
+    code, _, err = run_cli(capsys, "verify", str(nested))
+    assert code == 2 and err.startswith("error:")
+
+    data = text.encode().replace(b'"x"', b'"\xff"', 1)  # a basis label
+    assert data != text.encode()
+    badutf8 = tmp_path / "badutf8.json"
+    badutf8.write_bytes(data)
+    code, _, err = run_cli(capsys, "verify", str(badutf8))
+    assert code == 2 and err.startswith("error:")
 
     assert run_cli(capsys, "verify", str(tmp_path / "absent.json"))[0] == 2
 

@@ -321,12 +321,6 @@ def test_alternating_form_on_taft(t3, t5):
         assert rep.delta_op_ok and rep.delta_op_witness is None
 
 
-def test_alternating_form_rejects_bad_ell(t3):
-    table = table_of(t3)
-    with pytest.raises(BadParameters):
-        alternating_form_check(t3, table, ell=0)  # 2*0 != 2 mod 3
-
-
 def _v_block_setup(cprime_entries):
     """Synthetic eigen data with a two-dimensional self-paired block
     (1, -l, l).  Every zoo algebra has dim V = 0, so the alternating and
@@ -346,7 +340,7 @@ def _v_block_setup(cprime_entries):
 
 def test_alternating_v_block_accepts_symplectic_form():
     h, table, nf = _v_block_setup([[0, 2], [-2, 0]])
-    rep = alternating_form_check(h, table, ell=1, nf=nf)
+    rep = alternating_form_check(h, table, nf=nf)
     assert rep.v_dim == 2 and rep.v_dim_even
     assert rep.alternating_ok and rep.nondegenerate_on_v
     assert rep.delta_op_ok  # transpose = -block holds for this label
@@ -354,7 +348,7 @@ def test_alternating_v_block_accepts_symplectic_form():
 
 def test_alternating_v_block_rejects_symmetric_form():
     h, table, nf = _v_block_setup([[0, 2], [2, 0]])
-    rep = alternating_form_check(h, table, ell=1, nf=nf)
+    rep = alternating_form_check(h, table, nf=nf)
     assert not rep.alternating_ok
     assert not rep.delta_op_ok
     assert rep.delta_op_witness == ((1, 2, 1), (1, 2, 1))
@@ -362,13 +356,13 @@ def test_alternating_v_block_rejects_symmetric_form():
 
 def test_alternating_v_block_rejects_diagonal_entry():
     h, table, nf = _v_block_setup([[1, 0], [0, -1]])
-    rep = alternating_form_check(h, table, ell=1, nf=nf)
+    rep = alternating_form_check(h, table, nf=nf)
     assert not rep.alternating_ok
 
 
 def test_alternating_v_block_flags_degenerate_form():
     h, table, nf = _v_block_setup([[0, 0], [0, 0]])
-    rep = alternating_form_check(h, table, ell=1, nf=nf)
+    rep = alternating_form_check(h, table, nf=nf)
     assert rep.alternating_ok and rep.v_dim == 2
     assert not rep.nondegenerate_on_v
 
