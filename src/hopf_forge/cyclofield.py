@@ -9,6 +9,10 @@ canonical: den > 0, gcd(*num, den) = 1 and zero is (0, ..., 0)/1, so two
 values are equal exactly when their orders, numerators and denominators
 are equal.  Order 1 gives plain rationals (zeta_1 = 1).
 
+Roots of unity go by exponent, read from the rows of zeta^k: +-zeta^a
+times +-zeta^b is the row of zeta^(a+b), x times +-zeta^k rotates x
+through the rows, and +-zeta^k / den inverts to +-den * zeta^(-k).
+
 Scalars of different orders are never coerced; mixing them raises
 OrderMismatch.  Plain ints and Fractions, which live in every Q(zeta_N),
 are accepted on either side of the arithmetic operators.
@@ -118,9 +122,10 @@ def cyclotomic_poly(order: int) -> tuple:
 
 
 class _Field:
-    """Per-order context: modulus, zeta power table and reduction columns."""
+    """Per-order context: modulus, zeta rows, reduction columns, unit_of."""
 
-    __slots__ = ("order", "degree", "modulus", "zeta_rows", "red_cols")
+    __slots__ = ("order", "degree", "modulus", "zeta_rows", "red_cols",
+                 "unit_of")
 
     def __init__(self, order):
         self.order = order
@@ -141,6 +146,17 @@ class _Field:
         self.red_cols = tuple(
             tuple(zrows[(d + e) % order][t] for e in range(d - 1))
             for t in range(d))
+        # keys are the zeta_rows tuples themselves, so no row is copied
+        self.unit_of = {row: k for k, row in enumerate(self.zeta_rows)}
+
+    def unit(self, num):
+        """(k, s) with num the coordinates of s * zeta^k, s = +-1, or None;
+        for even orders -zeta^k is the row of zeta^(k + order/2)."""
+        k = self.unit_of.get(num)
+        if k is None and self.order % 2:
+            k = self.unit_of.get(tuple([-x for x in num]))
+            return None if k is None else (k, -1)
+        return None if k is None else (k, 1)
 
 
 @functools.lru_cache(maxsize=None)
@@ -240,6 +256,17 @@ class CycNumber:
         if not any(a[1:]):
             s = a[0]
             return _make(self.order, tuple([x * s for x in b]), den)
+        # roots of unity multiply by adding exponents
+        f = _field(self.order)
+        ua, ub = f.unit(a), f.unit(b)
+        if ua and ub:
+            row = f.zeta_rows[(ua[0] + ub[0]) % f.order]
+            return _make(self.order, row if ua[1] == ub[1]
+                         else tuple([-x for x in row]), den)
+        if ua or ub:
+            (k, s), x = (ua, b) if ua else (ub, a)
+            return _make(self.order, _substitute(
+                x if s > 0 else [-y for y in x], f, 1, k), den)
         # conv[k] = sum_i a[i] * b[k-i], then x^(d+e) -> red_cols[.][e]
         d = len(a)
         pad = (0,) * (d - 1)
@@ -248,36 +275,44 @@ class CycNumber:
         high = conv[d:]
         return _make(self.order, tuple([
             c + sum(map(mul, high, col))
-            for c, col in zip(conv, _field(self.order).red_cols)]), den)
+            for c, col in zip(conv, f.red_cols)]), den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "CycNumber":
-        """Multiplicative inverse by the extended Euclidean algorithm on
-        the numerator polynomial A and Phi_order, in integers: every
+        """Multiplicative inverse: s * zeta^k / den inverts to s * den *
+        zeta^(-k), and any other value runs the extended Euclidean algorithm
+        on the numerator polynomial A and Phi_order, in integers: every
         remainder r is kept primitive, with t * r = s * A (mod Phi) for an
-        integer polynomial s and a positive integer t."""
+        integer polynomial s and a positive integer t.  A rational takes no
+        round, so it swaps numerator and denominator."""
         if not self:
             raise DivisionByZero("inverse of zero")
-        r0, s0, t0 = list(_field(self.order).modulus), [], 1
-        r1, s1, t1 = _trim(list(self.num)), [1], 1
-        while len(r1) > 1:
-            q, r, m = _pseudo_divmod(r0, r1)
-            # m * r0 = q * r1 + r, so t0 * t1 * r = s * A (mod Phi) for
-            s = _trim([m * t1 * x - t0 * y for x, y in
-                       zip_longest(s0, _poly_mul(q, s1), fillvalue=0)])
-            g = gcd(*r)
-            assert g, "cyclotomic polynomial must be coprime to nonzero elements"
-            t = t0 * t1 * g
-            h = gcd(t, *s)
-            r0, s0, t0 = r1, s1, t1
-            r1, s1, t1 = [x // g for x in r], [x // h for x in s], t // h
-        # r1 = [c] and t1 * c = s1 * A, so 1/self = den * s1 / (t1 * c)
-        c = t1 * r1[0]
-        if c < 0:
-            c, s1 = -c, [-x for x in s1]
-        pad = (0,) * (len(self.num) - len(s1))
-        out = _make(self.order, tuple([self.den * x for x in s1]) + pad, c)
+        order, num, den = self.order, self.num, self.den
+        f = _field(order)
+        if any(num[1:]) and (u := f.unit(num)) is not None:
+            out = _make(order, tuple([u[1] * den * x for x in
+                                      f.zeta_rows[-u[0] % order]]), 1)
+        else:
+            r0, s0, t0 = list(f.modulus), [], 1
+            r1, s1, t1 = _trim(list(num)), [1], 1
+            while len(r1) > 1:
+                q, r, m = _pseudo_divmod(r0, r1)
+                # m * r0 = q * r1 + r, so t0 * t1 * r = s * A (mod Phi) for
+                s = _trim([m * t1 * x - t0 * y for x, y in
+                           zip_longest(s0, _poly_mul(q, s1), fillvalue=0)])
+                g = gcd(*r)
+                assert g, "cyclotomic polynomial must be coprime to nonzero elements"
+                t = t0 * t1 * g
+                h = gcd(t, *s)
+                r0, s0, t0 = r1, s1, t1
+                r1, s1, t1 = [x // g for x in r], [x // h for x in s], t // h
+            # r1 = [c] and t1 * c = s1 * A, so 1/self = den * s1 / (t1 * c)
+            c = t1 * r1[0]
+            if c < 0:
+                c, s1 = -c, [-x for x in s1]
+            pad = (0,) * (len(num) - len(s1))
+            out = _make(order, tuple([den * x for x in s1]) + pad, c)
         assert (out * self) == 1
         return out
 
@@ -361,12 +396,17 @@ def root_of_unity(order: int, k: int) -> CycNumber:
     return _make(order, _field(order).zeta_rows[k % order], 1)
 
 
-def _substitute(num, f: _Field, u: int) -> tuple:
-    """Coordinates in f of sum_t num[t] * zeta^(t*u)."""
-    out = [0] * f.degree
+def _substitute(num, f: _Field, u: int, shift: int = 0) -> tuple:
+    """Coordinates in f of sum_t num[t] * zeta^(t*u + shift)."""
+    d = f.degree
+    out = [0] * d
     for t, c in enumerate(num):
         if c:
-            for s, z in enumerate(f.zeta_rows[(t * u) % f.order]):
+            e = (t * u + shift) % f.order
+            if e < d:
+                out[e] += c
+                continue
+            for s, z in enumerate(f.zeta_rows[e]):
                 if z:
                     out[s] += c * z
     return tuple(out)

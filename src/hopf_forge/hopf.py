@@ -147,14 +147,13 @@ class HopfPresentation:
     def multiply(self, a, b) -> tuple:
         a, b = _coords(a), _coords(b)
         z = self.zero_scalar()
-        acc = {}
+        acc, b = {}, [(j, bj) for j, bj in enumerate(b) if bj]
         for i, ai in enumerate(a):
             if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        f = ai * bj
-                        for k, c in self.mult[i][j].items():
-                            acc[k] = acc.get(k, z) + f * c
+                for j, bj in b:
+                    f = ai * bj
+                    for k, c in self.mult[i][j].items():
+                        acc[k] = acc.get(k, z) + f * c
         return tuple(acc.get(k, z) for k in range(self.dim))
 
     def comult_pairs(self, a) -> dict:
@@ -574,7 +573,9 @@ def find_grouplikes(h: HopfPresentation) -> tuple:
     rational}.  A one-dimensional state span(v), with v = 1 at its pivot
     p, is closed at once: its only possible grouplike is lambda v with
     lambda = Delta(v)_(p,p), which is tested directly, so its eigenvalues
-    need not lie in that family.  If the characteristic polynomial of a
+    need not lie in that family.  A state on which T_k is a scalar c is
+    kept whole with c appended.  Each search finds the roots of each
+    characteristic polynomial, zero roots divided out, once.  If that of a
     state of dimension >= 2 does not split over the family,
     EigenvalueNotInField is raised, since completeness of the enumeration
     could not be certified.
@@ -601,6 +602,12 @@ def _line_grouplike(h: HopfPresentation, w: Subspace):
     return cand if is_grouplike(h, cand) else None
 
 
+def _acts_as_scalar(a_mat, wrows, c) -> bool:
+    """A = c w^T exactly: then m = c I and R = 0, so the state for c is w."""
+    return all(x == (c * y if c and y else 0) for col, row in
+               zip(zip(*wrows), a_mat) for x, y in zip(row, col))
+
+
 def _grouplike_search(h: HopfPresentation) -> tuple:
     """Refine states of K by T_0, T_1, ..., splitting each state w (RREF
     basis, pivots p_j, d = dim w) in its own d coordinates.
@@ -620,6 +627,7 @@ def _grouplike_search(h: HopfPresentation) -> tuple:
         for (k, l), c in h.comult[i].items():
             by_k[k].append((i, l, c))
     states = [(_cocommutative_subspace(h), [])]
+    roots_of = {}  # charpoly with its zero roots divided out -> its roots
     for k in range(n):
         open_states = []
         for (w, assigned) in states:
@@ -640,8 +648,18 @@ def _grouplike_search(h: HopfPresentation) -> tuple:
                     if wrows[r][i]:
                         row[r] = row[r] + c * wrows[r][i]
             m = Mat(h.order, [a_mat[p] for p in w.pivots], cols=d)
+            c = m.data[0][0]
+            if _acts_as_scalar(a_mat, wrows, c):
+                new_states.append((w, assigned + [c]))
+                continue
             chi = charpoly(m)
-            roots, rem_deg = roots_in_field(chi, h.order)
+            zeros = next(i for i, x in enumerate(chi) if x)
+            key = chi[zeros:]
+            if key not in roots_of:
+                roots_of[key] = roots_in_field(key, h.order)
+            roots, rem_deg = roots_of[key]
+            if zeros:
+                roots = [(z, zeros)] + roots
             if rem_deg:
                 raise EigenvalueNotInField(
                     f"operator {k}: characteristic polynomial leaves a "

@@ -85,16 +85,17 @@ class Mat:
             raise OrderMismatch(f"shape mismatch {self.rows}x{self.cols} @ "
                                 f"{other.rows}x{other.cols}")
         z = cyc(self.order, 0)
-        odata = other.data
+        sparse = {}  # the nonzeros of row k of other, once it is needed
         out = []
         for row in self.data:
             acc = [z] * other.cols
             for k, a in enumerate(row):
                 if a:
-                    orow = odata[k]
-                    for j, b in enumerate(orow):
-                        if b:
-                            acc[j] = acc[j] + a * b
+                    if k not in sparse:
+                        sparse[k] = [(j, b) for j, b in
+                                     enumerate(other.data[k]) if b]
+                    for j, b in sparse[k]:
+                        acc[j] = acc[j] + a * b
             out.append(acc)
         return Mat(self.order, out, cols=other.cols)
 
@@ -159,19 +160,24 @@ def _eliminate(order, rows):
     zero values and are changed in place: (nonzero rows, pivot columns).
 
     Pivot columns are taken in order, each pivoted on its shortest
-    candidate row, the first one on ties.
+    candidate row, the first one on ties.  A pivot equal to 1 scales
+    nothing, and each other pivot value is inverted once per call.
     """
     z = cyc(order, 0)
     open_rows = [row for row in rows if row]
-    done, pivots = [], []
+    done, pivots, inverses = [], [], {}
     for c in sorted({c for row in open_rows for c in row}):
         best = min((i for i, row in enumerate(open_rows) if c in row),
                    key=lambda i: len(open_rows[i]), default=None)
         if best is None:
             continue
         prow = open_rows.pop(best)
-        inv = prow[c].inverse()
-        prow = {k: a * inv for k, a in prow.items()}
+        p = prow[c]
+        if p != 1:
+            if p not in inverses:
+                inverses[p] = p.inverse()
+            inv = inverses[p]
+            prow = {k: a * inv for k, a in prow.items()}
         for row in open_rows + done:
             f = row.get(c)
             if f is not None:

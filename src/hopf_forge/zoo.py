@@ -55,13 +55,39 @@ def _validate_group(table):
     for i in range(n):
         if identity not in table[i]:
             raise NotAGroup(f"element {i} has no inverse")
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if table[table[i][j]][k] != table[i][table[j][k]]:
+    # Light's test: M = {a : (xa)y = x(ay) for all x, y} holds the identity
+    # and is closed under the product, (x(ab))y = ((xa)b)y = (xa)(by) =
+    # x(a(by)) = x((ab)y), so it is everything once it holds the generators
+    for g in _generators(table, identity):
+        gy = table[g]
+        for x in range(n):
+            xg, row = table[table[x][g]], table[x]
+            for y in range(n):
+                if xg[y] != row[gy[y]]:
                     raise NotAGroup(
-                        f"associativity fails at ({i}, {j}, {k})")
+                        f"associativity fails at ({x}, {g}, {y})")
     return identity
+
+
+def _generators(table, identity):
+    """Indices, taken in order, whose right products from the identity
+    reach every element; each element is multiplied by each once."""
+    n = len(table)
+    seen = [False] * n
+    seen[identity] = True
+    elems, gens = [identity], []
+    for g in range(n):
+        if seen[g]:
+            continue
+        gens.append(g)
+        fresh = [table[x][g] for x in elems]
+        while fresh:
+            y = fresh.pop()
+            if not seen[y]:
+                seen[y] = True
+                elems.append(y)
+                fresh.extend(table[y][h] for h in gens)
+    return gens
 
 
 def build_group_algebra(table, cyclotomic_order: int = 1,

@@ -295,3 +295,113 @@ def test_coordinate_key_is_lowest_terms_order():
         for v in values:
             assert coordinate_key(v) == tuple(
                 (f.numerator, f.denominator) for f in v.coeffs)
+
+
+# -- roots of unity by exponent against the general paths -----------------------
+#
+# Products and inverses that involve +-zeta^k or a rational take shortcuts;
+# reference_product and reference_inverse are the general convolution and
+# extended Euclidean paths, applied to every value.
+
+from operator import mul  # noqa: E402
+
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from hopf_forge.cyclofield import (_field, _make, _poly_mul,  # noqa: E402
+                                   _pseudo_divmod, _trim)
+
+
+def reference_product(a, b):
+    """a * b by convolution of the numerators and reduction by red_cols."""
+    f = _field(a.order)
+    d = f.degree
+    pad = (0,) * (d - 1)
+    x, rb = pad + a.num + pad, b.num[::-1]
+    conv = [sum(map(mul, x[k:k + d], rb)) for k in range(2 * d - 1)]
+    high = conv[d:]
+    return _make(a.order, tuple(c + sum(map(mul, high, col))
+                                for c, col in zip(conv, f.red_cols)),
+                 a.den * b.den)
+
+
+def reference_inverse(a):
+    """1/a by the integer extended Euclidean algorithm against Phi."""
+    r0, s0, t0 = list(_field(a.order).modulus), [], 1
+    r1, s1, t1 = _trim(list(a.num)), [1], 1
+    while len(r1) > 1:
+        q, r, m = _pseudo_divmod(r0, r1)
+        qs = _poly_mul(q, s1)
+        s = _trim([m * t1 * (s0[i] if i < len(s0) else 0)
+                   - t0 * (qs[i] if i < len(qs) else 0)
+                   for i in range(max(len(s0), len(qs)))])
+        g = math.gcd(*r)
+        t = t0 * t1 * g
+        h = math.gcd(t, *s)
+        r0, s0, t0 = r1, s1, t1
+        r1, s1, t1 = [x // g for x in r], [x // h for x in s], t // h
+    c = t1 * r1[0]
+    if c < 0:
+        c, s1 = -c, [-x for x in s1]
+    pad = (0,) * (len(a.num) - len(s1))
+    return _make(a.order, tuple(a.den * x for x in s1) + pad, c)
+
+
+@st.composite
+def order_and_values(draw, orders=st.integers(1, 30)):
+    """An order, two values +-zeta^k / den and one value with at most 12
+    nonzero rational coordinates."""
+    order = draw(orders)
+    degree = _field(order).degree
+    units = [root_of_unity(order, draw(st.integers(0, 2 * order)))
+             * Fraction(draw(st.sampled_from((1, -1))),
+                        draw(st.sampled_from((1, 1, 2, 9))))
+             for _ in range(2)]
+    coeffs = [Fraction(0)] * degree
+    for t, c in draw(st.dictionaries(
+            st.integers(0, degree - 1),
+            st.fractions(min_value=-9, max_value=9, max_denominator=6),
+            max_size=12)).items():
+        coeffs[t] = c
+    return order, units, CycNumber(order, tuple(coeffs))
+
+
+@settings(max_examples=200, deadline=None)
+@given(order_and_values())
+def test_unit_products_and_inverses_match_the_general_paths(case):
+    order, (u, v), x = case
+    f = _field(order)
+    for w in (u, v):
+        assert f.unit(w.num) is not None
+        assert w.inverse() == reference_inverse(w)
+        assert_canonical(w.inverse())
+    if order % 2 == 0:
+        # -zeta^k = zeta^(k + order/2) is found without a sign
+        assert f.unit((-u).num)[1] == 1
+    for a, b in ((u, v), (u, x), (x, v), (x, x), (u, -u)):
+        got = a * b
+        assert_canonical(got)
+        assert got == reference_product(a, b) == b * a
+    if x:
+        assert x.inverse() == reference_inverse(x)
+    rational = cyc(order, x.coeffs[0])
+    if rational:
+        assert rational.inverse() == reference_inverse(rational)
+        assert rational.inverse() == 1 / x.coeffs[0]
+
+
+@settings(max_examples=3, deadline=None)
+@given(order_and_values(orders=st.just(999)))
+def test_unit_products_and_inverses_at_order_999(case):
+    _order, (u, v), x = case
+    for a, b in ((u, v), (u, x)):
+        assert a * b == reference_product(a, b)
+    for w in (u, v):
+        assert reference_product(w, w.inverse()) == 1
+
+
+@pytest.mark.parametrize("order", (1, 2, 15, 30, 999))
+def test_inverse_of_zero_still_raises(order):
+    with pytest.raises(DivisionByZero):
+        cyc(order, 0).inverse()
+    with pytest.raises(DivisionByZero):
+        (root_of_unity(order, 1) * 0).inverse()

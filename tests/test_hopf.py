@@ -194,6 +194,68 @@ def test_grouplike_search_splits_only_the_cocommutative_subspace(
     assert sizes and max(sizes) <= 5
 
 
+def test_grouplike_search_finds_roots_once_per_polynomial(monkeypatch, t3z5):
+    # the search meets many characteristic polynomials that agree once
+    # their zero roots are divided out, and searches each of those once
+    want = find_grouplikes(t3z5)
+    polys, searched = [], []
+    charpoly, roots_in_field = (hopf_module.charpoly,
+                                hopf_module.roots_in_field)
+
+    def recording_charpoly(m):
+        polys.append(charpoly(m))
+        return polys[-1]
+
+    def recording_roots(p, order):
+        searched.append(tuple(p))
+        return roots_in_field(p, order)
+
+    monkeypatch.setattr(hopf_module, "charpoly", recording_charpoly)
+    monkeypatch.setattr(hopf_module, "roots_in_field", recording_roots)
+    assert hopf_module._grouplike_search(t3z5) == want
+    stripped = {p[next(i for i, x in enumerate(p) if x):] for p in polys}
+    assert len(searched) == len(set(searched)) == len(stripped)
+    assert len(polys) > len(stripped)
+
+
+def test_each_fresh_presentation_runs_its_own_root_search(monkeypatch):
+    # no root search outlives its presentation's memo entry
+    searched = []
+    roots_in_field = hopf_module.roots_in_field
+
+    def recording_roots(p, order):
+        searched.append(p)
+        return roots_in_field(p, order)
+
+    monkeypatch.setattr(hopf_module, "roots_in_field", recording_roots)
+    h = build_taft(3)
+    assert len(find_grouplikes(h)) == 3
+    first = len(searched)
+    assert first and find_grouplikes(h) and len(searched) == first
+    assert len(find_grouplikes(build_taft(3))) == 3
+    assert len(searched) == 2 * first
+
+
+def test_scalar_states_are_carried_whole(monkeypatch, corpus):
+    # a state on which T_k acts as a scalar c is carried on with c
+    # appended; splitting it by its characteristic polynomial instead
+    # gives the same grouplikes
+    verdicts = []
+    acts_as_scalar = hopf_module._acts_as_scalar
+
+    def recording(*args):
+        verdicts.append(acts_as_scalar(*args))
+        return verdicts[-1]
+
+    monkeypatch.setattr(hopf_module, "_acts_as_scalar", recording)
+    want = {name: hopf_module._grouplike_search(h)
+            for name, h in corpus.items()}
+    assert any(verdicts) and not all(verdicts)
+    monkeypatch.setattr(hopf_module, "_acts_as_scalar", lambda *args: False)
+    for name, h in corpus.items():
+        assert hopf_module._grouplike_search(h) == want[name], name
+
+
 def _lowest_terms_key(coords):
     return tuple((f.numerator, f.denominator)
                  for x in coords for f in x.coeffs)

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from hopf_forge import (Mat, NotInvariant, NotInvertible, Subspace, charpoly,
+from hopf_forge import (CycNumber, Mat, NotInvariant, NotInvertible, Subspace, charpoly,
                         cyc, eigenspace, hstack, inverse, kronecker,
                         null_space, operator_order, restrict_operator,
                         roots_in_field, root_of_unity, rref)
@@ -305,6 +305,27 @@ def poly_from_roots(order, roots, extra=()):
                 out[i + j] = out[i + j] + a * b
         coeffs = out
     return coeffs
+
+
+def test_elimination_inverts_each_pivot_value_once(monkeypatch):
+    # unit upper triangular above the diagonal, so the pivots are the
+    # diagonal: three distinct values other than 1, one of them thrice
+    z, one, two = root_of_unity(15, 1), cyc(15, 1), cyc(15, 2)
+    diag = [two, two, z, one, z * 3, z, two, one]
+    n = len(diag)
+    m = Mat(15, [[diag[i] if i == j else (z + j if j > i else cyc(15, 0))
+                  for j in range(n)] for i in range(n)])
+    inverted = []
+    inverse = CycNumber.inverse
+
+    def counting(self):
+        inverted.append(self)
+        return inverse(self)
+
+    monkeypatch.setattr(CycNumber, "inverse", counting)
+    red, rank, pivots = rref(m)
+    assert rank == n and red == Mat.identity(15, n)
+    assert len(inverted) == 3 and set(inverted) == {two, z, z * 3}
 
 
 def test_roots_in_field_complete_split():

@@ -4,6 +4,8 @@ Every builder output must satisfy all bialgebra/antipode axioms and have
 one-dimensional integral spaces; builders must reject malformed input
 loudly rather than emit a broken presentation."""
 
+import itertools
+
 import pytest
 
 from hopf_forge import (BadParameters, NotAGroup, OrderMismatch,
@@ -12,6 +14,7 @@ from hopf_forge import (BadParameters, NotAGroup, OrderMismatch,
                         cyclic_table, direct_product_table, dual,
                         find_grouplikes, integral_pair, lift_order,
                         operator_order, root_of_unity, sweedler)
+from hopf_forge.zoo import _generators, _validate_group
 from conftest import structure
 
 
@@ -79,8 +82,67 @@ def test_group_validation_rejects_non_groups():
         build_group_algebra([[0, 1], [1, 1]])        # 1 has no inverse
     loop = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3],
             [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]        # loop, not a group
-    with pytest.raises(NotAGroup):
+    with pytest.raises(NotAGroup, match="associativity"):
         build_group_algebra(loop)
+
+
+def _is_group_by_full_scan(table):
+    n = len(table)
+    identities = [e for e in range(n)
+                  if all(table[e][j] == j == table[j][e] for j in range(n))]
+    return (bool(identities) and all(identities[0] in row for row in table)
+            and all(table[table[i][j]][k] == table[i][table[j][k]]
+                    for i in range(n) for j in range(n) for k in range(n)))
+
+
+def _reduced_latin_squares(n, rows=None):
+    rows = rows or [tuple(range(n))]
+    if len(rows) == n:
+        yield tuple(rows)
+        return
+    for p in itertools.permutations(range(n)):
+        if p[0] == len(rows) and all(p[j] != r[j] for r in rows
+                                     for j in range(n)):
+            yield from _reduced_latin_squares(n, rows + [p])
+
+
+def _verdict(table):
+    try:
+        _validate_group(table)
+    except NotAGroup:
+        return False
+    return True
+
+
+def test_group_validation_matches_the_full_scan():
+    # every 3 x 3 table with 0 as identity, Latin or not, and every reduced
+    # Latin square of order 5 (56, of which 6 are groups)
+    tables = [((0, 1, 2), (1, a, b), (2, c, d))
+              for a, b, c, d in itertools.product(range(3), repeat=4)]
+    squares = list(_reduced_latin_squares(5))
+    assert len(squares) == 56
+    verdicts = [(_verdict(t), _is_group_by_full_scan(t))
+                for t in tables + squares]
+    assert all(got == want for got, want in verdicts)
+    assert sum(got for got, _ in verdicts[len(tables):]) == 6
+
+
+def test_group_validation_is_quadratic_per_generator():
+    lookups = [0]
+
+    class Counting(tuple):
+        def __getitem__(self, i):
+            lookups[0] += 1
+            return tuple.__getitem__(self, i)
+
+    n = 60
+    table = Counting(Counting(row) for row in cyclic_table(n))
+    gens = _generators(table, 0)
+    assert gens == [1]
+    lookups[0] = 0
+    assert _validate_group(table) == 0
+    # a scan of all n^3 triples makes 6 n^3 lookups
+    assert lookups[0] <= 4 * n * n * len(gens)
 
 
 def test_taft_structure_constants():
