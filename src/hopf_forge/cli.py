@@ -101,9 +101,15 @@ def document_to_presentation(doc) -> HopfPresentation:
             and all(isinstance(b, str) for b in basis)):
         raise MalformedFile("basis must be a list of dim labels")
 
+    ints = {}  # each distinct bare integer is parsed once per file
+
     def scalar(obj, where):
         try:
-            return scalar_from_json(obj, order)
+            if type(obj) is not int:
+                return scalar_from_json(obj, order)
+            if obj not in ints:
+                ints[obj] = scalar_from_json(obj, order)
+            return ints[obj]
         except (HopfForgeError, ValueError, TypeError, KeyError) as exc:
             raise MalformedFile(f"bad scalar in {where}: {exc}") from exc
 
@@ -164,8 +170,11 @@ def _emit(data: bytes, out: str | None):
     if out is None:
         sys.stdout.write(data.decode())
     else:
-        with open(out, "wb") as fh:
-            fh.write(data)
+        try:
+            with open(out, "wb") as fh:
+                fh.write(data)
+        except OSError as exc:
+            raise BadParameters(f"cannot write {out}: {exc}") from exc
 
 
 # -- commands ------------------------------------------------------------------

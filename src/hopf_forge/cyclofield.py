@@ -7,7 +7,9 @@ Phi_N is monic with integer coefficients, so reduction, products and
 Galois conjugation stay in the integers.  The representation is
 canonical: den > 0, gcd(*num, den) = 1 and zero is (0, ..., 0)/1, so two
 values are equal exactly when their orders, numerators and denominators
-are equal.  Order 1 gives plain rationals (zeta_1 = 1).
+are equal.  Order 1 gives plain rationals (zeta_1 = 1).  Each field has
+one zero object, which every zero result is, and a product by 0 or 1 or
+a sum with 0 returns that zero or the other operand without arithmetic.
 
 Roots of unity go by exponent, read from the rows of zeta^k: +-zeta^a
 times +-zeta^b is the row of zeta^(a+b), x times +-zeta^k rotates x
@@ -125,7 +127,7 @@ class _Field:
     """Per-order context: modulus, zeta rows, reduction columns, unit_of."""
 
     __slots__ = ("order", "degree", "modulus", "zeta_rows", "red_cols",
-                 "unit_of")
+                 "unit_of", "zero")
 
     def __init__(self, order):
         self.order = order
@@ -148,6 +150,8 @@ class _Field:
             for t in range(d))
         # keys are the zeta_rows tuples themselves, so no row is copied
         self.unit_of = {row: k for k, row in enumerate(self.zeta_rows)}
+        self.zero = _new(CycNumber)  # _make returns it for every zero
+        self.zero.order, self.zero.num, self.zero.den = order, (0,) * d, 1
 
     def unit(self, num):
         """(k, s) with num the coordinates of s * zeta^k, s = +-1, or None;
@@ -224,6 +228,10 @@ class CycNumber:
         oc = self._coerce(other)
         if oc is None:
             return NotImplemented
+        if not any(oc[0]):
+            return self
+        if not any(self.num) and isinstance(other, CycNumber):
+            return other
         return _make(self.order, *_sum(add, self.num, self.den, *oc))
 
     __radd__ = __add__
@@ -232,6 +240,8 @@ class CycNumber:
         oc = self._coerce(other)
         if oc is None:
             return NotImplemented
+        if not any(oc[0]):
+            return self
         return _make(self.order, *_sum(sub, self.num, self.den, *oc))
 
     def __rsub__(self, other):
@@ -249,12 +259,22 @@ class CycNumber:
             return NotImplemented
         a, (b, bden) = self.num, oc
         den = self.den * bden
-        # scalar fast paths cover most structure constants
+        # scalar fast paths cover most structure constants; a product by 0
+        # is the field's zero and one by 1 is the other operand
+        if (a[0] == self.den == 1 and not any(a[1:])
+                and isinstance(other, CycNumber)):
+            return other
         if not any(b[1:]):
             s = b[0]
+            if not s:
+                return _field(self.order).zero
+            if s == bden == 1:
+                return self
             return _make(self.order, tuple([x * s for x in a]), den)
         if not any(a[1:]):
             s = a[0]
+            if not s:
+                return _field(self.order).zero
             return _make(self.order, tuple([x * s for x in b]), den)
         # roots of unity multiply by adding exponents
         f = _field(self.order)
@@ -366,7 +386,10 @@ _new = object.__new__
 
 def _make(order, num, den) -> CycNumber:
     """num / den (a tuple of ints, den > 0) in canonical form; every
-    arithmetic result is built here, so equality and hashing are exact."""
+    arithmetic result is built here, so equality and hashing are exact
+    and each zero is its field's one zero object."""
+    if not num[0] and not any(num):
+        return _field(order).zero
     if den != 1:
         g = gcd(den, *num)
         if g != 1:

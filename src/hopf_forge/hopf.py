@@ -237,10 +237,16 @@ class HopfPresentation:
         return self.memo(("antipode",), lambda: compute_antipode(self))
 
     def s_power_matrix(self, t: int) -> Mat:
+        """S^t = S^(t-a) S^a from the stored powers, a the largest power of
+        two below t: S^2 = S S, S^4 = S^2 S^2 and S^6 = S^2 S^4."""
         if t < 0:
             raise ValueError("antipode power must be >= 0")
-        return self.memo(("s_pow", t),
-                         lambda: self.antipode_matrix().pow(t))
+        if t < 2:
+            return (self.antipode_matrix() if t
+                    else Mat.identity(self.order, self.dim))
+        a = 1 << (t - 1).bit_length() - 1
+        return self.memo(("s_pow", t), lambda: self.s_power_matrix(t - a)
+                         @ self.s_power_matrix(a))
 
     def __repr__(self):
         return (f"HopfPresentation({self.name!r}, dim {self.dim}, "
@@ -602,10 +608,16 @@ def _line_grouplike(h: HopfPresentation, w: Subspace):
     return cand if is_grouplike(h, cand) else None
 
 
-def _acts_as_scalar(a_mat, wrows, c) -> bool:
-    """A = c w^T exactly: then m = c I and R = 0, so the state for c is w."""
-    return all(x == (c * y if c and y else 0) for col, row in
-               zip(zip(*wrows), a_mat) for x, y in zip(row, col))
+def _acts_as_scalar(a, wcols, c) -> bool:
+    """A = c w^T exactly: then m = c I and R = 0, so the state for c is w.
+    Compares the nonzeros of a, {(l, r): A[l][r]}, and of wcols, column
+    l of w as (r, entry) pairs."""
+    got = {key: x for key, x in a.items() if x}
+    if not c:
+        return not got
+    return (len(got) == sum(map(len, wcols.values()))
+            and all(got.get((l, r)) == c * y
+                    for l, col in wcols.items() for r, y in col))
 
 
 def _grouplike_search(h: HopfPresentation) -> tuple:
@@ -640,16 +652,18 @@ def _grouplike_search(h: HopfPresentation) -> tuple:
             break
         new_states = []
         for (w, assigned) in states:
-            d, wrows = w.dim, w.basis.data
-            a_mat = [[z] * d for _ in range(n)]
+            d, wcols = w.dim, {}
+            for r, row in enumerate(w.basis.nonzeros()):
+                for i, x in row:
+                    wcols.setdefault(i, []).append((r, x))
+            a = {}  # (l, r) -> entry of A, and of R below
             for (i, l, c) in by_k[k]:
-                row = a_mat[l]
-                for r in range(d):
-                    if wrows[r][i]:
-                        row[r] = row[r] + c * wrows[r][i]
-            m = Mat(h.order, [a_mat[p] for p in w.pivots], cols=d)
+                for r, x in wcols.get(i, ()):
+                    a[l, r] = a.get((l, r), z) + c * x
+            m = Mat(h.order, [[a.get((p, r), z) for r in range(d)]
+                              for p in w.pivots], cols=d)
             c = m.data[0][0]
-            if _acts_as_scalar(a_mat, wrows, c):
+            if _acts_as_scalar(a, wcols, c):
                 new_states.append((w, assigned + [c]))
                 continue
             chi = charpoly(m)
@@ -664,12 +678,14 @@ def _grouplike_search(h: HopfPresentation) -> tuple:
                 raise EigenvalueNotInField(
                     f"operator {k}: characteristic polynomial leaves a "
                     f"degree-{rem_deg} factor unsplit over Q(zeta_{h.order})")
-            wm = w.basis.transpose() @ m
-            eqs = [(j, r, x) for j, row in enumerate(m.data)
-                   for r, x in enumerate(row) if x]
-            eqs += [(d + l, r, x - y) for l in range(n)
-                    for r, (x, y) in enumerate(zip(a_mat[l], wm.data[l]))
-                    if x != y]
+            # R = A - w^T m, summed over the nonzeros of w and m
+            mrows = m.nonzeros()
+            for l, col in wcols.items():
+                for r, x in col:
+                    for r2, y in mrows[r]:
+                        a[l, r2] = a.get((l, r2), z) - x * y
+            eqs = [(j, r, x) for j, row in enumerate(mrows) for r, x in row]
+            eqs += [(d + l, r, x) for (l, r), x in a.items() if x]
             for (c, _mult) in roots:
                 ker = null_space_of_terms(
                     h.order, d, eqs + [(j, j, -c) for j in range(d)])

@@ -200,17 +200,7 @@ def _character_of(h: HopfPresentation) -> Functional:
 
 def character_inverse(h: HopfPresentation, alpha) -> Functional:
     """Convolution inverse of a character: alpha o S."""
-    a = _coords(alpha)
-    s = h.antipode_matrix()
-    z = h.zero_scalar()
-    out = []
-    for j in range(h.dim):
-        acc = z
-        for i in range(h.dim):
-            if s.data[i][j] and a[i]:
-                acc = acc + a[i] * s.data[i][j]
-        out.append(acc)
-    return Functional(tuple(out))
+    return Functional(h.antipode_matrix().transpose().apply(_coords(alpha)))
 
 
 # -- structural predicates -------------------------------------------------------
@@ -296,9 +286,8 @@ def radford_trace(h: HopfPresentation, f: Mat, variant: int = 1) -> CycNumber:
     commands look for.
     """
     g = trace_form(h, variant)
-    return sum((x * f.data[c][j] for j, row in enumerate(g.data)
-                for c, x in enumerate(row) if x and f.data[c][j]),
-               h.zero_scalar())
+    return sum((x * f.data[c][j] for j, row in enumerate(g.nonzeros())
+                for c, x in row), h.zero_scalar())
 
 
 def verify_s4_formula(h: HopfPresentation) -> bool:

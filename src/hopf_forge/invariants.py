@@ -266,7 +266,7 @@ class NormalForm(namedtuple("NormalForm",
 
 def _nonzero_cols(m: Mat) -> list:
     """[(row, entry) for each nonzero entry] of every column of m."""
-    return [[(r, x) for r, x in enumerate(col) if x] for col in zip(*m.data)]
+    return m.transpose().nonzeros()
 
 
 def normal_form(h: HopfPresentation, t: EigenTable) -> NormalForm:
@@ -330,8 +330,8 @@ def projection_traces(h: HopfPresentation, t: EigenTable) -> dict:
     z = h.zero_scalar()
 
     def diagonal(m):  # (Pinv m)[c][c] for every c
-        return [sum((x * y for x, y in zip(pinv.data[c], col) if x and y), z)
-                for c, col in enumerate(zip(*m.data))]
+        return [sum((x * m.data[j][c] for j, x in row), z)
+                for c, row in enumerate(pinv.nonzeros())]
 
     out = {key: (z, z) for key in t.labels()}
     for key, direct, formula in zip(labels, diagonal(p),

@@ -1,12 +1,14 @@
-"""Dense exact linear algebra over Q(zeta_N).
+"""Exact linear algebra over Q(zeta_N) on the nonzeros of each row.
 
-Matrices are immutable row-major tuples of CycNumber.  rref, null_space
-and null_space_of_terms share one elimination on sparse {column: value}
-rows, which takes pivot columns in order and pivots each on its shortest
-candidate row.  The reduced row echelon form of a row space is unique,
-so RREF output (and hence every Subspace basis) is canonical:
-it does not depend on the pivot rows chosen, on row order or on repeated
-rows, and the same input yields byte-identical results on every run.
+Matrices are immutable row-major tuples of CycNumber that list each row's
+nonzero (column, entry) pairs once; products, apply, rref and the kernels
+read only those.  rref, null_space and null_space_of_terms share one
+elimination on sparse {column: value} rows, which takes pivot columns in
+order and pivots each on its shortest candidate row.  The reduced row
+echelon form of a row space is unique, so RREF output (and hence every
+Subspace basis) is canonical: it does not depend on the pivot rows
+chosen, on row order or on repeated rows, and the same input yields
+byte-identical results on every run.
 
 Operators act on column coordinate vectors: column j of an operator
 matrix holds the coordinates of the image of basis vector j.
@@ -24,7 +26,7 @@ from .errors import NotInvariant, NotInvertible, OrderExceedsBound, OrderMismatc
 
 
 class Mat:
-    __slots__ = ("order", "rows", "cols", "data")
+    __slots__ = ("order", "rows", "cols", "data", "_nonzeros")
 
     def __init__(self, order, data, cols=None):
         data = tuple(tuple(row) for row in data)
@@ -32,9 +34,22 @@ class Mat:
         self.rows = len(data)
         self.cols = len(data[0]) if data else (0 if cols is None else cols)
         self.data = data
+        self._nonzeros = None
         for row in data:
             if len(row) != self.cols:
                 raise OrderMismatch("ragged matrix rows")
+
+    def nonzeros(self):
+        """Per row, its nonzero (column, entry) pairs in column order: as
+        a product filled them, else listed once on first use, where
+        `is not z` settles each zero arithmetic made and the truth test
+        one built by CycNumber(order, coeffs)."""
+        if self._nonzeros is None:
+            z = cyc(self.order, 0)
+            self._nonzeros = tuple(
+                [(j, x) for j, x in enumerate(row) if x is not z and x]
+                for row in self.data)
+        return self._nonzeros
 
     # -- constructors ------------------------------------------------------
 
@@ -85,33 +100,28 @@ class Mat:
             raise OrderMismatch(f"shape mismatch {self.rows}x{self.cols} @ "
                                 f"{other.rows}x{other.cols}")
         z = cyc(self.order, 0)
-        sparse = {}  # the nonzeros of row k of other, once it is needed
-        out = []
-        for row in self.data:
+        right = other.nonzeros()
+        out, nonzeros = [], []
+        for row in self.nonzeros():
             acc = [z] * other.cols
-            for k, a in enumerate(row):
-                if a:
-                    if k not in sparse:
-                        sparse[k] = [(j, b) for j, b in
-                                     enumerate(other.data[k]) if b]
-                    for j, b in sparse[k]:
-                        acc[j] = acc[j] + a * b
+            for k, a in row:
+                for j, b in right[k]:
+                    x = acc[j]
+                    acc[j] = a * b if x is z else x + a * b
             out.append(acc)
-        return Mat(self.order, out, cols=other.cols)
+            # a sum that cancels is the canonical zero, so identity decides
+            nonzeros.append([(j, x) for j, x in enumerate(acc) if x is not z])
+        result = Mat(self.order, out, cols=other.cols)
+        result._nonzeros = tuple(nonzeros)
+        return result
 
     def apply(self, vec: Sequence[CycNumber]):
-        """Matrix times column vector, with zero skipping."""
+        """Matrix times column vector, over the nonzero entries."""
         if self.cols != len(vec):
             raise OrderMismatch("vector length mismatch")
         z = cyc(self.order, 0)
-        acc = [z] * self.rows
-        for k, x in enumerate(vec):
-            if x:
-                for i in range(self.rows):
-                    a = self.data[i][k]
-                    if a:
-                        acc[i] = acc[i] + a * x
-        return tuple(acc)
+        return tuple(sum((a * vec[k] for k, a in row if vec[k] is not z), z)
+                     for row in self.nonzeros())
 
     def transpose(self):
         return Mat(self.order, [self.col(j) for j in range(self.cols)],
@@ -121,19 +131,6 @@ class Mat:
         acc = cyc(self.order, 0)
         for i in range(min(self.rows, self.cols)):
             acc = acc + self.data[i][i]
-        return acc
-
-    def pow(self, n: int):
-        if self.rows != self.cols:
-            raise OrderMismatch("power of a non-square matrix")
-        acc = Mat.identity(self.order, self.rows)
-        base = self
-        while n:
-            if n & 1:
-                acc = acc @ base
-            n >>= 1
-            if n:
-                base = base @ base
         return acc
 
     def __eq__(self, other):
@@ -183,7 +180,7 @@ def _eliminate(order, rows):
             if f is not None:
                 for k, b in prow.items():
                     v = row.get(k, z) - f * b
-                    if v:
+                    if v is not z:  # a sum that cancels is the canonical zero
                         row[k] = v
                     else:
                         del row[k]
@@ -193,14 +190,10 @@ def _eliminate(order, rows):
     return done, tuple(pivots)
 
 
-def _sparse(row):
-    return {c: a for c, a in enumerate(row) if a}
-
-
 def rref(m: Mat):
     """Reduced row echelon form; returns (Mat, rank, pivot column tuple)."""
     z = cyc(m.order, 0)
-    done, pivots = _eliminate(m.order, [_sparse(row) for row in m.data])
+    done, pivots = _eliminate(m.order, [dict(row) for row in m.nonzeros()])
     data = [[row.get(c, z) for c in range(m.cols)] for row in done]
     data += [[z] * m.cols] * (m.rows - len(done))
     return Mat(m.order, data, cols=m.cols), len(done), pivots
@@ -243,12 +236,10 @@ class Subspace:
         """
         coeffs = tuple(vec[p] for p in self.pivots)
         residual = list(vec)
-        for t, c in enumerate(coeffs):
+        for c, row in zip(coeffs, self.basis.nonzeros()):
             if c:
-                row = self.basis.data[t]
-                for j in range(self.ambient_dim):
-                    if row[j]:
-                        residual[j] = residual[j] - c * row[j]
+                for j, b in row:
+                    residual[j] = residual[j] - c * b
         if any(residual):
             return None
         return coeffs
@@ -268,7 +259,7 @@ class Subspace:
 
 def null_space(m: Mat) -> Subspace:
     """Canonical basis of the right kernel {v : m v = 0}."""
-    return _kernel(m.order, m.cols, [_sparse(row) for row in m.data])
+    return _kernel(m.order, m.cols, [dict(row) for row in m.nonzeros()])
 
 
 def null_space_of_terms(order, cols, terms) -> Subspace:
@@ -305,8 +296,13 @@ def eigenspace(m: Mat, c: CycNumber) -> Subspace:
     diagonal only."""
     if m.rows != m.cols:
         raise OrderMismatch("eigenspace of a non-square matrix")
-    rows = [_sparse(row[:i] + (row[i] - c,) + row[i + 1:])
-            for i, row in enumerate(m.data)]
+    z = cyc(m.order, 0)
+    rows = [dict(row) for row in m.nonzeros()]
+    for i, row in enumerate(rows):
+        if v := row.get(i, z) - c:
+            row[i] = v
+        else:
+            row.pop(i, None)
     return _kernel(m.order, m.cols, rows)
 
 

@@ -331,6 +331,33 @@ def test_tensor_command_with_lift(tmp_path, capsys):
                    "--b", str(z5), "--out", str(out))[0] == 2
 
 
+@pytest.mark.parametrize("command", ("report", "zoo", "dual", "tensor"))
+def test_unwritable_out_exits_two(taft3_file, tmp_path, capsys, command):
+    group = tmp_path / "z2.json"
+    assert run_cli(capsys, "zoo", "group", "--cyclic", "2",
+                   "--out", str(group))[0] == 0
+    args = {"report": ("report", str(taft3_file), "--json"),
+            "zoo": ("zoo", "taft", "--n", "3"),
+            "dual": ("dual", str(taft3_file)),
+            "tensor": ("tensor", "--a", str(group), "--b", str(group))}
+    for out in (tmp_path, tmp_path / "absent" / "x.json"):
+        code, stdout, err = run_cli(capsys, *args[command], "--out", str(out))
+        assert (code, stdout) == (2, "")
+        assert err.startswith(f"error: cannot write {out}: ")
+
+
+def test_integer_scalars_parsed_once_meet_every_check(taft3_file, tmp_path,
+                                                      capsys):
+    # bare integers repeat throughout a file; true and 1.0 are not integers
+    doc = json.loads(taft3_file.read_text())
+    for bad in (True, 1.0):
+        doc["counit"][-1] = bad
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run_cli(capsys, "verify", str(path))
+        assert code == 2 and "bad scalar in counit" in err
+
+
 def test_console_script_end_to_end(tmp_path):
     path = tmp_path / "sw.json"
     build = subprocess.run(

@@ -303,12 +303,12 @@ def test_coordinate_key_is_lowest_terms_order():
 # reference_product and reference_inverse are the general convolution and
 # extended Euclidean paths, applied to every value.
 
-from operator import mul  # noqa: E402
+from operator import add, mul, sub  # noqa: E402
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from hopf_forge.cyclofield import (_field, _make, _poly_mul,  # noqa: E402
-                                   _pseudo_divmod, _trim)
+                                   _pseudo_divmod, _sum, _trim)
 
 
 def reference_product(a, b):
@@ -405,3 +405,52 @@ def test_inverse_of_zero_still_raises(order):
         cyc(order, 0).inverse()
     with pytest.raises(DivisionByZero):
         (root_of_unity(order, 1) * 0).inverse()
+
+
+# -- zeros and units: one zero per field, operands returned -------------------
+
+
+def reference_sum(a, b, op=add):
+    """a op b through the general numerator path."""
+    return _make(a.order, *_sum(op, a.num, a.den, b.num, b.den))
+
+
+@settings(max_examples=200, deadline=None)
+@given(order_and_values(), st.integers(1, 30))
+def test_zeros_and_units_match_the_general_paths(case, other_order):
+    order, (u, _v), x = case
+    zero = cyc(order, 0)
+    assert zero is _field(order).zero
+    for y in (u, -u, _make(order, x.num, x.den), zero):
+        for s in (0, 1, -1):
+            for b in (s, Fraction(s), cyc(order, s)):
+                want = reference_product(y, cyc(order, s))
+                assert y * b == want == b * y
+                if s == 0 or not y:
+                    assert y * b is zero and b * y is zero
+                elif s == 1:  # either operand when both are 1
+                    assert all(p is y or p is b for p in (y * b, b * y))
+        for b in (0, Fraction(0), zero):
+            assert y + b is y and b + y is y and y - b is y
+            assert y - b == reference_sum(y, cyc(order, 0), sub)
+            assert b - y == -y == reference_sum(cyc(order, 0), y, sub)
+        assert y - y is zero and y + -y is zero and -zero is zero
+        assert cyc(order, 0) + 5 == reference_sum(zero, cyc(order, 5))
+    if other_order != order:
+        for y, w in ((u, cyc(other_order, 0)), (zero, cyc(other_order, 1)),
+                     (zero, cyc(other_order, 0))):
+            for op in (add, sub, mul):
+                with pytest.raises(OrderMismatch):
+                    op(y, w)
+
+
+def test_a_directly_built_zero_is_still_zero():
+    # CycNumber(order, coeffs) can build a zero that is not the field's
+    # zero object; arithmetic treats it as zero all the same
+    order = 15
+    raw = CycNumber(order, (Fraction(0),) * _field(order).degree)
+    zeta = root_of_unity(order, 1)
+    assert raw is not cyc(order, 0) and raw == 0 and not raw
+    assert raw * zeta is cyc(order, 0) and zeta * raw is cyc(order, 0)
+    assert zeta + raw is zeta and raw + zeta is zeta
+    assert (raw - zeta) == -zeta

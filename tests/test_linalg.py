@@ -419,3 +419,64 @@ def format_key(c):
 
 def sorted_multiset(pairs):
     return sorted(((format_key(r), m) for r, m in pairs))
+
+
+# -- the nonzero view of a matrix ---------------------------------------------
+
+
+def dense_nonzeros(m):
+    return [[(j, x) for j, x in enumerate(row) if x] for row in m.data]
+
+
+def assert_view_matches_dense_scan(m):
+    view = m.nonzeros()
+    assert [list(row) for row in view] == dense_nonzeros(m)
+    # the listed entries are the matrix's own objects
+    assert all(x is m.data[i][j]
+               for i, row in enumerate(view) for j, x in row)
+
+
+def test_every_matrix_of_a_corpus_report_lists_its_nonzeros(monkeypatch,
+                                                            corpus):
+    # fresh presentations, so every memoised matrix is built again here
+    from hopf_forge import build_report
+    from hopf_forge.cli import (document_to_presentation,
+                                presentation_to_document)
+    built, products = [], []
+    init, matmul = Mat.__init__, Mat.__matmul__
+
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    def multiplying(a, b):
+        product = matmul(a, b)
+        assert product._nonzeros is not None  # filled by the product itself
+        products.append(product)
+        return product
+
+    monkeypatch.setattr(Mat, "__init__", recording)
+    monkeypatch.setattr(Mat, "__matmul__", multiplying)
+    for h in corpus.values():
+        build_report(document_to_presentation(presentation_to_document(h)))
+    monkeypatch.undo()
+    assert products and len(products) < len(built)
+    for m in built:
+        assert_view_matches_dense_scan(m)
+
+
+def test_a_directly_built_zero_is_left_out_of_the_view():
+    order = 15
+    raw = CycNumber(order, (Fraction(0),) * 8)
+    z, one, zeta = cyc(order, 0), cyc(order, 1), root_of_unity(order, 1)
+    assert raw is not z and not raw
+    m = Mat(order, [[raw, zeta, z], [one, raw, raw], [z, z, zeta]])
+    assert m.nonzeros() == ([(1, zeta)], [(0, one)], [(2, zeta)])
+    dense = Mat(order, [[x if x else z for x in row] for row in m.data])
+    for got in (m @ m, m @ dense, dense @ m):
+        assert got == dense @ dense
+        assert_view_matches_dense_scan(got)
+    assert m.apply((raw, one, zeta)) == dense.apply((z, one, zeta))
+    assert rref(m)[0] == rref(dense)[0]
+    assert null_space(m) == null_space(dense)
+    assert eigenspace(m, zeta) == eigenspace(dense, zeta)

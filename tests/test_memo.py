@@ -126,3 +126,32 @@ def test_report_splits_s2n_once(monkeypatch):
     monkeypatch.setattr(invariants_module, "eigenspace", counting)
     build_report(h)
     assert len(calls) == 2  # the +1 and the -1 eigenspace, once each
+
+
+def test_t3z5_report_makes_one_product_per_s_power(monkeypatch, t3z5):
+    # S^2 = S S, S^4 = S^2 S^2 and S^6 = S^2 S^4: three 45 x 45 products
+    from hopf_forge import Mat
+    from hopf_forge.cli import (document_to_presentation,
+                                presentation_to_document)
+    h = document_to_presentation(presentation_to_document(t3z5))
+    h.antipode_matrix()
+    depth, products = [0], []
+    matmul, s_power = Mat.__matmul__, HopfPresentation.s_power_matrix
+
+    def counting(a, b):
+        if depth[0]:
+            products.append((a.rows, b.cols))
+        return matmul(a, b)
+
+    def nested(self, t):
+        depth[0] += 1
+        try:
+            return s_power(self, t)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(Mat, "__matmul__", counting)
+    monkeypatch.setattr(HopfPresentation, "s_power_matrix", nested)
+    build_report(h)
+    assert products == [(45, 45)] * 3
+    assert sorted(k[1] for k in h._cache if k[0] == "s_pow") == [2, 4, 6]
