@@ -35,7 +35,7 @@ from .invariants import (CHECK_TAGS, AlternatingFormReport, CoradicalTraces,
                          eigen_decomposition, h_plus_minus, index_bound,
                          lemma24_check, normal_form, omega_for_index,
                          projection_traces, trace_s2p_report, x_exponent)
-from .linalg import (Mat, Subspace, charpoly, eigenspace, hstack, inverse,
+from .linalg import (Mat, Subspace, charpoly, eigenspace, inverse,
                      kronecker, null_space, operator_order,
                      restrict_operator, roots_in_field, rref)
 from .zoo import (build_cyclic_group_algebra, build_group_algebra,

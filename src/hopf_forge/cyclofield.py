@@ -8,7 +8,7 @@ Galois conjugation stay in the integers.  The representation is
 canonical: den > 0, gcd(*num, den) = 1 and zero is (0, ..., 0)/1, so two
 values are equal exactly when their orders, numerators and denominators
 are equal.  Order 1 gives plain rationals (zeta_1 = 1).  Each field has
-one zero object, which every zero result is, and a product by 0 or 1 or
+one zero object, which every zero value is, and a product by 0 or 1 or
 a sum with 0 returns that zero or the other operand without arithmetic.
 
 Roots of unity go by exponent, read from the rows of zeta^k: +-zeta^a
@@ -74,49 +74,21 @@ def _pseudo_divmod(a, b):
     return _trim(q), _trim(r), m
 
 
-# Primes below this bound are found by trial division; a cofactor left
-# over below its square is then prime.
-_TRIAL_DIVISION_BOUND = 10_000
-
-
-def _divisors(n):
-    """Positive divisors of n >= 1, ascending.
-
-    Factors n by trial division, then enumerates.  sympy.factorint is
-    imported only for a cofactor that trial division cannot split.
-    """
-    factors = {}
-    d = 2
-    while d < _TRIAL_DIVISION_BOUND and d * d <= n:
-        while n % d == 0:
-            factors[d] = factors.get(d, 0) + 1
-            n //= d
-        d += 1 if d == 2 else 2
-    if n >= _TRIAL_DIVISION_BOUND ** 2:
-        from sympy import factorint
-        factors.update(factorint(n))
-    elif n > 1:
-        factors[n] = 1
-    divs = [1]
-    for p, e in factors.items():
-        divs = [q * p ** k for q in divs for k in range(e + 1)]
-    return sorted(divs)
-
-
 @functools.lru_cache(maxsize=None)
 def cyclotomic_poly(order: int) -> tuple:
     """Coefficients of Phi_order, ascending, as ints (monic).
 
     Computed by dividing x^order - 1 by the cyclotomic polynomials of all
-    proper divisors.  Orders outside 1..CYCLOTOMIC_ORDER_BOUND raise
-    BoundExceeded.
+    proper divisors, found by scanning 1..order-1 (order is at most
+    CYCLOTOMIC_ORDER_BOUND).  Orders outside 1..CYCLOTOMIC_ORDER_BOUND
+    raise BoundExceeded.
     """
     if order < 1 or order > CYCLOTOMIC_ORDER_BOUND:
         raise BoundExceeded(f"cyclotomic order {order} outside 1..{CYCLOTOMIC_ORDER_BOUND}")
     num = [-1] + [0] * (order - 1) + [1]
     den = [1]
-    for d in _divisors(order):
-        if d < order:
+    for d in range(1, order):
+        if order % d == 0:
             den = _poly_mul(den, list(cyclotomic_poly(d)))
     q, r, _ = _pseudo_divmod(num, den)
     assert not r, "cyclotomic division must be exact"
@@ -178,18 +150,17 @@ def _sum(op, a, ad, b, bd):
 class CycNumber:
     """An element of Q(zeta_order): num / den in canonical power-basis form.
 
-    CycNumber(order, coeffs) builds the value with rational coordinates
-    coeffs (ints or Fractions); arithmetic builds results with _make.
+    CycNumber(order, coeffs) is the value with rational coordinates
+    coeffs (ints or Fractions).  It and every arithmetic result are built
+    by _make, so a zero is always its field's zero object.
     """
 
     __slots__ = ("order", "num", "den")
 
-    def __init__(self, order, coeffs):
-        # the lcm of lowest-terms denominators leaves gcd(*num, den) = 1
+    def __new__(cls, order, coeffs):
         den = lcm(*(c.denominator for c in coeffs))
-        self.order = order
-        self.num = tuple(c.numerator * (den // c.denominator) for c in coeffs)
-        self.den = den
+        return _make(order, tuple(c.numerator * (den // c.denominator)
+                                  for c in coeffs), den)
 
     @property
     def coeffs(self):
@@ -386,7 +357,7 @@ _new = object.__new__
 
 def _make(order, num, den) -> CycNumber:
     """num / den (a tuple of ints, den > 0) in canonical form; every
-    arithmetic result is built here, so equality and hashing are exact
+    value is built here, so equality and hashing are exact
     and each zero is its field's one zero object."""
     if not num[0] and not any(num):
         return _field(order).zero

@@ -174,13 +174,6 @@ class HopfPresentation:
             out[j][k] = out[j][k] + c
         return Mat(self.order, out, cols=self.dim)
 
-    def counit_of(self, a) -> CycNumber:
-        acc = self.zero_scalar()
-        for ai, ei in zip(_coords(a), self.counit):
-            if ai and ei:
-                acc = acc + ai * ei
-        return acc
-
     def pair(self, beta, a) -> CycNumber:
         """Evaluation <beta, a> of a functional on an element."""
         acc = self.zero_scalar()
@@ -382,7 +375,7 @@ def check_axioms(h: HopfPresentation) -> AxiomChecklist:
          if not _dict_eq(h.comult_pairs(h.unit), expect)
          else scan(comult_multiplicative, certify=both)),
         ("counit-algebra-map",
-         "counit(1) != 1" if h.counit_of(h.unit) != 1
+         "counit(1) != 1" if h.pair(h.counit, h.unit) != 1
          else scan(counit_multiplicative, certify=both)),
     ]
     if h.antipode is not None:
@@ -626,10 +619,9 @@ def _grouplike_search(h: HopfPresentation) -> tuple:
 
     A = T_k w^T is read from the Delta terms with left leg k, m is A on
     the pivot rows and R = A - w^T m, which is zero on the pivot rows.  For v = w^T x,
-    T_k v = c v exactly when (m - c) x = 0 and R x = 0.  If the kernel X
-    is in RREF with pivots q_r, so is X w, with pivots p_(q_r): row r of
-    X w vanishes before column p_(q_r), is 1 there and 0 at every other
-    p_(q_s).  So the new state is the canonical basis an rref would give.
+    T_k v = c v exactly when (m - c) x = 0 and R x = 0.  The new state
+    is w.image_of(X) for the kernel X in RREF: X w is already the
+    canonical basis an rref would give.
     """
     n = h.dim
     z = cyc(h.order, 0)
@@ -690,9 +682,7 @@ def _grouplike_search(h: HopfPresentation) -> tuple:
                 ker = null_space_of_terms(
                     h.order, d, eqs + [(j, j, -c) for j in range(d)])
                 if ker.dim:
-                    w2 = Subspace(h.order, n, ker.basis @ w.basis,
-                                  tuple(w.pivots[j] for j in ker.pivots))
-                    new_states.append((w2, assigned + [c]))
+                    new_states.append((w.image_of(ker), assigned + [c]))
         states = new_states
     for (_w, assigned) in states:
         cand = tuple(assigned)

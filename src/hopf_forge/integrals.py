@@ -213,7 +213,7 @@ def is_unimodular(h: HopfPresentation) -> bool:
 
 def is_semisimple(h: HopfPresentation) -> bool:
     """counit(Lambda) != 0 (equivalent to semisimplicity in char 0)."""
-    return bool(h.counit_of(left_integral(h)))
+    return bool(h.pair(h.counit, left_integral(h)))
 
 
 def is_cosemisimple(h: HopfPresentation) -> bool:

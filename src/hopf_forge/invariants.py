@@ -35,17 +35,13 @@ from .integrals import (distinguished_character, distinguished_grouplike,
                         integral_coproduct, integral_pair, is_cosemisimple,
                         is_semisimple, is_unimodular, radford_trace,
                         trace_form, verify_s4_formula)
-from .linalg import (Mat, Subspace, eigenspace, inverse, null_space,
-                     operator_order, restrict_operator, rref)
+from .linalg import (Mat, Subspace, _is_prime, eigenspace, inverse,
+                     null_space, operator_order, restrict_operator, rref)
 
 
 def _as_int(c: CycNumber) -> int | None:
     r = c.as_rational()
     return int(r) if r is not None and r.denominator == 1 else None
-
-
-def _is_prime(m: int) -> bool:
-    return m >= 2 and all(m % r for r in range(2, int(m ** 0.5) + 1))
 
 
 # -- index and omega ------------------------------------------------------------
@@ -213,9 +209,7 @@ def eigen_decomposition(h: HopfPresentation, omega: CycNumber) -> EigenTable:
         for a in (0, 1):
             for i in range(n):
                 value = -omega ** i if a else omega ** i
-                ker = eigenspace(local, value)
-                sub = Subspace.from_vectors(
-                    h.order, dim, (ker.basis @ wj.basis).data)
+                sub = wj.image_of(eigenspace(local, value))
                 spaces[(a, i, j)] = sub
                 dims[(a, i, j)] = sub.dim
                 split += sub.dim

@@ -18,9 +18,9 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
-from .cyclofield import (CycNumber, _divisors, coordinate_key, cyc,
+from .cyclofield import (CycNumber, _pseudo_divmod, coordinate_key, cyc,
                          galois_conjugate, root_of_unity)
 from .errors import NotInvariant, NotInvertible, OrderExceedsBound, OrderMismatch
 
@@ -42,13 +42,11 @@ class Mat:
     def nonzeros(self):
         """Per row, its nonzero (column, entry) pairs in column order: as
         a product filled them, else listed once on first use, where
-        `is not z` settles each zero arithmetic made and the truth test
-        one built by CycNumber(order, coeffs)."""
+        `is not z` decides, since every zero is the field's zero object."""
         if self._nonzeros is None:
             z = cyc(self.order, 0)
-            self._nonzeros = tuple(
-                [(j, x) for j, x in enumerate(row) if x is not z and x]
-                for row in self.data)
+            self._nonzeros = tuple([(j, x) for j, x in enumerate(row)
+                                    if x is not z] for row in self.data)
         return self._nonzeros
 
     # -- constructors ------------------------------------------------------
@@ -146,12 +144,6 @@ class Mat:
         return f"Mat({self.rows}x{self.cols}, order {self.order})"
 
 
-def hstack(a: Mat, b: Mat) -> Mat:
-    a._check(b)
-    return Mat(a.order, [ra + rb for ra, rb in zip(a.data, b.data)],
-               cols=a.cols + b.cols)
-
-
 def _eliminate(order, rows):
     """Reduced row echelon form of {column: value} rows, which hold no
     zero values and are changed in place: (nonzero rows, pivot columns).
@@ -224,6 +216,15 @@ class Subspace:
     def dim(self):
         return self.basis.rows
 
+    def image_of(self, ker: "Subspace") -> "Subspace":
+        """The subspace whose coordinates over this basis W span ker, a
+        subspace of k^dim.  With ker in RREF with pivots q_r, ker.basis W
+        is in RREF too, with pivots p_(q_r): row r vanishes before column
+        p_(q_r), is 1 there and 0 at every other p_(q_s).  So no rref is
+        needed for the canonical basis."""
+        return Subspace(self.order, self.ambient_dim, ker.basis @ self.basis,
+                        tuple(self.pivots[j] for j in ker.pivots))
+
     def contains(self, vec) -> bool:
         return self.coords_of(vec) is not None
 
@@ -264,13 +265,14 @@ def null_space(m: Mat) -> Subspace:
 
 def null_space_of_terms(order, cols, terms) -> Subspace:
     """null_space of the equations given as (equation label, column,
-    coefficient) terms; terms with the same label and column add up."""
+    coefficient) terms; terms with the same label and column add up, and
+    a sum that cancels is the field's zero object."""
     z = cyc(order, 0)
     rows = {}
     for eq, col, c in terms:
         row = rows.setdefault(eq, {})
         row[col] = row.get(col, z) + c
-    return _kernel(order, cols, [{k: a for k, a in row.items() if a}
+    return _kernel(order, cols, [{k: a for k, a in row.items() if a is not z}
                                  for row in rows.values()])
 
 
@@ -309,12 +311,15 @@ def eigenspace(m: Mat, c: CycNumber) -> Subspace:
 def inverse(m: Mat) -> Mat:
     if m.rows != m.cols:
         raise NotInvertible("non-square matrix")
-    red, _, pivots = rref(hstack(m, Mat.identity(m.order, m.rows)))
-    # the augmented block always has full row rank; m is invertible only
-    # when every pivot lands in the left block
-    if tuple(pivots[:m.rows]) != tuple(range(m.rows)):
+    n, z, o = m.rows, cyc(m.order, 0), cyc(m.order, 1)
+    # eliminate the sparse rows of [m | I]; they always have full row
+    # rank, and m is invertible only when every pivot lands in m's block
+    done, pivots = _eliminate(m.order, [dict(row) | {n + i: o} for i, row
+                                        in enumerate(m.nonzeros())])
+    if pivots[:n] != tuple(range(n)):
         raise NotInvertible("matrix is singular")
-    return Mat(m.order, [row[m.cols:] for row in red.data], cols=m.cols)
+    return Mat(m.order, [[row.get(n + j, z) for j in range(n)]
+                         for row in done], cols=n)
 
 
 def operator_order(m: Mat, bound: int) -> int:
@@ -432,38 +437,68 @@ def charpoly(m: Mat):
 # -- root finding over Q(zeta_N) ----------------------------------------------
 
 
-def _rational_roots(poly):
-    """All rational roots of a polynomial over Q, given as CycNumbers.
+def _is_prime(m: int) -> bool:
+    return m >= 2 and all(m % r for r in range(2, isqrt(m) + 1))
 
-    poly is ascending with nonzero constant term and nonzero lead.
+
+def _at(f, x, m):
+    """f(x) mod m for integer coefficients f, ascending."""
+    acc = 0
+    for c in reversed(f):
+        acc = (acc * x + c) % m
+    return acc
+
+
+def _primitive(f):
+    g = gcd(*f) or 1
+    return [c // g for c in f]
+
+
+def _rational_roots(poly):
+    """Each distinct rational root of a polynomial over Q once, as a
+    Fraction, found without factoring any integer.
+
+    poly holds rational CycNumbers, ascending, with nonzero constant term
+    and nonzero lead.  Let f be its squarefree integer part, f / gcd(f, f')
+    by primitive pseudo-remainders, and M = max(|f_0|, |f_d|).  A root a/q
+    in lowest terms has |a| <= |f_0| and 0 < q <= |f_d| (Gauss), and
+    reduces to a simple root mod p, p the least prime not dividing f_d at
+    which every root of f mod p is simple (there are finitely many bad
+    primes, since f is squarefree).  Each root mod p is Newton-lifted to a
+    modulus p^(2^k) > 2 M^2; the first remainder <= M of the extended
+    Euclidean algorithm on that modulus and the lift reads a/q back, which
+    is kept only if f(a/q) = 0 exactly.
     """
     den = lcm(*(c.den for c in poly))
-    ints = [c.num[0] * (den // c.den) for c in poly]
-    g = gcd(*ints)
-    if g > 1:
-        ints = [c // g for c in ints]
-    # a root a/q in lowest terms makes f = (q s - a) g with g integral
-    # (Gauss), so q - a divides f(1) and q + a divides f(-1)
-    at_one = sum(ints)
-    at_minus_one = sum(ints[0::2]) - sum(ints[1::2])
-    lead_divisors = _divisors(abs(ints[-1]))
+    f = [c.num[0] * (den // c.den) for c in poly]
+    a, b = f, [i * c for i, c in enumerate(f)][1:]
+    while b:
+        a, b = b, _primitive(_pseudo_divmod(a, b)[1])
+    if len(a) > 1:
+        # m f = q a exactly, so q is f / a up to a constant
+        f = _pseudo_divmod(f, a)[0]
+    f = _primitive(f)
+    df, p = [i * c for i, c in enumerate(f)][1:], 2
+    while True:
+        if _is_prime(p) and f[-1] % p:
+            simple = [x for x in range(p) if not _at(f, x, p)]
+            if all(_at(df, x, p) for x in simple):
+                break
+        p += 1
+    bound, d = max(abs(f[0]), abs(f[-1])), len(f) - 1
     roots = []
-    for p in _divisors(abs(ints[0])):
-        for q in lead_divisors:
-            if gcd(p, q) != 1:
-                continue
-            for a in (p, -p):
-                if q != a and at_one % (q - a):
-                    continue
-                if q != -a and at_minus_one % (q + a):
-                    continue
-                # q^deg f(a/q), in integers
-                acc, q_power = ints[-1], 1
-                for c in reversed(ints[:-1]):
-                    q_power *= q
-                    acc = acc * a + c * q_power
-                if not acc:
-                    roots.append(Fraction(a, q))
+    for x in simple:
+        m = p
+        while m <= 2 * bound * bound:
+            m *= m
+            x = (x - _at(f, x, m) * pow(_at(df, x, m), -1, m)) % m
+        # r = s x (mod m) holds for every (r, s) pair of the remainders
+        r0, r, s0, s = m, x, 0, 1
+        while r > bound:
+            t = r0 // r
+            r0, r, s0, s = r, r0 - t * r, s, s0 - t * s
+        if not sum(c * r ** i * s ** (d - i) for i, c in enumerate(f)):
+            roots.append(Fraction(r, s))
     return roots
 
 

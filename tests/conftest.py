@@ -7,6 +7,7 @@ presentations, so sharing them across tests is safe.
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -66,6 +67,22 @@ def t3z5(t3, z5):
 def corpus(z3, z5, z15, z3z3, t3, t5, t3d, t3z5):
     """The eight-algebra verification corpus, keyed by name."""
     return {h.name: h for h in (z3, z5, z15, z3z3, t3, t5, t3d, t3z5)}
+
+
+def rebased_z2(c: int) -> HopfPresentation:
+    """k[Z2] in the basis f0 = 1, f1 = 1 + c g, with S = I:
+    f1 f1 = (c^2 - 1) f0 + 2 f1, Delta(f1) = (1 + 1/c) f0 (x) f0
+    - (1/c) (f0 (x) f1 + f1 (x) f0) + (1/c) f1 (x) f1, counit (1, 1 + c)."""
+    one, inv = cyc(1, 1), cyc(1, Fraction(1, c))
+    mult = [(0, 0, 0, one), (0, 1, 1, one), (1, 0, 1, one),
+            (1, 1, 0, cyc(1, c * c - 1)), (1, 1, 1, cyc(1, 2))]
+    comult = [(0, 0, 0, one), (1, 0, 0, one + inv), (1, 0, 1, -inv),
+              (1, 1, 0, -inv), (1, 1, 1, inv)]
+    return HopfPresentation(
+        name=f"k[Z2] rebased by {c}", dim=2, order=1, mult_entries=mult,
+        comult_entries=comult, unit=(one, cyc(1, 0)),
+        counit=(one, cyc(1, 1 + c)), antipode=Mat.identity(1, 2),
+        basis=("f0", "f1"))
 
 
 def random_endomorphism(h, rng: random.Random) -> Mat:

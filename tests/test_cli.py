@@ -13,9 +13,11 @@ import subprocess
 import sys
 
 import pytest
+import sympy
+from conftest import rebased_z2
 
 import hopf_forge
-from hopf_forge.cli import main
+from hopf_forge.cli import canonical_bytes, main, presentation_to_document
 
 # child interpreters import the package under test, wherever it was found
 _CHILD_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -356,6 +358,26 @@ def test_integer_scalars_parsed_once_meet_every_check(taft3_file, tmp_path,
         path.write_text(json.dumps(doc))
         code, _, err = run_cli(capsys, "verify", str(path))
         assert code == 2 and "bad scalar in counit" in err
+
+
+def test_report_on_a_rebased_group_algebra_with_a_large_constant(
+        tmp_path, capsys):
+    # c is a 54-digit product of two primes: no root search may factor it
+    c = int(sympy.nextprime(10 ** 24) * sympy.nextprime(7 * 10 ** 29))
+    path = tmp_path / "z2c.json"
+    path.write_bytes(canonical_bytes(presentation_to_document(rebased_z2(c))))
+    code, out, err = run_cli(capsys, "verify", str(path))
+    assert code == 0, err
+    code, out, err = run_cli(capsys, "report", str(path), "--json")
+    assert code == 0, err
+    z2 = tmp_path / "z2.json"
+    assert run_cli(capsys, "zoo", "group", "--cyclic", "2",
+                   "--out", str(z2))[0] == 0
+    code, want, _ = run_cli(capsys, "report", str(z2), "--json")
+    assert code == 0
+    got, want = json.loads(out), json.loads(want)
+    assert got.pop("name") != want.pop("name")
+    assert got == want
 
 
 def test_console_script_end_to_end(tmp_path):

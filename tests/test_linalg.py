@@ -3,16 +3,19 @@ polynomials against a brute-force oracle, operator orders, Kronecker
 products, and root finding over Q(zeta_N)."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
 from hopf_forge import (CycNumber, Mat, NotInvariant, NotInvertible, Subspace, charpoly,
-                        cyc, eigenspace, hstack, inverse, kronecker,
+                        cyc, eigenspace, inverse, kronecker,
                         null_space, operator_order, restrict_operator,
                         roots_in_field, root_of_unity, rref)
+from hopf_forge.linalg import _rational_roots
 
 
 def rand_mat(order, rows, cols, rng, density=0.7):
@@ -279,13 +282,6 @@ def test_restrict_operator():
         restrict_operator(m, bad)
 
 
-def test_stacking_shapes():
-    a = Mat.identity(1, 2)
-    b = Mat(1, [[cyc(1, 0)] * 3] * 2)
-    assert hstack(a, b).cols == 5
-    assert hstack(a, b).rows == 2
-
-
 # -- roots_in_field ------------------------------------------------------------
 
 
@@ -413,6 +409,82 @@ def test_roots_in_field_zero_and_repeated_rational_roots():
     assert found == [(cyc(15, 0), 42), (cyc(15, 1), 3)]
 
 
+# -- rational roots against sympy ----------------------------------------------
+
+# primes that trial division below 10^4 cannot reach, and the two
+# factors of the 54-digit constant of the rebased k[Z2]
+BIG_PRIMES = (999_979, 999_983, 1_000_003, 1_000_000_000_039,
+              int(sympy.nextprime(10 ** 24)), int(sympy.nextprime(7 * 10 ** 29)))
+
+
+def integer_poly(roots, extra):
+    """Ascending integer coefficients of extra * prod (q x - a) over the
+    roots a/q."""
+    coeffs = list(extra)
+    for r in roots:
+        out = [0] * (len(coeffs) + 1)
+        for i, c in enumerate(coeffs):
+            out[i + 1] += r.denominator * c
+            out[i] -= r.numerator * c
+        coeffs = out
+    return coeffs
+
+
+def oracle_rational_roots(coeffs):
+    x = sympy.Symbol("x")
+    poly = sympy.Poly([sympy.Integer(c) for c in reversed(coeffs)], x)
+    return {Fraction(int(r.p), int(r.q))
+            for r in sympy.roots(poly, filter="Q")}
+
+
+def as_field_poly(order, coeffs, scale):
+    return [cyc(order, Fraction(c, scale)) for c in coeffs]
+
+
+@st.composite
+def planted_polynomials(draw):
+    """(order, integer coefficients, denominator scale): rational roots
+    built from small and large prime factors, some repeated, times a
+    factor of degree 1 to 3 that may have no rational root at all."""
+    factor = st.one_of(st.integers(1, 12), st.sampled_from(BIG_PRIMES))
+    part = st.builds(lambda *fs: math.prod(fs), factor,
+                     *[st.one_of(st.just(1), factor)] * 2)
+    root = st.builds(lambda a, q, sign: Fraction(sign * a, q), part, part,
+                     st.sampled_from((1, -1)))
+    roots = draw(st.lists(root, max_size=4))
+    roots += draw(st.lists(st.sampled_from(roots), max_size=3)) if roots else []
+    extra = [draw(st.integers(-20, 20).filter(bool))]
+    extra += draw(st.lists(st.integers(-20, 20), max_size=2))
+    extra.append(draw(st.integers(-20, 20).filter(bool)))
+    if len(extra) == 2 and not roots and draw(st.booleans()):
+        extra = [-2, 0, 1]  # x^2 - 2: no rational root
+    return (draw(st.sampled_from((1, 3, 5, 15))), integer_poly(roots, extra),
+            draw(st.integers(1, 6)))
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(planted_polynomials())
+def test_rational_roots_match_sympy(case):
+    order, coeffs, scale = case
+    got = _rational_roots(as_field_poly(order, coeffs, scale))
+    assert len(got) == len(set(got))
+    assert set(got) == oracle_rational_roots(coeffs)
+
+
+@pytest.mark.parametrize("roots, extra", (
+    ([Fraction(1, BIG_PRIMES[-2] * BIG_PRIMES[-1]),
+      Fraction(-BIG_PRIMES[-2], BIG_PRIMES[-1])], [5, 0, 0, 1]),
+    ([Fraction(999_983 * 1_000_003), Fraction(-1, 999_983 * 1_000_003)],
+     [5, 0, 0, 1]),
+    ([Fraction(1_000_003 ** 2, 999_979 * 999_983)] * 3, [5, 0, 0, 1]),
+    # (x - 1) ... (x - 20) (x^3 - 5)
+    ([Fraction(k) for k in range(1, 21)], [-5, 0, 0, 1]),
+))
+def test_rational_roots_of_named_polynomials(roots, extra):
+    got = _rational_roots(as_field_poly(15, integer_poly(roots, extra), 7))
+    assert sorted(got) == sorted(set(roots))
+
+
 def format_key(c):
     return c.coeffs
 
@@ -469,7 +541,7 @@ def test_a_directly_built_zero_is_left_out_of_the_view():
     order = 15
     raw = CycNumber(order, (Fraction(0),) * 8)
     z, one, zeta = cyc(order, 0), cyc(order, 1), root_of_unity(order, 1)
-    assert raw is not z and not raw
+    assert raw is z and not raw
     m = Mat(order, [[raw, zeta, z], [one, raw, raw], [z, z, zeta]])
     assert m.nonzeros() == ([(1, zeta)], [(0, one)], [(2, zeta)])
     dense = Mat(order, [[x if x else z for x in row] for row in m.data])
