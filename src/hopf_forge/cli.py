@@ -101,17 +101,20 @@ def document_to_presentation(doc) -> HopfPresentation:
             and all(isinstance(b, str) for b in basis)):
         raise MalformedFile("basis must be a list of dim labels")
 
-    ints = {}  # each distinct bare integer is parsed once per file
+    parsed = {}  # each distinct scalar is parsed and checked once per file
 
-    def scalar(obj, where):
-        try:
-            if type(obj) is not int:
-                return scalar_from_json(obj, order)
-            if obj not in ints:
-                ints[obj] = scalar_from_json(obj, order)
-            return ints[obj]
-        except (HopfForgeError, ValueError, TypeError, KeyError) as exc:
-            raise MalformedFile(f"bad scalar in {where}: {exc}") from exc
+    def scalar(obj, where, pos=None):
+        # an object goes by its repr, which tells 1 from 1.0 and true
+        key = obj if type(obj) is int else repr(obj)
+        if key not in parsed:
+            try:
+                parsed[key] = scalar_from_json(obj, order)
+            except (HopfForgeError, ValueError, TypeError, KeyError) as exc:
+                if pos is not None:
+                    where = f"{where}[{pos}]"
+                raise MalformedFile(f"bad scalar in {where}: {exc}") \
+                    from exc
+        return parsed[key]
 
     def entries(key):
         raw = doc[key]
@@ -119,12 +122,12 @@ def document_to_presentation(doc) -> HopfPresentation:
             raise MalformedFile(f"{key} must be a list of entries")
         out = []
         for pos, entry in enumerate(raw):
-            if not (isinstance(entry, list) and len(entry) == 4
-                    and all(isinstance(t, int) and not isinstance(t, bool)
-                            for t in entry[:3])):
+            # bool subclasses int, so type() is what keeps true/false out
+            if not (isinstance(entry, list) and len(entry) == 4 and
+                    type(entry[0]) is type(entry[1]) is type(entry[2]) is int):
                 raise MalformedFile(
                     f"{key}[{pos}] must be [i, j, k, scalar]")
-            out.append((*entry[:3], scalar(entry[3], f"{key}[{pos}]")))
+            out.append((*entry[:3], scalar(entry[3], key, pos)))
         return out
 
     def dense(key):
@@ -139,7 +142,7 @@ def document_to_presentation(doc) -> HopfPresentation:
         if not (isinstance(raw, list) and len(raw) == dim
                 and all(isinstance(r, list) and len(r) == dim for r in raw)):
             raise MalformedFile("antipode must be a dim x dim array of rows")
-        cols = [[scalar(c, f"antipode[{i}]") for c in row]
+        cols = [[scalar(c, "antipode", i) for c in row]
                 for i, row in enumerate(raw)]
         antipode = Mat.from_cols(order, cols, rows_n=dim)
     try:

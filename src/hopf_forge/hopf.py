@@ -89,20 +89,24 @@ class HopfPresentation:
             raise MalformedTensor("dimension must be >= 1")
         mult = [[{} for _ in range(dim)] for _ in range(dim)]
         comult = [{} for _ in range(dim)]
+        z = cyc(order, 0)
+        checked = {}  # id -> each scalar object checked, kept alive
         for table, entries, slot in (
                 ("mult", mult_entries, lambda i, j, k: (mult[i][j], k)),
                 ("comult", comult_entries,
                  lambda i, j, k: (comult[i], (j, k)))):
             for (i, j, k, c) in entries:
-                self._check_scalar(c)
-                if not all(0 <= t < dim for t in (i, j, k)):
+                if id(c) not in checked:
+                    self._check_scalar(c)
+                    checked[id(c)] = c
+                if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
                     raise MalformedTensor(
                         f"{table} index out of range: {(i, j, k)}")
-                if c:
+                if c is not z:  # every zero scalar is the field's zero
                     row, key = slot(i, j, k)
                     prev = row.get(key)
                     c = c if prev is None else prev + c
-                    if c:
+                    if c is not z:
                         row[key] = c
                     elif prev is not None:
                         del row[key]
@@ -147,9 +151,9 @@ class HopfPresentation:
     def multiply(self, a, b) -> tuple:
         a, b = _coords(a), _coords(b)
         z = self.zero_scalar()
-        acc, b = {}, [(j, bj) for j, bj in enumerate(b) if bj]
+        acc, b = {}, [(j, bj) for j, bj in enumerate(b) if bj is not z]
         for i, ai in enumerate(a):
-            if ai:
+            if ai is not z:
                 for j, bj in b:
                     f = ai * bj
                     for k, c in self.mult[i][j].items():
@@ -158,21 +162,27 @@ class HopfPresentation:
 
     def comult_pairs(self, a) -> dict:
         """Sparse {(j, k): c} expansion of Delta(a)."""
-        a = _coords(a)
+        a, z = _coords(a), self.zero_scalar()
         acc = {}
         for i, ai in enumerate(a):
-            if ai:
+            if ai is not z:
                 for jk, c in self.comult[i].items():
-                    acc[jk] = acc.get(jk, self.zero_scalar()) + ai * c
-        return {jk: c for jk, c in acc.items() if c}
+                    acc[jk] = acc.get(jk, z) + ai * c
+        return {jk: c for jk, c in acc.items() if c is not z}
+
+    def matrix(self, terms) -> Mat:
+        """The dim x dim matrix whose entry (r, c) is the sum of the x of
+        the (r, c, x) in terms."""
+        z = self.zero_scalar()
+        out = [[z] * self.dim for _ in range(self.dim)]
+        for r, c, x in terms:
+            out[r][c] = out[r][c] + x
+        return Mat(self.order, out, cols=self.dim)
 
     def comult_matrix(self, a) -> Mat:
         """Delta(a) as the dim x dim coefficient matrix C[j][k]."""
-        z = self.zero_scalar()
-        out = [[z] * self.dim for _ in range(self.dim)]
-        for (j, k), c in self.comult_pairs(a).items():
-            out[j][k] = out[j][k] + c
-        return Mat(self.order, out, cols=self.dim)
+        return self.matrix((j, k, c)
+                           for (j, k), c in self.comult_pairs(a).items())
 
     def pair(self, beta, a) -> CycNumber:
         """Evaluation <beta, a> of a functional on an element."""
@@ -184,15 +194,10 @@ class HopfPresentation:
 
     def right_mult_matrix(self, a) -> Mat:
         """R_a with column j = coordinates of e_j * a."""
-        a = _coords(a)
-        z = self.zero_scalar()
-        out = [[z] * self.dim for _ in range(self.dim)]
-        for i, ai in enumerate(a):
-            if ai:
-                for j in range(self.dim):
-                    for k, c in self.mult[j][i].items():
-                        out[k][j] = out[k][j] + ai * c
-        return Mat(self.order, out, cols=self.dim)
+        a, z = _coords(a), self.zero_scalar()
+        return self.matrix((k, j, ai * c) for i, ai in enumerate(a)
+                           if ai is not z for j in range(self.dim)
+                           for k, c in self.mult[j][i].items())
 
     def tensor_square_product(self, t1: dict, t2: dict) -> dict:
         """Product in H (x) H of sparse {(j, k): c} tensors."""

@@ -33,7 +33,7 @@ from .cyclofield import CycNumber
 from .errors import (DegeneratePairing, IntegralSpaceNotOneDim,
                      NotProportional)
 from .hopf import (Functional, HopfElement, HopfPresentation, _coords,
-                   algebra_generators, harpoon_left, harpoon_right)
+                   algebra_generators)
 from .linalg import Mat, Subspace, null_space_of_terms
 
 
@@ -151,51 +151,58 @@ def _normalized_pair(h: HopfPresentation) -> IntegralPair:
 # -- distinguished elements -----------------------------------------------------
 
 
-def _proportionality(vec, target, context):
-    p = next((i for i, x in enumerate(vec) if x), None)
-    if p is None:
-        raise NotProportional(f"{context}: reference vector is zero")
-    c = target[p] / vec[p]
-    if tuple(target) != tuple(x * c for x in vec):
-        raise NotProportional(context)
-    return c
+def _ratios(h: HopfPresentation, ref, terms, context) -> tuple:
+    """c_i with v_i = c_i ref, where v_i sums x e_k over the (i, k, x) in
+    terms.  c_i is read at the first nonzero coordinate of ref and the
+    rest of v_i checked against c_i ref; NotProportional, with message
+    context(i), names the first i where that fails."""
+    z = h.zero_scalar()
+    vecs = [{} for _ in range(h.dim)]
+    for i, k, x in terms:
+        vecs[i][k] = vecs[i].get(k, z) + x
+    support = [(k, x) for k, x in enumerate(ref) if x is not z]
+    p, inv = support[0][0], support[0][1].inverse()
+    out = []
+    for i, v in enumerate(vecs):
+        c = v.get(p, z) * inv
+        want = {k: x * c for k, x in support} if c is not z else {}
+        if {k: x for k, x in v.items() if x is not z} != want:
+            raise NotProportional(context(i))
+        out.append(c)
+    return tuple(out)
 
 
 def distinguished_grouplike(h: HopfPresentation) -> HopfElement:
-    """The grouplike g in H with beta lambda = beta(g) lambda for all beta."""
+    """The grouplike g in H with beta lambda = beta(g) lambda for all beta,
+    from every beta_i lambda formed in one pass over comult."""
     return h.memo(("distinguished_grouplike",), lambda: _grouplike_of(h))
 
 
 def _grouplike_of(h: HopfPresentation) -> HopfElement:
     lam = integral_pair(h).dual_integral.coords
-    n = h.dim
     z = h.zero_scalar()
-    g = []
-    for i in range(n):
-        # (beta_i * lambda)_k = sum_j lambda_j comult[k][(i, j)]
-        v = [z] * n
-        for k in range(n):
-            acc = z
-            for (a, j), c in h.comult[k].items():
-                if a == i and lam[j]:
-                    acc = acc + c * lam[j]
-            v[k] = acc
-        g.append(_proportionality(lam, v, f"beta_{i} lambda on {h.name}"))
-    return HopfElement(tuple(g))
+    # (beta_i lambda)_k = sum_j lambda_j comult[k][(i, j)]
+    return HopfElement(_ratios(
+        h, lam, ((i, k, c * lam[j]) for k, tensor in enumerate(h.comult)
+                 for (i, j), c in tensor.items() if lam[j] is not z),
+        lambda i: f"beta_{i} lambda on {h.name}"))
 
 
 def distinguished_character(h: HopfPresentation) -> Functional:
-    """The character alpha on H with Lambda a = alpha(a) Lambda."""
+    """The character alpha on H with Lambda a = alpha(a) Lambda, from
+    every Lambda e_j formed in one pass over mult on the support of
+    Lambda."""
     return h.memo(("distinguished_character",), lambda: _character_of(h))
 
 
 def _character_of(h: HopfPresentation) -> Functional:
     lam = integral_pair(h).integral.coords
-    al = []
-    for j in range(h.dim):
-        v = h.multiply(lam, h.basis_element(j))
-        al.append(_proportionality(lam, v, f"Lambda e_{j} on {h.name}"))
-    return Functional(tuple(al))
+    z = h.zero_scalar()
+    # (Lambda e_j)_k = sum_i Lambda_i mult[i][j][k]
+    return Functional(_ratios(
+        h, lam, ((j, k, x * c) for i, x in enumerate(lam) if x is not z
+                 for j, prod in enumerate(h.mult[i]) for k, c in prod.items()),
+        lambda j: f"Lambda e_{j} on {h.name}"))
 
 
 def character_inverse(h: HopfPresentation, alpha) -> Functional:
@@ -207,8 +214,13 @@ def character_inverse(h: HopfPresentation, alpha) -> Functional:
 
 
 def is_unimodular(h: HopfPresentation) -> bool:
-    """Left and right integrals in H coincide."""
-    return integral_subspace(h, "left") == integral_subspace(h, "right")
+    """Left and right integrals in H coincide.
+
+    A left integral Lambda satisfies Lambda a = alpha(a) Lambda, and each
+    integral space is a line (Larson-Sweedler), so they coincide exactly
+    when alpha is the counit.  No right integral is solved for.
+    """
+    return distinguished_character(h).coords == h.counit
 
 
 def is_semisimple(h: HopfPresentation) -> bool:
@@ -234,18 +246,11 @@ def integral_form(h: HopfPresentation) -> Mat:
 
 
 def _form_of(h: HopfPresentation) -> Mat:
-    n = h.dim
     z = h.zero_scalar()
     lam = integral_pair(h).dual_integral.coords
-    b = [[z] * n for _ in range(n)]
-    for a in range(n):
-        for c in range(n):
-            acc = z
-            for k, m in h.mult[a][c].items():
-                if lam[k]:
-                    acc = acc + m * lam[k]
-            b[a][c] = acc
-    return Mat(h.order, b, cols=n)
+    return h.matrix((a, c, m * lam[k]) for a in range(h.dim)
+                    for c, prod in enumerate(h.mult[a])
+                    for k, m in prod.items() if lam[k] is not z)
 
 
 def integral_coproduct(h: HopfPresentation) -> Mat:
@@ -293,19 +298,25 @@ def radford_trace(h: HopfPresentation, f: Mat, variant: int = 1) -> CycNumber:
 def verify_s4_formula(h: HopfPresentation) -> bool:
     """S^4 = conjugation by g composed with the two-sided alpha twist.
 
-    Checks S^4(e) = g (alpha -> e <- alpha^-1) g^-1 on every basis
-    element; exact equality or bust.
+    Checks S^4(e) = g ((alpha -> e <- alpha^-1) g^-1) for every e at once
+    as S^4 = L_g R_(g^-1) H_r H_l, with H_l, H_r the matrices of the two
+    harpoon actions and L_g, R_(g^-1) the multiplications.  It is the same
+    map with the same bracketing as the check element by element, so the
+    verdict is the same on any input; exact equality or bust.
     """
-    g = distinguished_grouplike(h)
-    alpha = distinguished_character(h)
-    alpha_inv = character_inverse(h, alpha)
-    ginv = h.antipode_matrix().apply(g.coords)
-    s4 = h.s_power_matrix(4)
-    for t in range(h.dim):
-        e = h.basis_element(t)
-        x = harpoon_left(h, alpha, e)
-        x = harpoon_right(h, x, alpha_inv)
-        x = h.multiply(g.coords, h.multiply(x, ginv))
-        if x != s4.apply(e):
-            return False
-    return True
+    z = h.zero_scalar()
+    g = distinguished_grouplike(h).coords
+    alpha = distinguished_character(h).coords
+    alpha_inv = character_inverse(h, alpha).coords
+    # Delta(e_t) = sum c e_j (x) e_k, so alpha -> e_t = sum c alpha(e_k) e_j
+    # and e_t <- alpha^-1 = sum c alpha^-1(e_j) e_k
+    deltas = [(t, j, k, c) for t, tensor in enumerate(h.comult)
+              for (j, k), c in tensor.items()]
+    h_l = h.matrix((j, t, c * alpha[k]) for t, j, k, c in deltas
+                   if alpha[k] is not z)
+    h_r = h.matrix((k, t, c * alpha_inv[j]) for t, j, k, c in deltas
+                   if alpha_inv[j] is not z)
+    l_g = h.matrix((k, j, x * c) for i, x in enumerate(g) if x is not z
+                   for j, prod in enumerate(h.mult[i]) for k, c in prod.items())
+    r_ginv = h.right_mult_matrix(h.antipode_matrix().apply(g))
+    return h.s_power_matrix(4) == l_g @ (r_ginv @ (h_r @ h_l))

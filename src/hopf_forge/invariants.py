@@ -467,8 +467,8 @@ def lemma24_check(h: HopfPresentation, t: EigenTable, d: int) -> Lemma24Result:
 
     The difference identity needs g nontrivial (PreconditionFailed
     otherwise); the j-independence identity additionally needs
-    alpha != counit and is reported as None (skipped) when alpha is
-    trivial.
+    alpha != counit and is reported as None (skipped) when h is
+    unimodular, which is_unimodular decides from alpha.
     """
     g = distinguished_grouplike(h)
     if tuple(g.coords) == tuple(h.unit):
@@ -478,8 +478,7 @@ def lemma24_check(h: HopfPresentation, t: EigenTable, d: int) -> Lemma24Result:
     diff_wit = next(((i, j) for i in range(n) for j in range(n)
                      if t.dims[(0, i, j)] - t.dims[(1, i, j)] != d), None)
     diff_ok = diff_wit is None
-    alpha = distinguished_character(h)
-    if tuple(alpha.coords) == tuple(h.counit):
+    if is_unimodular(h):  # alpha is the counit
         return Lemma24Result(d, diff_ok, diff_wit, None, None)
     j_wit = next(((a, i, j) for a in (0, 1) for i in range(n)
                   for j in range(1, n)

@@ -149,34 +149,49 @@ def _eliminate(order, rows):
     zero values and are changed in place: (nonzero rows, pivot columns).
 
     Pivot columns are taken in order, each pivoted on its shortest
-    candidate row, the first one on ties.  A pivot equal to 1 scales
-    nothing, and each other pivot value is inverted once per call.
+    candidate row, the first one on ties.  An index from each column to
+    the rows holding it, kept up to date as entries fill in or cancel,
+    names the rows each pivot visits, so rows without the pivot column
+    are never scanned.  A pivot equal to 1 scales nothing, and each other
+    pivot value is inverted once per call.
     """
     z = cyc(order, 0)
-    open_rows = [row for row in rows if row]
+    rows = [row for row in rows if row]
+    holders = {}  # column -> indices of the rows holding it
+    for i, row in enumerate(rows):
+        for c in row:
+            holders.setdefault(c, set()).add(i)
+    open_rows = set(range(len(rows)))
     done, pivots, inverses = [], [], {}
-    for c in sorted({c for row in open_rows for c in row}):
-        best = min((i for i, row in enumerate(open_rows) if c in row),
-                   key=lambda i: len(open_rows[i]), default=None)
+    for c in sorted(holders):
+        ids = holders.pop(c)
+        best = min((i for i in ids if i in open_rows),
+                   key=lambda i: (len(rows[i]), i), default=None)
         if best is None:
             continue
-        prow = open_rows.pop(best)
+        open_rows.remove(best)
+        ids.remove(best)
+        prow = rows[best]
         p = prow[c]
         if p != 1:
             if p not in inverses:
                 inverses[p] = p.inverse()
             inv = inverses[p]
-            prow = {k: a * inv for k, a in prow.items()}
-        for row in open_rows + done:
-            f = row.get(c)
-            if f is not None:
-                for k, b in prow.items():
-                    v = row.get(k, z) - f * b
-                    if v is not z:  # a sum that cancels is the canonical zero
-                        row[k] = v
-                    else:
-                        del row[k]
-        open_rows = [row for row in open_rows if row]
+            prow = rows[best] = {k: a * inv for k, a in prow.items()}
+        terms = [(k, b) for k, b in prow.items() if k != c]
+        for i in ids:
+            row = rows[i]
+            f = row.pop(c)
+            for k, b in terms:
+                x = row.get(k)
+                if x is None:  # a fill-in
+                    row[k] = -(f * b)
+                    holders[k].add(i)
+                elif (v := x - f * b) is not z:
+                    row[k] = v
+                else:  # a sum that cancels is the canonical zero
+                    del row[k]
+                    holders[k].remove(i)
         done.append(prow)
         pivots.append(c)
     return done, tuple(pivots)
@@ -277,19 +292,22 @@ def null_space_of_terms(order, cols, terms) -> Subspace:
 
 
 def _kernel(order, cols, rows) -> Subspace:
-    """Kernel of the {column: value} rows, from their sparse elimination."""
+    """Kernel of the {column: value} rows, from their sparse elimination.
+
+    Free column f gives the vector with 1 at f and -R[r][f] at each pivot
+    p_r.  When every row R[r] is its pivot alone, these are the unit
+    vectors e_f, already the canonical RREF basis; otherwise they are
+    reduced once more."""
     done, pivots = _eliminate(order, rows)
-    pivot_set = set(pivots)
     z, o = cyc(order, 0), cyc(order, 1)
-    vectors = []
-    for fc in range(cols):
-        if fc in pivot_set:
-            continue
-        v = [z] * cols
-        v[fc] = o
-        for row, pc in zip(done, pivots):
-            v[pc] = -row.get(fc, z)
-        vectors.append(v)
+    free = sorted(set(range(cols)).difference(pivots))
+    vectors = [[o if j == f else z for j in range(cols)] for f in free]
+    if all(len(row) == 1 for row in done):
+        return Subspace(order, cols, Mat(order, vectors, cols=cols),
+                        tuple(free))
+    for row, pc in zip(done, pivots):
+        for v, f in zip(vectors, free):
+            v[pc] = -row.get(f, z)
     return Subspace.from_vectors(order, cols, vectors)
 
 

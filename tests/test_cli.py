@@ -350,14 +350,35 @@ def test_unwritable_out_exits_two(taft3_file, tmp_path, capsys, command):
 
 def test_integer_scalars_parsed_once_meet_every_check(taft3_file, tmp_path,
                                                       capsys):
-    # bare integers repeat throughout a file; true and 1.0 are not integers
+    # scalars repeat throughout a file and each is parsed once; true and
+    # 1.0 are not integers, even where they equal a scalar parsed before
     doc = json.loads(taft3_file.read_text())
-    for bad in (True, 1.0):
+    seen = next(c for *_, c in doc["mult"] if isinstance(c, dict))
+    as_floats = {"num": [float(x) for x in seen["num"]], "den": seen["den"]}
+    for bad in (True, 1.0, as_floats, {**seen, "den": True}):
         doc["counit"][-1] = bad
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
         code, _, err = run_cli(capsys, "verify", str(path))
         assert code == 2 and "bad scalar in counit" in err
+
+
+def test_report_subset_rejects_an_input_without_a_character(tmp_path,
+                                                             capsys):
+    # 1 * e_3 := 0 in sweedler: Lambda e_0 leaves the line of Lambda, so
+    # there is no distinguished character, and unimodularity (which every
+    # report states) is read from it whatever checks are selected
+    path = tmp_path / "sw.json"
+    assert run_cli(capsys, "zoo", "sweedler", "--out", str(path))[0] == 0
+    doc = json.loads(path.read_text())
+    for entry in doc["mult"]:
+        if entry[:3] == [3, 0, 3]:
+            entry[3] = 0
+    path.write_text(json.dumps(doc))
+    for check in ("eq2", "thm3.4"):
+        code, _, err = run_cli(capsys, "report", str(path), "--json",
+                               "--check", check)
+        assert code == 1 and err.startswith("error: Lambda e_0 on sweedler")
 
 
 def test_report_on_a_rebased_group_algebra_with_a_large_constant(

@@ -3,19 +3,21 @@ antipode identity.  Integral existence is cross-checked with a stacked
 kernel oracle built directly from the defining equations."""
 
 import collections
+import itertools
 import random
 
 import pytest
 
 import hopf_forge.integrals as integrals_module
-from hopf_forge import (DegeneratePairing, Functional, HopfPresentation,
-                        IntegralSpaceNotOneDim, Mat,
-                        build_taft, character_inverse, cyc,
+from hopf_forge import (DegeneratePairing, Functional, HopfForgeError,
+                        HopfPresentation, IntegralSpaceNotOneDim, Mat,
+                        NotProportional, build_group_algebra, build_taft,
+                        build_tensor, character_inverse, cyc,
                         distinguished_character, distinguished_grouplike,
-                        dual, dual_right_integral,
-                        integral_pair, integral_subspace, is_cosemisimple,
-                        is_semisimple, is_unimodular, left_integral,
-                        null_space,
+                        dual, dual_right_integral, harpoon_left,
+                        harpoon_right, integral_pair, integral_subspace,
+                        is_cosemisimple, is_semisimple, is_unimodular,
+                        left_integral, lift_order, null_space,
                         radford_trace, root_of_unity, trace_form,
                         verify_s4_formula)
 from conftest import corrupted, random_endomorphism, sites
@@ -215,6 +217,143 @@ def test_s4_formula_on_corpus(corpus, sw):
     for h in corpus.values():
         assert verify_s4_formula(h), h.name
     assert verify_s4_formula(sw)
+
+
+def _s4_element_by_element(h):
+    """Oracle: S^4(e) = g ((alpha -> e <- alpha^-1) g^-1) checked on each
+    basis element with the harpoons and products of H."""
+    g = distinguished_grouplike(h)
+    alpha = distinguished_character(h)
+    alpha_inv = character_inverse(h, alpha)
+    ginv = h.antipode_matrix().apply(g.coords)
+    s4 = h.s_power_matrix(4)
+    for t in range(h.dim):
+        e = h.basis_element(t)
+        x = harpoon_right(h, harpoon_left(h, alpha, e), alpha_inv)
+        if h.multiply(g.coords, h.multiply(x, ginv)) != s4.apply(e):
+            return False
+    return True
+
+
+def _bent_antipode(h, i, j, shift):
+    """h with coordinate i of the stored S(e_j) shifted by shift."""
+    rows = [list(row) for row in h.antipode_matrix().data]
+    rows[i][j] = rows[i][j] + shift
+    return HopfPresentation(
+        name=f"{h.name} S[{i}][{j}]{shift:+d}", dim=h.dim, order=h.order,
+        mult_entries=[(a, b, k, c) for a in range(h.dim)
+                      for b in range(h.dim)
+                      for k, c in h.mult[a][b].items()],
+        comult_entries=[(a, b, k, c) for a in range(h.dim)
+                        for (b, k), c in h.comult[a].items()],
+        unit=h.unit, counit=h.counit,
+        antipode=Mat(h.order, rows, cols=h.dim))
+
+
+def test_s4_formula_fails_on_a_bent_antipode(t3):
+    # g and alpha come from mult and comult alone, so a wrong stored S
+    # moves S^4 and S(g) but not the twist; adding e_1 to S(e_1) breaks
+    # the formula, and the matrix identity agrees with the element by
+    # element check on every bent antipode
+    assert not verify_s4_formula(_bent_antipode(t3, 1, 1, 1))
+    rng = random.Random(4)
+    verdicts = set()
+    for i, j in rng.sample(list(itertools.product(range(t3.dim),
+                                                  repeat=2)), 12):
+        bent = _bent_antipode(t3, i, j, rng.choice((1, -1)))
+        verdicts.add(verify_s4_formula(bent))
+        assert verify_s4_formula(bent) == _s4_element_by_element(bent)
+    assert False in verdicts
+
+
+def _ratios_oracle(ref, vectors, label):
+    """Dense proportionality: vectors[i] = c_i ref, read at the first
+    nonzero of ref; raises NotProportional(label(i)) at the first miss."""
+    p = next(i for i, x in enumerate(ref) if x)
+    out = []
+    for i, v in enumerate(vectors):
+        c = v[p] / ref[p]
+        if tuple(v) != tuple(x * c for x in ref):
+            raise NotProportional(label(i))
+        out.append(c)
+    return tuple(out)
+
+
+def _character_oracle(h):
+    lam = integral_pair(h).integral.coords
+    return _ratios_oracle(lam, [h.multiply(lam, h.basis_element(j))
+                                for j in range(h.dim)],
+                          lambda j: f"Lambda e_{j} on {h.name}")
+
+
+def _grouplike_oracle(h):
+    lam = integral_pair(h).dual_integral.coords
+    vectors = []
+    for i in range(h.dim):  # (beta_i lambda)_k
+        vectors.append([sum((c * lam[j] for (a, j), c in h.comult[k].items()
+                             if a == i), cyc(h.order, 0))
+                        for k in range(h.dim)])
+    return _ratios_oracle(lam, vectors,
+                          lambda i: f"beta_{i} lambda on {h.name}")
+
+
+def _outcome_of(f, h):
+    try:
+        return f(h)
+    except NotProportional as exc:
+        return str(exc)
+
+
+def test_distinguished_character_names_the_first_failing_e_j(sw):
+    # e_1 e_2 gains a term, so Lambda e_2 leaves the integral line
+    bent = corrupted(sw, "mult", (1, 2, 0), 1)
+    integral_pair(bent)  # the pair itself still exists
+    with pytest.raises(NotProportional,
+                       match=r"^Lambda e_2 on sweedler mult\(1, 2, 0\)\+1$"):
+        distinguished_character(bent)
+
+
+def test_distinguished_elements_match_the_dense_oracle(sw, t3):
+    raised = collections.Counter()
+    cases = [corrupted(sw, table, site, shift) for table in ("mult", "comult")
+             for site in sites(sw) for shift in (1, -1)]
+    rng = random.Random(21)
+    cases += [corrupted(t3, table, site, 1) for table in ("mult", "comult")
+              for site in rng.sample(sites(t3), 60)]
+    for h in cases:
+        try:
+            integral_pair(h)
+        except HopfForgeError:
+            continue
+        for f, oracle in ((distinguished_character, _character_oracle),
+                          (distinguished_grouplike, _grouplike_oracle)):
+            want = _outcome_of(oracle, h)
+            got = _outcome_of(lambda h: f(h).coords, h)
+            assert got == want, (h.name, f.__name__)
+            raised[f.__name__] += isinstance(want, str)
+    assert raised["distinguished_character"] and \
+        raised["distinguished_grouplike"]
+
+
+def _s3_algebra():
+    perms = list(itertools.permutations(range(3)))
+    index = {p: i for i, p in enumerate(perms)}
+    table = [[index[tuple(a[b[t]] for t in range(3))] for b in perms]
+             for a in perms]
+    return build_group_algebra(table, name="k[S3]")
+
+
+def test_is_unimodular_is_the_equality_of_the_integral_spaces(corpus, sw, t3,
+                                                             z3):
+    algebras = list(corpus.values()) + [
+        sw, build_taft(3, root_power=2), build_taft(4), _s3_algebra(),
+        build_tensor(t3, lift_order(z3, 3))]
+    seen = set()
+    for h in algebras + [dual(h) for h in algebras]:
+        left, right = integral_subspace(h, "left"), integral_subspace(h, "right")
+        assert is_unimodular(h) == (left == right), h.name
+        seen.add(is_unimodular(h))
+    assert seen == {True, False}
 
 
 def test_distinguished_elements_of_taft(t3, t5):

@@ -35,12 +35,42 @@ def rand_mat(order, rows, cols, rng, density=0.7):
     return Mat(order, data, cols=cols)
 
 
+def edge_mats(order):
+    """Fixed elimination edge cases: a row that cancels to nothing in the
+    middle of the elimination (2 r1 - r2), zero and repeated rows, a
+    kernel spanned by unit vectors (already its RREF) and one that is
+    not."""
+    z, one, zeta = cyc(order, 0), cyc(order, 1), root_of_unity(order, 1)
+    two = one + one
+    r1, r2 = [one, one, z, two], [z, one, zeta, z]
+    cancel = [a * 2 - b for a, b in zip(r1, r2)]
+    zero_row = [z] * 4
+    return [
+        Mat(order, [r1, r2, cancel], cols=4),
+        Mat(order, [cancel, r1, r2], cols=4),
+        Mat(order, [zero_row, r1, r1, zero_row, r2, r1], cols=4),
+        Mat(order, [zero_row, zero_row], cols=4),
+        Mat(order, [[zeta, z, z, z], [z, z, two, z], [z, z, two, z]],
+            cols=4),  # kernel span(e1, e3)
+        Mat(order, [[one, two, z], [z, z, zeta]], cols=3),  # (-2, 1, 0)
+    ]
+
+
 @pytest.mark.parametrize("order", (1, 3, 5))
-def test_rank_nullity(order):
+def test_rank_nullity(order, monkeypatch):
+    reduced = []  # kernels whose free-column vectors needed a second rref
+    from_vectors = Subspace.from_vectors
+
+    def counting(*args):
+        reduced.append(args)
+        return from_vectors(*args)
+
+    monkeypatch.setattr(Subspace, "from_vectors", staticmethod(counting))
     rng = random.Random(order * 31)
-    for _ in range(15):
-        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
-        m = rand_mat(order, rows, cols, rng)
+    mats = [rand_mat(order, rng.randint(1, 6), rng.randint(1, 6), rng)
+            for _ in range(15)]
+    for m in mats + edge_mats(order):
+        cols = m.cols
         red, rank, pivots = rref(m)
         ker = null_space(m)
         assert rank + ker.dim == cols
@@ -48,9 +78,15 @@ def test_rank_nullity(order):
         for r in range(ker.dim):
             img = m.apply(ker.basis.data[r])
             assert not any(img), "kernel vector must map to zero"
-        # rref is idempotent
+        # rref is idempotent, and a kernel basis is its own RREF
         red2, rank2, pivots2 = rref(red)
         assert red2 == red and rank2 == rank and pivots2 == pivots
+        assert rref(ker.basis)[::2] == (ker.basis, ker.pivots)
+    # the unit-vector kernel skips the second rref, the other takes it
+    *_, units, other = edge_mats(order)
+    reduced.clear()
+    assert null_space(units).pivots == (1, 3) and not reduced
+    assert null_space(other).dim == 1 and len(reduced) == 1
 
 
 def degenerate_mat(order, rows, cols, rng):
@@ -87,8 +123,9 @@ def test_rref_matches_sympy_over_q():
 @pytest.mark.parametrize("order", (3, 15))
 def test_rref_ignores_row_order_and_repeats(order):
     rng = random.Random(order * 101)
-    for rows, cols in _SHAPES:
-        m = degenerate_mat(order, rows, cols, rng)
+    mats = (degenerate_mat(order, rows, cols, rng) for rows, cols in _SHAPES)
+    for m in itertools.chain(mats, edge_mats(order)):
+        cols = m.cols
         red, rank, pivots = rref(m)
         shuffled = list(m.data)
         rng.shuffle(shuffled)
@@ -228,6 +265,16 @@ def test_eigenspace_is_null_space_of_the_dense_shift(order):
         for mat, value in cases:
             got, want = eigenspace(mat, value), null_space(shifted(mat, value))
             assert got == want and got.pivots == want.pivots
+    # fixed shifts: diag(c, 1, c) - c leaves the unit vectors e0, e2 (their
+    # own RREF); in the other, m - c has a row that cancels against the
+    # first and a kernel vector (-1, 1, 0) that is not a unit vector
+    z, one = cyc(order, 0), cyc(order, 1)
+    c = root_of_unity(order, 1) + 2  # neither 0 nor 1
+    diag = Mat(order, [[c, z, z], [z, one, z], [z, z, c]])
+    mixed = Mat(order, [[c + 1, one, z], [one + 1, c + 2, z], [z, z, c]])
+    for mat, dim in ((diag, 2), (mixed, 2)):
+        got, want = eigenspace(mat, c), null_space(shifted(mat, c))
+        assert got == want and got.pivots == want.pivots and got.dim == dim
 
 
 def test_operator_order():
