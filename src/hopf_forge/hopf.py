@@ -551,17 +551,12 @@ def harpoon_right(h: HopfPresentation, a, beta) -> tuple:
 
 def is_grouplike(h: HopfPresentation, a) -> bool:
     """Delta(a) = a (x) a and a != 0 (which forces counit(a) = 1)."""
-    a = _coords(a)
-    if not any(a):
+    a, z = _coords(a), h.zero_scalar()
+    support = [(j, aj) for j, aj in enumerate(a) if aj is not z]
+    if not support:
         return False
-    got = h.comult_pairs(a)
-    expect = {}
-    for j, aj in enumerate(a):
-        if aj:
-            for k, ak in enumerate(a):
-                if ak:
-                    expect[(j, k)] = aj * ak
-    return _dict_eq(got, expect)
+    expect = {(j, k): aj * ak for j, aj in support for k, ak in support}
+    return h.comult_pairs(a) == expect  # neither side holds a zero
 
 
 def find_grouplikes(h: HopfPresentation) -> tuple:

@@ -239,72 +239,59 @@ def check_dim_symmetry(t: EigenTable):
 # -- normal form of Delta(Lambda) ------------------------------------------------
 
 
-class NormalForm(namedtuple("NormalForm",
-                            "x_vec components labels p_mat p_inv cprime")):
-    """Blocks of Delta(Lambda): components[key] is the part of
-    Delta(Lambda) lying in H_key (x) H_(partner of key), as a sparse
-    {(leg1, leg2): coefficient} map.  labels[c] is the (a, i, j) of
-    eigen-coordinate column c, and cprime is Delta(Lambda) in eigen
-    coordinates."""
+class NormalForm(namedtuple("NormalForm", "x_vec labels p_mat p_inv cprime")):
+    """Delta(Lambda) in eigen coordinates: cprime = C' = Pinv C Pinv^T,
+    where C is its coefficient matrix and column c of P is an
+    eigenvector with label labels[c], so C = P C' P^T."""
     __slots__ = ()
 
+    @property
+    def components(self) -> dict:
+        """{key: the part of Delta(Lambda) in H_key (x) H_(partner of
+        key)} as sparse {(leg1, leg2): coefficient} maps, one per label
+        of a nonzero row of C', expanded from P and C' on each call."""
+        z = cyc(self.cprime.order, 0)
+        p_cols = self.p_mat.transpose().nonzeros()
+        out = {}
+        for r, row in enumerate(self.cprime.nonzeros()):
+            for s, coef in row:
+                part = out.setdefault(self.labels[r], {})
+                for j, u in p_cols[r]:
+                    f = coef * u
+                    for k, v in p_cols[s]:
+                        part[(j, k)] = part.get((j, k), z) + f * v
+        return out
+
     def reconstruction(self, h: HopfPresentation) -> tuple:
-        """The sum of the components as a flat tensor-square vector
-        (row-major over (leg1, leg2))."""
-        total = [h.zero_scalar()] * (h.dim * h.dim)
-        for part in self.components.values():
-            for (j, k), c in part.items():
-                total[j * h.dim + k] = total[j * h.dim + k] + c
-        return tuple(total)
-
-
-def _nonzero_cols(m: Mat) -> list:
-    """[(row, entry) for each nonzero entry] of every column of m."""
-    return m.transpose().nonzeros()
+        """The blocks summed back over the basis of h, P C' P^T, as a flat
+        tensor-square vector (row-major over (leg1, leg2))."""
+        p = self.p_mat
+        return tuple(c for row in (p @ self.cprime @ p.transpose()).data
+                     for c in row)
 
 
 def normal_form(h: HopfPresentation, t: EigenTable) -> NormalForm:
-    """Split Delta(Lambda) into its eigen blocks and verify the pairing.
+    """Delta(Lambda) in eigen coordinates, with its pairing verified.
 
-    Every nonzero block must couple label key with pattern_partner(key);
-    an entry outside that pattern raises OffPatternBlock, carrying the
-    offending label pair.  Delta(Lambda) in eigen coordinates,
-    Pinv C Pinv^T, is summed over the terms of C and the nonzero entries
-    of the Pinv columns they meet.
+    C' = Pinv C Pinv^T is formed by two sparse Mat products.  Every
+    nonzero entry C'[r][s] must couple label key = labels[r] with
+    pattern_partner(key); the first entry outside that pattern, in
+    row-major order, raises OffPatternBlock naming the label pair.
     """
     p, labels = t.eigen_basis()
     pinv = t.eigen_basis_inverse()
-    z = h.zero_scalar()
-    pinv_cols = _nonzero_cols(pinv)
-    entries = {}
-    for k, col in enumerate(_nonzero_cols(integral_coproduct(h))):
-        for j, c in col:  # the nonzero C[j][k]
-            for r, u in pinv_cols[j]:
-                f = u * c
-                for s, v in pinv_cols[k]:
-                    entries[(r, s)] = entries.get((r, s), z) + f * v
-    n = h.dim
-    rows = [[z] * n for _ in range(n)]
-    p_cols = _nonzero_cols(p)
-    components = {}
-    for (r, s), coef in sorted(entries.items()):
-        if not coef:
-            continue
-        if labels[s] != t.pattern_partner(labels[r]):
-            raise OffPatternBlock(
-                f"Delta(Lambda) on {h.name} has a nonzero block "
-                f"{labels[r]} (x) {labels[s]}; expected partner "
-                f"{t.pattern_partner(labels[r])}")
-        rows[r][s] = coef
-        part = components.setdefault(labels[r], {})
-        for j, u in p_cols[r]:
-            f = coef * u
-            for k, v in p_cols[s]:
-                part[(j, k)] = part.get((j, k), z) + f * v
+    cprime = pinv @ integral_coproduct(h) @ pinv.transpose()
+    for r, row in enumerate(cprime.nonzeros()):
+        partner = t.pattern_partner(labels[r])
+        for s, _ in row:
+            if labels[s] != partner:
+                raise OffPatternBlock(
+                    f"Delta(Lambda) on {h.name} has a nonzero block "
+                    f"{labels[r]} (x) {labels[s]}; expected partner "
+                    f"{partner}")
     x = t.x_exp
-    return NormalForm(x_vec=(0, (-x) % t.n, x % t.n), components=components,
-                      labels=labels, p_mat=p, p_inv=pinv,
-                      cprime=Mat(h.order, rows, cols=n))
+    return NormalForm(x_vec=(0, (-x) % t.n, x % t.n), labels=labels,
+                      p_mat=p, p_inv=pinv, cprime=cprime)
 
 
 def projection_traces(h: HopfPresentation, t: EigenTable) -> dict:
@@ -350,10 +337,12 @@ def alternating_form_check(h: HopfPresentation, t: EigenTable,
     Checks: the global Gram matrix (which is exactly the coefficient
     matrix of Delta(Lambda)) has full rank; the block of the form dual
     to H_(1,-l,l) (the unique self-paired block, 2l = x) is alternating
-    and non-degenerate, forcing even dimension; and the twisted
-    expansion of Delta^op(Lambda): in eigen coordinates the (r, s) entry
-    of the Delta^op Gram equals (-1)^a omega^(-i-j) times the Delta
-    Gram entry, where (a, i, j) labels row r.
+    (skew-symmetric suffices in characteristic 0) and non-degenerate,
+    forcing even dimension; and the twisted expansion of Delta^op(Lambda)
+    read off C' = nf.cprime, whose transpose is the Delta^op Gram in
+    eigen coordinates: C'^T[r][s] = (-1)^a omega^(-i-j) C'[r][s], with
+    (a, i, j) the label of row r, wherever C' or C'^T is nonzero (both
+    sides vanish elsewhere).  The witness is the least failing (r, s).
     """
     n = t.n
     if n == 1:
@@ -368,18 +357,16 @@ def alternating_form_check(h: HopfPresentation, t: EigenTable,
     vkey = (1, (-ell) % n, ell % n)
     vidx = [r for r, lbl in enumerate(labels) if lbl == vkey]
     vdim = len(vidx)
-    block = [[nf.cprime.data[r][s] for s in vidx] for r in vidx]
-    alternating = all(not block[i][i] for i in range(vdim)) and all(
-        block[i][j] == -block[j][i]
-        for i in range(vdim) for j in range(vdim))
+    cp = nf.cprime.data
+    block = [[cp[r][s] for s in vidx] for r in vidx]
+    alternating = all(block[i][j] == -block[j][i]
+                      for i in range(vdim) for j in range(vdim))
     nondeg = not vdim or rref(Mat(h.order, block, cols=vdim))[1] == vdim
-    # Delta^op Gram in eigen coordinates is the transpose of the Delta one
-    cop_prime = nf.cprime.transpose()
     factors = [(-1) ** a * t.omega ** ((-i - j) % n) for a, i, j in labels]
-    witness = next(((labels[r], labels[s])
-                    for r in range(h.dim) for s in range(h.dim)
-                    if cop_prime.data[r][s]
-                    != factors[r] * nf.cprime.data[r][s]), None)
+    support = {pos for r, row in enumerate(nf.cprime.nonzeros())
+               for s, _ in row for pos in ((r, s), (s, r))}
+    witness = next(((labels[r], labels[s]) for r, s in sorted(support)
+                    if cp[s][r] != factors[r] * cp[r][s]), None)
     return AlternatingFormReport(
         ell=ell, global_rank=rank, global_full_rank=(rank == h.dim),
         v_dim=vdim, v_dim_even=(vdim % 2 == 0), alternating_ok=alternating,
@@ -763,10 +750,9 @@ def build_report(h: HopfPresentation, omega_power: int = 1,
             skip("skipped:OffPatternBlock", "eq3", "lem3.1")
         else:
             if wanted("eq3:reconstruction"):
-                target = tuple(c for row in integral_coproduct(h).data
-                               for c in row)
+                p = nf.p_mat
                 results["eq3:reconstruction"] = _outcome(
-                    nf.reconstruction(h) == target)
+                    p @ nf.cprime @ p.transpose() == integral_coproduct(h))
             if wanted("eq3:projection-traces"):
                 bad = min((key for key, traces
                            in projection_traces(h, table).items()

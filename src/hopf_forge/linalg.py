@@ -250,15 +250,14 @@ class Subspace:
         of vec at the pivot columns; membership is confirmed by checking
         the residual is zero.
         """
+        z = cyc(self.order, 0)
         coeffs = tuple(vec[p] for p in self.pivots)
         residual = list(vec)
         for c, row in zip(coeffs, self.basis.nonzeros()):
-            if c:
+            if c is not z:
                 for j, b in row:
                     residual[j] = residual[j] - c * b
-        if any(residual):
-            return None
-        return coeffs
+        return None if any(x is not z for x in residual) else coeffs
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
@@ -319,7 +318,7 @@ def eigenspace(m: Mat, c: CycNumber) -> Subspace:
     z = cyc(m.order, 0)
     rows = [dict(row) for row in m.nonzeros()]
     for i, row in enumerate(rows):
-        if v := row.get(i, z) - c:
+        if (v := row.get(i, z) - c) is not z:
             row[i] = v
         else:
             row.pop(i, None)
@@ -399,7 +398,7 @@ def _poly_shift_scale(p, c, zero):
     """(t - c) * p for ascending coefficient list p."""
     out = [zero] + list(p)
     for i, x in enumerate(p):
-        if x:
+        if x is not zero:
             out[i] = out[i] - c * x
     return out
 
@@ -420,7 +419,7 @@ def charpoly(m: Mat):
     for j in range(n - 2):
         pivot = None
         for i in range(j + 1, n):
-            if h[i][j]:
+            if h[i][j] is not zero:
                 pivot = i
                 break
         if pivot is None:
@@ -431,7 +430,7 @@ def charpoly(m: Mat):
                 row[pivot], row[j + 1] = row[j + 1], row[pivot]
         inv = h[j + 1][j].inverse()
         for i in range(j + 2, n):
-            if h[i][j]:
+            if h[i][j] is not zero:
                 f = h[i][j] * inv
                 hi, hj = h[i], h[j + 1]
                 for c in range(j, n):
@@ -445,7 +444,7 @@ def charpoly(m: Mat):
         beta = one
         for i in range(k - 2, -1, -1):
             beta = beta * h[i + 1][i]
-            if h[i][k - 1] and beta:
+            if h[i][k - 1] is not zero and beta is not zero:
                 corr = [beta * h[i][k - 1] * c for c in polys[i]]
                 p = _poly_sub(p, corr, zero)
         polys.append(p)

@@ -18,9 +18,10 @@ from hopf_forge import (CHECK_TAGS, BadParameters, EigenTable,
                         check_dim_symmetry, compute_index, coradical,
                         coradical_is_subcoalgebra, coradical_traces, cyc,
                         eigen_decomposition, find_grouplikes, h_plus_minus,
-                        index_bound, integral_pair, lemma24_check,
-                        normal_form, omega_for_index, projection_traces,
-                        root_of_unity, trace_s2p_report, x_exponent)
+                        index_bound, integral_coproduct, integral_pair,
+                        lemma24_check, normal_form, omega_for_index,
+                        projection_traces, root_of_unity, trace_s2p_report,
+                        x_exponent)
 from hopf_forge import invariants
 from hopf_forge.invariants import NormalForm, selects
 
@@ -221,8 +222,55 @@ def test_normal_form_off_pattern_detected(t3):
     spaces[(0, 0, 0)], spaces[(0, 0, 1)] = spaces[(0, 0, 1)], spaces[(0, 0, 0)]
     mislabeled = EigenTable(omega=table.omega, n=table.n, x_exp=table.x_exp,
                             spaces=spaces, dims=table.dims)
-    with pytest.raises(OffPatternBlock):
+    with pytest.raises(OffPatternBlock) as exc:
         normal_form(t3, mislabeled)
+    # the first off-pattern entry of C' in row-major order is named
+    assert str(exc.value) == (
+        "Delta(Lambda) on taft(3) has a nonzero block (0, 0, 0) (x) "
+        "(0, 1, 1); expected partner (0, 1, 2)")
+
+
+def _flat_delta_lambda(h):
+    return tuple(c for row in integral_coproduct(h).data for c in row)
+
+
+@pytest.mark.parametrize("name", ["t3", "t5", "t3z5"])
+def test_normal_form_blocks_are_expanded_on_demand(name, request):
+    h = request.getfixturevalue(name)
+    table = table_of(h)
+    nf = normal_form(h, table)
+    assert nf.reconstruction(h) == _flat_delta_lambda(h)
+    parts = nf.components
+    # one part per label of a nonzero row of C'
+    assert set(parts) == {nf.labels[r] for r, row
+                          in enumerate(nf.cprime.nonzeros()) if row}
+    total = [cyc(h.order, 0)] * (h.dim * h.dim)
+    for key, part in parts.items():
+        m = [[cyc(h.order, 0)] * h.dim for _ in range(h.dim)]
+        for (j, k), c in part.items():
+            m[j][k] = c
+            total[j * h.dim + k] = total[j * h.dim + k] + c
+        # the part lies in H_key (x) H_partner: its columns in H_key, its
+        # rows in H_partner
+        left = table.spaces[key]
+        right = table.spaces[table.pattern_partner(key)]
+        assert all(left.contains([row[k] for row in m]) for k in range(h.dim))
+        assert all(right.contains(row) for row in m)
+    assert tuple(total) == nf.reconstruction(h)
+
+
+def test_report_reconstruction_fails_on_a_shifted_cprime(t3, monkeypatch):
+    nf = normal_form(t3, table_of(t3))
+    r, s = next((r, row[0][0]) for r, row
+                in enumerate(nf.cprime.nonzeros()) if row)
+    rows = [list(row) for row in nf.cprime.data]
+    rows[r][s] = rows[r][s] + 1  # stays on the pairing pattern
+    bent = nf._replace(cprime=Mat(t3.order, rows, cols=t3.dim))
+    monkeypatch.setattr(invariants, "normal_form", lambda h, t: bent)
+    status = _statuses(build_report(t3))
+    assert status["eq3:normal-form-pattern"] == ("pass", "")
+    assert status["eq3:reconstruction"] == ("fail", "")
+    assert bent.reconstruction(t3) != _flat_delta_lambda(t3)
 
 
 def test_projection_traces_match_dimensions(t3):
@@ -333,7 +381,7 @@ def _v_block_setup(cprime_entries):
                        spaces={vkey: None}, dims={vkey: 2})
     ident = Mat.identity(3, 2)
     cprime = Mat(3, [[cyc(3, a) for a in row] for row in cprime_entries])
-    nf = NormalForm(x_vec=(0, 1, 2), components={}, labels=(vkey, vkey),
+    nf = NormalForm(x_vec=(0, 1, 2), labels=(vkey, vkey),
                     p_mat=ident, p_inv=ident, cprime=cprime)
     return h, table, nf
 
@@ -358,6 +406,19 @@ def test_alternating_v_block_rejects_diagonal_entry():
     h, table, nf = _v_block_setup([[1, 0], [0, -1]])
     rep = alternating_form_check(h, table, nf=nf)
     assert not rep.alternating_ok
+
+
+def test_alternating_v_block_compares_where_only_the_transpose_is_nonzero():
+    # C'[0][1] = 0 but C'^T[0][1] = 2 != -1 * 0: the first failure in
+    # row-major order sits where C' is zero
+    h, table, nf = _v_block_setup([[0, 0], [2, 0]])
+    rep = alternating_form_check(h, table, nf=nf)
+    assert not rep.delta_op_ok
+    assert rep.delta_op_witness == ((1, 2, 1), (1, 2, 1))
+    # with distinct labels the witness tells (0, 1) from (1, 0)
+    other = nf._replace(labels=((1, 2, 1), (0, 0, 0)))
+    rep = alternating_form_check(h, table, nf=other)
+    assert rep.delta_op_witness == ((1, 2, 1), (0, 0, 0))
 
 
 def test_alternating_v_block_flags_degenerate_form():
