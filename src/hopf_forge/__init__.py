@@ -15,7 +15,7 @@ from .errors import (BadParameters, BoundExceeded, DegeneratePairing,
                      NonCommuting, NonSplitting, NotAGroup, NotARootPower,
                      NotInvariant, NotInvertible, NotProportional,
                      OffPatternBlock, OrderExceedsBound, OrderMismatch,
-                     PreconditionFailed, SpectrumNotPlusMinusOne)
+                     PreconditionFailed)
 from .hopf import (AxiomChecklist, Functional, HopfElement,
                    HopfPresentation, check_axioms, compute_antipode, dual,
                    find_grouplikes, harpoon_left, harpoon_right,

@@ -89,11 +89,7 @@ class IndexOne(HopfForgeError):
 
 
 class IndexEven(HopfForgeError):
-    """The alternating-form check requires odd index."""
-
-
-class SpectrumNotPlusMinusOne(HopfForgeError):
-    """S^(2n) has spectrum outside {1, -1}."""
+    """The eigenspace decomposition requires odd index."""
 
 
 class PreconditionFailed(HopfForgeError):

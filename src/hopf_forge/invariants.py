@@ -28,8 +28,7 @@ from math import gcd, lcm
 from .cyclofield import CycNumber, cyc, root_of_unity, scalar_to_json
 from .errors import (BadParameters, IndexEven, IndexOne, NonCommuting,
                      NonSplitting, NotARootPower, NotInvariant,
-                     OffPatternBlock, OrderExceedsBound, PreconditionFailed,
-                     SpectrumNotPlusMinusOne)
+                     OffPatternBlock, OrderExceedsBound, PreconditionFailed)
 from .hopf import HopfPresentation, find_grouplikes
 from .integrals import (distinguished_character, distinguished_grouplike,
                         integral_coproduct, integral_pair, is_cosemisimple,
@@ -182,6 +181,8 @@ def eigen_decomposition(h: HopfPresentation, omega: CycNumber) -> EigenTable:
     Requires odd index > 1: index 1 is rejected with IndexOne (the
     machinery degenerates), even index with IndexEven (the labels
     (-1)^a omega^i collide, so the direct sum would double count).
+    S^2 splits every translation eigenspace (see below); NonSplitting
+    reports how much of H the translation eigenspaces cover.
     """
     idx = compute_index(h)
     n = idx.n
@@ -203,22 +204,17 @@ def eigen_decomposition(h: HopfPresentation, omega: CycNumber) -> EigenTable:
     total = 0
     for j in range(n):
         wj = eigenspace(rg, omega ** j)
-        # S^2 commutes with rg, so it preserves wj: split it there
+        # S^2 commutes with rg, so it preserves wj; (S^2)^(2n) = id there
+        # (compute_index), and n odd makes the (-1)^a omega^i all 2n of the
+        # 2n-th roots of unity, distinct, so S^2 diagonalizes over them
         local = restrict_operator(s2, wj)
-        split = 0
         for a in (0, 1):
             for i in range(n):
                 value = -omega ** i if a else omega ** i
                 sub = wj.image_of(eigenspace(local, value))
                 spaces[(a, i, j)] = sub
                 dims[(a, i, j)] = sub.dim
-                split += sub.dim
                 total += sub.dim
-        if split != wj.dim:
-            raise NonSplitting(
-                f"S^2 restricted to the omega^{j} translation eigenspace "
-                f"of {h.name} splits only {split} of {wj.dim} dimensions; "
-                f"re-present over Q(zeta_{lcm(h.order, 2 * n)})")
     if total != dim:
         raise NonSplitting(
             f"right translation by g on {h.name} is not diagonalizable "
@@ -239,7 +235,7 @@ def check_dim_symmetry(t: EigenTable):
 # -- normal form of Delta(Lambda) ------------------------------------------------
 
 
-class NormalForm(namedtuple("NormalForm", "x_vec labels p_mat p_inv cprime")):
+class NormalForm(namedtuple("NormalForm", "x_vec labels p_mat cprime")):
     """Delta(Lambda) in eigen coordinates: cprime = C' = Pinv C Pinv^T,
     where C is its coefficient matrix and column c of P is an
     eigenvector with label labels[c], so C = P C' P^T."""
@@ -291,7 +287,7 @@ def normal_form(h: HopfPresentation, t: EigenTable) -> NormalForm:
                     f"{partner}")
     x = t.x_exp
     return NormalForm(x_vec=(0, (-x) % t.n, x % t.n), labels=labels,
-                      p_mat=p, p_inv=pinv, cprime=cprime)
+                      p_mat=p, cprime=cprime)
 
 
 def projection_traces(h: HopfPresentation, t: EigenTable) -> dict:
@@ -343,12 +339,9 @@ def alternating_form_check(h: HopfPresentation, t: EigenTable,
     eigen coordinates: C'^T[r][s] = (-1)^a omega^(-i-j) C'[r][s], with
     (a, i, j) the label of row r, wherever C' or C'^T is nonzero (both
     sides vanish elsewhere).  The witness is the least failing (r, s).
+    t is from eigen_decomposition, so its index n is odd and > 1.
     """
     n = t.n
-    if n == 1:
-        raise IndexOne("alternating form needs index > 1")
-    if n % 2 == 0:
-        raise IndexEven("alternating form needs odd index")
     ell = (t.x_exp * (n + 1) // 2) % n  # the l with 2l = x mod n
     if nf is None:
         nf = normal_form(h, t)
@@ -377,24 +370,19 @@ def alternating_form_check(h: HopfPresentation, t: EigenTable,
 # -- parity and congruence -------------------------------------------------------
 
 
-def h_plus_minus(h: HopfPresentation, n: int):
-    """(dim H_+, dim H_-) for the involution-like S^(2n).
+def h_plus_minus(h: HopfPresentation):
+    """(dim H_+, dim H_-) for S^(2n), n the index (memoized).
 
-    The two eigenspaces (+1, -1) must exhaust H; anything else means
-    S^(4n) != id and raises SpectrumNotPlusMinusOne.
+    S^(4n) = id (compute_index), so the minimal polynomial of S^(2n)
+    divides x^2 - 1: the +1 kernel alone gives both dimensions.
     """
-    return h.memo(("h_plus_minus", n), lambda: _plus_minus_split(h, n))
+    return h.memo(("h_plus_minus",), lambda: _plus_minus_split(h))
 
 
-def _plus_minus_split(h: HopfPresentation, n: int):
-    m = h.s_power_matrix(2 * n)
-    plus = eigenspace(m, cyc(h.order, 1))
-    minus = eigenspace(m, cyc(h.order, -1))
-    if plus.dim + minus.dim != h.dim:
-        raise SpectrumNotPlusMinusOne(
-            f"S^(2*{n}) on {h.name} has spectrum beyond +1/-1 "
-            f"({plus.dim} + {minus.dim} != {h.dim})")
-    return plus.dim, minus.dim
+def _plus_minus_split(h: HopfPresentation):
+    m = h.s_power_matrix(2 * compute_index(h).n)
+    plus = eigenspace(m, cyc(h.order, 1)).dim
+    return plus, h.dim - plus
 
 
 TraceCongruence = namedtuple("TraceCongruence", (
@@ -424,7 +412,7 @@ def trace_s2p_report(h: HopfPresentation, p: int, q: int) -> TraceCongruence:
     m = h.s_power_matrix(2 * p)
     direct = m.trace()
     via_formula = radford_trace(h, m, variant=1)
-    hp, hm = h_plus_minus(h, p)
+    hp, hm = h_plus_minus(h)
     trace_int = _as_int(direct)
     routes_agree = (direct == via_formula and trace_int is not None
                     and trace_int == hp - hm)
@@ -770,7 +758,7 @@ def build_report(h: HopfPresentation, omega_power: int = 1,
                 results["lem3.1:delta-op-expansion"] = _outcome(
                     alt.delta_op_ok, failure=f"witness {alt.delta_op_witness}")
 
-    hp, hm = h_plus_minus(h, n)
+    hp, hm = h_plus_minus(h)
     results["cor3.2:h-minus-even"] = _outcome(hm % 2 == 0, f"dim H_- = {hm}")
 
     cora = coradical(h)

@@ -105,7 +105,7 @@ def test_c08_h_minus_even_on_odd_index_members(corpus):
         if n % 2 == 0:
             continue
         seen += 1
-        dim_plus, dim_minus = h_plus_minus(h, n)
+        dim_plus, dim_minus = h_plus_minus(h)
         assert dim_minus % 2 == 0, name
         assert dim_plus + dim_minus == h.dim, name
     assert seen == len(corpus)  # every corpus member has odd index

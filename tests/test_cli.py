@@ -307,6 +307,20 @@ def test_report_exit_three_with_lift_hint(tmp_path, capsys):
     assert "cyclotomic" in err and "hint:" in err
 
 
+def test_report_exit_three_when_translation_by_g_does_not_split(
+        taft3_file, tmp_path, capsys):
+    # shifting e0 e3 by e3 keeps the index, so report reaches the
+    # eigenspace decomposition, where right translation by g falls short
+    doc = json.loads(taft3_file.read_text())
+    entry = next(e for e in doc["mult"] if e[:3] == [0, 3, 3])
+    entry[3] = _shifted(entry[3], 1)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "report", str(bad), "--json")
+    assert (code, out) == (3, "")
+    assert "eigenspaces cover 6 of 9" in err
+
+
 def test_file_round_trip_is_byte_identical(taft3_file, tmp_path, capsys):
     from hopf_forge.cli import (canonical_bytes, load_presentation,
                                 presentation_to_document)

@@ -12,18 +12,19 @@ from hopf_forge import (CHECK_TAGS, BadParameters, EigenTable,
                         HopfPresentation, IndexData, IndexEven, IndexOne,
                         Lemma24Result, Mat, NonCommuting, NonSplitting,
                         NotARootPower, NotInvariant, OffPatternBlock,
-                        PreconditionFailed,
-                        SpectrumNotPlusMinusOne, Subspace,
+                        PreconditionFailed, Subspace,
                         alternating_form_check, build_report, build_taft,
-                        check_dim_symmetry, compute_index, coradical,
-                        coradical_is_subcoalgebra, coradical_traces, cyc,
-                        eigen_decomposition, find_grouplikes, h_plus_minus,
+                        build_cyclic_group_algebra, check_dim_symmetry,
+                        compute_index, coradical, coradical_is_subcoalgebra,
+                        coradical_traces, cyc, eigen_decomposition,
+                        eigenspace, find_grouplikes, h_plus_minus,
                         index_bound, integral_coproduct, integral_pair,
                         lemma24_check, normal_form, omega_for_index,
                         projection_traces, root_of_unity, trace_s2p_report,
                         x_exponent)
 from hopf_forge import invariants
 from hopf_forge.invariants import NormalForm, selects
+from conftest import structure_entries
 
 
 def table_of(h, power=1):
@@ -180,6 +181,19 @@ def test_eigen_decomposition_guards(z15, sw, t3):
         unit=t3.unit, counit=t3.counit, antipode=Mat(3, diag))
     with pytest.raises(NonCommuting):
         eigen_decomposition(doctored, root_of_unity(3, 1))
+
+
+def test_eigen_decomposition_reports_a_translation_that_does_not_split(t3):
+    # taft(3) with e0 e3 shifted by e3 keeps its antipode and index 3, but
+    # right translation by g no longer diagonalizes
+    mult, comult = structure_entries(t3)
+    shifted = HopfPresentation(
+        name=t3.name, dim=9, order=3,
+        mult_entries=mult + [(0, 3, 3, cyc(3, 1))], comult_entries=comult,
+        unit=t3.unit, counit=t3.counit, antipode=t3.antipode)
+    assert compute_index(shifted).n == 3
+    with pytest.raises(NonSplitting, match=r"eigenspaces cover 6 of 9;"):
+        table_of(shifted)
 
 
 def test_dim_symmetry_and_perturbation_witness(t3, t5):
@@ -382,7 +396,7 @@ def _v_block_setup(cprime_entries):
     ident = Mat.identity(3, 2)
     cprime = Mat(3, [[cyc(3, a) for a in row] for row in cprime_entries])
     nf = NormalForm(x_vec=(0, 1, 2), labels=(vkey, vkey),
-                    p_mat=ident, p_inv=ident, cprime=cprime)
+                    p_mat=ident, cprime=cprime)
     return h, table, nf
 
 
@@ -431,13 +445,42 @@ def test_alternating_v_block_flags_degenerate_form():
 # -- parity, congruence, trace -----------------------------------------------------
 
 
+def z3_with_quarter_turn():
+    """k[Z3] over Q with the stored antipode S = [[0, -1, 0], [1, 0, 0],
+    [0, 0, 1]]: S^4 = id and g = 1, so the index is 1, and S^2 = diag(-1,
+    -1, 1) has a two-dimensional -1 eigenspace."""
+    h = build_cyclic_group_algebra(3)
+    mult, comult = structure_entries(h)
+    s = Mat(1, [[cyc(1, x) for x in row]
+                for row in ((0, -1, 0), (1, 0, 0), (0, 0, 1))])
+    return HopfPresentation(name="k[Z3] quarter turn", dim=3, order=1,
+                            mult_entries=mult, comult_entries=comult,
+                            unit=h.unit, counit=h.counit, antipode=s)
+
+
 def test_h_plus_minus(t3, t5, sw, z15):
-    assert h_plus_minus(t3, 3) == (9, 0)
-    assert h_plus_minus(t5, 5) == (25, 0)
-    assert h_plus_minus(sw, 2) == (4, 0)
-    assert h_plus_minus(z15, 1) == (15, 0)
-    with pytest.raises(SpectrumNotPlusMinusOne):
-        h_plus_minus(t3, 1)  # S^2 has eigenvalues beyond +-1
+    assert h_plus_minus(t3) == (9, 0)
+    assert h_plus_minus(t5) == (25, 0)
+    assert h_plus_minus(sw) == (4, 0)
+    assert h_plus_minus(z15) == (15, 0)
+    assert h_plus_minus(z3_with_quarter_turn()) == (1, 2)
+
+
+def test_report_on_a_nonzero_minus_space():
+    h = z3_with_quarter_turn()
+    assert compute_index(h).n == 1
+    report = build_report(h)
+    assert (report.dim_h_plus, report.dim_h_minus) == (1, 2)
+    status = {tag: (s, d) for tag, s, d in report.checks}
+    assert status["cor3.2:h-minus-even"] == ("pass", "dim H_- = 2")
+
+
+def test_h_plus_minus_matches_both_kernels(sw, t3, t5, z15, t3d, t3z5):
+    for h in (z3_with_quarter_turn(), sw, t3, t5, z15, t3d, t3z5):
+        m = h.s_power_matrix(2 * compute_index(h).n)
+        plus, minus = (eigenspace(m, cyc(h.order, e)).dim for e in (1, -1))
+        assert plus + minus == h.dim, h.name
+        assert h_plus_minus(h) == (plus, minus), h.name
 
 
 def test_trace_congruence_on_taft(t3, t5):

@@ -125,7 +125,7 @@ def test_report_splits_s2n_once(monkeypatch):
 
     monkeypatch.setattr(invariants_module, "eigenspace", counting)
     build_report(h)
-    assert len(calls) == 2  # the +1 and the -1 eigenspace, once each
+    assert len(calls) == 1  # the +1 eigenspace, once
 
 
 def test_t3z5_report_makes_one_product_per_s_power(monkeypatch, t3z5):
