@@ -54,15 +54,9 @@ _DOC_KEYS = ("name", "dim", "cyclotomic_order", "basis", "mult", "comult",
 
 
 def presentation_to_document(h: HopfPresentation) -> dict:
-    mult = []
-    for i in range(h.dim):
-        for j in range(h.dim):
-            for k in sorted(h.mult[i][j]):
-                mult.append([i, j, k, scalar_to_json(h.mult[i][j][k])])
-    comult = []
-    for i in range(h.dim):
-        for (j, k) in sorted(h.comult[i]):
-            comult.append([i, j, k, scalar_to_json(h.comult[i][(j, k)])])
+    mult, comult = ([[i, j, k, scalar_to_json(c)]
+                     for i, j, k, c in h.entries(table)]
+                    for table in ("mult", "comult"))
     doc = {
         "name": h.name,
         "dim": h.dim,

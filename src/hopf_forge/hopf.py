@@ -64,6 +64,14 @@ def _coords(x):
     return tuple(x)
 
 
+def _outer_rows(u, v, z) -> tuple:
+    """The nonzeros of u v^T row by row, as Mat.nonzeros lists them,
+    built from the supports of u and v alone (z the field's zero)."""
+    support = [(k, y) for k, y in enumerate(v) if y is not z]
+    return tuple([(k, x * y) for k, y in support] if x is not z else []
+                 for x in u)
+
+
 class AxiomChecklist(namedtuple("AxiomChecklist", "results")):
     """results: a tuple of (name, ok, detail)."""
     __slots__ = ()
@@ -160,6 +168,16 @@ class HopfPresentation:
                         acc[k] = acc.get(k, z) + f * c
         return tuple(acc.get(k, z) for k in range(self.dim))
 
+    def entries(self, table: str) -> tuple:
+        """The nonzero (i, j, k, c) of table, "mult" or "comult", sorted by
+        (i, j, k): the form the constructor takes and the file writes."""
+        if table == "mult":
+            return tuple(sorted((i, j, k, c) for i, row in enumerate(self.mult)
+                                for j, prod in enumerate(row)
+                                for k, c in prod.items()))
+        return tuple(sorted((i, j, k, c) for i, ten in enumerate(self.comult)
+                            for (j, k), c in ten.items()))
+
     def comult_pairs(self, a) -> dict:
         """Sparse {(j, k): c} expansion of Delta(a)."""
         a, z = _coords(a), self.zero_scalar()
@@ -186,11 +204,19 @@ class HopfPresentation:
 
     def pair(self, beta, a) -> CycNumber:
         """Evaluation <beta, a> of a functional on an element."""
-        acc = self.zero_scalar()
+        acc = z = self.zero_scalar()
         for bi, ai in zip(_coords(beta), _coords(a)):
-            if bi and ai:
+            if bi is not z and ai is not z:
                 acc = acc + bi * ai
         return acc
+
+    def left_mult_matrix(self, a) -> Mat:
+        """L_a with column j = coordinates of a * e_j."""
+        a, z = _coords(a), self.zero_scalar()
+        return self.matrix((k, j, ai * c) for i, ai in enumerate(a)
+                           if ai is not z
+                           for j, prod in enumerate(self.mult[i])
+                           for k, c in prod.items())
 
     def right_mult_matrix(self, a) -> Mat:
         """R_a with column j = coordinates of e_j * a."""
@@ -198,6 +224,24 @@ class HopfPresentation:
         return self.matrix((k, j, ai * c) for i, ai in enumerate(a)
                            if ai is not z for j in range(self.dim)
                            for k, c in self.mult[j][i].items())
+
+    def harpoon_matrix(self, beta, side: str) -> Mat:
+        """H_l(beta) with column t = beta -> e_t (side "left"), or H_r(beta)
+        with column t = e_t <- beta (side "right")."""
+        beta, z = _coords(beta), self.zero_scalar()
+        leg = 1 if side == "left" else 0  # the leg of Delta(e_t) beta reads
+        return self.matrix((jk[1 - leg], t, c * beta[jk[leg]])
+                           for t, tensor in enumerate(self.comult)
+                           for jk, c in tensor.items()
+                           if beta[jk[leg]] is not z)
+
+    def form_matrix(self, beta) -> Mat:
+        """B_beta with B[a][c] = beta(e_a e_c)."""
+        beta, z = _coords(beta), self.zero_scalar()
+        return self.matrix((a, c, m * beta[k])
+                           for a, row in enumerate(self.mult)
+                           for c, prod in enumerate(row)
+                           for k, m in prod.items() if beta[k] is not z)
 
     def tensor_square_product(self, t1: dict, t2: dict) -> dict:
         """Product in H (x) H of zero-free sparse {(j, k): c} tensors (as
@@ -259,22 +303,24 @@ def check_axioms(h: HopfPresentation) -> AxiomChecklist:
     Antipode axioms are only checked when an antipode is stored; the
     checklist then certifies a Hopf algebra, otherwise a bialgebra.
 
-    Associativity and the multiplicativity of Delta and the counit are
-    certified on the rows of algebra_generators(h) alone.  For any bilinear
-    product the left nucleus N = {a : (ab)c = a(bc) for all b, c} is a
-    subspace closed under the product: for a, a' in N,
+    The unit, the counit and its multiplicativity are operator equalities,
+    L_1 = R_1 = I, H_l(eps) = H_r(eps) = I and B_eps = eps eps^T, whose
+    witness is the first failing column j, or (i, j) in row-major order.
+    Associativity and the multiplicativity of Delta are certified on the
+    rows of algebra_generators(h) alone.  For any bilinear product the
+    left nucleus N = {a : (ab)c = a(bc) for all b, c} is a subspace closed
+    under the product: for a, a' in N,
     ((aa')b)c = (a(a'b))c = a((a'b)c) = a(a'(bc)) = (aa')(bc).  The
-    generators' words, together with 1, span H.  The unit scan runs first;
-    once it passes, 1 lies in N, since (1b)c = bc = 1(bc), so when every
-    generator lies in N, N is all of H.  If the unit fails, associativity
+    generators' words, together with 1, span H.  The unit is checked
+    first; once it holds, 1 lies in N, since (1b)c = bc = 1(bc), so when
+    every generator lies in N, N is all of H; if it fails, associativity
     scans every row.  Once associativity and the unit hold, {a : Delta(ab)
-    = Delta(a) Delta(b) for all b} and {a : eps(ab) = eps(a) eps(b) for
-    all b} are subalgebras by the same chain, and they contain 1 because
-    Delta(1) = 1 (x) 1 and eps(1) = 1 are checked before them, so generator
-    rows certify them too; otherwise they scan every row.  When a generator
-    row fails, the same row scan runs over every basis index, so each
-    witness is the first failure in row-major order.  Sparse sums drop
-    their cancelled entries, so == compares them with zero-free tables.
+    = Delta(a) Delta(b) for all b} is a subalgebra by the same chain and
+    holds 1, since Delta(1) = 1 (x) 1 is checked first, so generator rows
+    certify it too; otherwise it scans every row.  When a generator row
+    fails, the same row scan runs over every basis index, so each witness
+    is the first failure in row-major order.  Sparse sums drop their
+    cancelled entries, so == compares them with zero-free tables.
     """
     n = h.dim
     z = h.zero_scalar()
@@ -300,14 +346,9 @@ def check_axioms(h: HopfPresentation) -> AxiomChecklist:
                 for k, c in h.mult[j][l].items():
                     for m, c2 in h.mult[i][k].items():
                         acc[m] = acc.get(m, z) - c * c2
-                if any(acc.values()):
-                    return f"(e{i} e{j}) e{l} != e{i} (e{j} e{l})"
-        return None
-
-    def unit(j):
-        ej = h.basis_element(j)
-        if h.multiply(h.unit, ej) != ej or h.multiply(ej, h.unit) != ej:
-            return f"unit fails on e{j}"
+                for v in acc.values():
+                    if v is not z:
+                        return f"(e{i} e{j}) e{l} != e{i} (e{j} e{l})"
         return None
 
     def coassociativity(i):
@@ -322,18 +363,6 @@ def check_axioms(h: HopfPresentation) -> AxiomChecklist:
         same = nonzero(lhs) == nonzero(rhs)
         return None if same else f"coassociativity fails on e{i}"
 
-    def counit(i):
-        left, right = [z] * n, [z] * n
-        for (j, k), c in h.comult[i].items():
-            if h.counit[j]:
-                left[k] = left[k] + h.counit[j] * c
-            if h.counit[k]:
-                right[j] = right[j] + h.counit[k] * c
-        ei = h.basis_element(i)
-        if tuple(left) != ei or tuple(right) != ei:
-            return f"counit fails on e{i}"
-        return None
-
     def comult_multiplicative(i):
         di = h.comult[i]
         for j in range(n):
@@ -345,17 +374,26 @@ def check_axioms(h: HopfPresentation) -> AxiomChecklist:
                 return f"Delta not multiplicative on (e{i}, e{j})"
         return None
 
-    def counit_multiplicative(i):
-        for j in range(n):
-            acc = z
-            for k, c in h.mult[i][j].items():
-                if h.counit[k]:
-                    acc = acc + c * h.counit[k]
-            if acc != h.counit[i] * h.counit[j]:
-                return f"counit not multiplicative on (e{i}, e{j})"
-        return None
+    def identities(what, *mats):
+        """None if every one of mats is I, else its first failing column."""
+        if all(m == ident for m in mats):
+            return None
+        j = next(j for j in range(n)
+                 if any(m.col(j) != ident.col(j) for m in mats))
+        return f"{what} fails on e{j}"
 
-    unital = scan(unit)
+    def counit_multiplicative():
+        """None when B_eps = eps eps^T, else the first failing (i, j)."""
+        b = h.form_matrix(h.counit)
+        if b.nonzeros() == _outer_rows(h.counit, h.counit, z):
+            return None
+        i, j = next((i, j) for i in range(n) for j in range(n)
+                    if b.data[i][j] != h.counit[i] * h.counit[j])
+        return f"counit not multiplicative on (e{i}, e{j})"
+
+    ident = Mat.identity(h.order, n)
+    unital = identities("unit", h.left_mult_matrix(h.unit),
+                        h.right_mult_matrix(h.unit))
     assoc = scan(associativity, certify=unital is None)
     both = assoc is None and unital is None
     ones = [(j, u) for j, u in enumerate(h.unit) if u is not z]
@@ -364,14 +402,15 @@ def check_axioms(h: HopfPresentation) -> AxiomChecklist:
         ("associativity", assoc),
         ("unit", unital),
         ("coassociativity", scan(coassociativity)),
-        ("counit", scan(counit)),
+        ("counit", identities("counit", h.harpoon_matrix(h.counit, "left"),
+                              h.harpoon_matrix(h.counit, "right"))),
         ("comult-algebra-map",
          "Delta(1) != 1 (x) 1"
          if h.comult_pairs(h.unit) != expect
          else scan(comult_multiplicative, certify=both)),
         ("counit-algebra-map",
          "counit(1) != 1" if h.pair(h.counit, h.unit) != 1
-         else scan(counit_multiplicative, certify=both)),
+         else counit_multiplicative()),
     ]
     if h.antipode is not None:
         for side in ("left", "right"):
@@ -403,17 +442,17 @@ def _generators(h: HopfPresentation) -> tuple:
         """Reduce w against V; add the remainder, and say if it was new."""
         for p, b in rows:
             c = w.get(p)
-            if c:
+            if c is not None:
                 w = {k: b[p] * x for k, x in w.items()}
                 for k, x in b.items():
                     w[k] = w.get(k, z) - c * x
-                w = {k: x for k, x in w.items() if x}
+                w = {k: x for k, x in w.items() if x is not z}
         if w:
             p = min(w)
             rows.append((p, {p: one} if len(w) == 1 else w))
         return bool(w)
 
-    add({k: u for k, u in enumerate(h.unit) if u})
+    add({k: u for k, u in enumerate(h.unit) if u is not z})
     for i in range(h.dim):
         if not add({i: one}):
             continue
@@ -426,7 +465,7 @@ def _generators(h: HopfPresentation) -> tuple:
             for j, c in v.items():
                 for k, x in h.mult[s][j].items():
                     w[k] = w.get(k, z) + c * x
-            if add({k: x for k, x in w.items() if x}):
+            if add({k: x for k, x in w.items() if x is not z}):
                 todo += [(t, rows[-1][1]) for t in gens]
     return tuple(gens)
 
@@ -496,19 +535,11 @@ def compute_antipode(h: HopfPresentation) -> Mat:
 
 def dual(h: HopfPresentation) -> HopfPresentation:
     """The dual Hopf algebra on the dual basis (transposed tensors)."""
-    mult_entries = []
-    for k in range(h.dim):
-        for (i, j), c in h.comult[k].items():
-            mult_entries.append((i, j, k, c))
-    comult_entries = []
-    for j in range(h.dim):
-        for k in range(h.dim):
-            for i, c in h.mult[j][k].items():
-                comult_entries.append((i, j, k, c))
     s = h.antipode.transpose() if h.antipode is not None else None
     return HopfPresentation(
         name=f"dual({h.name})", dim=h.dim, order=h.order,
-        mult_entries=mult_entries, comult_entries=comult_entries,
+        mult_entries=[(i, j, k, c) for k, i, j, c in h.entries("comult")],
+        comult_entries=[(i, j, k, c) for j, k, i, c in h.entries("mult")],
         unit=h.counit, counit=h.unit, antipode=s,
         basis=tuple(f"{lbl}*" for lbl in h.basis))
 
@@ -519,7 +550,7 @@ def harpoon_left(h: HopfPresentation, beta, a) -> tuple:
     z = h.zero_scalar()
     out = [z] * h.dim
     for (j, k), c in h.comult_pairs(a).items():
-        if beta[k]:
+        if beta[k] is not z:
             out[j] = out[j] + c * beta[k]
     return tuple(out)
 
@@ -530,7 +561,7 @@ def harpoon_right(h: HopfPresentation, a, beta) -> tuple:
     z = h.zero_scalar()
     out = [z] * h.dim
     for (j, k), c in h.comult_pairs(a).items():
-        if beta[j]:
+        if beta[j] is not z:
             out[k] = out[k] + c * beta[j]
     return tuple(out)
 
@@ -694,19 +725,14 @@ def lift_order(h: HopfPresentation, new_order: int) -> HopfPresentation:
     def lift(c):
         return lift_scalar(c, new_order)
 
-    mult_entries = [(i, j, k, lift(c))
-                    for i in range(h.dim) for j in range(h.dim)
-                    for k, c in h.mult[i][j].items()]
-    comult_entries = [(i, j, k, lift(c))
-                      for i in range(h.dim)
-                      for (j, k), c in h.comult[i].items()]
     s = None
     if h.antipode is not None:
         s = Mat(new_order, [[lift(c) for c in row] for row in h.antipode.data],
                 cols=h.dim)
     return HopfPresentation(
         name=h.name, dim=h.dim, order=new_order,
-        mult_entries=mult_entries, comult_entries=comult_entries,
+        mult_entries=[(*ijk, lift(c)) for *ijk, c in h.entries("mult")],
+        comult_entries=[(*ijk, lift(c)) for *ijk, c in h.entries("comult")],
         unit=tuple(lift(c) for c in h.unit),
         counit=tuple(lift(c) for c in h.counit),
         antipode=s, basis=h.basis)

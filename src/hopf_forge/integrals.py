@@ -12,7 +12,10 @@ out the competing sign/side choices):
   where -> and <- are the harpoon actions and alpha^-1 = alpha o S.
 
 Each derived quantity reads the normalized pair from integral_pair(h),
-which is unique because integrals are unique up to a scalar.
+which is unique because integrals are unique up to a scalar.  Each
+identity above is one equality of HopfPresentation's operators:
+R_Lambda = Lambda counit^T, H_l(lambda) = g lambda^T, L_Lambda =
+Lambda alpha^T and S^4 = L_g R_(g^-1) H_r(alpha^-1) H_l(alpha).
 
 Trace formulas (variant argument of radford_trace):
   1:  Tr(f) = lambda( S(Lambda_2) f(Lambda_1) )
@@ -29,11 +32,11 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .cyclofield import CycNumber
+from .cyclofield import CycNumber, cyc
 from .errors import (DegeneratePairing, IntegralSpaceNotOneDim,
                      NotProportional)
 from .hopf import (Functional, HopfElement, HopfPresentation, _coords,
-                   algebra_generators)
+                   _outer_rows, algebra_generators)
 from .linalg import Mat, Subspace, null_space_of_terms
 
 
@@ -48,9 +51,9 @@ def integral_subspace(h: HopfPresentation, side: str = "left") -> Subspace:
     coordinate, read straight from mult.  The rows i of
     algebra_generators(h) are solved first.  Their solutions contain the
     whole space, so a zero space is the answer, and so is a line span(v)
-    once v passes every row in one sparse pass over mult: both spaces are
-    then equal, and their RREF bases are too.  Otherwise every row is
-    solved.
+    once v solves every row, which is the one equality R_v = v counit^T
+    (L_v = v counit^T for right integrals): both spaces are then equal,
+    and their RREF bases are too.  Otherwise every row is solved.
     """
     return h.memo(("integral_subspace", side),
                   lambda: _integral_space(h, side))
@@ -66,24 +69,12 @@ def _integral_space(h: HopfPresentation, side: str) -> Subspace:
                           {i: h.counit[i] for i in rows})
 
     space = solve(algebra_generators(h))
-    if space.dim == 0 or (space.dim == 1 and _solves_every_row(
-            h, mult, space.basis.data[0])):
-        return space
-    return solve(range(h.dim))
-
-
-def _solves_every_row(h: HopfPresentation, mult, v) -> bool:
-    """Whether sum_j v_j mult[i][j] = counit_i v for every row i."""
-    z = h.zero_scalar()
-    support = [(j, x) for j, x in enumerate(v) if x]
-    for row, e in zip(mult, h.counit):
-        acc = {j: -e * x for j, x in support} if e else {}
-        for j, x in support:
-            for k, c in row[j].items():
-                acc[k] = acc.get(k, z) + x * c
-        if any(acc.values()):
-            return False
-    return True
+    if space.dim == 1:
+        v = space.basis.data[0]
+        act = h.right_mult_matrix if side == "left" else h.left_mult_matrix
+        if act(v).nonzeros() == _outer_rows(v, h.counit, h.zero_scalar()):
+            return space
+    return space if space.dim == 0 else solve(range(h.dim))
 
 
 def _integrals(h: HopfPresentation, actions, counit) -> Subspace:
@@ -91,7 +82,8 @@ def _integrals(h: HopfPresentation, actions, counit) -> Subspace:
     (i, j, k, c) in actions says that a_i sends e_j to c e_k plus other
     terms."""
     terms = [((i, k), j, c) for i, j, k, c in actions]
-    terms += [((i, k), k, -e) for i, e in counit.items() if e
+    z = h.zero_scalar()
+    terms += [((i, k), k, -e) for i, e in counit.items() if e is not z
               for k in range(h.dim)]
     return null_space_of_terms(h.order, h.dim, terms)
 
@@ -111,13 +103,13 @@ def left_integral(h: HopfPresentation) -> HopfElement:
 
 def dual_right_integral(h: HopfPresentation) -> Functional:
     """A right integral lambda on H: lambda beta = beta(1) lambda in H*,
-    read straight from comult and unit (beta_j beta_i has coefficient
-    comult[k][(j, i)] on beta_k, and beta_i(1) = unit[i])."""
-    actions = ((i, j, k, c) for k, tensor in enumerate(h.comult)
-               for (j, i), c in tensor.items())
+    read straight from the comult entries and unit (beta_j beta_i has
+    coefficient c on beta_k for the entry (k, j, i, c), and beta_i(1) =
+    unit[i])."""
     return h.memo(("dual_right_integral",), lambda: Functional(
-        _one_dimensional(_integrals(h, actions, dict(enumerate(h.unit))),
-                         "right", f"dual({h.name})")))
+        _one_dimensional(_integrals(
+            h, ((i, j, k, c) for k, j, i, c in h.entries("comult")),
+            dict(enumerate(h.unit))), "right", f"dual({h.name})")))
 
 
 IntegralPair = namedtuple("IntegralPair", "integral dual_integral")
@@ -151,57 +143,45 @@ def _normalized_pair(h: HopfPresentation) -> IntegralPair:
 # -- distinguished elements -----------------------------------------------------
 
 
-def _ratios(h: HopfPresentation, ref, terms, context) -> tuple:
-    """c_i with v_i = c_i ref, where v_i sums x e_k over the (i, k, x) in
-    terms.  c_i is read at the first nonzero coordinate of ref and the
-    rest of v_i checked against c_i ref; NotProportional, with message
-    context(i), names the first i where that fails."""
-    z = h.zero_scalar()
-    vecs = [{} for _ in range(h.dim)]
-    for i, k, x in terms:
-        vecs[i][k] = vecs[i].get(k, z) + x
-    support = [(k, x) for k, x in enumerate(ref) if x is not z]
-    p, inv = support[0][0], support[0][1].inverse()
-    out = []
-    for i, v in enumerate(vecs):
-        c = v.get(p, z) * inv
-        want = {k: x * c for k, x in support} if c is not z else {}
-        if {k: x for k, x in v.items() if x is not z} != want:
-            raise NotProportional(context(i))
-        out.append(c)
-    return tuple(out)
+def _ratios(m: Mat, ref, context) -> tuple:
+    """c with m = c ref^T, c_i read from row i of m where ref is first
+    nonzero, checked as one equality of nonzeros; NotProportional, with
+    message context(i), names the first row i that is not c_i ref."""
+    z = cyc(m.order, 0)
+    p = next(k for k, x in enumerate(ref) if x is not z)
+    inv = ref[p].inverse()
+    c = tuple(row[p] * inv for row in m.data)
+    got, want = m.nonzeros(), _outer_rows(c, ref, z)
+    if got != want:
+        raise NotProportional(context(next(
+            i for i, (a, b) in enumerate(zip(got, want)) if a != b)))
+    return c
 
 
 def distinguished_grouplike(h: HopfPresentation) -> HopfElement:
     """The grouplike g in H with beta lambda = beta(g) lambda for all beta,
-    from every beta_i lambda formed in one pass over comult."""
+    read from the rows of H_l(lambda) = g lambda^T: row i is beta_i
+    lambda."""
     return h.memo(("distinguished_grouplike",), lambda: _grouplike_of(h))
 
 
 def _grouplike_of(h: HopfPresentation) -> HopfElement:
-    lam = integral_pair(h).dual_integral.coords
-    z = h.zero_scalar()
-    # (beta_i lambda)_k = sum_j lambda_j comult[k][(i, j)]
+    lam = integral_pair(h).dual_integral
     return HopfElement(_ratios(
-        h, lam, ((i, k, c * lam[j]) for k, tensor in enumerate(h.comult)
-                 for (i, j), c in tensor.items() if lam[j] is not z),
+        h.harpoon_matrix(lam, "left"), lam.coords,
         lambda i: f"beta_{i} lambda on {h.name}"))
 
 
 def distinguished_character(h: HopfPresentation) -> Functional:
-    """The character alpha on H with Lambda a = alpha(a) Lambda, from
-    every Lambda e_j formed in one pass over mult on the support of
-    Lambda."""
+    """The character alpha on H with Lambda a = alpha(a) Lambda, read from
+    the rows of L_Lambda^T = alpha Lambda^T: row j is Lambda e_j."""
     return h.memo(("distinguished_character",), lambda: _character_of(h))
 
 
 def _character_of(h: HopfPresentation) -> Functional:
-    lam = integral_pair(h).integral.coords
-    z = h.zero_scalar()
-    # (Lambda e_j)_k = sum_i Lambda_i mult[i][j][k]
+    lam = integral_pair(h).integral
     return Functional(_ratios(
-        h, lam, ((j, k, x * c) for i, x in enumerate(lam) if x is not z
-                 for j, prod in enumerate(h.mult[i]) for k, c in prod.items()),
+        h.left_mult_matrix(lam).transpose(), lam.coords,
         lambda j: f"Lambda e_{j} on {h.name}"))
 
 
@@ -237,7 +217,7 @@ def is_cosemisimple(h: HopfPresentation) -> bool:
 
 
 def integral_form(h: HopfPresentation) -> Mat:
-    """B[a][c] = lambda(e_a e_c), the bilinear form of the right integral.
+    """B_lambda[a][c] = lambda(e_a e_c), the form of the right integral.
 
     Both the antipode (hopf.compute_antipode) and the trace formulas are
     read off this one matrix.
@@ -246,11 +226,7 @@ def integral_form(h: HopfPresentation) -> Mat:
 
 
 def _form_of(h: HopfPresentation) -> Mat:
-    z = h.zero_scalar()
-    lam = integral_pair(h).dual_integral.coords
-    return h.matrix((a, c, m * lam[k]) for a in range(h.dim)
-                    for c, prod in enumerate(h.mult[a])
-                    for k, m in prod.items() if lam[k] is not z)
+    return h.form_matrix(integral_pair(h).dual_integral)
 
 
 def integral_coproduct(h: HopfPresentation) -> Mat:
@@ -299,24 +275,14 @@ def verify_s4_formula(h: HopfPresentation) -> bool:
     """S^4 = conjugation by g composed with the two-sided alpha twist.
 
     Checks S^4(e) = g ((alpha -> e <- alpha^-1) g^-1) for every e at once
-    as S^4 = L_g R_(g^-1) H_r H_l, with H_l, H_r the matrices of the two
-    harpoon actions and L_g, R_(g^-1) the multiplications.  It is the same
+    as the operator identity S^4 = L_g R_(g^-1) H_r(alpha^-1) H_l(alpha),
+    every factor read from the presentation's builders.  It is the same
     map with the same bracketing as the check element by element, so the
     verdict is the same on any input; exact equality or bust.
     """
-    z = h.zero_scalar()
-    g = distinguished_grouplike(h).coords
-    alpha = distinguished_character(h).coords
-    alpha_inv = character_inverse(h, alpha).coords
-    # Delta(e_t) = sum c e_j (x) e_k, so alpha -> e_t = sum c alpha(e_k) e_j
-    # and e_t <- alpha^-1 = sum c alpha^-1(e_j) e_k
-    deltas = [(t, j, k, c) for t, tensor in enumerate(h.comult)
-              for (j, k), c in tensor.items()]
-    h_l = h.matrix((j, t, c * alpha[k]) for t, j, k, c in deltas
-                   if alpha[k] is not z)
-    h_r = h.matrix((k, t, c * alpha_inv[j]) for t, j, k, c in deltas
-                   if alpha_inv[j] is not z)
-    l_g = h.matrix((k, j, x * c) for i, x in enumerate(g) if x is not z
-                   for j, prod in enumerate(h.mult[i]) for k, c in prod.items())
-    r_ginv = h.right_mult_matrix(h.antipode_matrix().apply(g))
-    return h.s_power_matrix(4) == l_g @ (r_ginv @ (h_r @ h_l))
+    g = distinguished_grouplike(h)
+    alpha = distinguished_character(h)
+    r_ginv = h.right_mult_matrix(h.antipode_matrix().apply(g.coords))
+    twist = (h.harpoon_matrix(character_inverse(h, alpha), "right")
+             @ h.harpoon_matrix(alpha, "left"))
+    return h.s_power_matrix(4) == h.left_mult_matrix(g) @ (r_ginv @ twist)

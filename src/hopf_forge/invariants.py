@@ -478,11 +478,11 @@ def coradical(h: HopfPresentation) -> Subspace:
 def _annihilator_of_radical(h: HopfPresentation) -> Subspace:
     n = h.dim
     z = h.zero_scalar()
-    # left multiplication in the dual: L_i[(k, j)] = comult[k][(i, j)]
+    # left multiplication in the dual: L_i[(k, j)] = c for the comult
+    # entry (k, i, j, c)
     lmats = [dict() for _ in range(n)]
-    for k in range(n):
-        for (i, j), c in h.comult[k].items():
-            lmats[i][(k, j)] = c
+    for k, i, j, c in h.entries("comult"):
+        lmats[i][(k, j)] = c
     tform = [[z] * n for _ in range(n)]
     for i in range(n):
         li = lmats[i]
@@ -491,7 +491,7 @@ def _annihilator_of_radical(h: HopfPresentation) -> Subspace:
             acc = z
             for (k, l), c in li.items():
                 c2 = lj.get((l, k))
-                if c2:
+                if c2 is not None:
                     acc = acc + c * c2
             tform[i][j] = acc
     radical = null_space(Mat(h.order, tform, cols=n))

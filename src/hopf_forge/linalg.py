@@ -364,11 +364,11 @@ def kronecker(a: Mat, b: Mat) -> Mat:
     for i in range(a.rows):
         for j in range(a.cols):
             f = a.data[i][j]
-            if f:
+            if f is not z:
                 for k in range(b.rows):
                     for l in range(b.cols):
                         g = b.data[k][l]
-                        if g:
+                        if g is not z:
                             out[i * b.rows + k][j * b.cols + l] = f * g
     return Mat(a.order, out, cols=a.cols * b.cols)
 

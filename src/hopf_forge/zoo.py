@@ -221,23 +221,11 @@ def build_tensor(h1: HopfPresentation, h2: HopfPresentation,
             "lift one presentation first")
     n2 = h2.dim
     dim = h1.dim * n2
-    mult_entries = []
-    for i1 in range(h1.dim):
-        for j1 in range(h1.dim):
-            for k1, c1 in h1.mult[i1][j1].items():
-                for i2 in range(n2):
-                    for j2 in range(n2):
-                        for k2, c2 in h2.mult[i2][j2].items():
-                            mult_entries.append(
-                                (i1 * n2 + i2, j1 * n2 + j2, k1 * n2 + k2,
-                                 c1 * c2))
-    comult_entries = []
-    for i1 in range(h1.dim):
-        for (j1, k1), c1 in h1.comult[i1].items():
-            for i2 in range(n2):
-                for (j2, k2), c2 in h2.comult[i2].items():
-                    comult_entries.append(
-                        (i1 * n2 + i2, j1 * n2 + j2, k1 * n2 + k2, c1 * c2))
+    mult_entries, comult_entries = (
+        [(i1 * n2 + i2, j1 * n2 + j2, k1 * n2 + k2, c1 * c2)
+         for i1, j1, k1, c1 in t1 for i2, j2, k2, c2 in t2]
+        for t1, t2 in ((h1.entries(t), h2.entries(t))
+                       for t in ("mult", "comult")))
     unit = tuple(h1.unit[i1] * h2.unit[i2]
                  for i1 in range(h1.dim) for i2 in range(n2))
     counit = tuple(h1.counit[i1] * h2.counit[i2]

@@ -109,15 +109,6 @@ def structure(h):
     return (h.dim, h.order, h.mult, h.comult, h.unit, h.counit, h.antipode)
 
 
-def structure_entries(h):
-    """The (i, j, k, c) entries of h.mult and of h.comult."""
-    mult = [(i, j, k, c) for i in range(h.dim) for j in range(h.dim)
-            for k, c in h.mult[i][j].items()]
-    comult = [(i, j, k, c) for i in range(h.dim)
-              for (j, k), c in h.comult[i].items()]
-    return mult, comult
-
-
 def sites(h):
     """Every (i, j, k) index triple of a mult or comult table of h."""
     return list(itertools.product(range(h.dim), repeat=3))
@@ -125,14 +116,14 @@ def sites(h):
 
 def corrupted(h, table, site, shift):
     """h without its antipode, with one entry shifted by the integer shift:
-    mult or comult at site (i, j, k), or the unit at site (i,)."""
-    mult, comult = structure_entries(h)
+    mult or comult at site (i, j, k), or the unit or counit at site (i,)."""
+    mult, comult = (list(h.entries(t)) for t in ("mult", "comult"))
     extra = [(*site, cyc(h.order, shift))]
-    unit = list(h.unit)
-    if table == "unit":
-        unit[site[0]] = unit[site[0]] + shift
+    vecs = {"unit": list(h.unit), "counit": list(h.counit)}
+    if table in vecs:
+        vecs[table][site[0]] += shift
     return HopfPresentation(
         name=f"{h.name} {table}{site}{shift:+d}", dim=h.dim, order=h.order,
         mult_entries=mult + extra if table == "mult" else mult,
         comult_entries=comult + extra if table == "comult" else comult,
-        unit=unit, counit=h.counit)
+        unit=vecs["unit"], counit=vecs["counit"])

@@ -6,6 +6,7 @@ entry point.
 Exit codes: 0 ok, 1 checks failed, 2 malformed input/parameters,
 3 field too small (lift the cyclotomic order)."""
 
+import hashlib
 import json
 import os
 import random
@@ -327,6 +328,40 @@ def test_file_round_trip_is_byte_identical(taft3_file, tmp_path, capsys):
     h = load_presentation(str(taft3_file))
     again = canonical_bytes(presentation_to_document(h))
     assert again == taft3_file.read_bytes()
+
+
+# SHA-256 of what the writers emit, so that any change of entry order or
+# scalar form in zoo, dual, tensor or the file writer shows
+_EMITTED = {
+    "t3.json": "5009adfd4edad0458ad2cae180384e23"
+               "878da538ca306baf5fa8019b807e5313",
+    "t3d.json": "f5ba11fcab9d61564ae458b121572aceb"
+                "10c61c91999f68fb95acbfa80541e11",
+    "z3z3.json": "3c9f6270497d8971a20c00794168006f"
+                 "fced98165bf5000cde2bd48d21a40beb",
+    "z5.json": "c4b03ed219b0c1b762e80cd1ef7a0e54"
+               "23d6b68d8285bcd13018ebd2e7a0cd16",
+    "t3z5.json": "483bbc67330c98276a4bbbd5d04c798b"
+                 "940302f6e6bef642ae07a764e6078abe",
+}
+
+
+def test_emitted_files_are_pinned(tmp_path, capsys):
+    def path(name):
+        return str(tmp_path / name)
+
+    for name, *args in (
+            ("t3.json", "zoo", "taft", "--n", "3"),
+            ("t3d.json", "dual", path("t3.json")),
+            ("z3z3.json", "zoo", "group", "--cyclic", "3,3"),
+            ("z5.json", "zoo", "group", "--cyclic", "5"),
+            ("t3z5.json", "tensor", "--a", path("t3.json"),
+             "--b", path("z5.json"), "--lift-order", "15")):
+        code, _, err = run_cli(capsys, *args, "--out", path(name))
+        assert code == 0, err
+        with open(path(name), "rb") as f:
+            digest = hashlib.sha256(f.read()).hexdigest()
+        assert digest == _EMITTED[name], name
 
 
 def test_tensor_command_with_lift(tmp_path, capsys):

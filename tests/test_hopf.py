@@ -13,11 +13,12 @@ from hopf_forge import (CycNumber, EigenvalueNotInField, HopfPresentation,
                         MalformedTensor, Mat, NoAntipode, OrderMismatch,
                         Subspace, build_group_algebra,
                         build_taft, build_tensor, check_axioms,
-                        compute_antipode, cyc, dual,
+                        compute_antipode, cyc, distinguished_character,
+                        distinguished_grouplike, dual,
                         find_grouplikes, harpoon_left, harpoon_right,
-                        is_grouplike, lift_order, null_space,
-                        root_of_unity)
-from conftest import corrupted, sites, structure, structure_entries
+                        integral_pair, is_grouplike, lift_order,
+                        null_space, root_of_unity)
+from conftest import corrupted, rebased_z2, sites, structure
 
 
 def test_axioms_hold_on_corpus(corpus, sw):
@@ -44,8 +45,7 @@ def test_corrupted_antipode_fails_axioms(t3):
     bad[0][1] = bad[0][1] + 1
     h = HopfPresentation(
         name="corrupted", dim=t3.dim, order=t3.order,
-        mult_entries=structure_entries(t3)[0],
-        comult_entries=structure_entries(t3)[1],
+        mult_entries=t3.entries("mult"), comult_entries=t3.entries("comult"),
         unit=t3.unit, counit=t3.counit, antipode=Mat(t3.order, bad))
     checklist = check_axioms(h)
     failed = dict((name, ok) for name, ok, _ in checklist.results)
@@ -111,6 +111,90 @@ def test_harpoon_module_actions_compose(t3d, t3):
                 lhs_r = harpoon_right(h, e, prod)
                 rhs_r = harpoon_right(h, harpoon_right(h, e, beta), gamma)
                 assert lhs_r == rhs_r
+
+
+def _seeded_element(h, rng, terms=3):
+    """A sparse element with small integer and root-of-unity coordinates."""
+    coords = [cyc(h.order, 0)] * h.dim
+    for i in rng.sample(range(h.dim), min(terms, h.dim)):
+        coords[i] = root_of_unity(h.order, rng.randrange(h.order)) \
+            * rng.choice((1, -1, 2))
+    return tuple(coords)
+
+
+def _outer(h, u, v):
+    """The dense matrix u v^T."""
+    return Mat(h.order, [[x * y for y in v] for x in u])
+
+
+def test_operator_matrices_match_the_elementwise_definitions(corpus, sw):
+    # column t of H_l(beta) is beta -> e_t and of H_r(beta) is e_t <- beta;
+    # B_beta[a][c] = beta(e_a e_c)
+    rng = random.Random(24)
+    for h in (*corpus.values(), sw):
+        basis = [h.basis_element(t) for t in range(h.dim)]
+        products = [[h.multiply(a, c) for c in basis] for a in basis]
+        for beta in (h.counit, distinguished_character(h).coords,
+                     integral_pair(h).dual_integral.coords,
+                     _seeded_element(h, rng, h.dim)):
+            h_l = h.harpoon_matrix(beta, "left")
+            h_r = h.harpoon_matrix(beta, "right")
+            for t, e in enumerate(basis):
+                assert h_l.col(t) == harpoon_left(h, beta, e), h.name
+                assert h_r.col(t) == harpoon_right(h, e, beta), h.name
+            assert h.form_matrix(beta).data == tuple(
+                tuple(h.pair(beta, x) for x in row) for row in products)
+
+
+def test_multiplication_matrices_compose(corpus, sw):
+    # the regular representations: L_a L_b = L_(ab) and R_b R_a = R_(ab)
+    rng = random.Random(25)
+    for h in (*corpus.values(), sw):
+        for _ in range(2):
+            a, b = _seeded_element(h, rng), _seeded_element(h, rng)
+            ab = h.multiply(a, b)
+            assert (h.left_mult_matrix(a) @ h.left_mult_matrix(b)
+                    == h.left_mult_matrix(ab)), h.name
+            assert (h.right_mult_matrix(b) @ h.right_mult_matrix(a)
+                    == h.right_mult_matrix(ab)), h.name
+
+
+def test_integral_g_alpha_and_counit_are_rank_one_identities(corpus, sw):
+    # a Lambda = eps(a) Lambda, Lambda a = alpha(a) Lambda,
+    # beta lambda = beta(g) lambda, lambda beta = beta(1) lambda and
+    # eps(ab) = eps(a) eps(b)
+    for h in (*corpus.values(), sw):
+        big, small = (x.coords for x in integral_pair(h))
+        g = distinguished_grouplike(h).coords
+        alpha = distinguished_character(h).coords
+        assert h.right_mult_matrix(big) == _outer(h, big, h.counit), h.name
+        assert h.left_mult_matrix(big) == _outer(h, big, alpha), h.name
+        assert h.harpoon_matrix(small, "left") == _outer(h, g, small), h.name
+        assert h.harpoon_matrix(small, "right") == _outer(h, h.unit, small)
+        assert h.form_matrix(h.counit) == _outer(h, h.counit, h.counit)
+
+
+def test_entry_list_is_sorted_zero_free_and_rebuilds_the_tables(corpus, sw):
+    # the rebased k[Z2] has a product with two terms
+    for h in (*corpus.values(), sw, rebased_z2(3)):
+        mult, comult = h.entries("mult"), h.entries("comult")
+        for table in (mult, comult):
+            keys = [entry[:3] for entry in table]
+            assert keys == sorted(set(keys)), h.name
+            assert all(c != 0 for *_, c in table), h.name
+
+        def rebuilt(order):
+            return HopfPresentation(
+                name=h.name, dim=h.dim, order=h.order,
+                mult_entries=order(mult), comult_entries=order(comult),
+                unit=h.unit, counit=h.counit)
+
+        again = rebuilt(list)
+        assert (again.mult, again.comult) == (h.mult, h.comult), h.name
+        # the list does not depend on the order the entries were given in
+        again = rebuilt(reversed)
+        assert again.entries("mult") == mult, h.name
+        assert again.entries("comult") == comult, h.name
 
 
 def test_apply_s_power(t3):
@@ -496,7 +580,7 @@ def test_monoid_bialgebra_has_antipode_iff_group():
 
 
 def _without_antipode(h):
-    mult, comult = structure_entries(h)
+    mult, comult = h.entries("mult"), h.entries("comult")
     return HopfPresentation(
         name=h.name, dim=h.dim, order=h.order, mult_entries=mult,
         comult_entries=comult, unit=h.unit, counit=h.counit, basis=h.basis)
@@ -648,11 +732,11 @@ def test_single_entry_corruptions_match_the_oracle(sw, t3):
     # every sweedler site; for taft(3) a seeded sample per table, most of
     # it outside the unit row 0 and the generator rows (1, 3).  A shifted
     # unit entry fails the unit axiom, so associativity is then scanned on
-    # every row.
+    # every row.  Every unit and counit entry of both is shifted too.
     cases = [(sw, table, site, shift) for table in ("mult", "comult")
              for site in sites(sw) for shift in (1, -1)]
-    cases += [(h, "unit", (i,), shift) for h in (sw, t3)
-              for i in range(h.dim) for shift in (1, -1)]
+    cases += [(h, table, (i,), shift) for table in ("unit", "counit")
+              for h in (sw, t3) for i in range(h.dim) for shift in (1, -1)]
     rng = random.Random(9)
     inside = [s for s in sites(t3) if s[0] in (0, 1, 3)]
     outside = [s for s in sites(t3) if s[0] not in (0, 1, 3)]

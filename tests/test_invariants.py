@@ -24,7 +24,6 @@ from hopf_forge import (CHECK_TAGS, BadParameters, EigenTable,
                         x_exponent)
 from hopf_forge import invariants
 from hopf_forge.invariants import NormalForm, selects
-from conftest import structure_entries
 
 
 def table_of(h, power=1):
@@ -186,10 +185,10 @@ def test_eigen_decomposition_guards(z15, sw, t3):
 def test_eigen_decomposition_reports_a_translation_that_does_not_split(t3):
     # taft(3) with e0 e3 shifted by e3 keeps its antipode and index 3, but
     # right translation by g no longer diagonalizes
-    mult, comult = structure_entries(t3)
+    mult, comult = t3.entries("mult"), t3.entries("comult")
     shifted = HopfPresentation(
         name=t3.name, dim=9, order=3,
-        mult_entries=mult + [(0, 3, 3, cyc(3, 1))], comult_entries=comult,
+        mult_entries=[*mult, (0, 3, 3, cyc(3, 1))], comult_entries=comult,
         unit=t3.unit, counit=t3.counit, antipode=t3.antipode)
     assert compute_index(shifted).n == 3
     with pytest.raises(NonSplitting, match=r"eigenspaces cover 6 of 9;"):
@@ -450,7 +449,7 @@ def z3_with_quarter_turn():
     [0, 0, 1]]: S^4 = id and g = 1, so the index is 1, and S^2 = diag(-1,
     -1, 1) has a two-dimensional -1 eigenspace."""
     h = build_cyclic_group_algebra(3)
-    mult, comult = structure_entries(h)
+    mult, comult = h.entries("mult"), h.entries("comult")
     s = Mat(1, [[cyc(1, x) for x in row]
                 for row in ((0, -1, 0), (1, 0, 0), (0, 0, 1))])
     return HopfPresentation(name="k[Z3] quarter turn", dim=3, order=1,
