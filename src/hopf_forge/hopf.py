@@ -14,6 +14,7 @@ slips, so they are spelled out once here):
 
 from __future__ import annotations
 
+import functools
 from collections import namedtuple
 
 from .cyclofield import CycNumber, coordinate_key, cyc, lift_scalar
@@ -70,6 +71,21 @@ def _outer_rows(u, v, z) -> tuple:
     support = [(k, y) for k, y in enumerate(v) if y is not z]
     return tuple([(k, x * y) for k, y in support] if x is not z else []
                  for x in u)
+
+
+def _memo(fn):
+    """fn memoized in the _cache of its first argument, under the key
+    (fn's name, *its other positional arguments).  Entries live as long
+    as that argument, which is therefore never mutated after
+    construction; a call that raises stores nothing."""
+    @functools.wraps(fn)
+    def memoized(owner, *args):
+        key, cache = (fn.__name__, *args), owner._cache
+        if key not in cache:
+            cache[key] = fn(owner, *args)
+        return cache[key]
+
+    return memoized
 
 
 class AxiomChecklist(namedtuple("AxiomChecklist", "results")):
@@ -151,10 +167,6 @@ class HopfPresentation:
 
     def zero_scalar(self):
         return cyc(self.order, 0)
-
-    def basis_element(self, i) -> tuple:
-        z, o = cyc(self.order, 0), cyc(self.order, 1)
-        return tuple(o if t == i else z for t in range(self.dim))
 
     def multiply(self, a, b) -> tuple:
         a, b = _coords(a), _coords(b)
@@ -260,23 +272,14 @@ class HopfPresentation:
 
     # -- derived quantities ---------------------------------------------------
 
-    def memo(self, key, compute):
-        """The derived quantity stored under key, from compute() on first use.
-
-        key names the quantity and its arguments.  Entries live as long as
-        the presentation, which is therefore never mutated after
-        construction.  A compute() that raises stores nothing.
-        """
-        if key not in self._cache:
-            self._cache[key] = compute()
-        return self._cache[key]
-
+    @_memo
     def antipode_matrix(self) -> Mat:
-        """Stored antipode, or the one computed from the axioms (cached)."""
+        """Stored antipode, or the one computed from the axioms."""
         if self.antipode is not None:
             return self.antipode
-        return self.memo(("antipode",), lambda: compute_antipode(self))
+        return compute_antipode(self)
 
+    @_memo
     def s_power_matrix(self, t: int) -> Mat:
         """S^t = S^(t-a) S^a from the stored powers, a the largest power of
         two below t: S^2 = S S, S^4 = S^2 S^2 and S^6 = S^2 S^4."""
@@ -286,8 +289,7 @@ class HopfPresentation:
             return (self.antipode_matrix() if t
                     else Mat.identity(self.order, self.dim))
         a = 1 << (t - 1).bit_length() - 1
-        return self.memo(("s_pow", t), lambda: self.s_power_matrix(t - a)
-                         @ self.s_power_matrix(a))
+        return self.s_power_matrix(t - a) @ self.s_power_matrix(a)
 
     def __repr__(self):
         return (f"HopfPresentation({self.name!r}, dim {self.dim}, "
@@ -421,9 +423,10 @@ def check_axioms(h: HopfPresentation) -> AxiomChecklist:
                                 for name, detail in results))
 
 
+@_memo
 def algebra_generators(h: HopfPresentation) -> tuple:
     """Basis indices whose left-normed words s1 (s2 (... s_k)), together
-    with the unit, span H (memoized).
+    with the unit, span H.
 
     Greedy in basis order: the span V starts as span(h.unit), e_i becomes
     a generator unless it lies in V, and V is then closed under left
@@ -431,10 +434,6 @@ def algebra_generators(h: HopfPresentation) -> tuple:
     reduced fraction-free against an echelon basis of V, so no scalar is
     inverted.  At worst every index is a generator.
     """
-    return h.memo(("algebra_generators",), lambda: _generators(h))
-
-
-def _generators(h: HopfPresentation) -> tuple:
     one, z = cyc(h.order, 1), h.zero_scalar()
     rows, gens = [], []  # echelon basis of V: (pivot, sparse vector)
 
@@ -579,29 +578,6 @@ def is_grouplike(h: HopfPresentation, a) -> bool:
     return h.comult_pairs(a) == expect  # neither side holds a zero
 
 
-def find_grouplikes(h: HopfPresentation) -> tuple:
-    """All grouplike elements, canonically ordered.
-
-    A grouplike is a common eigenvector of the operator family
-    T_k : a |-> (e_k^* (x) id) Delta(a), with eigenvalue tuple equal to its
-    own coordinates.  Delta(g) = g (x) g is symmetric, so every grouplike
-    lies in the cocommutative subspace K = {a : Delta(a) = Delta^op(a)},
-    whatever the input; the search starts from K and refines it one
-    operator at a time.  A state of dimension >= 2 is split by the roots
-    of its characteristic polynomial, searched over {r zeta^t : r
-    rational}.  A one-dimensional state span(v), with v = 1 at its pivot
-    p, is closed at once: its only possible grouplike is lambda v with
-    lambda = Delta(v)_(p,p), which is tested directly, so its eigenvalues
-    need not lie in that family.  A state on which T_k is a scalar c is
-    kept whole with c appended.  Each search finds the roots of each
-    characteristic polynomial, zero roots divided out, once.  If that of a
-    state of dimension >= 2 does not split over the family,
-    EigenvalueNotInField is raised, since completeness of the enumeration
-    could not be certified.
-    """
-    return h.memo(("find_grouplikes",), lambda: _grouplike_search(h))
-
-
 def _cocommutative_subspace(h: HopfPresentation) -> Subspace:
     """K = {a : Delta(a) = Delta^op(a)}: one equation per pair k < l."""
     return null_space_of_terms(h.order, h.dim, (
@@ -633,15 +609,34 @@ def _acts_as_scalar(a, wcols, c) -> bool:
                     for l, col in wcols.items() for r, y in col))
 
 
-def _grouplike_search(h: HopfPresentation) -> tuple:
-    """Refine states of K by T_0, T_1, ..., splitting each state w (RREF
-    basis, pivots p_j, d = dim w) in its own d coordinates.
+@_memo
+def find_grouplikes(h: HopfPresentation) -> tuple:
+    """All grouplike elements, canonically ordered.
 
-    A = T_k w^T is read from the Delta terms with left leg k, m is A on
-    the pivot rows and R = A - w^T m, which is zero on the pivot rows.  For v = w^T x,
-    T_k v = c v exactly when (m - c) x = 0 and R x = 0.  The new state
-    is w.image_of(X) for the kernel X in RREF: X w is already the
-    canonical basis an rref would give.
+    A grouplike is a common eigenvector of the operator family
+    T_k : a |-> (e_k^* (x) id) Delta(a), with eigenvalue tuple equal to its
+    own coordinates.  Delta(g) = g (x) g is symmetric, so every grouplike
+    lies in the cocommutative subspace K = {a : Delta(a) = Delta^op(a)},
+    whatever the input; the search starts from K and refines it one
+    operator at a time.  A state of dimension >= 2 is split by the roots
+    of its characteristic polynomial, searched over {r zeta^t : r
+    rational}.  A one-dimensional state span(v), with v = 1 at its pivot
+    p, is closed at once: its only possible grouplike is lambda v with
+    lambda = Delta(v)_(p,p), which is tested directly, so its eigenvalues
+    need not lie in that family.  A state on which T_k is a scalar c is
+    kept whole with c appended.  Each search finds the roots of each
+    characteristic polynomial, zero roots divided out, once.  If that of a
+    state of dimension >= 2 does not split over the family,
+    EigenvalueNotInField is raised, since completeness of the enumeration
+    could not be certified.
+
+    States of K are refined by T_0, T_1, ..., each state w (RREF basis,
+    pivots p_j, d = dim w) split in its own d coordinates.  A = T_k w^T
+    is read from the Delta terms with left leg k, m is A on the pivot
+    rows and R = A - w^T m, which is zero on the pivot rows.  For
+    v = w^T x, T_k v = c v exactly when (m - c) x = 0 and R x = 0.  The
+    new state is w.image_of(X) for the kernel X in RREF: X w is already
+    the canonical basis an rref would give.
     """
     n = h.dim
     z = cyc(h.order, 0)

@@ -36,14 +36,15 @@ from .cyclofield import CycNumber, cyc
 from .errors import (DegeneratePairing, IntegralSpaceNotOneDim,
                      NotProportional)
 from .hopf import (Functional, HopfElement, HopfPresentation, _coords,
-                   _outer_rows, algebra_generators)
+                   _memo, _outer_rows, algebra_generators)
 from .linalg import Mat, Subspace, null_space_of_terms
 
 
 # -- integral spaces -----------------------------------------------------------
 
 
-def integral_subspace(h: HopfPresentation, side: str = "left") -> Subspace:
+@_memo
+def integral_subspace(h: HopfPresentation, side: str) -> Subspace:
     """The space of left (or right) integrals in H, as a subspace.
 
     Left integrals satisfy e_i x = counit(e_i) x for every basis element
@@ -55,11 +56,6 @@ def integral_subspace(h: HopfPresentation, side: str = "left") -> Subspace:
     (L_v = v counit^T for right integrals): both spaces are then equal,
     and their RREF bases are too.  Otherwise every row is solved.
     """
-    return h.memo(("integral_subspace", side),
-                  lambda: _integral_space(h, side))
-
-
-def _integral_space(h: HopfPresentation, side: str) -> Subspace:
     mult = h.mult if side == "left" else tuple(zip(*h.mult))
 
     def solve(rows):
@@ -101,15 +97,15 @@ def left_integral(h: HopfPresentation) -> HopfElement:
         _one_dimensional(integral_subspace(h, "left"), "left", h.name))
 
 
+@_memo
 def dual_right_integral(h: HopfPresentation) -> Functional:
     """A right integral lambda on H: lambda beta = beta(1) lambda in H*,
     read straight from the comult entries and unit (beta_j beta_i has
     coefficient c on beta_k for the entry (k, j, i, c), and beta_i(1) =
     unit[i])."""
-    return h.memo(("dual_right_integral",), lambda: Functional(
-        _one_dimensional(_integrals(
-            h, ((i, j, k, c) for k, j, i, c in h.entries("comult")),
-            dict(enumerate(h.unit))), "right", f"dual({h.name})")))
+    return Functional(_one_dimensional(_integrals(
+        h, ((i, j, k, c) for k, j, i, c in h.entries("comult")),
+        dict(enumerate(h.unit))), "right", f"dual({h.name})"))
 
 
 IntegralPair = namedtuple("IntegralPair", "integral dual_integral")
@@ -118,6 +114,7 @@ lambda(Lambda) = 1: integral is the HopfElement Lambda, dual_integral the
 Functional lambda."""
 
 
+@_memo
 def integral_pair(h: HopfPresentation) -> IntegralPair:
     """The normalized (Lambda, lambda) pair used by all trace formulas.
 
@@ -125,10 +122,6 @@ def integral_pair(h: HopfPresentation) -> IntegralPair:
     for an actual finite-dimensional Hopf algebra and therefore flags
     corrupted input.
     """
-    return h.memo(("integral_pair",), lambda: _normalized_pair(h))
-
-
-def _normalized_pair(h: HopfPresentation) -> IntegralPair:
     lam_el = left_integral(h)
     lam_fn = dual_right_integral(h)
     val = h.pair(lam_fn, lam_el)
@@ -158,27 +151,21 @@ def _ratios(m: Mat, ref, context) -> tuple:
     return c
 
 
+@_memo
 def distinguished_grouplike(h: HopfPresentation) -> HopfElement:
     """The grouplike g in H with beta lambda = beta(g) lambda for all beta,
     read from the rows of H_l(lambda) = g lambda^T: row i is beta_i
     lambda."""
-    return h.memo(("distinguished_grouplike",), lambda: _grouplike_of(h))
-
-
-def _grouplike_of(h: HopfPresentation) -> HopfElement:
     lam = integral_pair(h).dual_integral
     return HopfElement(_ratios(
         h.harpoon_matrix(lam, "left"), lam.coords,
         lambda i: f"beta_{i} lambda on {h.name}"))
 
 
+@_memo
 def distinguished_character(h: HopfPresentation) -> Functional:
     """The character alpha on H with Lambda a = alpha(a) Lambda, read from
     the rows of L_Lambda^T = alpha Lambda^T: row j is Lambda e_j."""
-    return h.memo(("distinguished_character",), lambda: _character_of(h))
-
-
-def _character_of(h: HopfPresentation) -> Functional:
     lam = integral_pair(h).integral
     return Functional(_ratios(
         h.left_mult_matrix(lam).transpose(), lam.coords,
@@ -216,38 +203,32 @@ def is_cosemisimple(h: HopfPresentation) -> bool:
 # -- trace formulas ---------------------------------------------------------------
 
 
+@_memo
 def integral_form(h: HopfPresentation) -> Mat:
     """B_lambda[a][c] = lambda(e_a e_c), the form of the right integral.
 
     Both the antipode (hopf.compute_antipode) and the trace formulas are
     read off this one matrix.
     """
-    return h.memo(("integral_form",), lambda: _form_of(h))
-
-
-def _form_of(h: HopfPresentation) -> Mat:
     return h.form_matrix(integral_pair(h).dual_integral)
 
 
+@_memo
 def integral_coproduct(h: HopfPresentation) -> Mat:
-    """C[j][k], the coefficient of e_j (x) e_k in Delta(Lambda) (memoized).
+    """C[j][k], the coefficient of e_j (x) e_k in Delta(Lambda).
 
     The antipode, the trace formulas, the normal form and the global
     form rank are all read off this one matrix.
     """
-    return h.memo(("integral_coproduct",),
-                  lambda: h.comult_matrix(integral_pair(h).integral))
+    return h.comult_matrix(integral_pair(h).integral)
 
 
-def trace_form(h: HopfPresentation, variant: int = 1) -> Mat:
+@_memo
+def trace_form(h: HopfPresentation, variant: int) -> Mat:
     """The matrix G_v with Tr(G_v f) = formula v applied to f; see the
     module docstring.  Formula v holds for every f exactly when G_v = I."""
     if variant not in (1, 2, 3):
         raise ValueError(f"unknown trace variant {variant!r}")
-    return h.memo(("trace_form", variant), lambda: _trace_matrix(h, variant))
-
-
-def _trace_matrix(h: HopfPresentation, variant: int) -> Mat:
     c = integral_coproduct(h)
     b = integral_form(h)
     s = h.antipode_matrix()

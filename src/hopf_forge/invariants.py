@@ -29,7 +29,7 @@ from .cyclofield import CycNumber, cyc, root_of_unity, scalar_to_json
 from .errors import (BadParameters, IndexEven, IndexOne, NonCommuting,
                      NonSplitting, NotARootPower, NotInvariant,
                      OffPatternBlock, OrderExceedsBound, PreconditionFailed)
-from .hopf import HopfPresentation, find_grouplikes
+from .hopf import HopfPresentation, _memo, find_grouplikes
 from .integrals import (distinguished_character, distinguished_grouplike,
                         integral_coproduct, integral_pair, is_cosemisimple,
                         is_semisimple, is_unimodular, radford_trace,
@@ -55,12 +55,9 @@ def index_bound(h: HopfPresentation) -> int:
     return 4 * h.dim * h.order
 
 
+@_memo
 def compute_index(h: HopfPresentation) -> IndexData:
     """Least n with S^(4n) = id and g^n = 1, as lcm of the two orders."""
-    return h.memo(("compute_index",), lambda: _index_of(h))
-
-
-def _index_of(h: HopfPresentation) -> IndexData:
     bound = index_bound(h)
     s4_order = operator_order(h.s_power_matrix(4), bound)
     g = distinguished_grouplike(h).coords
@@ -155,24 +152,18 @@ class EigenTable:
         n = self.n
         return ((-a) % 2, (-self.x_exp - i) % n, (self.x_exp - j) % n)
 
+    @_memo
     def eigen_basis(self):
         """(P, labels): column c of P is an eigenvector with label labels[c]."""
-        if "basis" not in self._cache:
-            cols, labels = [], []
-            for key in self.labels():
-                sub = self.spaces[key]
-                for row in sub.basis.data:
-                    cols.append(row)
-                    labels.append(key)
-            order = self.omega.order
-            p = Mat.from_cols(order, cols, rows_n=len(cols))
-            self._cache["basis"] = (p, tuple(labels))
-        return self._cache["basis"]
+        keys = self.labels()
+        cols = [row for key in keys for row in self.spaces[key].basis.data]
+        labels = tuple(key for key in keys
+                       for _ in self.spaces[key].basis.data)
+        return Mat.from_cols(self.omega.order, cols, rows_n=len(cols)), labels
 
+    @_memo
     def eigen_basis_inverse(self):
-        if "basis_inv" not in self._cache:
-            self._cache["basis_inv"] = inverse(self.eigen_basis()[0])
-        return self._cache["basis_inv"]
+        return inverse(self.eigen_basis()[0])
 
 
 def eigen_decomposition(h: HopfPresentation, omega: CycNumber) -> EigenTable:
@@ -370,16 +361,13 @@ def alternating_form_check(h: HopfPresentation, t: EigenTable,
 # -- parity and congruence -------------------------------------------------------
 
 
+@_memo
 def h_plus_minus(h: HopfPresentation):
-    """(dim H_+, dim H_-) for S^(2n), n the index (memoized).
+    """(dim H_+, dim H_-) for S^(2n), n the index.
 
     S^(4n) = id (compute_index), so the minimal polynomial of S^(2n)
     divides x^2 - 1: the +1 kernel alone gives both dimensions.
     """
-    return h.memo(("h_plus_minus",), lambda: _plus_minus_split(h))
-
-
-def _plus_minus_split(h: HopfPresentation):
     m = h.s_power_matrix(2 * compute_index(h).n)
     plus = eigenspace(m, cyc(h.order, 1)).dim
     return plus, h.dim - plus
@@ -464,6 +452,7 @@ def lemma24_check(h: HopfPresentation, t: EigenTable, d: int) -> Lemma24Result:
 # -- coradical --------------------------------------------------------------------
 
 
+@_memo
 def coradical(h: HopfPresentation) -> Subspace:
     """The coradical as the annihilator of the radical of H*.
 
@@ -472,29 +461,15 @@ def coradical(h: HopfPresentation) -> Subspace:
     representation (valid in characteristic zero); the coradical is the
     subspace of H annihilated by it.
     """
-    return h.memo(("coradical",), lambda: _annihilator_of_radical(h))
-
-
-def _annihilator_of_radical(h: HopfPresentation) -> Subspace:
     n = h.dim
-    z = h.zero_scalar()
     # left multiplication in the dual: L_i[(k, j)] = c for the comult
     # entry (k, i, j, c)
     lmats = [dict() for _ in range(n)]
     for k, i, j, c in h.entries("comult"):
         lmats[i][(k, j)] = c
-    tform = [[z] * n for _ in range(n)]
-    for i in range(n):
-        li = lmats[i]
-        for j in range(n):
-            lj = lmats[j]
-            acc = z
-            for (k, l), c in li.items():
-                c2 = lj.get((l, k))
-                if c2 is not None:
-                    acc = acc + c * c2
-            tform[i][j] = acc
-    radical = null_space(Mat(h.order, tform, cols=n))
+    radical = null_space(h.matrix(
+        (i, j, c * lmats[j][l, k]) for i in range(n) for j in range(n)
+        for (k, l), c in lmats[i].items() if (l, k) in lmats[j]))
     return null_space(radical.basis)
 
 
@@ -674,12 +649,10 @@ def build_report(h: HopfPresentation, omega_power: int = 1,
             results.setdefault(tag, (reason, detail))
 
     if wanted("thm1.2:trace-variants"):
-        # formula v holds for every endomorphism exactly when G_v = I
-        ident = Mat.identity(h.order, h.dim)
-        bad = next((v for v in (1, 2, 3)
-                    if trace_form(h, v) != ident), None)
+        # G1 = C S^T B, G2^T = S^T B C, G3^T = B C S^T are I together
         results["thm1.2:trace-variants"] = _outcome(
-            bad is None, failure=f"variant {bad} disagrees")
+            trace_form(h, 1) == Mat.identity(h.order, h.dim),
+            failure="variant 1 disagrees")
     if wanted("eq1:s4-formula"):
         results["eq1:s4-formula"] = _outcome(verify_s4_formula(h))
 

@@ -85,6 +85,12 @@ def rebased_z2(c: int) -> HopfPresentation:
         basis=("f0", "f1"))
 
 
+def basis_element(h, i) -> tuple:
+    """The coordinates of e_i in h."""
+    z, o = cyc(h.order, 0), cyc(h.order, 1)
+    return tuple(o if t == i else z for t in range(h.dim))
+
+
 def random_endomorphism(h, rng: random.Random) -> Mat:
     """A sparse-ish random matrix with integer and root-of-unity entries."""
     zero = cyc(h.order, 0)

@@ -18,7 +18,8 @@ from hopf_forge import (CycNumber, EigenvalueNotInField, HopfPresentation,
                         find_grouplikes, harpoon_left, harpoon_right,
                         integral_pair, is_grouplike, lift_order,
                         null_space, root_of_unity)
-from conftest import corrupted, rebased_z2, sites, structure
+from conftest import (basis_element, corrupted, rebased_z2, sites,
+                      structure)
 
 
 def test_axioms_hold_on_corpus(corpus, sw):
@@ -88,7 +89,7 @@ def test_harpoon_counit_acts_as_identity(t3, sw):
     for h in (t3, sw):
         eps = h.counit
         for i in range(h.dim):
-            e = h.basis_element(i)
+            e = basis_element(h, i)
             assert harpoon_left(h, eps, e) == e
             assert harpoon_right(h, e, eps) == e
 
@@ -100,11 +101,11 @@ def test_harpoon_module_actions_compose(t3d, t3):
     hd = t3d
     for i in (1, 3):
         for j in (2, 4):
-            beta = hd.basis_element(i)
-            gamma = hd.basis_element(j)
+            beta = basis_element(hd, i)
+            gamma = basis_element(hd, j)
             prod = hd.multiply(beta, gamma)
             for t in (0, 4, 7):
-                e = h.basis_element(t)
+                e = basis_element(h, t)
                 lhs = harpoon_left(h, prod, e)
                 rhs = harpoon_left(h, beta, harpoon_left(h, gamma, e))
                 assert lhs == rhs
@@ -132,7 +133,7 @@ def test_operator_matrices_match_the_elementwise_definitions(corpus, sw):
     # B_beta[a][c] = beta(e_a e_c)
     rng = random.Random(24)
     for h in (*corpus.values(), sw):
-        basis = [h.basis_element(t) for t in range(h.dim)]
+        basis = [basis_element(h, t) for t in range(h.dim)]
         products = [[h.multiply(a, c) for c in basis] for a in basis]
         for beta in (h.counit, distinguished_character(h).coords,
                      integral_pair(h).dual_integral.coords,
@@ -199,7 +200,7 @@ def test_entry_list_is_sorted_zero_free_and_rebuilds_the_tables(corpus, sw):
 
 def test_apply_s_power(t3):
     for i in range(t3.dim):
-        e = t3.basis_element(i)
+        e = basis_element(t3, i)
         assert t3.s_power_matrix(0).apply(e) == e
         s1 = t3.s_power_matrix(1).apply(e)
         assert t3.s_power_matrix(2).apply(e) == \
@@ -216,7 +217,7 @@ def test_grouplikes_of_group_algebra_are_basis(z5, z3z3):
     for h in (z5, z3z3):
         found = find_grouplikes(h)
         assert len(found) == h.dim
-        expect = {h.basis_element(i) for i in range(h.dim)}
+        expect = {basis_element(h, i) for i in range(h.dim)}
         assert {g.coords for g in found} == expect
 
 
@@ -224,7 +225,7 @@ def test_grouplikes_of_taft_are_powers_of_g(t3, t5):
     for h, n in ((t3, 3), (t5, 5)):
         found = find_grouplikes(h)
         # basis ordering is g^i x^j at index i*n + j; powers of g sit at j=0
-        expect = {h.basis_element(i * n) for i in range(n)}
+        expect = {basis_element(h, i * n) for i in range(n)}
         assert {g.coords for g in found} == expect
 
 
@@ -296,7 +297,7 @@ def test_grouplike_search_finds_roots_once_per_polynomial(monkeypatch, t3z5):
 
     monkeypatch.setattr(hopf_module, "charpoly", recording_charpoly)
     monkeypatch.setattr(hopf_module, "roots_in_field", recording_roots)
-    assert hopf_module._grouplike_search(t3z5) == want
+    assert hopf_module.find_grouplikes.__wrapped__(t3z5) == want
     stripped = {p[next(i for i, x in enumerate(p) if x):] for p in polys}
     assert len(searched) == len(set(searched)) == len(stripped)
     assert len(polys) > len(stripped)
@@ -332,12 +333,12 @@ def test_scalar_states_are_carried_whole(monkeypatch, corpus):
         return verdicts[-1]
 
     monkeypatch.setattr(hopf_module, "_acts_as_scalar", recording)
-    want = {name: hopf_module._grouplike_search(h)
+    want = {name: hopf_module.find_grouplikes.__wrapped__(h)
             for name, h in corpus.items()}
     assert any(verdicts) and not all(verdicts)
     monkeypatch.setattr(hopf_module, "_acts_as_scalar", lambda *args: False)
     for name, h in corpus.items():
-        assert hopf_module._grouplike_search(h) == want[name], name
+        assert hopf_module.find_grouplikes.__wrapped__(h) == want[name], name
 
 
 def _lowest_terms_key(coords):
@@ -392,7 +393,7 @@ def test_grouplike_search_solves_in_the_state_coordinates(
     monkeypatch.setattr(hopf_module, "null_space", recording_null_space,
                         raising=False)
     monkeypatch.setattr(hopf_module, "Subspace", RecordingSubspace)
-    assert hopf_module._grouplike_search(h) == want
+    assert hopf_module.find_grouplikes.__wrapped__(h) == want
     splits = [(cols, d) for cols, d in solves if d < h.dim]
     assert splits and all(cols <= d for cols, d in splits), solves
 
@@ -574,7 +575,7 @@ def test_monoid_bialgebra_has_antipode_iff_group():
         groups += 1
         s = compute_antipode(h)
         for i in range(n):
-            assert s.col(i) == h.basis_element(inv[i]), t
+            assert s.col(i) == basis_element(h, inv[i]), t
     # Z1, Z2, Z3 and, with identity 0, three labellings of Z4 and one of V4
     assert groups == 7
 
@@ -627,7 +628,7 @@ def _word_span(h, gens):
         new = []
         for s in gens:
             for w in frontier:
-                p = h.multiply(h.basis_element(s), w)
+                p = h.multiply(basis_element(h, s), w)
                 if not span.contains(p):
                     new.append(p)
                     span = Subspace.from_vectors(h.order, h.dim, words + new)

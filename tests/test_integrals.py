@@ -20,7 +20,8 @@ from hopf_forge import (DegeneratePairing, Functional, HopfForgeError,
                         left_integral, lift_order, null_space,
                         radford_trace, root_of_unity, trace_form,
                         verify_s4_formula)
-from conftest import corrupted, random_endomorphism, sites
+from conftest import (basis_element, corrupted, random_endomorphism,
+                      sites)
 
 
 def stacked_integral_kernel(h, side="left"):
@@ -29,9 +30,9 @@ def stacked_integral_kernel(h, side="left"):
     independently of the library's sparse equation assembly."""
     rows = []
     for i in range(h.dim):
-        a = h.basis_element(i)
+        a = basis_element(h, i)
         if side == "left":  # column j holds a e_j
-            op = Mat.from_cols(h.order, (h.multiply(a, h.basis_element(j))
+            op = Mat.from_cols(h.order, (h.multiply(a, basis_element(h, j))
                                          for j in range(h.dim)))
         else:
             op = h.right_mult_matrix(a)
@@ -84,7 +85,7 @@ def test_integral_defining_properties(corpus, sw):
         assert right.dim == 1, h.name
         rho = right.basis.data[0]
         for i in range(h.dim):
-            a = h.basis_element(i)
+            a = basis_element(h, i)
             eps = h.counit[i]
             assert h.multiply(a, lam.coords) == \
                 tuple(c * eps for c in lam.coords)
@@ -173,7 +174,7 @@ def _literal_trace(h, f, variant):
     s = h.antipode_matrix()
     acc = cyc(h.order, 0)
     for (j, k), c in h.comult_pairs(pair.integral.coords).items():
-        first, second = h.basis_element(j), h.basis_element(k)
+        first, second = basis_element(h, j), basis_element(h, k)
         if variant == 1:
             x = h.multiply(s.apply(second), f.apply(first))
         elif variant == 2:
@@ -228,7 +229,7 @@ def _s4_element_by_element(h):
     ginv = h.antipode_matrix().apply(g.coords)
     s4 = h.s_power_matrix(4)
     for t in range(h.dim):
-        e = h.basis_element(t)
+        e = basis_element(h, t)
         x = harpoon_right(h, harpoon_left(h, alpha, e), alpha_inv)
         if h.multiply(g.coords, h.multiply(x, ginv)) != s4.apply(e):
             return False
@@ -281,7 +282,7 @@ def _ratios_oracle(ref, vectors, label):
 
 def _character_oracle(h):
     lam = integral_pair(h).integral.coords
-    return _ratios_oracle(lam, [h.multiply(lam, h.basis_element(j))
+    return _ratios_oracle(lam, [h.multiply(lam, basis_element(h, j))
                                 for j in range(h.dim)],
                           lambda j: f"Lambda e_{j} on {h.name}")
 
@@ -295,6 +296,24 @@ def _grouplike_oracle(h):
                         for k in range(h.dim)])
     return _ratios_oracle(lam, vectors,
                           lambda i: f"beta_{i} lambda on {h.name}")
+
+
+def test_one_trace_variant_decides_all_three(corpus, sw, t3):
+    # G1 = C S^T B, G2^T = S^T B C and G3^T = B C S^T rotate one product
+    # of square matrices, so they are I together or not at all
+    rng = random.Random(12)
+    cases = list(corpus.values()) + [sw, _bent_antipode(t3, 1, 3, 1),
+                                     _bent_antipode(t3, 1, 1, 1)]
+    cases += [_bent_antipode(t3, i, j, rng.choice((1, -1)))
+              for i, j in rng.sample(list(itertools.product(range(t3.dim),
+                                                            repeat=2)), 12)]
+    seen = set()
+    for h in cases:
+        ident = Mat.identity(h.order, h.dim)
+        at_identity = {trace_form(h, v) == ident for v in (1, 2, 3)}
+        assert len(at_identity) == 1, h.name
+        seen |= at_identity
+    assert seen == {True, False}
 
 
 def _outcome_of(f, h):
@@ -359,12 +378,12 @@ def test_is_unimodular_is_the_equality_of_the_integral_spaces(corpus, sw, t3,
 def test_distinguished_elements_of_taft(t3, t5):
     for h, n in ((t3, 3), (t5, 5)):
         g = distinguished_grouplike(h)
-        assert g.coords == h.basis_element(n)  # g^1 x^0 sits at index n
+        assert g.coords == basis_element(h, n)  # g^1 x^0 sits at index n
         alpha = distinguished_character(h)
         # alpha is an algebra map ...
         for i in range(h.dim):
             for j in range(h.dim):
-                ab = h.multiply(h.basis_element(i), h.basis_element(j))
+                ab = h.multiply(basis_element(h, i), basis_element(h, j))
                 assert h.pair(alpha, ab) == \
                     alpha.coords[i] * alpha.coords[j]
         # ... with alpha(g) a primitive root: alpha(g) = omega^{-1}
@@ -374,7 +393,7 @@ def test_distinguished_elements_of_taft(t3, t5):
 def test_distinguished_elements_trivial_iff_unimodular(z15, z3z3):
     for h in (z15, z3z3):
         assert distinguished_grouplike(h).coords == \
-            h.basis_element(0)
+            basis_element(h, 0)
         assert distinguished_character(h).coords == \
             tuple(h.counit)
 

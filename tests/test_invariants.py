@@ -24,6 +24,7 @@ from hopf_forge import (CHECK_TAGS, BadParameters, EigenTable,
                         x_exponent)
 from hopf_forge import invariants
 from hopf_forge.invariants import NormalForm, selects
+from conftest import basis_element
 
 
 def table_of(h, power=1):
@@ -305,7 +306,8 @@ def test_eq3_checks_catch_a_shifted_eigen_basis_inverse(t3):
         rows[r][c] = rows[r][c] + 1
         return EigenTable(omega=table.omega, n=table.n, x_exp=table.x_exp,
                           spaces=table.spaces, dims=table.dims,
-                          _cache={"basis": (p, labels), "basis_inv":
+                          _cache={("eigen_basis",): (p, labels),
+                                  ("eigen_basis_inverse",):
                                   Mat(t3.order, rows, cols=t3.dim)})
 
     for r in range(t3.dim):
@@ -514,7 +516,7 @@ def test_coradical_of_taft_is_group_span(t3, t5):
         c = coradical(h)
         assert c.dim == n
         expect = Subspace.from_vectors(
-            h.order, h.dim, [h.basis_element(i * n) for i in range(n)])
+            h.order, h.dim, [basis_element(h, i * n) for i in range(n)])
         assert c == expect
         assert coradical_is_subcoalgebra(h, c)
 

@@ -6,6 +6,7 @@ the grouplikes only once.
 """
 
 import inspect
+import sys
 
 import pytest
 
@@ -90,11 +91,18 @@ def _presentation(name, dim, mult, comult, unit, counit):
                             comult_entries=comult, unit=unit, counit=counit)
 
 
-def test_dual_right_integral_dimension_messages():
-    one, zero = cyc(1, 1), cyc(1, 0)
-    kxk = _presentation(
+def _kxk():
+    """The algebra k x k with e0 and e1 grouplike: not a bialgebra, and H*
+    has no right integral."""
+    one = cyc(1, 1)
+    return _presentation(
         "kxk", 2, [(0, 0, 0, one), (1, 1, 1, one)],
         [(0, 0, 0, one), (1, 1, 1, one)], (one, one), (one, one))
+
+
+def test_dual_right_integral_dimension_messages():
+    one, zero = cyc(1, 1), cyc(1, 0)
+    kxk = _kxk()
     with pytest.raises(IntegralSpaceNotOneDim,
                        match=r"^right integral space of dual\(kxk\) has "
                              r"dimension 0$"):
@@ -154,4 +162,89 @@ def test_t3z5_report_makes_one_product_per_s_power(monkeypatch, t3z5):
     monkeypatch.setattr(HopfPresentation, "s_power_matrix", nested)
     build_report(h)
     assert products == [(45, 45)] * 3
-    assert sorted(k[1] for k in h._cache if k[0] == "s_pow") == [2, 4, 6]
+    assert sorted(k[1] for k in h._cache
+                  if k[0] == "s_power_matrix") == [1, 2, 4, 6]
+
+
+# -- the memo contract ---------------------------------------------------------
+
+
+MEMOIZED = {
+    "antipode_matrix", "s_power_matrix", "algebra_generators",
+    "find_grouplikes", "integral_subspace", "dual_right_integral",
+    "integral_pair", "distinguished_grouplike", "distinguished_character",
+    "integral_form", "integral_coproduct", "trace_form", "compute_index",
+    "h_plus_minus", "coradical", "eigen_basis", "eigen_basis_inverse"}
+
+
+def _memoized_bodies():
+    """{code object: name} of the body of every memoized function."""
+    owners = (hopf_module, integrals_module, invariants_module,
+              HopfPresentation, invariants_module.EigenTable)
+    return {fn.__wrapped__.__code__: fn.__name__ for owner in owners
+            for fn in vars(owner).values() if hasattr(fn, "__wrapped__")}
+
+
+def _entered(run):
+    """run() and the (name, first argument) of each memoized body it
+    entered, in call order."""
+    bodies, calls = _memoized_bodies(), []
+
+    def profile(frame, event, _arg):
+        if event == "call" and frame.f_code in bodies:
+            owner = frame.f_locals[frame.f_code.co_varnames[0]]
+            calls.append((bodies[frame.f_code], owner))
+
+    sys.setprofile(profile)
+    try:
+        result = run()
+    finally:
+        sys.setprofile(None)
+    return result, calls
+
+
+def _fresh(h):
+    from hopf_forge.cli import (document_to_presentation,
+                                presentation_to_document)
+    return document_to_presentation(presentation_to_document(h))
+
+
+def test_the_memoized_functions_are_the_listed_ones():
+    assert set(_memoized_bodies().values()) == MEMOIZED
+
+
+def test_a_second_report_computes_nothing_on_the_presentation(t3z5):
+    h = _fresh(t3z5)
+    first, calls = _entered(lambda: build_report(h))
+    assert {name for name, owner in calls if owner is h} == \
+        MEMOIZED - {"eigen_basis", "eigen_basis_inverse"}
+    keys = list(h._cache)
+    second, calls = _entered(lambda: build_report(h))
+    assert second == first
+    assert list(h._cache) == keys
+    # each report decomposes H afresh, so only its new EigenTable computes
+    assert [name for name, owner in calls if owner is h] == []
+    assert sorted(name for name, _ in calls) == [
+        "eigen_basis", "eigen_basis_inverse"]
+
+
+def test_a_computation_that_raises_stores_nothing():
+    kxk, t3 = _kxk(), build_taft(3)
+    for h, run, error in (
+            (kxk, lambda: dual_right_integral(kxk), IntegralSpaceNotOneDim),
+            (t3, lambda: t3.s_power_matrix(-1), ValueError)):
+        for _ in range(2):  # the body runs, and raises, on every call
+            _, calls = _entered(lambda: pytest.raises(error, run))
+            assert [owner for _, owner in calls] == [h]
+            assert h._cache == {}
+
+
+def test_every_cache_key_names_a_memoized_function(t3z5):
+    h = _fresh(t3z5)
+    build_report(h)
+    assert {key[0] for key in h._cache} <= MEMOIZED
+    n = compute_index(h).n
+    table = invariants_module.eigen_decomposition(
+        h, invariants_module.omega_for_index(h, n))
+    invariants_module.normal_form(h, table)
+    assert set(table._cache) == {("eigen_basis",), ("eigen_basis_inverse",)}
