@@ -40,7 +40,7 @@ from .errors import (BadParameters, BoundExceeded, EigenvalueNotInField,
 from .hopf import HopfPresentation, check_axioms, compute_antipode, dual, \
     lift_order
 from .integrals import integral_pair
-from .invariants import CHECK_TAGS, build_report, selects
+from .invariants import build_report, check_selection
 from .linalg import Mat
 from .zoo import (build_cyclic_group_algebra, build_group_algebra,
                   build_taft, build_tensor, cyclic_table,
@@ -231,12 +231,7 @@ def cmd_report(args) -> int:
     selected = None
     if args.check is not None:
         selected = [s.strip() for s in args.check.split(",") if s.strip()]
-        unknown = [s for s in selected
-                   if not any(selects(s, tag) for tag in CHECK_TAGS)]
-        if unknown or not selected:
-            raise BadParameters(
-                f"--check {', '.join(unknown) or args.check}: matches no "
-                "check tag")
+        check_selection(selected, args.check)
     h = load_presentation(args.path)
     rep = build_report(h, omega_power=args.omega, selected=selected)
     doc = rep.to_document()

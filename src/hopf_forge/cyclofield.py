@@ -150,17 +150,20 @@ def _sum(op, a, ad, b, bd):
 class CycNumber:
     """An element of Q(zeta_order): num / den in canonical power-basis form.
 
-    CycNumber(order, coeffs) is the value with rational coordinates
-    coeffs (ints or Fractions).  It and every arithmetic result are built
-    by _make, so a zero is always its field's zero object.
+    CycNumber(order, coeffs) is the value with coordinates coeffs, up to
+    phi(order) ints or Fractions, zero-padded; it and every arithmetic
+    result are built by _make, so a zero is always its field's zero object.
     """
 
     __slots__ = ("order", "num", "den")
 
     def __new__(cls, order, coeffs):
+        pad = _field(order).degree - len(coeffs)
+        if pad < 0:
+            raise OrderMismatch(f"{len(coeffs)} coordinates for order {order}")
         den = lcm(*(c.denominator for c in coeffs))
         return _make(order, tuple(c.numerator * (den // c.denominator)
-                                  for c in coeffs), den)
+                                  for c in coeffs) + (0,) * pad, den)
 
     @property
     def coeffs(self):

@@ -75,8 +75,9 @@ def _outer_rows(u, v, z) -> tuple:
 
 def _memo(fn):
     """fn memoized in the _cache of its first argument, under the key
-    (fn's name, *its other positional arguments).  Entries live as long
-    as that argument, which is therefore never mutated after
+    (fn's name, *its other arguments), each by value or, if its type has
+    no __eq__, by identity (normal_form's table).  Entries live as long
+    as the first argument, which is therefore never mutated after
     construction; a call that raises stores nothing."""
     @functools.wraps(fn)
     def memoized(owner, *args):

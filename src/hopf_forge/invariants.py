@@ -132,15 +132,23 @@ class EigenTable:
 
     spaces/dims are total maps on Z_2 x Z_n x Z_n (zero-dimensional
     blocks included).  x_exp is the exponent with alpha(g) = omega^x.
+    Column c of the eigen basis p is an eigenvector with label
+    p_labels[c], and p_inv is its inverse.  A table equals only itself,
+    so normal_form's memo is keyed by the table object.
     """
 
-    def __init__(self, omega, n, x_exp, spaces, dims, _cache=None):
+    def __init__(self, omega, n, x_exp, spaces, dims):
         self.omega = omega
         self.n = n
         self.x_exp = x_exp
         self.spaces = spaces
         self.dims = dims
-        self._cache = {} if _cache is None else _cache
+        keys = self.labels()
+        cols = [row for key in keys for row in spaces[key].basis.data]
+        self.p_labels = tuple(key for key in keys
+                              for _ in spaces[key].basis.data)
+        self.p = Mat.from_cols(omega.order, cols, rows_n=len(cols))
+        self.p_inv = inverse(self.p)
 
     def labels(self):
         return sorted(self.spaces)
@@ -152,31 +160,19 @@ class EigenTable:
         n = self.n
         return ((-a) % 2, (-self.x_exp - i) % n, (self.x_exp - j) % n)
 
-    @_memo
-    def eigen_basis(self):
-        """(P, labels): column c of P is an eigenvector with label labels[c]."""
-        keys = self.labels()
-        cols = [row for key in keys for row in self.spaces[key].basis.data]
-        labels = tuple(key for key in keys
-                       for _ in self.spaces[key].basis.data)
-        return Mat.from_cols(self.omega.order, cols, rows_n=len(cols)), labels
 
-    @_memo
-    def eigen_basis_inverse(self):
-        return inverse(self.eigen_basis()[0])
-
-
+@_memo
 def eigen_decomposition(h: HopfPresentation, omega: CycNumber) -> EigenTable:
     """The decomposition H = (+)_(a,i,j) H_(a,i,j); see module docstring.
 
-    Requires odd index > 1: index 1 is rejected with IndexOne (the
-    machinery degenerates), even index with IndexEven (the labels
-    (-1)^a omega^i collide, so the direct sum would double count).
-    S^2 splits every translation eigenspace (see below); NonSplitting
-    reports how much of H the translation eigenspaces cover.
+    Memoized on h under omega's value.  Requires odd index > 1: index 1
+    is rejected with IndexOne (the machinery degenerates), even index
+    with IndexEven (the labels (-1)^a omega^i collide, so the direct sum
+    would double count).  S^2 splits every translation eigenspace (see
+    below); NonSplitting reports how much of H the translation
+    eigenspaces cover.
     """
-    idx = compute_index(h)
-    n = idx.n
+    n = compute_index(h).n
     if n == 1:
         raise IndexOne(f"{h.name} has index 1; decomposition is degenerate")
     if n % 2 == 0:
@@ -190,9 +186,7 @@ def eigen_decomposition(h: HopfPresentation, omega: CycNumber) -> EigenTable:
     if s2 @ rg != rg @ s2:
         raise NonCommuting(
             f"S^2 and right translation by g do not commute on {h.name}")
-    dim = h.dim
     spaces, dims = {}, {}
-    total = 0
     for j in range(n):
         wj = eigenspace(rg, omega ** j)
         # S^2 commutes with rg, so it preserves wj; (S^2)^(2n) = id there
@@ -205,11 +199,11 @@ def eigen_decomposition(h: HopfPresentation, omega: CycNumber) -> EigenTable:
                 sub = wj.image_of(eigenspace(local, value))
                 spaces[(a, i, j)] = sub
                 dims[(a, i, j)] = sub.dim
-                total += sub.dim
-    if total != dim:
+    total = sum(dims.values())
+    if total != h.dim:
         raise NonSplitting(
             f"right translation by g on {h.name} is not diagonalizable "
-            f"over Q(zeta_{h.order}): eigenspaces cover {total} of {dim}; "
+            f"over Q(zeta_{h.order}): eigenspaces cover {total} of {h.dim}; "
             f"re-present over Q(zeta_{lcm(h.order, 2 * n)})")
     return EigenTable(omega=omega, n=n, x_exp=x, spaces=spaces, dims=dims)
 
@@ -226,10 +220,10 @@ def check_dim_symmetry(t: EigenTable):
 # -- normal form of Delta(Lambda) ------------------------------------------------
 
 
-class NormalForm(namedtuple("NormalForm", "x_vec labels p_mat cprime")):
+class NormalForm(namedtuple("NormalForm", "table cprime")):
     """Delta(Lambda) in eigen coordinates: cprime = C' = Pinv C Pinv^T,
-    where C is its coefficient matrix and column c of P is an
-    eigenvector with label labels[c], so C = P C' P^T."""
+    where C is its coefficient matrix and P = table.p, whose column c is
+    an eigenvector with label table.p_labels[c], so C = P C' P^T."""
     __slots__ = ()
 
     @property
@@ -238,11 +232,11 @@ class NormalForm(namedtuple("NormalForm", "x_vec labels p_mat cprime")):
         key)} as sparse {(leg1, leg2): coefficient} maps, one per label
         of a nonzero row of C', expanded from P and C' on each call."""
         z = cyc(self.cprime.order, 0)
-        p_cols = self.p_mat.transpose().nonzeros()
+        p_cols = self.table.p.transpose().nonzeros()
         out = {}
         for r, row in enumerate(self.cprime.nonzeros()):
             for s, coef in row:
-                part = out.setdefault(self.labels[r], {})
+                part = out.setdefault(self.table.p_labels[r], {})
                 for j, u in p_cols[r]:
                     f = coef * u
                     for k, v in p_cols[s]:
@@ -252,22 +246,23 @@ class NormalForm(namedtuple("NormalForm", "x_vec labels p_mat cprime")):
     def reconstruction(self, h: HopfPresentation) -> tuple:
         """The blocks summed back over the basis of h, P C' P^T, as a flat
         tensor-square vector (row-major over (leg1, leg2))."""
-        p = self.p_mat
+        p = self.table.p
         return tuple(c for row in (p @ self.cprime @ p.transpose()).data
                      for c in row)
 
 
+@_memo
 def normal_form(h: HopfPresentation, t: EigenTable) -> NormalForm:
     """Delta(Lambda) in eigen coordinates, with its pairing verified.
 
-    C' = Pinv C Pinv^T is formed by two sparse Mat products.  Every
-    nonzero entry C'[r][s] must couple label key = labels[r] with
-    pattern_partner(key); the first entry outside that pattern, in
-    row-major order, raises OffPatternBlock naming the label pair.
+    Memoized on h under the table object.  C' = Pinv C Pinv^T is formed
+    by two sparse Mat products.  Every nonzero entry C'[r][s] must couple
+    label key = t.p_labels[r] with pattern_partner(key); the first entry
+    outside that pattern, in row-major order, raises OffPatternBlock
+    naming the label pair.
     """
-    p, labels = t.eigen_basis()
-    pinv = t.eigen_basis_inverse()
-    cprime = pinv @ integral_coproduct(h) @ pinv.transpose()
+    labels = t.p_labels
+    cprime = t.p_inv @ integral_coproduct(h) @ t.p_inv.transpose()
     for r, row in enumerate(cprime.nonzeros()):
         partner = t.pattern_partner(labels[r])
         for s, _ in row:
@@ -276,9 +271,7 @@ def normal_form(h: HopfPresentation, t: EigenTable) -> NormalForm:
                     f"Delta(Lambda) on {h.name} has a nonzero block "
                     f"{labels[r]} (x) {labels[s]}; expected partner "
                     f"{partner}")
-    x = t.x_exp
-    return NormalForm(x_vec=(0, (-x) % t.n, x % t.n), labels=labels,
-                      p_mat=p, cprime=cprime)
+    return NormalForm(table=t, cprime=cprime)
 
 
 def projection_traces(h: HopfPresentation, t: EigenTable) -> dict:
@@ -293,17 +286,15 @@ def projection_traces(h: HopfPresentation, t: EigenTable) -> dict:
     Returns {label: (direct, via_formula)}; both must equal dims[label]
     for genuine inputs, and the caller is expected to compare.
     """
-    p, labels = t.eigen_basis()
-    pinv = t.eigen_basis_inverse()
     z = h.zero_scalar()
 
     def diagonal(m):  # (Pinv m)[c][c] for every c
         return [sum((x * m.data[j][c] for j, x in row), z)
-                for c, row in enumerate(pinv.nonzeros())]
+                for c, row in enumerate(t.p_inv.nonzeros())]
 
     out = {key: (z, z) for key in t.labels()}
-    for key, direct, formula in zip(labels, diagonal(p),
-                                    diagonal(trace_form(h, 1) @ p)):
+    for key, direct, formula in zip(t.p_labels, diagonal(t.p),
+                                    diagonal(trace_form(h, 1) @ t.p)):
         out[key] = (out[key][0] + direct, out[key][1] + formula)
     return out
 
@@ -316,9 +307,8 @@ AlternatingFormReport = namedtuple("AlternatingFormReport", (
     "nondegenerate_on_v delta_op_ok delta_op_witness"))
 
 
-def alternating_form_check(h: HopfPresentation, t: EigenTable,
-                           nf: NormalForm | None = None
-                           ) -> AlternatingFormReport:
+def alternating_form_check(h: HopfPresentation,
+                           t: EigenTable) -> AlternatingFormReport:
     """The bilinear form (f, h) = (f (x) h)(Delta(Lambda)) on the dual.
 
     Checks: the global Gram matrix (which is exactly the coefficient
@@ -326,28 +316,27 @@ def alternating_form_check(h: HopfPresentation, t: EigenTable,
     to H_(1,-l,l) (the unique self-paired block, 2l = x) is alternating
     (skew-symmetric suffices in characteristic 0) and non-degenerate,
     forcing even dimension; and the twisted expansion of Delta^op(Lambda)
-    read off C' = nf.cprime, whose transpose is the Delta^op Gram in
-    eigen coordinates: C'^T[r][s] = (-1)^a omega^(-i-j) C'[r][s], with
-    (a, i, j) the label of row r, wherever C' or C'^T is nonzero (both
+    read off C' of normal_form(h, t), whose transpose is the Delta^op
+    Gram in eigen coordinates: C'^T[r][s] = (-1)^a omega^(-i-j) C'[r][s],
+    with (a, i, j) = t.p_labels[r], wherever C' or C'^T is nonzero (both
     sides vanish elsewhere).  The witness is the least failing (r, s).
     t is from eigen_decomposition, so its index n is odd and > 1.
     """
     n = t.n
     ell = (t.x_exp * (n + 1) // 2) % n  # the l with 2l = x mod n
-    if nf is None:
-        nf = normal_form(h, t)
+    cprime = normal_form(h, t).cprime
     _, rank, _ = rref(integral_coproduct(h))
-    labels = nf.labels
+    labels = t.p_labels
     vkey = (1, (-ell) % n, ell % n)
     vidx = [r for r, lbl in enumerate(labels) if lbl == vkey]
     vdim = len(vidx)
-    cp = nf.cprime.data
+    cp = cprime.data
     block = [[cp[r][s] for s in vidx] for r in vidx]
     alternating = all(block[i][j] == -block[j][i]
                       for i in range(vdim) for j in range(vdim))
     nondeg = not vdim or rref(Mat(h.order, block, cols=vdim))[1] == vdim
     factors = [(-1) ** a * t.omega ** ((-i - j) % n) for a, i, j in labels]
-    support = {pos for r, row in enumerate(nf.cprime.nonzeros())
+    support = {pos for r, row in enumerate(cprime.nonzeros())
                for s, _ in row for pos in ((r, s), (s, r))}
     witness = next(((labels[r], labels[s]) for r, s in sorted(support)
                     if cp[s][r] != factors[r] * cp[r][s]), None)
@@ -548,6 +537,16 @@ def selects(selector: str, tag: str) -> bool:
     return tag == selector or tag.startswith(selector.rstrip(":") + ":")
 
 
+def check_selection(selected: list, shown: str):
+    """BadParameters unless selected is nonempty and each selector in it
+    names a tag; shown, the selection as written, names an empty one."""
+    unknown = [s for s in selected
+               if not any(selects(s, tag) for tag in CHECK_TAGS)]
+    if unknown or not selected:
+        raise BadParameters(f"--check {', '.join(unknown) or shown}: "
+                            "matches no check tag")
+
+
 class InvariantReport(namedtuple("InvariantReport", (
         "name dim order omega_power semisimple cosemisimple unimodular "
         "index x_exp dims dim_h_plus dim_h_minus trace_s2p d "
@@ -624,9 +623,12 @@ def build_report(h: HopfPresentation, omega_power: int = 1,
     skipped:REASON to every tag of its group still unrecorded.  The
     trace variants, the S^4 formula, the reconstruction, the projection
     traces and the alternating form run only when a tag of their group is
-    selected; every other stage always runs.  omega_power must be coprime
-    to the index (BadParameters otherwise), whatever the index.
+    selected; every other stage always runs.  A selection that names no
+    tag (see check_selection) and an omega_power that is not coprime to
+    the index, whatever the index, raise BadParameters.
     """
+    if selected is not None:
+        check_selection(selected, repr(selected))
     integral_pair(h)  # a degenerate pairing fails first
     semi = is_semisimple(h)
     cosemi = is_cosemisimple(h)
@@ -673,13 +675,12 @@ def build_report(h: HopfPresentation, omega_power: int = 1,
         results["thm3.3:h-minus-formula"] = _outcome(
             tc.h_minus_formula_ok, f"dim H_- = {tc.dim_h_minus}")
 
-    table = x_exp = None
+    table = None
     if n == 1 or n % 2 == 0:
         skip("skipped:IndexOne" if n == 1 else "skipped:IndexEven",
              "eq2", "sec2", "lem2.4", "eq3", "lem3.1")
     else:
         table = eigen_decomposition(h, omega_for_index(h, n, omega_power))
-        x_exp = table.x_exp
         try:
             nf, off_pattern = normal_form(h, table), None
         except OffPatternBlock as exc:
@@ -711,7 +712,7 @@ def build_report(h: HopfPresentation, omega_power: int = 1,
             skip("skipped:OffPatternBlock", "eq3", "lem3.1")
         else:
             if wanted("eq3:reconstruction"):
-                p = nf.p_mat
+                p = table.p
                 results["eq3:reconstruction"] = _outcome(
                     p @ nf.cprime @ p.transpose() == integral_coproduct(h))
             if wanted("eq3:projection-traces"):
@@ -722,7 +723,7 @@ def build_report(h: HopfPresentation, omega_power: int = 1,
                 results["eq3:projection-traces"] = _outcome(
                     bad is None, failure=f"witness {bad}")
             if wanted("lem3.1"):
-                alt = alternating_form_check(h, table, nf=nf)
+                alt = alternating_form_check(h, table)
                 results["lem3.1:global-form-rank"] = _outcome(
                     alt.global_full_rank, f"rank {alt.global_rank} of {h.dim}")
                 results["lem3.1:alternating-even"] = _outcome(
@@ -749,7 +750,7 @@ def build_report(h: HopfPresentation, omega_power: int = 1,
     return InvariantReport(
         name=h.name, dim=h.dim, order=h.order, omega_power=omega_power,
         semisimple=semi, cosemisimple=cosemi, unimodular=unimod,
-        index=idx, x_exp=x_exp,
+        index=idx, x_exp=table.x_exp if table is not None else None,
         dims=table.dims if table is not None else None,
         dim_h_plus=hp, dim_h_minus=hm,
         trace_s2p=tc.trace if tc is not None else None,

@@ -155,6 +155,19 @@ def test_scalar_json_is_deterministic_text():
     assert s1 == s2
 
 
+def test_constructor_pads_short_coordinates_and_rejects_long_ones():
+    # Q(zeta_3) has degree 2: shorter lists are zero-padded, as
+    # scalar_from_json pads, and a third coordinate is refused
+    assert CycNumber(3, [1]) == 1 and CycNumber(3, [1]).num == (1, 0)
+    assert CycNumber(3, []) is cyc(3, 0)
+    assert CycNumber(3, [Fraction(1, 2)]) == scalar_from_json(
+        {"num": [1], "den": 2}, 3)
+    with pytest.raises(OrderMismatch):
+        CycNumber(3, [1, 2, 5])
+    # (1 + 2 zeta)^2 = 1 + 4 zeta + 4 zeta^2 = -3 in Q(zeta_3)
+    assert CycNumber(3, [1, 2]) ** 2 == -3
+
+
 def test_division_by_zero():
     with pytest.raises(DivisionByZero):
         cyc(3, 0).inverse()

@@ -147,20 +147,21 @@ def test_pattern_partner_formula(t3):
             (a, i, j)
 
 
-def test_eigen_projections_resolve_identity(t3):
+def test_eigen_projections_resolve_identity(t3, t5, t3z5):
     # the projection onto H_key is E_key = sum of P[:, c] Pinv[c] over the
     # key's columns c; the E_key sum to P Pinv, and E_a E_b is
     # P_a (Pinv_a P_b) Pinv_b, so P Pinv = I and Pinv P = I say exactly
     # that they resolve the identity, are idempotent and are orthogonal
-    table = table_of(t3)
-    p, labels = table.eigen_basis()
-    pinv = table.eigen_basis_inverse()
-    ident = Mat.identity(t3.order, t3.dim)
-    assert p @ pinv == ident
-    assert pinv @ p == ident
-    for c, key in enumerate(labels):
-        assert table.spaces[key].contains(p.col(c))
-    assert len(set(labels)) > 1
+    for h in (t3, t5, t3z5):
+        table = table_of(h)
+        p, labels, pinv = table.p, table.p_labels, table.p_inv
+        ident = Mat.identity(h.order, h.dim)
+        assert p @ pinv == ident
+        assert pinv @ p == ident
+        assert len(labels) == p.cols == h.dim
+        for c, key in enumerate(labels):
+            assert table.spaces[key].contains(p.col(c))
+        assert len(set(labels)) > 1
 
 
 def test_eigen_decomposition_guards(z15, sw, t3):
@@ -217,7 +218,7 @@ def test_dim_symmetry_and_perturbation_witness(t3, t5):
 def test_normal_form_taft(t3):
     table = table_of(t3)
     nf = normal_form(t3, table)
-    assert nf.x_vec == (0, 1, 2)  # x = 2, so -x = 1 mod 3
+    assert nf.table is table and table.x_exp == 2
     # blockwise reconstruction returns Delta(Lambda) exactly
     flat = [cyc(3, 0)] * 81
     lam = integral_pair(t3).integral.coords
@@ -256,7 +257,7 @@ def test_normal_form_blocks_are_expanded_on_demand(name, request):
     assert nf.reconstruction(h) == _flat_delta_lambda(h)
     parts = nf.components
     # one part per label of a nonzero row of C'
-    assert set(parts) == {nf.labels[r] for r, row
+    assert set(parts) == {table.p_labels[r] for r, row
                           in enumerate(nf.cprime.nonzeros()) if row}
     total = [cyc(h.order, 0)] * (h.dim * h.dim)
     for key, part in parts.items():
@@ -298,17 +299,17 @@ def test_projection_traces_match_dimensions(t3):
 def test_eq3_checks_catch_a_shifted_eigen_basis_inverse(t3):
     # the eq3 stages read Pinv; a wrong entry there must not slip through
     table = table_of(t3)
-    p, labels = table.eigen_basis()
-    pinv = table.eigen_basis_inverse()
+    p, labels, pinv = table.p, table.p_labels, table.p_inv
 
     def shifted(r, c):
+        # a new table: the one eigen_decomposition returned is shared
+        # through the memo, so it is never mutated
         rows = [list(row) for row in pinv.data]
         rows[r][c] = rows[r][c] + 1
-        return EigenTable(omega=table.omega, n=table.n, x_exp=table.x_exp,
-                          spaces=table.spaces, dims=table.dims,
-                          _cache={("eigen_basis",): (p, labels),
-                                  ("eigen_basis_inverse",):
-                                  Mat(t3.order, rows, cols=t3.dim)})
+        bent = EigenTable(omega=table.omega, n=table.n, x_exp=table.x_exp,
+                          spaces=table.spaces, dims=table.dims)
+        bent.p_inv = Mat(t3.order, rows, cols=t3.dim)
+        return bent
 
     for r in range(t3.dim):
         for c in range(t3.dim):
@@ -384,61 +385,64 @@ def test_alternating_form_on_taft(t3, t5):
         assert rep.delta_op_ok and rep.delta_op_witness is None
 
 
-def _v_block_setup(cprime_entries):
-    """Synthetic eigen data with a two-dimensional self-paired block
-    (1, -l, l).  Every zoo algebra has dim V = 0, so the alternating and
+def _v_block_setup(cprime_entries, keys=((1, 2, 1), (1, 2, 1))):
+    """Synthetic eigen data: basis vector e_c of k^2 gets label keys[c],
+    by default both the self-paired block (1, -l, l) (n = 3, x = 2,
+    l = 1).  Every zoo algebra has dim V = 0, so the alternating and
     nondegeneracy branches are driven with crafted coordinates attached
-    to a real rank-2 presentation (k[Z2] over Q(zeta_3))."""
-    from hopf_forge import build_cyclic_group_algebra
+    to a fresh rank-2 presentation (k[Z2] over Q(zeta_3)), whose memo
+    holds the crafted C' as the table's normal form."""
     h = build_cyclic_group_algebra(2, cyclotomic_order=3)
-    vkey = (1, 2, 1)  # n = 3, x = 2, l = 1
+    rows = Mat.identity(3, 2).data
+    spaces = {key: Subspace.from_vectors(
+        3, 2, [row for k, row in zip(keys, rows) if k == key]) for key in keys}
     table = EigenTable(omega=root_of_unity(3, 1), n=3, x_exp=2,
-                       spaces={vkey: None}, dims={vkey: 2})
-    ident = Mat.identity(3, 2)
+                       spaces=spaces,
+                       dims={key: sub.dim for key, sub in spaces.items()})
+    assert table.p == Mat.identity(3, 2) and table.p_labels == keys
     cprime = Mat(3, [[cyc(3, a) for a in row] for row in cprime_entries])
-    nf = NormalForm(x_vec=(0, 1, 2), labels=(vkey, vkey),
-                    p_mat=ident, cprime=cprime)
-    return h, table, nf
+    h._cache[("normal_form", table)] = NormalForm(table=table, cprime=cprime)
+    return h, table
 
 
 def test_alternating_v_block_accepts_symplectic_form():
-    h, table, nf = _v_block_setup([[0, 2], [-2, 0]])
-    rep = alternating_form_check(h, table, nf=nf)
+    h, table = _v_block_setup([[0, 2], [-2, 0]])
+    rep = alternating_form_check(h, table)
     assert rep.v_dim == 2 and rep.v_dim_even
     assert rep.alternating_ok and rep.nondegenerate_on_v
     assert rep.delta_op_ok  # transpose = -block holds for this label
 
 
 def test_alternating_v_block_rejects_symmetric_form():
-    h, table, nf = _v_block_setup([[0, 2], [2, 0]])
-    rep = alternating_form_check(h, table, nf=nf)
+    h, table = _v_block_setup([[0, 2], [2, 0]])
+    rep = alternating_form_check(h, table)
     assert not rep.alternating_ok
     assert not rep.delta_op_ok
     assert rep.delta_op_witness == ((1, 2, 1), (1, 2, 1))
 
 
 def test_alternating_v_block_rejects_diagonal_entry():
-    h, table, nf = _v_block_setup([[1, 0], [0, -1]])
-    rep = alternating_form_check(h, table, nf=nf)
+    h, table = _v_block_setup([[1, 0], [0, -1]])
+    rep = alternating_form_check(h, table)
     assert not rep.alternating_ok
 
 
 def test_alternating_v_block_compares_where_only_the_transpose_is_nonzero():
     # C'[0][1] = 0 but C'^T[0][1] = 2 != -1 * 0: the first failure in
     # row-major order sits where C' is zero
-    h, table, nf = _v_block_setup([[0, 0], [2, 0]])
-    rep = alternating_form_check(h, table, nf=nf)
+    h, table = _v_block_setup([[0, 0], [2, 0]])
+    rep = alternating_form_check(h, table)
     assert not rep.delta_op_ok
     assert rep.delta_op_witness == ((1, 2, 1), (1, 2, 1))
     # with distinct labels the witness tells (0, 1) from (1, 0)
-    other = nf._replace(labels=((1, 2, 1), (0, 0, 0)))
-    rep = alternating_form_check(h, table, nf=other)
-    assert rep.delta_op_witness == ((1, 2, 1), (0, 0, 0))
+    h, table = _v_block_setup([[0, 0], [2, 0]], keys=((1, 2, 1), (1, 2, 2)))
+    rep = alternating_form_check(h, table)
+    assert rep.delta_op_witness == ((1, 2, 1), (1, 2, 2))
 
 
 def test_alternating_v_block_flags_degenerate_form():
-    h, table, nf = _v_block_setup([[0, 0], [0, 0]])
-    rep = alternating_form_check(h, table, nf=nf)
+    h, table = _v_block_setup([[0, 0], [0, 0]])
+    rep = alternating_form_check(h, table)
     assert rep.alternating_ok and rep.v_dim == 2
     assert not rep.nondegenerate_on_v
 
@@ -676,6 +680,15 @@ def test_report_selection_matches_filtered_full_report(name, request):
         expect = [check for check in full if selects(s, check[0])]
         assert expect, s
         assert build_report(h, selected=[s]).checks == expect, s
+
+
+def test_report_rejects_a_selection_that_names_no_check(t3):
+    # as the CLI's --check does: no vacuous all_ok for a library caller
+    for selected, named in ((["bogus"], "bogus"),
+                            (["thm3.4", "bogus"], "bogus"), ([], "[]")):
+        with pytest.raises(BadParameters) as exc:
+            build_report(t3, selected=selected)
+        assert str(exc.value) == f"--check {named}: matches no check tag"
 
 
 def _statuses(rep):

@@ -13,7 +13,7 @@ import pytest
 import hopf_forge.hopf as hopf_module
 import hopf_forge.integrals as integrals_module
 import hopf_forge.invariants as invariants_module
-from hopf_forge import (HopfPresentation, IntegralSpaceNotOneDim,
+from hopf_forge import (CycNumber, HopfPresentation, IntegralSpaceNotOneDim,
                         build_report, build_taft, compute_index, coradical,
                         cyc, distinguished_character,
                         distinguished_grouplike, dual_right_integral,
@@ -174,13 +174,13 @@ MEMOIZED = {
     "find_grouplikes", "integral_subspace", "dual_right_integral",
     "integral_pair", "distinguished_grouplike", "distinguished_character",
     "integral_form", "integral_coproduct", "trace_form", "compute_index",
-    "h_plus_minus", "coradical", "eigen_basis", "eigen_basis_inverse"}
+    "h_plus_minus", "coradical", "eigen_decomposition", "normal_form"}
 
 
 def _memoized_bodies():
     """{code object: name} of the body of every memoized function."""
     owners = (hopf_module, integrals_module, invariants_module,
-              HopfPresentation, invariants_module.EigenTable)
+              HopfPresentation)
     return {fn.__wrapped__.__code__: fn.__name__ for owner in owners
             for fn in vars(owner).values() if hasattr(fn, "__wrapped__")}
 
@@ -216,16 +216,13 @@ def test_the_memoized_functions_are_the_listed_ones():
 def test_a_second_report_computes_nothing_on_the_presentation(t3z5):
     h = _fresh(t3z5)
     first, calls = _entered(lambda: build_report(h))
-    assert {name for name, owner in calls if owner is h} == \
-        MEMOIZED - {"eigen_basis", "eigen_basis_inverse"}
+    assert {owner for _, owner in calls} == {h}
+    assert {name for name, _ in calls} == MEMOIZED
     keys = list(h._cache)
     second, calls = _entered(lambda: build_report(h))
     assert second == first
     assert list(h._cache) == keys
-    # each report decomposes H afresh, so only its new EigenTable computes
-    assert [name for name, owner in calls if owner is h] == []
-    assert sorted(name for name, _ in calls) == [
-        "eigen_basis", "eigen_basis_inverse"]
+    assert calls == []
 
 
 def test_a_computation_that_raises_stores_nothing():
@@ -243,8 +240,24 @@ def test_every_cache_key_names_a_memoized_function(t3z5):
     h = _fresh(t3z5)
     build_report(h)
     assert {key[0] for key in h._cache} <= MEMOIZED
-    n = compute_index(h).n
-    table = invariants_module.eigen_decomposition(
-        h, invariants_module.omega_for_index(h, n))
-    invariants_module.normal_form(h, table)
-    assert set(table._cache) == {("eigen_basis",), ("eigen_basis_inverse",)}
+    # the eigen stage's entries are the report's table and its normal form
+    omega = invariants_module.omega_for_index(h, compute_index(h).n)
+    table = h._cache[("eigen_decomposition", omega)]
+    assert invariants_module.eigen_decomposition(h, omega) is table
+    assert (invariants_module.normal_form(h, table)
+            is h._cache[("normal_form", table)])
+    assert not hasattr(table, "_cache")
+
+
+def test_equal_omegas_share_one_eigen_table(t3z5):
+    # the table is keyed by omega's value, not by the object
+    h = _fresh(t3z5)
+    omega = invariants_module.omega_for_index(h, compute_index(h).n)
+    twin = CycNumber(omega.order, omega.coeffs)
+    assert twin == omega and twin is not omega
+    _, calls = _entered(lambda: (
+        invariants_module.eigen_decomposition(h, omega),
+        invariants_module.eigen_decomposition(h, twin)))
+    assert [name for name, _ in calls].count("eigen_decomposition") == 1
+    assert (invariants_module.eigen_decomposition(h, twin)
+            is invariants_module.eigen_decomposition(h, omega))
