@@ -36,8 +36,8 @@ from .invariants import (CHECK_TAGS, AlternatingFormReport, CoradicalTraces,
                          lemma24_check, normal_form, omega_for_index,
                          projection_traces, trace_s2p_report, x_exponent)
 from .linalg import (Mat, Subspace, charpoly, eigenspace, inverse,
-                     kronecker, null_space, operator_order,
-                     restrict_operator, roots_in_field, rref)
+                     null_space, operator_order, restrict_operator,
+                     roots_in_field, rref)
 from .zoo import (build_cyclic_group_algebra, build_group_algebra,
                   build_taft, build_tensor, cyclic_table,
                   direct_product_table, sweedler)

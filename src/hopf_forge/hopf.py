@@ -202,13 +202,8 @@ class HopfPresentation:
         return {jk: c for jk, c in acc.items() if c is not z}
 
     def matrix(self, terms) -> Mat:
-        """The dim x dim matrix whose entry (r, c) is the sum of the x of
-        the (r, c, x) in terms."""
-        z = self.zero_scalar()
-        out = [[z] * self.dim for _ in range(self.dim)]
-        for r, c, x in terms:
-            out[r][c] = out[r][c] + x
-        return Mat(self.order, out, cols=self.dim)
+        """The dim x dim Mat.from_terms of the (r, c, x) terms."""
+        return Mat.from_terms(self.order, self.dim, self.dim, terms)
 
     def comult_matrix(self, a) -> Mat:
         """Delta(a) as the dim x dim coefficient matrix C[j][k]."""
@@ -723,8 +718,9 @@ def lift_order(h: HopfPresentation, new_order: int) -> HopfPresentation:
 
     s = None
     if h.antipode is not None:
-        s = Mat(new_order, [[lift(c) for c in row] for row in h.antipode.data],
-                cols=h.dim)
+        s = Mat.from_terms(new_order, h.dim, h.dim, (
+            (r, c, lift(x)) for r, row in enumerate(h.antipode.nonzeros())
+            for c, x in row))
     return HopfPresentation(
         name=h.name, dim=h.dim, order=new_order,
         mult_entries=[(*ijk, lift(c)) for *ijk, c in h.entries("mult")],

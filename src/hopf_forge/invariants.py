@@ -23,7 +23,7 @@ first-class result, never absorbed.
 from __future__ import annotations
 
 from collections import namedtuple
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 from .cyclofield import CycNumber, cyc, root_of_unity, scalar_to_json
 from .errors import (BadParameters, IndexEven, IndexOne, NonCommuting,
@@ -108,8 +108,9 @@ def _check_primitive(omega: CycNumber, n: int):
             raise BadParameters(f"omega is an {n // r}-th root, not primitive")
 
 
-def x_exponent(h: HopfPresentation, omega: CycNumber, n: int) -> int:
-    """The unique x in Z_n with alpha(g) = omega^x."""
+def x_exponent(h: HopfPresentation, omega: CycNumber) -> int:
+    """The unique x in Z_n with alpha(g) = omega^x, n the index of h."""
+    n = compute_index(h).n
     _check_primitive(omega, n)
     g = distinguished_grouplike(h)
     alpha = distinguished_character(h)
@@ -179,7 +180,7 @@ def eigen_decomposition(h: HopfPresentation, omega: CycNumber) -> EigenTable:
         raise IndexEven(
             f"{h.name} has even index {n}; the eigenvalue labels "
             "(-1)^a omega^i collide")
-    x = x_exponent(h, omega, n)
+    x = x_exponent(h, omega)
     g = distinguished_grouplike(h)
     s2 = h.s_power_matrix(2)
     rg = h.right_mult_matrix(g)
@@ -243,9 +244,9 @@ class NormalForm(namedtuple("NormalForm", "table cprime")):
                         part[(j, k)] = part.get((j, k), z) + f * v
         return out
 
-    def reconstruction(self, h: HopfPresentation) -> tuple:
-        """The blocks summed back over the basis of h, P C' P^T, as a flat
-        tensor-square vector (row-major over (leg1, leg2))."""
+    def reconstruction(self) -> tuple:
+        """The blocks summed back over the original basis, P C' P^T, as a
+        flat tensor-square vector (row-major over (leg1, leg2))."""
         p = self.table.p
         return tuple(c for row in (p @ self.cprime @ p.transpose()).data
                      for c in row)
@@ -597,7 +598,7 @@ class InvariantReport(namedtuple("InvariantReport", (
 
 def _factor_pq(dim: int):
     """(p, q) with dim = p*q, p <= q odd primes, or None."""
-    for p in range(3, int(dim ** 0.5) + 1, 2):
+    for p in range(3, isqrt(dim) + 1, 2):
         if dim % p == 0 and _is_prime(p):
             q = dim // p
             if q % 2 and _is_prime(q):

@@ -1,13 +1,13 @@
 """Exact linear algebra over Q(zeta_N) on the nonzeros of each row.
 
 Matrices are immutable row-major tuples of CycNumber that list each row's
-nonzero (column, entry) pairs once; products, apply, rref and the kernels
-read only those.  rref, null_space and null_space_of_terms share one
-elimination on sparse {column: value} rows, which takes pivot columns in
-order and pivots each on its shortest candidate row.  The reduced row
-echelon form of a row space is unique, so RREF output (and hence every
-Subspace basis) is canonical: it does not depend on the pivot rows
-chosen, on row order or on repeated rows, and the same input yields
+nonzero (column, entry) pairs when they are built; products, apply, rref
+and the kernels read only those.  rref, null_space and null_space_of_terms
+share one elimination on sparse {column: value} rows, which takes pivot
+columns in order and pivots each on its shortest candidate row.  The
+reduced row echelon form of a row space is unique, so RREF output (and
+hence every Subspace basis) is canonical: it does not depend on the pivot
+rows chosen, on row order or on repeated rows, and the same input yields
 byte-identical results on every run.
 
 Operators act on column coordinate vectors: column j of an operator
@@ -26,6 +26,9 @@ from .errors import NotInvariant, NotInvertible, OrderExceedsBound, OrderMismatc
 
 
 class Mat:
+    """A matrix that lists each row's nonzero (column, entry) pairs when
+    it is built; every zero is the field's one zero object."""
+
     __slots__ = ("order", "rows", "cols", "data", "_nonzeros")
 
     def __init__(self, order, data, cols=None):
@@ -34,27 +37,33 @@ class Mat:
         self.rows = len(data)
         self.cols = len(data[0]) if data else (0 if cols is None else cols)
         self.data = data
-        self._nonzeros = None
+        z = cyc(order, 0)
+        nonzeros = []
         for row in data:
             if len(row) != self.cols:
                 raise OrderMismatch("ragged matrix rows")
+            nonzeros.append([(j, x) for j, x in enumerate(row) if x is not z])
+        self._nonzeros = tuple(nonzeros)
 
     def nonzeros(self):
-        """Per row, its nonzero (column, entry) pairs in column order: as
-        a product filled them, else listed once on first use, where
-        `is not z` decides, since every zero is the field's zero object."""
-        if self._nonzeros is None:
-            z = cyc(self.order, 0)
-            self._nonzeros = tuple([(j, x) for j, x in enumerate(row)
-                                    if x is not z] for row in self.data)
+        """Per row, its nonzero (column, entry) pairs in column order."""
         return self._nonzeros
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
+    def from_terms(order, rows, cols, terms):
+        """The rows x cols matrix whose entry (r, c) is the sum of the x
+        of the (r, c, x) in terms; a sum that cancels is the zero."""
+        z = cyc(order, 0)
+        out = [[z] * cols for _ in range(rows)]
+        for r, c, x in terms:
+            out[r][c] = out[r][c] + x
+        return Mat(order, out, cols=cols)
+
+    @staticmethod
     def identity(order, n):
-        z, o = cyc(order, 0), cyc(order, 1)
-        return Mat(order, [[o if i == j else z for j in range(n)] for i in range(n)])
+        return Mat.from_terms(order, n, n, ((i, i, 1) for i in range(n)))
 
     @staticmethod
     def from_cols(order, cols, rows_n=None):
@@ -99,7 +108,7 @@ class Mat:
                                 f"{other.rows}x{other.cols}")
         z = cyc(self.order, 0)
         right = other.nonzeros()
-        out, nonzeros = [], []
+        out = []
         for row in self.nonzeros():
             acc = [z] * other.cols
             for k, a in row:
@@ -107,11 +116,7 @@ class Mat:
                     x = acc[j]
                     acc[j] = a * b if x is z else x + a * b
             out.append(acc)
-            # a sum that cancels is the canonical zero, so identity decides
-            nonzeros.append([(j, x) for j, x in enumerate(acc) if x is not z])
-        result = Mat(self.order, out, cols=other.cols)
-        result._nonzeros = tuple(nonzeros)
-        return result
+        return Mat(self.order, out, cols=other.cols)
 
     def apply(self, vec: Sequence[CycNumber]):
         """Matrix times column vector, over the nonzero entries."""
@@ -353,24 +358,6 @@ def operator_order(m: Mat, bound: int) -> int:
             return t
         acc = acc @ m
     raise OrderExceedsBound(f"no order found within bound {bound}")
-
-
-def kronecker(a: Mat, b: Mat) -> Mat:
-    """Kronecker product with (i tensor j) |-> i * b.cols + j indexing on
-    columns and i * b.rows + j on rows."""
-    a._check(b)
-    z = cyc(a.order, 0)
-    out = [[z] * (a.cols * b.cols) for _ in range(a.rows * b.rows)]
-    for i in range(a.rows):
-        for j in range(a.cols):
-            f = a.data[i][j]
-            if f is not z:
-                for k in range(b.rows):
-                    for l in range(b.cols):
-                        g = b.data[k][l]
-                        if g is not z:
-                            out[i * b.rows + k][j * b.cols + l] = f * g
-    return Mat(a.order, out, cols=a.cols * b.cols)
 
 
 def restrict_operator(m: Mat, sub: Subspace) -> Mat:

@@ -12,7 +12,7 @@ from math import gcd
 from .cyclofield import cyc, root_of_unity
 from .errors import BadParameters, NotAGroup, OrderMismatch
 from .hopf import HopfPresentation
-from .linalg import Mat, kronecker
+from .linalg import Mat
 
 
 # -- group algebras -----------------------------------------------------------
@@ -108,9 +108,8 @@ def build_group_algebra(table, cyclotomic_order: int = 1,
     counit = tuple(one for _ in range(n))
     inv = [next(j for j in range(n) if table[i][j] == identity)
            for i in range(n)]
-    s = Mat(cyclotomic_order,
-            [[one if inv[j] == i else zero for j in range(n)]
-             for i in range(n)], cols=n)
+    s = Mat.from_terms(cyclotomic_order, n, n,
+                       ((inv[j], j, one) for j in range(n)))
     return HopfPresentation(
         name=name or f"group_algebra({n})", dim=n, order=cyclotomic_order,
         mult_entries=mult_entries, comult_entries=comult_entries,
@@ -180,12 +179,10 @@ def build_taft(n: int, root_power: int = 1,
     unit = tuple(one if t == 0 else zero for t in range(dim))
     counit = tuple(one if t % n == 0 else zero for t in range(dim))
     # antipode: S(g^i x^j) = (-1)^j omega^(-j(j+1)/2 - ij) g^(-(i+j)) x^j
-    rows = [[zero] * dim for _ in range(dim)]
-    for i in range(n):
-        for j in range(n):
-            c = w[(-(j * (j + 1) // 2) - i * j) % n]
-            rows[-(i + j) % n * n + j][i * n + j] = -c if j % 2 else c
-    s = Mat(order, rows, cols=dim)
+    s = Mat.from_terms(order, dim, dim, (
+        (-(i + j) % n * n + j, i * n + j,
+         (-1) ** j * w[(-(j * (j + 1) // 2) - i * j) % n])
+        for i in range(n) for j in range(n)))
 
     labels = []
     for i in range(n):
@@ -209,7 +206,8 @@ def sweedler(cyclotomic_order: int = 1) -> HopfPresentation:
 
 def build_tensor(h1: HopfPresentation, h2: HopfPresentation,
                  name: str | None = None) -> HopfPresentation:
-    """Tensor product Hopf algebra, index (i1, i2) -> i1*dim2 + i2.
+    """Tensor product Hopf algebra, index (i1, i2) -> i1*dim2 + i2 alike
+    in mult, comult and the antipode S1 (x) S2, from the factors' terms.
 
     Both factors must already live over the same cyclotomic order; lift
     one of them with lift_order first if they do not (no silent
@@ -232,7 +230,10 @@ def build_tensor(h1: HopfPresentation, h2: HopfPresentation,
                    for i1 in range(h1.dim) for i2 in range(n2))
     s = None
     if h1.antipode is not None and h2.antipode is not None:
-        s = kronecker(h1.antipode, h2.antipode)
+        s = Mat.from_terms(h1.order, dim, dim, (
+            (i1 * n2 + i2, j1 * n2 + j2, a * b)
+            for i1, r1 in enumerate(h1.antipode.nonzeros()) for j1, a in r1
+            for i2, r2 in enumerate(h2.antipode.nonzeros()) for j2, b in r2))
     labels = tuple(f"{a}(x){b}" for a in h1.basis for b in h2.basis)
     return HopfPresentation(
         name=name or f"tensor({h1.name}, {h2.name})", dim=dim,

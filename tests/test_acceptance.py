@@ -78,7 +78,7 @@ def test_c06_normal_form_reconstructs_coproduct_of_integral(t3, t5):
         lam = integral_pair(h).integral.coords
         for (j, k), c in h.comult_pairs(lam).items():
             flat[j * h.dim + k] = c
-        assert nf.reconstruction(h) == tuple(flat)
+        assert nf.reconstruction() == tuple(flat)
         for key in nf.components:
             assert table.dims[key] > 0
         for key, (direct, via_projection) in \

@@ -343,6 +343,16 @@ _EMITTED = {
                "23d6b68d8285bcd13018ebd2e7a0cd16",
     "t3z5.json": "483bbc67330c98276a4bbbd5d04c798b"
                  "940302f6e6bef642ae07a764e6078abe",
+    "t5.json": "eaa4ebd748cb9fa1a811af8a8b2bdec5"
+               "de7cce6f619cdbc488cd64b96b3761dd",
+    "t3r2.json": "7f44d0a91cb9aaafcad15c2cd515dc70"
+                 "886e9e9dc03fc035ec0004f1f2b85bb3",
+    "sw.json": "afc97f5bc3773e8e888dafc2fc460466"
+               "19156eb6305a28afebd0da676afb4e7d",
+    "z3.json": "bf3f16128e5d3d2cc3a8d578e6d51e5a"
+               "31869191f9b259a9e8522b54381e3f66",
+    "t3z3.json": "cbc1c0f5e531d1b20408236f203020b3"
+                 "629a3f157ba580b1d103deb74a9e7bb9",
 }
 
 
@@ -356,7 +366,14 @@ def test_emitted_files_are_pinned(tmp_path, capsys):
             ("z3z3.json", "zoo", "group", "--cyclic", "3,3"),
             ("z5.json", "zoo", "group", "--cyclic", "5"),
             ("t3z5.json", "tensor", "--a", path("t3.json"),
-             "--b", path("z5.json"), "--lift-order", "15")):
+             "--b", path("z5.json"), "--lift-order", "15"),
+            ("t5.json", "zoo", "taft", "--n", "5"),
+            ("t3r2.json", "zoo", "taft", "--n", "3", "--root-power", "2"),
+            ("sw.json", "zoo", "sweedler"),  # omega = -1
+            ("z3.json", "zoo", "group", "--cyclic", "3"),
+            # lifts the order-1 antipode of k[Z3] into Q(zeta_3)
+            ("t3z3.json", "tensor", "--a", path("t3.json"),
+             "--b", path("z3.json"), "--lift-order", "3")):
         code, _, err = run_cli(capsys, *args, "--out", path(name))
         assert code == 0, err
         with open(path(name), "rb") as f:

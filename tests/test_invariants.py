@@ -66,9 +66,9 @@ def test_omega_for_index(t3, t3z5, z3, z5):
 
 
 def test_x_exponent_taft(t3, t5):
-    assert x_exponent(t3, root_of_unity(3, 1), 3) == 2
-    assert x_exponent(t3, root_of_unity(3, 2), 3) == 1
-    assert x_exponent(t5, root_of_unity(5, 1), 5) == 4
+    assert x_exponent(t3, root_of_unity(3, 1)) == 2
+    assert x_exponent(t3, root_of_unity(3, 2)) == 1
+    assert x_exponent(t5, root_of_unity(5, 1)) == 4
 
 
 def test_x_exponent_agrees_with_alpha_of_g(t3z5):
@@ -76,7 +76,7 @@ def test_x_exponent_agrees_with_alpha_of_g(t3z5):
     h = t3z5
     n = compute_index(h).n
     omega = omega_for_index(h, n)
-    x = x_exponent(h, omega, n)
+    x = x_exponent(h, omega)
     alpha = distinguished_character(h)
     g = distinguished_grouplike(h)
     assert omega ** x == h.pair(alpha, g)
@@ -100,9 +100,12 @@ def alpha_trivial_fixture():
 
 def test_x_exponent_rejects_non_root_value():
     h = alpha_trivial_fixture()
+    # the fixture has no antipode, so compute_index would raise
+    # NoAntipode; seed its memo with index 2
+    h._cache[("compute_index",)] = IndexData(2, 1, 2)
     # alpha(g) = eps((1,1,0)) = 2, which is no power of -1
     with pytest.raises(NotARootPower):
-        x_exponent(h, cyc(1, -1), 2)
+        x_exponent(h, cyc(1, -1))
 
 
 # -- eigenspace decomposition --------------------------------------------------------
@@ -224,7 +227,7 @@ def test_normal_form_taft(t3):
     lam = integral_pair(t3).integral.coords
     for (j, k), c in t3.comult_pairs(lam).items():
         flat[j * 9 + k] = c
-    assert nf.reconstruction(t3) == tuple(flat)
+    assert nf.reconstruction() == tuple(flat)
     # nonzero blocks appear only on the pattern, and there are some
     assert nf.components
     for key in nf.components:
@@ -254,7 +257,7 @@ def test_normal_form_blocks_are_expanded_on_demand(name, request):
     h = request.getfixturevalue(name)
     table = table_of(h)
     nf = normal_form(h, table)
-    assert nf.reconstruction(h) == _flat_delta_lambda(h)
+    assert nf.reconstruction() == _flat_delta_lambda(h)
     parts = nf.components
     # one part per label of a nonzero row of C'
     assert set(parts) == {table.p_labels[r] for r, row
@@ -271,7 +274,7 @@ def test_normal_form_blocks_are_expanded_on_demand(name, request):
         right = table.spaces[table.pattern_partner(key)]
         assert all(left.contains([row[k] for row in m]) for k in range(h.dim))
         assert all(right.contains(row) for row in m)
-    assert tuple(total) == nf.reconstruction(h)
+    assert tuple(total) == nf.reconstruction()
 
 
 def test_report_reconstruction_fails_on_a_shifted_cprime(t3, monkeypatch):
@@ -285,7 +288,7 @@ def test_report_reconstruction_fails_on_a_shifted_cprime(t3, monkeypatch):
     status = _statuses(build_report(t3))
     assert status["eq3:normal-form-pattern"] == ("pass", "")
     assert status["eq3:reconstruction"] == ("fail", "")
-    assert bent.reconstruction(t3) != _flat_delta_lambda(t3)
+    assert bent.reconstruction() != _flat_delta_lambda(t3)
 
 
 def test_projection_traces_match_dimensions(t3):
@@ -635,6 +638,15 @@ def test_report_skip_statuses_even_index(sw):
     assert status["thm2.2:trace-p2d"] == "skipped:NotPQ"
     assert status["cor3.2:h-minus-even"] == "pass"
     assert status["thm3.4:coradical-dim-geq-p"] == "pass"
+
+
+def test_factor_pq_matches_brute_force():
+    # thm2.2 runs only where dim = p q with p <= q odd primes
+    primes = [m for m in range(3, 2001) if all(m % r for r in range(2, m))]
+    want = {p * q: (p, q) for p in primes for q in primes
+            if p <= q and p * q <= 2000}
+    for d in range(1, 2001):
+        assert invariants._factor_pq(d) == want.get(d), d
 
 
 def test_report_selected_filters_checks(t3):

@@ -1,6 +1,6 @@
 """Exact linear algebra: RREF/rank/kernel invariants, characteristic
-polynomials against a brute-force oracle, operator orders, Kronecker
-products, and root finding over Q(zeta_N)."""
+polynomials against a brute-force oracle, operator orders, and root
+finding over Q(zeta_N)."""
 
 import itertools
 import math
@@ -12,7 +12,7 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from hopf_forge import (CycNumber, Mat, NotInvariant, NotInvertible, Subspace, charpoly,
-                        cyc, eigenspace, inverse, kronecker,
+                        cyc, eigenspace, inverse,
                         null_space, operator_order, restrict_operator,
                         roots_in_field, root_of_unity, rref)
 from hopf_forge.linalg import _rational_roots
@@ -288,18 +288,6 @@ def test_operator_order():
     assert operator_order(m, 20) == 12
 
 
-def test_kronecker_mixed_product():
-    rng = random.Random(23)
-    a = rand_mat(3, 2, 3, rng)
-    c = rand_mat(3, 3, 2, rng)
-    b = rand_mat(3, 2, 2, rng)
-    d = rand_mat(3, 2, 2, rng)
-    assert kronecker(a, b) @ kronecker(c, d) == kronecker(a @ c, b @ d)
-    # identity (x) identity = identity
-    assert kronecker(Mat.identity(3, 2), Mat.identity(3, 3)) == \
-        Mat.identity(3, 6)
-
-
 def test_subspace_membership_and_coordinates():
     rng = random.Random(9)
     vecs = [rand_mat(5, 1, 6, rng).data[0] for _ in range(3)]
@@ -570,7 +558,7 @@ def test_every_matrix_of_a_corpus_report_lists_its_nonzeros(monkeypatch,
 
     def multiplying(a, b):
         product = matmul(a, b)
-        assert product._nonzeros is not None  # filled by the product itself
+        assert product._nonzeros is not None  # listed when it is built
         products.append(product)
         return product
 
