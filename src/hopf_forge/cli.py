@@ -39,7 +39,7 @@ from .errors import (BadParameters, BoundExceeded, EigenvalueNotInField,
                      NoAntipode, NonSplitting, NotAGroup, OrderMismatch)
 from .hopf import HopfPresentation, check_axioms, compute_antipode, dual, \
     lift_order
-from .integrals import integral_pair
+from .integrals import integral_coproduct, integral_form, integral_pair
 from .invariants import build_report, check_selection
 from .linalg import Mat
 from .zoo import (build_cyclic_group_algebra, build_group_algebra,
@@ -79,8 +79,7 @@ def document_to_presentation(doc) -> HopfPresentation:
     unknown = set(doc) - set(_DOC_KEYS)
     if unknown:
         raise MalformedFile(f"unknown keys {sorted(unknown)}")
-    for key in ("name", "dim", "cyclotomic_order", "basis", "mult", "comult",
-                "unit", "counit"):
+    for key in _DOC_KEYS[:-1]:  # all but the optional antipode
         if key not in doc:
             raise MalformedFile(f"missing key {key!r}")
     name, dim, order = doc["name"], doc["dim"], doc["cyclotomic_order"]
@@ -178,6 +177,8 @@ def _emit(data: bytes, out: str | None):
 
 
 def cmd_verify(args) -> int:
+    """A stored antipode that passed its axioms is checked against
+    compute_antipode's S^-1 = (B C)^T as the one product S (B C)^T = I."""
     h = load_presentation(args.path)
     lines = []
     ok = True
@@ -193,10 +194,12 @@ def cmd_verify(args) -> int:
         ok = False
     if ok:
         try:
-            computed = compute_antipode(h)
             if h.antipode is None:
+                compute_antipode(h)
                 lines.append("antipode: ok (computed; none stored)")
-            elif computed == h.antipode:
+            elif (h.antipode @ (integral_form(h) @ integral_coproduct(h))
+                  .transpose() == Mat.identity(h.order, h.dim)
+                  or compute_antipode(h) == h.antipode):
                 lines.append("antipode-crosscheck: ok")
             else:
                 lines.append("antipode-crosscheck: FAIL stored antipode "

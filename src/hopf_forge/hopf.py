@@ -15,6 +15,7 @@ slips, so they are spelled out once here):
 from __future__ import annotations
 
 import functools
+import itertools
 from collections import namedtuple
 
 from .cyclofield import CycNumber, coordinate_key, cyc, lift_scalar
@@ -87,6 +88,21 @@ def _memo(fn):
         return cache[key]
 
     return memoized
+
+
+def _product_memo():
+    """mul(a, b) = a * b, memoized by the ids of a and b, which each entry
+    holds (an id is unique only while its object lives); feed it table
+    scalars and its own results, never fresh sums."""
+    memo = {}
+
+    def mul(a, b):
+        hit = memo.get((id(a), id(b)))
+        if hit is None:
+            hit = memo[id(a), id(b)] = (a, b, a * b)
+        return hit[2]
+
+    return mul
 
 
 class AxiomChecklist(namedtuple("AxiomChecklist", "results")):
@@ -251,21 +267,6 @@ class HopfPresentation:
                            for c, prod in enumerate(row)
                            for k, m in prod.items() if beta[k] is not z)
 
-    def tensor_square_product(self, t1: dict, t2: dict) -> dict:
-        """Product in H (x) H of zero-free sparse {(j, k): c} tensors (as
-        h.comult and comult_pairs hold them); the result is zero-free too."""
-        acc = {}
-        z = self.zero_scalar()
-        for (a, b), c1 in t1.items():
-            for (c, d), c2 in t2.items():
-                f = c1 * c2
-                for p, cp in self.mult[a][c].items():
-                    left = f * cp
-                    for q, cq in self.mult[b][d].items():
-                        key = (p, q)
-                        acc[key] = acc.get(key, z) + left * cq
-        return {k: v for k, v in acc.items() if v is not z}
-
     # -- derived quantities ---------------------------------------------------
 
     @_memo
@@ -304,71 +305,87 @@ def check_axioms(h: HopfPresentation) -> AxiomChecklist:
     The unit, the counit and its multiplicativity are operator equalities,
     L_1 = R_1 = I, H_l(eps) = H_r(eps) = I and B_eps = eps eps^T, whose
     witness is the first failing column j, or (i, j) in row-major order.
-    Associativity and the multiplicativity of Delta are certified on the
-    rows of algebra_generators(h) alone.  For any bilinear product the
-    left nucleus N = {a : (ab)c = a(bc) for all b, c} is a subspace closed
-    under the product: for a, a' in N,
-    ((aa')b)c = (a(a'b))c = a((a'b)c) = a(a'(bc)) = (aa')(bc).  The
-    generators' words, together with 1, span H.  The unit is checked
-    first; once it holds, 1 lies in N, since (1b)c = bc = 1(bc), so when
-    every generator lies in N, N is all of H; if it fails, associativity
-    scans every row.  Once associativity and the unit hold, {a : Delta(ab)
-    = Delta(a) Delta(b) for all b} is a subalgebra by the same chain and
-    holds 1, since Delta(1) = 1 (x) 1 is checked first, so generator rows
-    certify it too; otherwise it scans every row.  When a generator row
-    fails, the same row scan runs over every basis index, so each witness
-    is the first failure in row-major order.  Sparse sums drop their
-    cancelled entries, so == compares them with zero-free tables.
+    The cubic axioms are certified on generator rows.  The left nucleus
+    N = {a : (ab)c = a(bc) for all b, c} of any bilinear product is closed
+    under it: ((aa')b)c = (a(a'b))c = a((a'b)c) = a(a'(bc)) = (aa')(bc).
+    The generators' words and 1 span the algebra, so a subalgebra holding
+    1 and the generators is all of it.  On H: the unit (then 1 is in N,
+    as (1b)c = bc = 1(bc)), associativity; Delta(1) = 1 (x) 1, then
+    Delta-multiplicativity ({a : Delta(ab) = Delta(a) Delta(b) for all b}
+    is a subalgebra by the same chain); coassociativity (the coassociative
+    elements of an algebra map Delta form a subalgebra holding 1).  On H*
+    (product comult^T, unit the counit, from transposed tables), the same
+    chain transposed: the counit, coassociativity; counit
+    multiplicativity, Delta-multiplicativity; associativity.  H* is taken
+    when the counit holds and H* has fewer generators.  A step runs on
+    generator rows once every step before it has passed; otherwise, or
+    when a generator row fails, it scans every row of H, so each witness
+    is the first failure in row-major order.  Sums drop their cancelled
+    entries, so == compares them with zero-free tables.
     """
-    n = h.dim
-    z = h.zero_scalar()
-    gens = algebra_generators(h)
+    n, z, mul = h.dim, h.zero_scalar(), _product_memo()
+
+    def add(acc, key, v):
+        old = acc.get(key)
+        acc[key] = v if old is None else old + v
 
     def nonzero(acc):
         return {k: v for k, v in acc.items() if v is not z}
 
-    def scan(row, certify=False):
-        """The first failure detail of row(i) over i in range(n), or None."""
-        if certify and not any(map(row, gens)):
-            return None
-        return next(filter(None, map(row, range(n))), None)
-
-    def associativity(i):
+    def associativity(mult, comult, i):
         for j in range(n):
-            ij = h.mult[i][j]
-            for l in range(n):
-                acc = {}  # (e_i e_j) e_l - e_i (e_j e_l)
-                for k, c in ij.items():
-                    for m, c2 in h.mult[k][l].items():
-                        acc[m] = acc.get(m, z) + c * c2
-                for k, c in h.mult[j][l].items():
-                    for m, c2 in h.mult[i][k].items():
-                        acc[m] = acc.get(m, z) - c * c2
-                for v in acc.values():
-                    if v is not z:
-                        return f"(e{i} e{j}) e{l} != e{i} (e{j} e{l})"
+            lhs, rhs = {}, {}  # (l, m): e_m in (e_i e_j) e_l, e_i (e_j e_l)
+            for k, c in mult[i][j].items():
+                for l, prod in enumerate(mult[k]):
+                    for m, x in prod.items():
+                        add(lhs, (l, m), mul(c, x))
+            for l, prod in enumerate(mult[j]):
+                for k, c in prod.items():
+                    for m, x in mult[i][k].items():
+                        add(rhs, (l, m), mul(c, x))
+            lhs, rhs = nonzero(lhs), nonzero(rhs)
+            if lhs != rhs:
+                l = min(l for l, m in lhs.keys() | rhs.keys()
+                        if lhs.get((l, m)) != rhs.get((l, m)))
+                return f"(e{i} e{j}) e{l} != e{i} (e{j} e{l})"
         return None
 
-    def coassociativity(i):
+    def coassociativity(mult, comult, i):
         lhs, rhs = {}, {}
-        for (j, k), c in h.comult[i].items():
-            for (a, b), c2 in h.comult[j].items():
-                key = (a, b, k)
-                lhs[key] = lhs.get(key, z) + c * c2
-            for (a, b), c2 in h.comult[k].items():
-                key = (j, a, b)
-                rhs[key] = rhs.get(key, z) + c * c2
+        for (j, k), c in comult[i].items():
+            for (a, b), x in comult[j].items():
+                add(lhs, (a, b, k), mul(c, x))
+            for (a, b), x in comult[k].items():
+                add(rhs, (j, a, b), mul(c, x))
         same = nonzero(lhs) == nonzero(rhs)
         return None if same else f"coassociativity fails on e{i}"
 
-    def comult_multiplicative(i):
-        di = h.comult[i]
+    def tensor_square_product(mult, t1, t2):
+        """Zero-free product under mult of zero-free {(j, k): c} tensors:
+        for each pair of left legs (a, c), r = sum c1 c2 e_b e_d over the
+        (a, b) of t1 and (c, d) of t2 first, then e_a e_c (x) r once."""
+        right = {}  # (a, c) -> r
+        for (a, b), x in t1.items():
+            for (c, d), y in t2.items():
+                if mult[a][c]:
+                    f, r = mul(x, y), right.setdefault((a, c), {})
+                    for q, w in mult[b][d].items():
+                        add(r, q, mul(f, w))
+        acc = {}
+        for (a, c), r in right.items():
+            for q, v in nonzero(r).items():
+                for p, u in mult[a][c].items():
+                    add(acc, (p, q), u * v)
+        return nonzero(acc)
+
+    def comult_multiplicative(mult, comult, i):
         for j in range(n):
             lhs = {}
-            for k, c in h.mult[i][j].items():
-                for jk, c2 in h.comult[k].items():
-                    lhs[jk] = lhs.get(jk, z) + c * c2
-            if nonzero(lhs) != h.tensor_square_product(di, h.comult[j]):
+            for k, c in mult[i][j].items():
+                for jk, x in comult[k].items():
+                    add(lhs, jk, mul(c, x))
+            if nonzero(lhs) != tensor_square_product(mult, comult[i],
+                                                     comult[j]):
                 return f"Delta not multiplicative on (e{i}, e{j})"
         return None
 
@@ -389,27 +406,46 @@ def check_axioms(h: HopfPresentation) -> AxiomChecklist:
                     if b.data[i][j] != h.counit[i] * h.counit[j])
         return f"counit not multiplicative on (e{i}, e{j})"
 
+    def scan(axiom, row, certify):
+        """None if certify and row pass rows, else axiom's first failure on H."""
+        if certify and not any(row(*taken, i) for i in rows):
+            return None
+        return next(filter(None, (axiom(h.mult, h.comult, i)
+                                  for i in range(n))), None)
+
     ident = Mat.identity(h.order, n)
     unital = identities("unit", h.left_mult_matrix(h.unit),
                         h.right_mult_matrix(h.unit))
-    assoc = scan(associativity, certify=unital is None)
-    both = assoc is None and unital is None
-    ones = [(j, u) for j, u in enumerate(h.unit) if u is not z]
-    expect = {(j, k): uj * uk for j, uj in ones for k, uk in ones}
-    results = [
-        ("associativity", assoc),
-        ("unit", unital),
-        ("coassociativity", scan(coassociativity)),
-        ("counit", identities("counit", h.harpoon_matrix(h.counit, "left"),
-                              h.harpoon_matrix(h.counit, "right"))),
-        ("comult-algebra-map",
-         "Delta(1) != 1 (x) 1"
-         if h.comult_pairs(h.unit) != expect
-         else scan(comult_multiplicative, certify=both)),
-        ("counit-algebra-map",
-         "counit(1) != 1" if h.pair(h.counit, h.unit) != 1
-         else counit_multiplicative()),
-    ]
+    counital = identities("counit", h.harpoon_matrix(h.counit, "left"),
+                          h.harpoon_matrix(h.counit, "right"))
+    counit_map = ("counit(1) != 1" if h.pair(h.counit, h.unit) != 1
+                  else counit_multiplicative())
+    taken, rows = (h.mult, h.comult), algebra_generators(h)
+    first, last, unit_ok, delta_ok = (associativity, coassociativity,
+                                      unital is None, True)
+    if counital is None:  # the generators of H*, up to as many as H has
+        dual_mult = [[{} for _ in range(n)] for _ in range(n)]
+        for i, j, k, c in h.entries("comult"):
+            dual_mult[j][k][i] = c
+        dual_rows = tuple(itertools.islice(
+            _generators(h.order, dual_mult, h.counit), len(rows)))
+        if len(dual_rows) < len(rows):
+            dual_comult = [{} for _ in range(n)]
+            for i, j, k, c in h.entries("mult"):
+                dual_comult[k][i, j] = c
+            taken, rows = (dual_mult, dual_comult), dual_rows
+            first, last, unit_ok, delta_ok = (coassociativity, associativity,
+                                              True, counit_map is None)
+    done = {first: scan(first, associativity, unit_ok)}
+    comult_map = "Delta(1) != 1 (x) 1"
+    if h.comult_matrix(h.unit).nonzeros() == _outer_rows(h.unit, h.unit, z):
+        comult_map = scan(comult_multiplicative, comult_multiplicative,
+                          unit_ok and done[first] is None and delta_ok)
+    done[last] = scan(last, coassociativity, comult_map is None and delta_ok)
+    results = [("associativity", done[associativity]), ("unit", unital),
+               ("coassociativity", done[coassociativity]),
+               ("counit", counital), ("comult-algebra-map", comult_map),
+               ("counit-algebra-map", counit_map)]
     if h.antipode is not None:
         for side in ("left", "right"):
             i = _antipode_axiom_failure(h, h.antipode, side)
@@ -421,16 +457,20 @@ def check_axioms(h: HopfPresentation) -> AxiomChecklist:
 
 @_memo
 def algebra_generators(h: HopfPresentation) -> tuple:
-    """Basis indices whose left-normed words s1 (s2 (... s_k)), together
-    with the unit, span H.
+    """The indices _generators yields for the product and unit of h."""
+    return tuple(_generators(h.order, h.mult, h.unit))
 
-    Greedy in basis order: the span V starts as span(h.unit), e_i becomes
-    a generator unless it lies in V, and V is then closed under left
-    multiplication by every generator.  Products are read from h.mult and
-    reduced fraction-free against an echelon basis of V, so no scalar is
-    inverted.  At worst every index is a generator.
-    """
-    one, z = cyc(h.order, 1), h.zero_scalar()
+
+def _generators(order: int, mult, unit):
+    """Yield, one by one, basis indices whose left-normed words
+    s1 (s2 (... s_k)), together with unit, span the algebra with product
+    table mult (laid out like HopfPresentation.mult).  Greedy in basis
+    order: the span V starts as span(unit), e_i becomes a generator
+    unless it lies in V, and V is then closed under left multiplication
+    by every generator.  Products are reduced fraction-free against an
+    echelon basis of V, so no scalar is inverted.  At worst every index
+    is a generator; a caller that stops asking stops the closure too."""
+    one, z = cyc(order, 1), cyc(order, 0)
     rows, gens = [], []  # echelon basis of V: (pivot, sparse vector)
 
     def add(w):
@@ -447,10 +487,11 @@ def algebra_generators(h: HopfPresentation) -> tuple:
             rows.append((p, {p: one} if len(w) == 1 else w))
         return bool(w)
 
-    add({k: u for k, u in enumerate(h.unit) if u is not z})
-    for i in range(h.dim):
+    add({k: u for k, u in enumerate(unit) if u is not z})
+    for i in range(len(mult)):
         if not add({i: one}):
             continue
+        yield i
         gens.append(i)
         todo = ([(i, b) for _, b in rows[:-1]]
                 + [(s, rows[-1][1]) for s in gens])
@@ -458,18 +499,16 @@ def algebra_generators(h: HopfPresentation) -> tuple:
             s, v = todo.pop()
             w = {}
             for j, c in v.items():
-                for k, x in h.mult[s][j].items():
+                for k, x in mult[s][j].items():
                     w[k] = w.get(k, z) + c * x
             if add({k: x for k, x in w.items() if x is not z}):
                 todo += [(t, rows[-1][1]) for t in gens]
-    return tuple(gens)
 
 
 def _antipode_axiom_failure(h: HopfPresentation, s: Mat, side: str):
     """The first i where s fails the left (S(x_1) x_2) or right
     (x_1 S(x_2)) antipode axiom on e_i, or None when it holds."""
-    n = h.dim
-    z = h.zero_scalar()
+    n, z, mul = h.dim, h.zero_scalar(), _product_memo()
     cols = s.transpose().nonzeros()  # the nonzero (t, S[t][j]) of column j
     target = {e: tuple(e * u for u in h.unit) for e in set(h.counit)}
     for i in range(n):
@@ -480,9 +519,9 @@ def _antipode_axiom_failure(h: HopfPresentation, s: Mat, side: str):
             else:  # e_j S(e_k) = sum_t S[t][k] e_j e_t
                 terms = ((st, h.mult[j][t]) for t, st in cols[k])
             for st, row in terms:
-                f = c * st
+                f = mul(c, st)
                 for m, x in row.items():
-                    acc[m] = acc[m] + f * x
+                    acc[m] = acc[m] + mul(f, x)
         if tuple(acc) != target[h.counit[i]]:
             return i
     return None

@@ -597,12 +597,10 @@ class InvariantReport(namedtuple("InvariantReport", (
 
 
 def _factor_pq(dim: int):
-    """(p, q) with dim = p*q, p <= q odd primes, or None."""
+    """(p, q) with dim = p*q, p <= q odd primes (q >= p >= 3), or None."""
     for p in range(3, isqrt(dim) + 1, 2):
-        if dim % p == 0 and _is_prime(p):
-            q = dim // p
-            if q % 2 and _is_prime(q):
-                return p, q
+        if dim % p == 0 and _is_prime(p) and _is_prime(dim // p):
+            return p, dim // p
     return None
 
 

@@ -111,7 +111,78 @@ def test_verify_detects_corrupt_stored_antipode(taft3_file, tmp_path,
     bad.write_text(json.dumps(doc))
     code, out, _ = run_cli(capsys, "verify", str(bad))
     assert code == 1
-    assert "antipode-left: FAIL" in out or "antipode-crosscheck: FAIL" in out
+    # both axioms fail on e0, and no cross-check runs after a failure
+    assert out.splitlines()[6:] == [
+        "antipode-left: FAIL antipode left axiom fails on e0",
+        "antipode-right: FAIL antipode right axiom fails on e0",
+        "integrals: ok"]
+
+
+def _readme_verify_lines():
+    """The lines the README shows `verify` printing."""
+    readme = os.path.join(os.path.dirname(os.path.dirname(__file__)),
+                          "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        text = fh.read()
+    block = text.split("`verify` prints one line per axiom:")[1]
+    return block.split("```")[1].strip().splitlines()
+
+
+def test_verify_cross_checks_a_stored_antipode_with_one_product(
+        taft3_file, tmp_path, capsys, monkeypatch):
+    # a stored antipode that passed its axioms is checked as
+    # S (B C)^T = I: no matrix is inverted and compute_antipode never runs
+    calls = []
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapper
+
+    for module, name in ((hopf_forge.linalg, "inverse"),
+                         (hopf_forge.hopf, "inverse"),
+                         (hopf_forge.hopf, "compute_antipode"),
+                         (hopf_forge.cli, "compute_antipode")):
+        monkeypatch.setattr(module, name,
+                            counting(name, getattr(module, name)))
+    expect = _readme_verify_lines()
+    assert len(expect) == 10 and expect[-1] == "antipode-crosscheck: ok"
+    dual_file = tmp_path / "t3d.json"
+    assert run_cli(capsys, "dual", str(taft3_file), "--out",
+                   str(dual_file))[0] == 0
+    for path in (taft3_file, dual_file):
+        code, out, err = run_cli(capsys, "verify", str(path))
+        assert (code, out.splitlines(), err) == (0, expect, ""), path
+    assert calls == []
+    # with none stored, compute_antipode runs once and inverts once
+    doc = json.loads(taft3_file.read_text())
+    del doc["antipode"]
+    bare = tmp_path / "bare.json"
+    bare.write_text(json.dumps(doc))
+    code, out, _ = run_cli(capsys, "verify", str(bare))
+    assert code == 0
+    assert out.splitlines() == expect[:6] + [
+        "integrals: ok", "antipode: ok (computed; none stored)"]
+    assert calls == ["compute_antipode", "inverse"]
+
+
+def test_crosscheck_reads_the_integral_formula(taft3_file, capsys,
+                                               monkeypatch):
+    # with the integral form doubled, S (B C)^T = 2 I fails, and the
+    # candidate compute_antipode inverts, S / 2, fails its axioms
+    original = hopf_forge.integrals.integral_form
+
+    def doubled(h):
+        return original(h).scale(2)
+
+    for module in (hopf_forge.cli, hopf_forge.integrals):
+        monkeypatch.setattr(module, "integral_form", doubled)
+    code, out, _ = run_cli(capsys, "verify", str(taft3_file))
+    assert code == 1
+    assert out.splitlines()[-1] == (
+        "antipode: FAIL the integral candidate fails the left antipode "
+        "axiom on e0")
 
 
 def _shifted(scalar, delta):

@@ -808,3 +808,161 @@ def test_a_failing_unit_certifies_no_row():
     assert got["comult-algebra-map"] == "Delta not multiplicative on (e0, e0)"
     assert got["counit-algebra-map"] == \
         "counit not multiplicative on (e0, e0)"
+
+
+def _record_generators(monkeypatch):
+    """Record every generator search check_axioms runs: (unit, the
+    indices it yielded before it ran out or was left)."""
+    seen, original = [], hopf_module._generators
+
+    def recording(order, mult, unit):
+        got = []
+        seen.append((unit, got))
+        for i in original(order, mult, unit):
+            got.append(i)
+            yield i
+
+    monkeypatch.setattr(hopf_module, "_generators", recording)
+    return seen
+
+
+def _took_the_dual_side(h, seen):
+    """Whether the last check_axioms(h) certified on the generators of H*:
+    their search starts from the counit and ran out before it reached as
+    many generators as H has."""
+    gens = hopf_module.algebra_generators(h)
+    return any(unit is h.counit and len(got) < len(gens)
+               for unit, got in seen)
+
+
+def test_dual_side_corruptions_match_the_oracle(t3d, monkeypatch):
+    # dual(taft(3)) has 7 generators and H* = taft(3) has 2, so H* is the
+    # side certified; dual(k[S3]) has 5 against 2.  A mult entry and a
+    # comult entry (j, k) with counit(e_j) = counit(e_k) = 0 keep the
+    # counit, so H* stays in play; the others fall back to H.
+    s3d = dual(build_group_algebra(s3_table(), name="k[S3]"))
+    seen = _record_generators(monkeypatch)
+    rng = random.Random(30)
+    cases = []
+    for h, k in ((t3d, 40), (s3d, 70)):
+        assert h.counit[0] == 1 and not any(h.counit[1:]), h.name
+        cases += [(h, table, (i,), shift) for table in ("unit", "counit")
+                  for i in range(h.dim) for shift in (1, -1)]
+        keep = [s for s in sites(h) if s[1] and s[2]]
+        rest = [s for s in sites(h) if not (s[1] and s[2])]
+        for table, picked in (("mult", rng.sample(sites(h), k + 20)),
+                              ("comult", rng.sample(keep, k)
+                               + rng.sample(rest, 20))):
+            cases += [(h, table, site, rng.choice((1, -1)))
+                      for site in picked]
+    dual_side = {t3d.name: 0, s3d.name: 0}
+    for h, table, site, shift in cases:
+        m = corrupted(h, table, site, shift)
+        seen.clear()
+        assert check_axioms(m).results == _oracle_axioms(m), m.name
+        dual_side[h.name] += _took_the_dual_side(m, seen)
+    for h, dual_gens in ((t3d, [1, 3]), (s3d, [1, 2])):
+        bare = _without_antipode(h)
+        seen.clear()
+        got = check_axioms(bare)
+        assert got.results == _oracle_axioms(bare) and not got.failures()
+        assert _took_the_dual_side(bare, seen), h.name
+        assert [got for unit, got in seen if unit is bare.counit] == \
+            [dual_gens], h.name
+    # most cases that keep the counit are certified on H*
+    assert dual_side[t3d.name] > 100 and dual_side[s3d.name] > 150, dual_side
+
+
+def test_a_failing_counit_certifies_no_dual_row(monkeypatch):
+    # the dual of the non-associative fake unit algebra of the test above,
+    # with zero coproduct and zero counit: H* is that algebra, whose
+    # generator row e1 passes associativity, and H (zero product, zero
+    # unit) needs both indices as generators.  Only the failing counit
+    # keeps H* out, so coassociativity scans every row of H
+    one, zero = cyc(1, 1), cyc(1, 0)
+    h = dual(HopfPresentation(
+        name="fake unit", dim=2, order=1,
+        mult_entries=[(0, 0, 0, one), (0, 1, 0, one), (0, 1, 1, one)],
+        comult_entries=[], unit=(one, zero), counit=(zero, zero)))
+    seen = _record_generators(monkeypatch)
+    got = check_axioms(h).results
+    assert got == _oracle_axioms(h)
+    assert hopf_module.algebra_generators(h) == (0, 1)
+    assert [unit for unit, _ in seen] == [h.unit]  # H* was never searched
+    dual_mult = [[{}, {}], [{}, {}]]
+    for i, tensor in enumerate(h.comult):
+        for (j, k), c in tensor.items():
+            dual_mult[j][k][i] = c
+    assert tuple(hopf_module._generators(1, dual_mult, h.counit)) == (1,)
+    details = {name: detail for name, _, detail in got}
+    assert details["counit"] == "counit fails on e0"
+    assert details["coassociativity"] == "coassociativity fails on e0"
+
+
+def test_a_failing_counit_map_certifies_no_dual_product(monkeypatch):
+    # the dual of k[x]/(x^2) with Delta(1) = 1 (x) 1 + 1 (x) x, Delta(x) = 0
+    # and zero counit: H* is that algebra, with the unit and one generator
+    # row, x, that passes Delta-multiplicativity, while the row of 1 fails.
+    # Here the counit holds but counit(1) = 0, so Delta*(eps) = eps (x) eps
+    # fails and Delta-multiplicativity scans every row of H
+    one, zero = cyc(1, 1), cyc(1, 0)
+    h = dual(HopfPresentation(
+        name="k[x]/(x^2)", dim=2, order=1,
+        mult_entries=[(0, 0, 0, one), (0, 1, 1, one), (1, 0, 1, one)],
+        comult_entries=[(0, 0, 0, one), (0, 0, 1, one)],
+        unit=(one, zero), counit=(zero, zero)))
+    seen = _record_generators(monkeypatch)
+    got = check_axioms(h).results
+    assert got == _oracle_axioms(h)
+    assert _took_the_dual_side(h, seen)
+    details = {name: detail for name, _, detail in got}
+    assert (details["counit"], details["coassociativity"]) == ("", "")
+    assert details["counit-algebra-map"] == "counit(1) != 1"
+    assert details["comult-algebra-map"] == \
+        "Delta not multiplicative on (e0, e1)"
+
+
+def _fresh_scalars(h):
+    """h without its antipode, with a new CycNumber object for every
+    table, unit and counit entry, as presentations built in code have
+    them (a loaded file shares one object per distinct value)."""
+    def fresh(c):
+        return CycNumber(h.order, c.coeffs)
+
+    return HopfPresentation(
+        name=f"{h.name} fresh", dim=h.dim, order=h.order,
+        mult_entries=[(i, j, k, fresh(c)) for i, j, k, c in h.entries("mult")],
+        comult_entries=[(i, j, k, fresh(c))
+                        for i, j, k, c in h.entries("comult")],
+        unit=tuple(map(fresh, h.unit)), counit=tuple(map(fresh, h.counit)),
+        basis=h.basis)
+
+
+def test_equal_scalars_in_distinct_objects_match_the_oracle(t3):
+    # the axiom scans memoize products by operand identity; equal values
+    # in distinct objects must give the same verdicts and witnesses
+    h = _fresh_scalars(t3)
+    scalars = [c for table in ("mult", "comult")
+               for *_, c in h.entries(table)]
+    assert len(set(map(id, scalars))) == len(scalars)
+    assert len(set(scalars)) < len(scalars) / 10
+    assert check_axioms(h).results == _oracle_axioms(h) \
+        == check_axioms(_without_antipode(t3)).results
+    rng = random.Random(31)
+    for table in ("mult", "comult"):
+        for site in rng.sample(sites(h), 20):
+            m = corrupted(h, table, site, rng.choice((1, -1)))
+            assert check_axioms(m).results == _oracle_axioms(m), m.name
+
+
+def test_rebased_group_algebra_matches_the_oracle():
+    for c in (2, 3, -5, 10**6 + 3):
+        h = rebased_z2(c)
+        assert check_axioms(h).results[:6] == _oracle_axioms(h), c
+        assert not check_axioms(h).failures()
+    h = rebased_z2(3)
+    for table in ("mult", "comult"):
+        for site in sites(h):
+            for shift in (1, -1):
+                m = corrupted(h, table, site, shift)
+                assert check_axioms(m).results == _oracle_axioms(m), m.name
