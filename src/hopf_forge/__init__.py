@@ -8,18 +8,17 @@ power-basis cyclotomic numbers); no floats, no numerical tolerance.
 from .cyclofield import (CycNumber, cyc, cyclotomic_poly, format_scalar,
                          galois_conjugate, lift_scalar, root_of_unity,
                          scalar_from_json, scalar_to_json)
-from .errors import (BadParameters, BoundExceeded, DegeneratePairing,
-                     DivisionByZero, EigenvalueNotInField, HopfForgeError,
-                     IndexEven, IndexOne, IntegralSpaceNotOneDim,
-                     MalformedFile, MalformedTensor, NoAntipode,
-                     NonCommuting, NonSplitting, NotAGroup, NotARootPower,
-                     NotInvariant, NotInvertible, NotProportional,
-                     OffPatternBlock, OrderExceedsBound, OrderMismatch,
+from .errors import (AxiomFailure, BadParameters, BoundExceeded,
+                     DegeneratePairing, DivisionByZero, EigenvalueNotInField,
+                     HopfForgeError, IndexEven, IndexOne,
+                     IntegralSpaceNotOneDim, MalformedFile, MalformedTensor,
+                     NoAntipode, NonSplitting, NotAGroup, NotInvariant,
+                     NotInvertible, OffPatternBlock, OrderMismatch,
                      PreconditionFailed)
 from .hopf import (AxiomChecklist, Functional, HopfElement,
-                   HopfPresentation, check_axioms, compute_antipode, dual,
-                   find_grouplikes, harpoon_left, harpoon_right,
-                   is_grouplike, lift_order)
+                   HopfPresentation, certified, check_axioms,
+                   compute_antipode, dual, find_grouplikes, harpoon_left,
+                   harpoon_right, is_grouplike, lift_order)
 from .integrals import (IntegralPair, character_inverse,
                         distinguished_character, distinguished_grouplike,
                         dual_right_integral, integral_coproduct,
@@ -32,12 +31,11 @@ from .invariants import (CHECK_TAGS, AlternatingFormReport, CoradicalTraces,
                          alternating_form_check, build_report,
                          check_dim_symmetry, compute_index, coradical,
                          coradical_is_subcoalgebra, coradical_traces,
-                         eigen_decomposition, h_plus_minus, index_bound,
-                         lemma24_check, normal_form, omega_for_index,
-                         projection_traces, trace_s2p_report, x_exponent)
+                         eigen_decomposition, h_plus_minus, lemma24_check,
+                         normal_form, omega_for_index, projection_traces,
+                         trace_s2p_report, x_exponent)
 from .linalg import (Mat, Subspace, charpoly, eigenspace, inverse,
-                     null_space, operator_order, restrict_operator,
-                     roots_in_field, rref)
+                     null_space, restrict_operator, roots_in_field, rref)
 from .zoo import (build_cyclic_group_algebra, build_group_algebra,
                   build_taft, build_tensor, cyclic_table,
                   direct_product_table, sweedler)

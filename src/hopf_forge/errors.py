@@ -31,10 +31,6 @@ class NotInvertible(HopfForgeError):
     """Singular matrix where an inverse was required."""
 
 
-class OrderExceedsBound(HopfForgeError):
-    """No power of the operator reached the identity within the bound."""
-
-
 class NotInvariant(HopfForgeError):
     """Operator does not preserve the given subspace."""
 
@@ -47,6 +43,11 @@ class MalformedTensor(HopfForgeError):
 
 class MalformedFile(HopfForgeError):
     """Unreadable or schema-violating presentation file."""
+
+
+class AxiomFailure(HopfForgeError):
+    """The presentation fails a bialgebra or antipode axiom; the message
+    is "axiom: witness", as check_axioms records its first failure."""
 
 
 class NoAntipode(HopfForgeError):
@@ -69,18 +70,10 @@ class DegeneratePairing(HopfForgeError):
     """lambda(Lambda) = 0, so the pair cannot be normalized."""
 
 
-class NotProportional(HopfForgeError):
-    """A vector expected to be a scalar multiple of another is not."""
-
-
 # -- invariants -------------------------------------------------------------
 
-class NonCommuting(HopfForgeError):
-    """S^2 and right multiplication by g fail to commute."""
-
-
 class NonSplitting(HopfForgeError):
-    """Joint eigenspaces do not exhaust the algebra over Q(zeta_N)."""
+    """Q(zeta_N) has no primitive n-th root of unity for the index n."""
 
 
 class IndexOne(HopfForgeError):
@@ -94,10 +87,6 @@ class IndexEven(HopfForgeError):
 
 class PreconditionFailed(HopfForgeError):
     """Hypotheses of the requested theorem-level check do not hold."""
-
-
-class NotARootPower(HopfForgeError):
-    """alpha(g) is not a power of the chosen root of unity."""
 
 
 class OffPatternBlock(HopfForgeError):

@@ -19,7 +19,7 @@ import itertools
 from collections import namedtuple
 
 from .cyclofield import CycNumber, coordinate_key, cyc, lift_scalar
-from .errors import (DegeneratePairing, EigenvalueNotInField,
+from .errors import (AxiomFailure, DegeneratePairing, EigenvalueNotInField,
                      IntegralSpaceNotOneDim, MalformedTensor, NoAntipode,
                      NotInvertible, OrderMismatch)
 from .linalg import (Mat, Subspace, charpoly, inverse, null_space_of_terms,
@@ -453,6 +453,20 @@ def check_axioms(h: HopfPresentation) -> AxiomChecklist:
                             else f"antipode {side} axiom fails on e{i}"))
     return AxiomChecklist(tuple((name, detail is None, detail or "")
                                 for name, detail in results))
+
+
+@_memo
+def certified(h: HopfPresentation) -> None:
+    """Certify h a Hopf algebra: the first failure of check_axioms(h)
+    raises AxiomFailure "axiom: witness", the line verify prints first;
+    with no stored antipode, compute_antipode's NoAntipode is the
+    certificate.  The invariants' theorems hold for Hopf algebras only,
+    so the calls that read g, alpha or the index certify first."""
+    failure = next(iter(check_axioms(h).failures()), None)
+    if failure is not None:
+        name, detail = failure
+        raise AxiomFailure(f"{name}: {detail}")
+    h.antipode_matrix()
 
 
 @_memo

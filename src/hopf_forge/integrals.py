@@ -32,11 +32,10 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .cyclofield import CycNumber, cyc
-from .errors import (DegeneratePairing, IntegralSpaceNotOneDim,
-                     NotProportional)
+from .cyclofield import CycNumber
+from .errors import DegeneratePairing, IntegralSpaceNotOneDim
 from .hopf import (Functional, HopfElement, HopfPresentation, _coords,
-                   _memo, _outer_rows, algebra_generators)
+                   _memo, _outer_rows, algebra_generators, certified)
 from .linalg import Mat, Subspace, null_space_of_terms
 
 
@@ -136,40 +135,33 @@ def integral_pair(h: HopfPresentation) -> IntegralPair:
 # -- distinguished elements -----------------------------------------------------
 
 
-def _ratios(m: Mat, ref, context) -> tuple:
-    """c with m = c ref^T, c_i read from row i of m where ref is first
-    nonzero, checked as one equality of nonzeros; NotProportional, with
-    message context(i), names the first row i that is not c_i ref."""
-    z = cyc(m.order, 0)
-    p = next(k for k, x in enumerate(ref) if x is not z)
+def _ratios(m: Mat, ref) -> tuple:
+    """c with m = c ref^T, as m is on a certified Hopf algebra, read from
+    column p of m at the first nonzero ref[p]."""
+    p = next(k for k, x in enumerate(ref) if x)
     inv = ref[p].inverse()
-    c = tuple(row[p] * inv for row in m.data)
-    got, want = m.nonzeros(), _outer_rows(c, ref, z)
-    if got != want:
-        raise NotProportional(context(next(
-            i for i, (a, b) in enumerate(zip(got, want)) if a != b)))
-    return c
+    return tuple(x * inv for x in m.col(p))
 
 
 @_memo
 def distinguished_grouplike(h: HopfPresentation) -> HopfElement:
     """The grouplike g in H with beta lambda = beta(g) lambda for all beta,
-    read from the rows of H_l(lambda) = g lambda^T: row i is beta_i
-    lambda."""
+    read from H_l(lambda) = g lambda^T, whose row i is beta_i lambda.
+    h is certified first (AxiomFailure otherwise)."""
+    certified(h)
     lam = integral_pair(h).dual_integral
-    return HopfElement(_ratios(
-        h.harpoon_matrix(lam, "left"), lam.coords,
-        lambda i: f"beta_{i} lambda on {h.name}"))
+    return HopfElement(_ratios(h.harpoon_matrix(lam, "left"), lam.coords))
 
 
 @_memo
 def distinguished_character(h: HopfPresentation) -> Functional:
     """The character alpha on H with Lambda a = alpha(a) Lambda, read from
-    the rows of L_Lambda^T = alpha Lambda^T: row j is Lambda e_j."""
+    L_Lambda^T = alpha Lambda^T, whose row j is Lambda e_j.  h is
+    certified first (AxiomFailure otherwise)."""
+    certified(h)
     lam = integral_pair(h).integral
-    return Functional(_ratios(
-        h.left_mult_matrix(lam).transpose(), lam.coords,
-        lambda j: f"Lambda e_{j} on {h.name}"))
+    return Functional(_ratios(h.left_mult_matrix(lam).transpose(),
+                              lam.coords))
 
 
 def character_inverse(h: HopfPresentation, alpha) -> Functional:

@@ -26,16 +26,16 @@ from collections import namedtuple
 from math import gcd, isqrt, lcm
 
 from .cyclofield import CycNumber, cyc, root_of_unity, scalar_to_json
-from .errors import (BadParameters, IndexEven, IndexOne, NonCommuting,
-                     NonSplitting, NotARootPower, NotInvariant,
-                     OffPatternBlock, OrderExceedsBound, PreconditionFailed)
-from .hopf import HopfPresentation, _memo, find_grouplikes
+from .errors import (BadParameters, IndexEven, IndexOne, NonSplitting,
+                     NotInvariant, OffPatternBlock, PreconditionFailed)
+from .hopf import HopfPresentation, _memo, certified, find_grouplikes
+# integral_pair is unused here; bench/test_tracer.py traces this import
 from .integrals import (distinguished_character, distinguished_grouplike,
                         integral_coproduct, integral_pair, is_cosemisimple,
                         is_semisimple, is_unimodular, radford_trace,
                         trace_form, verify_s4_formula)
 from .linalg import (Mat, Subspace, _is_prime, eigenspace, inverse,
-                     null_space, operator_order, restrict_operator, rref)
+                     null_space, restrict_operator, rref)
 
 
 def _as_int(c: CycNumber) -> int | None:
@@ -51,27 +51,36 @@ IndexData.__doc__ = """n is the lcm of s4_order, the multiplicative order of
 S^4, and g_order, the order of the distinguished grouplike."""
 
 
-def index_bound(h: HopfPresentation) -> int:
-    return 4 * h.dim * h.order
-
-
 @_memo
 def compute_index(h: HopfPresentation) -> IndexData:
-    """Least n with S^(4n) = id and g^n = 1, as lcm of the two orders."""
-    bound = index_bound(h)
-    s4_order = operator_order(h.s_power_matrix(4), bound)
+    """Least n with S^(4n) = id and g^n = 1, as lcm of the two orders.
+
+    h is certified first.  S^4 is conjugation by g composed with the
+    commuting alpha-twist (Radford 1976), and the orders of g and alpha
+    divide dim H (Nichols-Zoeller 1989), so both orders divide dim H:
+    each is the least divisor d of dim H with (S^4)^d = I, resp.
+    g^d = 1, the powers taken by repeated squaring.
+    """
+    certified(h)
+    divisors = [d for d in range(1, h.dim + 1) if h.dim % d == 0]
+    s4, ident = h.s_power_matrix(4), Mat.identity(h.order, h.dim)
+    s4_order = next(d for d in divisors
+                    if _power(Mat.__matmul__, s4, d) == ident)
     g = distinguished_grouplike(h).coords
-    unit = h.unit
-    power = g
-    g_order = 1
-    while power != unit:
-        power = h.multiply(power, g)
-        g_order += 1
-        if g_order > bound:
-            raise OrderExceedsBound(
-                f"distinguished grouplike order exceeds bound {bound}")
+    g_order = next(d for d in divisors if _power(h.multiply, g, d) == h.unit)
     return IndexData(n=lcm(s4_order, g_order), s4_order=s4_order,
                      g_order=g_order)
+
+
+def _power(mul, x, t: int):
+    """x^t (t >= 1) under the associative product mul, by squaring."""
+    acc = None
+    while t:
+        if t & 1:
+            acc = x if acc is None else mul(acc, x)
+        t >>= 1
+        x = mul(x, x) if t else x
+    return acc
 
 
 def omega_for_index(h: HopfPresentation, n: int,
@@ -109,20 +118,12 @@ def _check_primitive(omega: CycNumber, n: int):
 
 
 def x_exponent(h: HopfPresentation, omega: CycNumber) -> int:
-    """The unique x in Z_n with alpha(g) = omega^x, n the index of h."""
+    """The unique x in Z_n with alpha(g) = omega^x, n the index of h:
+    alpha(g)^n = alpha(g^n) = 1 makes alpha(g) a power of omega."""
     n = compute_index(h).n
     _check_primitive(omega, n)
-    g = distinguished_grouplike(h)
-    alpha = distinguished_character(h)
-    value = h.pair(alpha, g)
-    acc = cyc(h.order, 1)
-    for t in range(n):
-        if acc == value:
-            return t
-        acc = acc * omega
-    raise NotARootPower(
-        f"alpha(g) on {h.name} is not a power of the given omega; "
-        "the input is corrupted")
+    value = h.pair(distinguished_character(h), distinguished_grouplike(h))
+    return next(t for t in range(n) if omega ** t == value)
 
 
 # -- eigenspace decomposition ----------------------------------------------------
@@ -169,9 +170,11 @@ def eigen_decomposition(h: HopfPresentation, omega: CycNumber) -> EigenTable:
     Memoized on h under omega's value.  Requires odd index > 1: index 1
     is rejected with IndexOne (the machinery degenerates), even index
     with IndexEven (the labels (-1)^a omega^i collide, so the direct sum
-    would double count).  S^2 splits every translation eigenspace (see
-    below); NonSplitting reports how much of H the translation
-    eigenspaces cover.
+    would double count).  h is certified (compute_index): R_g satisfies
+    x^n - 1 and S^2, which commutes with it, x^(2n) - 1, both split with
+    distinct roots over a field holding omega.  So S^2 splits each
+    translation eigenspace W_j, and once the S^2 eigenspaces found in
+    W_j fill it, the labels of j left are {0}, unsolved.
     """
     n = compute_index(h).n
     if n == 1:
@@ -181,31 +184,24 @@ def eigen_decomposition(h: HopfPresentation, omega: CycNumber) -> EigenTable:
             f"{h.name} has even index {n}; the eigenvalue labels "
             "(-1)^a omega^i collide")
     x = x_exponent(h, omega)
-    g = distinguished_grouplike(h)
     s2 = h.s_power_matrix(2)
-    rg = h.right_mult_matrix(g)
-    if s2 @ rg != rg @ s2:
-        raise NonCommuting(
-            f"S^2 and right translation by g do not commute on {h.name}")
-    spaces, dims = {}, {}
+    rg = h.right_mult_matrix(distinguished_grouplike(h))
+    zero = Subspace.from_vectors(h.order, h.dim, ())
+    spaces = {}
     for j in range(n):
         wj = eigenspace(rg, omega ** j)
-        # S^2 commutes with rg, so it preserves wj; (S^2)^(2n) = id there
-        # (compute_index), and n odd makes the (-1)^a omega^i all 2n of the
-        # 2n-th roots of unity, distinct, so S^2 diagonalizes over them
-        local = restrict_operator(s2, wj)
+        # n odd makes the (-1)^a omega^i all 2n of the 2n-th roots of unity
+        local, left = restrict_operator(s2, wj), wj.dim
         for a in (0, 1):
             for i in range(n):
-                value = -omega ** i if a else omega ** i
-                sub = wj.image_of(eigenspace(local, value))
+                sub = zero
+                if left:
+                    value = -omega ** i if a else omega ** i
+                    sub = wj.image_of(eigenspace(local, value))
+                    left -= sub.dim
                 spaces[(a, i, j)] = sub
-                dims[(a, i, j)] = sub.dim
-    total = sum(dims.values())
-    if total != h.dim:
-        raise NonSplitting(
-            f"right translation by g on {h.name} is not diagonalizable "
-            f"over Q(zeta_{h.order}): eigenspaces cover {total} of {h.dim}; "
-            f"re-present over Q(zeta_{lcm(h.order, 2 * n)})")
+    dims = {key: sub.dim for key, sub in spaces.items()}
+    assert sum(dims.values()) == h.dim, "a certified R_g diagonalizes"
     return EigenTable(omega=omega, n=n, x_exp=x, spaces=spaces, dims=dims)
 
 
@@ -616,7 +612,9 @@ def build_report(h: HopfPresentation, omega_power: int = 1,
                  selected: list | None = None) -> InvariantReport:
     """Run every applicable named check on one presentation.
 
-    Each check's (status, detail) is recorded once under its tag, and the
+    h is certified first (see certified), so non-Hopf input fails with
+    its first axiom witness before any search, and every search is
+    bounded by a theorem (see compute_index).  Each check's (status, detail) is recorded once under its tag, and the
     report lists CHECK_TAGS in order, keeping the tags that a selector in
     selected names (see selects).  A stage that cannot run gives its
     skipped:REASON to every tag of its group still unrecorded.  The
@@ -628,7 +626,7 @@ def build_report(h: HopfPresentation, omega_power: int = 1,
     """
     if selected is not None:
         check_selection(selected, repr(selected))
-    integral_pair(h)  # a degenerate pairing fails first
+    certified(h)
     semi = is_semisimple(h)
     cosemi = is_cosemisimple(h)
     unimod = is_unimodular(h)

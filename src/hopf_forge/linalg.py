@@ -22,7 +22,7 @@ from math import gcd, isqrt, lcm
 
 from .cyclofield import (CycNumber, _pseudo_divmod, coordinate_key, cyc,
                          galois_conjugate, root_of_unity)
-from .errors import NotInvariant, NotInvertible, OrderExceedsBound, OrderMismatch
+from .errors import NotInvariant, NotInvertible, OrderMismatch
 
 
 class Mat:
@@ -342,22 +342,6 @@ def inverse(m: Mat) -> Mat:
         raise NotInvertible("matrix is singular")
     return Mat(m.order, [[row.get(n + j, z) for j in range(n)]
                          for row in done], cols=n)
-
-
-def operator_order(m: Mat, bound: int) -> int:
-    """Least t >= 1 with m^t = identity; requires m invertible."""
-    if m.rows != m.cols:
-        raise NotInvertible("non-square matrix")
-    ident = Mat.identity(m.order, m.rows)
-    _, rank, _ = rref(m)
-    if rank < m.rows:
-        raise NotInvertible("operator is singular, no finite order")
-    acc = m
-    for t in range(1, bound + 1):
-        if acc == ident:
-            return t
-        acc = acc @ m
-    raise OrderExceedsBound(f"no order found within bound {bound}")
 
 
 def restrict_operator(m: Mat, sub: Subspace) -> Mat:

@@ -15,9 +15,10 @@ import sys
 
 import pytest
 import sympy
-from conftest import rebased_z2
+from conftest import corrupted, rebased_z2, sites
 
 import hopf_forge
+from hopf_forge import build_group_algebra, build_taft, dual
 from hopf_forge.cli import canonical_bytes, main, presentation_to_document
 
 # child interpreters import the package under test, wherever it was found
@@ -300,6 +301,26 @@ def test_verify_fails_monoid_bialgebra(tmp_path, capsys):
     assert "FAIL" in out
 
 
+def test_report_certifies_a_bialgebra_without_an_antipode(tmp_path,
+                                                         capsys):
+    # k{1, m} with m^2 = m passes every bialgebra axiom and stores no
+    # antipode, so compute_antipode's NoAntipode is the certificate that
+    # fails, carrying the integral failure verify prints
+    doc = {"name": "k{1,m}", "dim": 2, "cyclotomic_order": 1,
+           "basis": ["1", "m"],
+           "mult": [[0, 0, 0, 1], [0, 1, 1, 1], [1, 0, 1, 1], [1, 1, 1, 1]],
+           "comult": [[0, 0, 0, 1], [1, 1, 1, 1]],
+           "unit": [1, 0], "counit": [1, 1]}
+    path = tmp_path / "monoid.json"
+    path.write_text(json.dumps(doc))
+    why = "lambda(Lambda) = 0 on k{1,m}; input is not a Hopf algebra"
+    code, out, _ = run_cli(capsys, "verify", str(path))
+    assert code == 1 and out.splitlines()[-1] == f"integrals: FAIL {why}"
+    code, out, err = run_cli(capsys, "report", str(path), "--json")
+    assert (code, out) == (1, "")
+    assert err == f"error: no normalized integral pair: {why}\n"
+
+
 def test_report_text_and_filtering(taft3_file, capsys):
     code, out, _ = run_cli(capsys, "report", str(taft3_file))
     assert code == 0
@@ -379,18 +400,71 @@ def test_report_exit_three_with_lift_hint(tmp_path, capsys):
     assert "cyclotomic" in err and "hint:" in err
 
 
-def test_report_exit_three_when_translation_by_g_does_not_split(
+def test_report_names_the_axiom_before_translation_by_g_fails_to_split(
         taft3_file, tmp_path, capsys):
-    # shifting e0 e3 by e3 keeps the index, so report reaches the
-    # eigenspace decomposition, where right translation by g falls short
+    # shifting e0 e3 by e3 keeps the index, and right translation by g
+    # would fall short in the eigenspace decomposition; report certifies
+    # its input first and exits 1 with the witness verify prints first
     doc = json.loads(taft3_file.read_text())
     entry = next(e for e in doc["mult"] if e[:3] == [0, 3, 3])
     entry[3] = _shifted(entry[3], 1)
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
     code, out, err = run_cli(capsys, "report", str(bad), "--json")
-    assert (code, out) == (3, "")
-    assert "eigenspaces cover 6 of 9" in err
+    assert (code, out) == (1, "")
+    assert err == "error: associativity: (e0 e0) e3 != e0 (e0 e3)\n"
+    code, out, _ = run_cli(capsys, "verify", str(bad))
+    assert code == 1
+    assert out.splitlines()[0] == \
+        "associativity: FAIL (e0 e0) e3 != e0 (e0 e3)"
+
+
+_AXIOMS = ("associativity", "unit", "coassociativity", "counit",
+           "comult-algebra-map", "counit-algebra-map", "antipode-left",
+           "antipode-right")
+
+
+def test_report_certifies_single_entry_corruptions(tmp_path, capsys):
+    # unit entries and a seeded sample of mult and comult sites of taft(3)
+    # and dual(k[S3]), each shifted alone with the stored antipode kept:
+    # report exits 1 on every mutant that fails an axiom, with the
+    # witness of verify's first FAIL line, and names no axiom otherwise,
+    # as on the unshifted control.  _oracle_axioms, a plain scan of every
+    # triple, decides which mutants are no bialgebra
+    from test_hopf import _oracle_axioms, s3_table
+    rng = random.Random(32)
+    path = tmp_path / "mutant.json"
+    verdicts = {"rejected": 0, "kept": 0}
+    for h in (build_taft(3),
+              dual(build_group_algebra(s3_table(), name="k[S3]"))):
+        antipode = presentation_to_document(h)["antipode"]
+        cases = [("unit", (i,), shift) for i in range(h.dim)
+                 for shift in (1, -1)] + [("unit", (0,), 0)]
+        cases += [(table, site, rng.choice((1, -1)))
+                  for table in ("mult", "comult")
+                  for site in rng.sample(sites(h), 25)]
+        for table, site, shift in cases:
+            m = corrupted(h, table, site, shift)
+            doc = presentation_to_document(m)
+            doc["antipode"] = antipode
+            path.write_bytes(canonical_bytes(doc))
+            _, lines, _ = run_cli(capsys, "verify", str(path))
+            code, out, err = run_cli(capsys, "report", str(path), "--json")
+            fails = [ln.split(": FAIL ", 1) for ln in lines.splitlines()
+                     if ": FAIL " in ln]
+            bialgebra = all(ok for _, ok, _ in _oracle_axioms(m))
+            assert bialgebra or fails[0][0] in _AXIOMS[:6], m.name
+            if fails:
+                name, detail = fails[0]
+                assert name in _AXIOMS, m.name
+                assert (code, out) == (1, ""), m.name
+                assert err == f"error: {name}: {detail}\n", m.name
+                verdicts["rejected"] += 1
+            else:
+                assert not err.startswith(
+                    tuple(f"error: {a}:" for a in _AXIOMS)), m.name
+                verdicts["kept"] += 1
+    assert verdicts["rejected"] > 100 and verdicts["kept"] >= 2, verdicts
 
 
 def test_file_round_trip_is_byte_identical(taft3_file, tmp_path, capsys):
@@ -503,8 +577,8 @@ def test_integer_scalars_parsed_once_meet_every_check(taft3_file, tmp_path,
 def test_report_subset_rejects_an_input_without_a_character(tmp_path,
                                                              capsys):
     # 1 * e_3 := 0 in sweedler: Lambda e_0 leaves the line of Lambda, so
-    # there is no distinguished character, and unimodularity (which every
-    # report states) is read from it whatever checks are selected
+    # there is no distinguished character; whatever checks are selected,
+    # report certifies its input first and names the failing axiom
     path = tmp_path / "sw.json"
     assert run_cli(capsys, "zoo", "sweedler", "--out", str(path))[0] == 0
     doc = json.loads(path.read_text())
@@ -515,7 +589,8 @@ def test_report_subset_rejects_an_input_without_a_character(tmp_path,
     for check in ("eq2", "thm3.4"):
         code, _, err = run_cli(capsys, "report", str(path), "--json",
                                "--check", check)
-        assert code == 1 and err.startswith("error: Lambda e_0 on sweedler")
+        assert code == 1
+        assert err == "error: associativity: (e1 e2) e0 != e1 (e2 e0)\n"
 
 
 def test_report_on_a_rebased_group_algebra_with_a_large_constant(

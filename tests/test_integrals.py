@@ -9,19 +9,19 @@ import random
 import pytest
 
 import hopf_forge.integrals as integrals_module
-from hopf_forge import (DegeneratePairing, Functional, HopfForgeError,
-                        HopfPresentation, IntegralSpaceNotOneDim, Mat,
-                        NotProportional, build_group_algebra, build_taft,
-                        build_tensor, character_inverse, cyc,
-                        distinguished_character, distinguished_grouplike,
-                        dual, dual_right_integral, harpoon_left,
-                        harpoon_right, integral_pair, integral_subspace,
-                        is_cosemisimple, is_semisimple, is_unimodular,
-                        left_integral, lift_order, null_space,
-                        radford_trace, root_of_unity, trace_form,
-                        verify_s4_formula)
+from hopf_forge import (AxiomFailure, DegeneratePairing, Functional,
+                        HopfForgeError, HopfPresentation,
+                        IntegralSpaceNotOneDim, Mat, build_group_algebra,
+                        build_taft, build_tensor, character_inverse,
+                        check_axioms, cyc, distinguished_character,
+                        distinguished_grouplike, dual, dual_right_integral,
+                        harpoon_left, harpoon_right, integral_pair,
+                        integral_subspace, is_cosemisimple, is_semisimple,
+                        is_unimodular, left_integral, lift_order,
+                        null_space, radford_trace, root_of_unity,
+                        trace_form, verify_s4_formula)
 from conftest import (basis_element, corrupted, random_endomorphism,
-                      sites)
+                      sites, taken_as_certified)
 
 
 def stacked_integral_kernel(h, side="left"):
@@ -255,27 +255,36 @@ def test_s4_formula_fails_on_a_bent_antipode(t3):
     # g and alpha come from mult and comult alone, so a wrong stored S
     # moves S^4 and S(g) but not the twist; adding e_1 to S(e_1) breaks
     # the formula, and the matrix identity agrees with the element by
-    # element check on every bent antipode
-    assert not verify_s4_formula(_bent_antipode(t3, 1, 1, 1))
+    # element check on every bent antipode.  A bent S fails the antipode
+    # axiom, so each bent presentation is taken as certified
+    bent = _bent_antipode(t3, 1, 1, 1)
+    with pytest.raises(AxiomFailure, match=r"^antipode-left: "):
+        verify_s4_formula(bent)
+    assert not verify_s4_formula(taken_as_certified(bent))
     rng = random.Random(4)
     verdicts = set()
     for i, j in rng.sample(list(itertools.product(range(t3.dim),
                                                   repeat=2)), 12):
-        bent = _bent_antipode(t3, i, j, rng.choice((1, -1)))
+        bent = taken_as_certified(
+            _bent_antipode(t3, i, j, rng.choice((1, -1))))
         verdicts.add(verify_s4_formula(bent))
         assert verify_s4_formula(bent) == _s4_element_by_element(bent)
     assert False in verdicts
 
 
+class _NotProportional(Exception):
+    """The dense oracle found a vector off the line of its reference."""
+
+
 def _ratios_oracle(ref, vectors, label):
     """Dense proportionality: vectors[i] = c_i ref, read at the first
-    nonzero of ref; raises NotProportional(label(i)) at the first miss."""
+    nonzero of ref; raises _NotProportional(label(i)) at the first miss."""
     p = next(i for i, x in enumerate(ref) if x)
     out = []
     for i, v in enumerate(vectors):
         c = v[p] / ref[p]
         if tuple(v) != tuple(x * c for x in ref):
-            raise NotProportional(label(i))
+            raise _NotProportional(label(i))
         out.append(c)
     return tuple(out)
 
@@ -319,20 +328,24 @@ def test_one_trace_variant_decides_all_three(corpus, sw, t3):
 def _outcome_of(f, h):
     try:
         return f(h)
-    except NotProportional as exc:
+    except _NotProportional as exc:
         return str(exc)
 
 
 def test_distinguished_character_names_the_first_failing_e_j(sw):
-    # e_1 e_2 gains a term, so Lambda e_2 leaves the integral line
+    # e_1 e_2 gains a term, so Lambda e_2 leaves the integral line; the
+    # product is no longer associative, and certification names the
+    # first failing triple
     bent = corrupted(sw, "mult", (1, 2, 0), 1)
     integral_pair(bent)  # the pair itself still exists
-    with pytest.raises(NotProportional,
-                       match=r"^Lambda e_2 on sweedler mult\(1, 2, 0\)\+1$"):
+    with pytest.raises(AxiomFailure, match=r"^associativity: "
+                       r"\(e1 e1\) e2 != e1 \(e1 e2\)$"):
         distinguished_character(bent)
 
 
 def test_distinguished_elements_match_the_dense_oracle(sw, t3):
+    # where the dense oracle finds no distinguished element, the mutant
+    # fails an axiom, and the library raises its first failure
     raised = collections.Counter()
     cases = [corrupted(sw, table, site, shift) for table in ("mult", "comult")
              for site in sites(sw) for shift in (1, -1)]
@@ -344,11 +357,17 @@ def test_distinguished_elements_match_the_dense_oracle(sw, t3):
             integral_pair(h)
         except HopfForgeError:
             continue
+        failures = check_axioms(h).failures()
         for f, oracle in ((distinguished_character, _character_oracle),
                           (distinguished_grouplike, _grouplike_oracle)):
             want = _outcome_of(oracle, h)
-            got = _outcome_of(lambda h: f(h).coords, h)
-            assert got == want, (h.name, f.__name__)
+            if failures:
+                name, detail = failures[0]
+                with pytest.raises(AxiomFailure) as exc:
+                    f(h)
+                assert str(exc.value) == f"{name}: {detail}", h.name
+            else:
+                assert f(h).coords == want, (h.name, f.__name__)
             raised[f.__name__] += isinstance(want, str)
     assert raised["distinguished_character"] and \
         raised["distinguished_grouplike"]

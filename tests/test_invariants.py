@@ -8,23 +8,22 @@ rather than against the library's own refinement."""
 
 import pytest
 
-from hopf_forge import (CHECK_TAGS, BadParameters, EigenTable,
+from hopf_forge import (CHECK_TAGS, AxiomFailure, BadParameters, EigenTable,
                         HopfPresentation, IndexData, IndexEven, IndexOne,
-                        Lemma24Result, Mat, NonCommuting, NonSplitting,
-                        NotARootPower, NotInvariant, OffPatternBlock,
-                        PreconditionFailed, Subspace,
+                        Lemma24Result, Mat, NonSplitting, NotInvariant,
+                        OffPatternBlock, PreconditionFailed, Subspace,
                         alternating_form_check, build_report, build_taft,
                         build_cyclic_group_algebra, check_dim_symmetry,
                         compute_index, coradical, coradical_is_subcoalgebra,
                         coradical_traces, cyc, eigen_decomposition,
                         eigenspace, find_grouplikes, h_plus_minus,
-                        index_bound, integral_coproduct, integral_pair,
-                        lemma24_check, normal_form, omega_for_index,
-                        projection_traces, root_of_unity, trace_s2p_report,
-                        x_exponent)
+                        integral_coproduct, integral_pair, lemma24_check,
+                        normal_form, omega_for_index, projection_traces,
+                        root_of_unity, trace_s2p_report, x_exponent)
 from hopf_forge import invariants
 from hopf_forge.invariants import NormalForm, selects
-from conftest import basis_element
+from hopf_forge.cli import document_to_presentation, presentation_to_document
+from conftest import basis_element, taken_as_certified
 
 
 def table_of(h, power=1):
@@ -48,8 +47,18 @@ def test_index_of_corpus(corpus, sw):
     assert compute_index(sw) == IndexData(2, 1, 2)
 
 
-def test_index_bound(t3):
-    assert index_bound(t3) == 4 * 9 * 3
+def test_index_bound(corpus, sw, t3):
+    # both orders divide dim H (Radford, Nichols-Zoeller), which bounds
+    # compute_index's search; the order-999 reading of taft(3)'s file,
+    # once a power scan toward 4 dim N, is refused by its certification
+    for h in list(corpus.values()) + [sw]:
+        index = compute_index(h)
+        assert h.dim % index.s4_order == 0 and h.dim % index.g_order == 0
+    doc = presentation_to_document(t3)
+    doc["cyclotomic_order"] = 999
+    with pytest.raises(AxiomFailure, match=r"^associativity: "
+                       r"\(e1 e1\) e3 != e1 \(e1 e3\)$"):
+        compute_index(document_to_presentation(doc))
 
 
 def test_omega_for_index(t3, t3z5, z3, z5):
@@ -99,12 +108,11 @@ def alpha_trivial_fixture():
 
 
 def test_x_exponent_rejects_non_root_value():
+    # alpha(g) = eps((1,1,0)) = 2 on the fixture, no power of -1; the
+    # fixture is no bialgebra, and its certification names the axiom
     h = alpha_trivial_fixture()
-    # the fixture has no antipode, so compute_index would raise
-    # NoAntipode; seed its memo with index 2
-    h._cache[("compute_index",)] = IndexData(2, 1, 2)
-    # alpha(g) = eps((1,1,0)) = 2, which is no power of -1
-    with pytest.raises(NotARootPower):
+    with pytest.raises(AxiomFailure, match=r"^coassociativity: "
+                       r"coassociativity fails on e0$"):
         x_exponent(h, cyc(1, -1))
 
 
@@ -172,7 +180,8 @@ def test_eigen_decomposition_guards(z15, sw, t3):
         table_of(z15)
     with pytest.raises(IndexEven):
         eigen_decomposition(sw, cyc(1, -1))
-    # doctored antipode: S^2 no longer commutes with translation by g
+    # doctored antipode: S^2 no longer commutes with translation by g,
+    # and the antipode axiom fails
     diag = [[cyc(3, 0)] * 9 for _ in range(9)]
     for i in range(9):
         diag[i][i] = root_of_unity(3, 1) if i == 1 else cyc(3, 1)
@@ -183,21 +192,41 @@ def test_eigen_decomposition_guards(z15, sw, t3):
         comult_entries=[(i, j, k, c) for i in range(9)
                         for (j, k), c in t3.comult[i].items()],
         unit=t3.unit, counit=t3.counit, antipode=Mat(3, diag))
-    with pytest.raises(NonCommuting):
+    with pytest.raises(AxiomFailure, match=r"^antipode-left: antipode left "
+                       r"axiom fails on e1$"):
         eigen_decomposition(doctored, root_of_unity(3, 1))
 
 
 def test_eigen_decomposition_reports_a_translation_that_does_not_split(t3):
     # taft(3) with e0 e3 shifted by e3 keeps its antipode and index 3, but
-    # right translation by g no longer diagonalizes
+    # right translation by g no longer diagonalizes; the product is no
+    # longer associative, which its certification reports first
     mult, comult = t3.entries("mult"), t3.entries("comult")
     shifted = HopfPresentation(
         name=t3.name, dim=9, order=3,
         mult_entries=[*mult, (0, 3, 3, cyc(3, 1))], comult_entries=comult,
         unit=t3.unit, counit=t3.counit, antipode=t3.antipode)
-    assert compute_index(shifted).n == 3
-    with pytest.raises(NonSplitting, match=r"eigenspaces cover 6 of 9;"):
+    with pytest.raises(AxiomFailure, match=r"^associativity: "
+                       r"\(e0 e0\) e3 != e0 \(e0 e3\)$"):
         table_of(shifted)
+
+
+def test_eigen_split_stops_once_a_translation_eigenspace_is_full(
+        monkeypatch, t3z5):
+    # n = 3: three translation eigenspaces W_j, then the S^2 labels of
+    # each W_j until they fill it; the 9 labels left are {0} unsolved
+    h = document_to_presentation(presentation_to_document(t3z5))
+    omega = omega_for_index(h, compute_index(h).n)
+    calls, original = [], invariants.eigenspace
+
+    def counting(m, c):
+        calls.append(c)
+        return original(m, c)
+
+    monkeypatch.setattr(invariants, "eigenspace", counting)
+    table = eigen_decomposition(h, omega)
+    assert len(calls) == 12
+    assert sum(table.dims.values()) == h.dim
 
 
 def test_dim_symmetry_and_perturbation_witness(t3, t5):
@@ -365,7 +394,7 @@ def test_lemma24_skips_j_independence_for_trivial_alpha(t3):
     # g != 1 with alpha = counit cannot happen in the desk-scale zoo
     # (it needs a unimodular algebra with nontrivial modular grouplike,
     # e.g. a Drinfeld double); the branch is driven with crafted data
-    h = alpha_trivial_fixture()
+    h = taken_as_certified(alpha_trivial_fixture())
     table = table_of(t3)
     res = lemma24_check(h, table, 1)
     assert res.difference_ok
@@ -456,14 +485,15 @@ def test_alternating_v_block_flags_degenerate_form():
 def z3_with_quarter_turn():
     """k[Z3] over Q with the stored antipode S = [[0, -1, 0], [1, 0, 0],
     [0, 0, 1]]: S^4 = id and g = 1, so the index is 1, and S^2 = diag(-1,
-    -1, 1) has a two-dimensional -1 eigenspace."""
+    -1, 1) has a two-dimensional -1 eigenspace.  S fails the antipode
+    axiom, so the presentation is taken as certified."""
     h = build_cyclic_group_algebra(3)
     mult, comult = h.entries("mult"), h.entries("comult")
     s = Mat(1, [[cyc(1, x) for x in row]
                 for row in ((0, -1, 0), (1, 0, 0), (0, 0, 1))])
-    return HopfPresentation(name="k[Z3] quarter turn", dim=3, order=1,
-                            mult_entries=mult, comult_entries=comult,
-                            unit=h.unit, counit=h.counit, antipode=s)
+    return taken_as_certified(HopfPresentation(
+        name="k[Z3] quarter turn", dim=3, order=1, mult_entries=mult,
+        comult_entries=comult, unit=h.unit, counit=h.counit, antipode=s))
 
 
 def test_h_plus_minus(t3, t5, sw, z15):

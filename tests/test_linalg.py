@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from hopf_forge import (CycNumber, Mat, NotInvariant, NotInvertible, Subspace, charpoly,
                         cyc, eigenspace, inverse,
-                        null_space, operator_order, restrict_operator,
+                        null_space, restrict_operator,
                         roots_in_field, root_of_unity, rref)
 from hopf_forge.linalg import _rational_roots
 
@@ -275,17 +275,6 @@ def test_eigenspace_is_null_space_of_the_dense_shift(order):
     for mat, dim in ((diag, 2), (mixed, 2)):
         got, want = eigenspace(mat, c), null_space(shifted(mat, c))
         assert got == want and got.pivots == want.pivots and got.dim == dim
-
-
-def test_operator_order():
-    # permutation of a 3-cycle has order 3
-    z, o = cyc(1, 0), cyc(1, 1)
-    p = Mat(1, [[z, z, o], [o, z, z], [z, o, z]])
-    assert operator_order(p, 10) == 3
-    # diag(zeta_12, zeta_12^4) has order lcm(12, 3) = 12
-    m = Mat(12, [[root_of_unity(12, 1), cyc(12, 0)],
-                 [cyc(12, 0), root_of_unity(12, 4)]])
-    assert operator_order(m, 20) == 12
 
 
 def test_subspace_membership_and_coordinates():

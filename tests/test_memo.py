@@ -170,7 +170,7 @@ def test_t3z5_report_makes_one_product_per_s_power(monkeypatch, t3z5):
 
 
 MEMOIZED = {
-    "antipode_matrix", "s_power_matrix", "algebra_generators",
+    "antipode_matrix", "s_power_matrix", "algebra_generators", "certified",
     "find_grouplikes", "integral_subspace", "dual_right_integral",
     "integral_pair", "distinguished_grouplike", "distinguished_character",
     "integral_form", "integral_coproduct", "trace_form", "compute_index",
