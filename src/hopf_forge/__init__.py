@@ -15,10 +15,9 @@ from .errors import (AxiomFailure, BadParameters, BoundExceeded,
                      NoAntipode, NonSplitting, NotAGroup, NotInvariant,
                      NotInvertible, OffPatternBlock, OrderMismatch,
                      PreconditionFailed)
-from .hopf import (AxiomChecklist, Functional, HopfElement,
-                   HopfPresentation, certified, check_axioms,
-                   compute_antipode, dual, find_grouplikes, harpoon_left,
-                   harpoon_right, is_grouplike, lift_order)
+from .hopf import (AxiomChecklist, HopfPresentation, certified,
+                   check_axioms, compute_antipode, dual, find_grouplikes,
+                   harpoon_left, harpoon_right, is_grouplike, lift_order)
 from .integrals import (IntegralPair, character_inverse,
                         distinguished_character, distinguished_grouplike,
                         dual_right_integral, integral_coproduct,

@@ -10,6 +10,10 @@ slips, so they are spelled out once here):
 - Operator matrices act on column coordinate vectors, so column i of the
   antipode matrix holds the coordinates of S(e_i).
 - Tensor squares flatten (j, k) to j * dim + k.
+- An element of H, or a functional on H, is a plain tuple of its
+  coordinates in the basis, or in the dual basis: the unit and counit,
+  the integrals, g, alpha and the grouplikes alike.  Every method that
+  takes one reads any sequence of scalars as it is.
 """
 
 from __future__ import annotations
@@ -24,46 +28,6 @@ from .errors import (AxiomFailure, DegeneratePairing, EigenvalueNotInField,
                      NotInvertible, OrderMismatch)
 from .linalg import (Mat, Subspace, charpoly, inverse, null_space_of_terms,
                      roots_in_field)
-
-
-class _Coords:
-    """A coordinate tuple that iterates as its coordinates and equals only
-    a value of the same class."""
-    __slots__ = ("coords",)
-
-    def __init__(self, coords):
-        self.coords = coords
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self.coords == other.coords
-
-    def __hash__(self):
-        return hash((self.coords,))
-
-    def __repr__(self):
-        return f"{type(self).__name__}(coords={self.coords!r})"
-
-    def __iter__(self):
-        return iter(self.coords)
-
-    def __len__(self):
-        return len(self.coords)
-
-
-class HopfElement(_Coords):
-    __slots__ = ()
-
-
-class Functional(_Coords):
-    __slots__ = ()
-
-
-def _coords(x):
-    if isinstance(x, _Coords):
-        return x.coords
-    return tuple(x)
 
 
 def _outer_rows(u, v, z) -> tuple:
@@ -186,7 +150,6 @@ class HopfPresentation:
         return cyc(self.order, 0)
 
     def multiply(self, a, b) -> tuple:
-        a, b = _coords(a), _coords(b)
         z = self.zero_scalar()
         acc, b = {}, [(j, bj) for j, bj in enumerate(b) if bj is not z]
         for i, ai in enumerate(a):
@@ -209,7 +172,7 @@ class HopfPresentation:
 
     def comult_pairs(self, a) -> dict:
         """Sparse {(j, k): c} expansion of Delta(a)."""
-        a, z = _coords(a), self.zero_scalar()
+        z = self.zero_scalar()
         acc = {}
         for i, ai in enumerate(a):
             if ai is not z:
@@ -229,14 +192,14 @@ class HopfPresentation:
     def pair(self, beta, a) -> CycNumber:
         """Evaluation <beta, a> of a functional on an element."""
         acc = z = self.zero_scalar()
-        for bi, ai in zip(_coords(beta), _coords(a)):
+        for bi, ai in zip(beta, a):
             if bi is not z and ai is not z:
                 acc = acc + bi * ai
         return acc
 
     def left_mult_matrix(self, a) -> Mat:
         """L_a with column j = coordinates of a * e_j."""
-        a, z = _coords(a), self.zero_scalar()
+        z = self.zero_scalar()
         return self.matrix((k, j, ai * c) for i, ai in enumerate(a)
                            if ai is not z
                            for j, prod in enumerate(self.mult[i])
@@ -244,7 +207,7 @@ class HopfPresentation:
 
     def right_mult_matrix(self, a) -> Mat:
         """R_a with column j = coordinates of e_j * a."""
-        a, z = _coords(a), self.zero_scalar()
+        z = self.zero_scalar()
         return self.matrix((k, j, ai * c) for i, ai in enumerate(a)
                            if ai is not z for j in range(self.dim)
                            for k, c in self.mult[j][i].items())
@@ -252,7 +215,7 @@ class HopfPresentation:
     def harpoon_matrix(self, beta, side: str) -> Mat:
         """H_l(beta) with column t = beta -> e_t (side "left"), or H_r(beta)
         with column t = e_t <- beta (side "right")."""
-        beta, z = _coords(beta), self.zero_scalar()
+        z = self.zero_scalar()
         leg = 1 if side == "left" else 0  # the leg of Delta(e_t) beta reads
         return self.matrix((jk[1 - leg], t, c * beta[jk[leg]])
                            for t, tensor in enumerate(self.comult)
@@ -261,7 +224,7 @@ class HopfPresentation:
 
     def form_matrix(self, beta) -> Mat:
         """B_beta with B[a][c] = beta(e_a e_c)."""
-        beta, z = _coords(beta), self.zero_scalar()
+        z = self.zero_scalar()
         return self.matrix((a, c, m * beta[k])
                            for a, row in enumerate(self.mult)
                            for c, prod in enumerate(row)
@@ -594,7 +557,6 @@ def dual(h: HopfPresentation) -> HopfPresentation:
 
 def harpoon_left(h: HopfPresentation, beta, a) -> tuple:
     """beta harpoon-from-left a = sum a_1 beta(a_2)."""
-    beta = _coords(beta)
     z = h.zero_scalar()
     out = [z] * h.dim
     for (j, k), c in h.comult_pairs(a).items():
@@ -605,7 +567,6 @@ def harpoon_left(h: HopfPresentation, beta, a) -> tuple:
 
 def harpoon_right(h: HopfPresentation, a, beta) -> tuple:
     """a harpoon-from-right beta = sum beta(a_1) a_2."""
-    beta = _coords(beta)
     z = h.zero_scalar()
     out = [z] * h.dim
     for (j, k), c in h.comult_pairs(a).items():
@@ -619,7 +580,7 @@ def harpoon_right(h: HopfPresentation, a, beta) -> tuple:
 
 def is_grouplike(h: HopfPresentation, a) -> bool:
     """Delta(a) = a (x) a and a != 0 (which forces counit(a) = 1)."""
-    a, z = _coords(a), h.zero_scalar()
+    z = h.zero_scalar()
     support = [(j, aj) for j, aj in enumerate(a) if aj is not z]
     if not support:
         return False
@@ -753,7 +714,7 @@ def find_grouplikes(h: HopfPresentation) -> tuple:
         if is_grouplike(h, cand):
             found.append(cand)
     found.sort(key=lambda v: tuple(map(coordinate_key, v)))
-    return tuple(HopfElement(v) for v in found)
+    return tuple(found)
 
 
 def lift_order(h: HopfPresentation, new_order: int) -> HopfPresentation:

@@ -10,6 +10,8 @@ out the competing sign/side choices):
 - alpha, the distinguished character:    Lambda a = alpha(a) Lambda.
 - Fourth power of the antipode:  S^4(h) = g (alpha -> h <- alpha^-1) g^-1
   where -> and <- are the harpoon actions and alpha^-1 = alpha o S.
+- Lambda, g and the grouplikes are coordinate tuples in the basis;
+  lambda, alpha and alpha^-1 are coordinate tuples in the dual basis.
 
 Each derived quantity reads the normalized pair from integral_pair(h),
 which is unique because integrals are unique up to a scalar.  Each
@@ -34,8 +36,8 @@ from collections import namedtuple
 
 from .cyclofield import CycNumber
 from .errors import DegeneratePairing, IntegralSpaceNotOneDim
-from .hopf import (Functional, HopfElement, HopfPresentation, _coords,
-                   _memo, _outer_rows, algebra_generators, certified)
+from .hopf import (HopfPresentation, _memo, _outer_rows, algebra_generators,
+                   certified)
 from .linalg import Mat, Subspace, null_space_of_terms
 
 
@@ -90,27 +92,26 @@ def _one_dimensional(space: Subspace, side: str, where: str) -> tuple:
     return tuple(space.basis.data[0])
 
 
-def left_integral(h: HopfPresentation) -> HopfElement:
+def left_integral(h: HopfPresentation) -> tuple:
     """A left integral Lambda, canonically scaled (leading coordinate 1)."""
-    return HopfElement(
-        _one_dimensional(integral_subspace(h, "left"), "left", h.name))
+    return _one_dimensional(integral_subspace(h, "left"), "left", h.name)
 
 
 @_memo
-def dual_right_integral(h: HopfPresentation) -> Functional:
+def dual_right_integral(h: HopfPresentation) -> tuple:
     """A right integral lambda on H: lambda beta = beta(1) lambda in H*,
     read straight from the comult entries and unit (beta_j beta_i has
     coefficient c on beta_k for the entry (k, j, i, c), and beta_i(1) =
     unit[i])."""
-    return Functional(_one_dimensional(_integrals(
+    return _one_dimensional(_integrals(
         h, ((i, j, k, c) for k, j, i, c in h.entries("comult")),
-        dict(enumerate(h.unit))), "right", f"dual({h.name})"))
+        dict(enumerate(h.unit))), "right", f"dual({h.name})")
 
 
 IntegralPair = namedtuple("IntegralPair", "integral dual_integral")
 IntegralPair.__doc__ = """A left integral in H and a right integral on H with
-lambda(Lambda) = 1: integral is the HopfElement Lambda, dual_integral the
-Functional lambda."""
+lambda(Lambda) = 1: integral is Lambda, as its coordinates in the basis,
+and dual_integral is lambda, as its coordinates in the dual basis."""
 
 
 @_memo
@@ -128,8 +129,7 @@ def integral_pair(h: HopfPresentation) -> IntegralPair:
         raise DegeneratePairing(
             f"lambda(Lambda) = 0 on {h.name}; input is not a Hopf algebra")
     inv = val.inverse()
-    lam_fn = Functional(tuple(c * inv for c in lam_fn.coords))
-    return IntegralPair(lam_el, lam_fn)
+    return IntegralPair(lam_el, tuple(c * inv for c in lam_fn))
 
 
 # -- distinguished elements -----------------------------------------------------
@@ -144,29 +144,28 @@ def _ratios(m: Mat, ref) -> tuple:
 
 
 @_memo
-def distinguished_grouplike(h: HopfPresentation) -> HopfElement:
+def distinguished_grouplike(h: HopfPresentation) -> tuple:
     """The grouplike g in H with beta lambda = beta(g) lambda for all beta,
     read from H_l(lambda) = g lambda^T, whose row i is beta_i lambda.
     h is certified first (AxiomFailure otherwise)."""
     certified(h)
     lam = integral_pair(h).dual_integral
-    return HopfElement(_ratios(h.harpoon_matrix(lam, "left"), lam.coords))
+    return _ratios(h.harpoon_matrix(lam, "left"), lam)
 
 
 @_memo
-def distinguished_character(h: HopfPresentation) -> Functional:
+def distinguished_character(h: HopfPresentation) -> tuple:
     """The character alpha on H with Lambda a = alpha(a) Lambda, read from
     L_Lambda^T = alpha Lambda^T, whose row j is Lambda e_j.  h is
     certified first (AxiomFailure otherwise)."""
     certified(h)
     lam = integral_pair(h).integral
-    return Functional(_ratios(h.left_mult_matrix(lam).transpose(),
-                              lam.coords))
+    return _ratios(h.left_mult_matrix(lam).transpose(), lam)
 
 
-def character_inverse(h: HopfPresentation, alpha) -> Functional:
+def character_inverse(h: HopfPresentation, alpha) -> tuple:
     """Convolution inverse of a character: alpha o S."""
-    return Functional(h.antipode_matrix().transpose().apply(_coords(alpha)))
+    return h.antipode_matrix().transpose().apply(alpha)
 
 
 # -- structural predicates -------------------------------------------------------
@@ -179,7 +178,7 @@ def is_unimodular(h: HopfPresentation) -> bool:
     integral space is a line (Larson-Sweedler), so they coincide exactly
     when alpha is the counit.  No right integral is solved for.
     """
-    return distinguished_character(h).coords == h.counit
+    return distinguished_character(h) == h.counit
 
 
 def is_semisimple(h: HopfPresentation) -> bool:
@@ -255,7 +254,7 @@ def verify_s4_formula(h: HopfPresentation) -> bool:
     """
     g = distinguished_grouplike(h)
     alpha = distinguished_character(h)
-    r_ginv = h.right_mult_matrix(h.antipode_matrix().apply(g.coords))
+    r_ginv = h.right_mult_matrix(h.antipode_matrix().apply(g))
     twist = (h.harpoon_matrix(character_inverse(h, alpha), "right")
              @ h.harpoon_matrix(alpha, "left"))
     return h.s_power_matrix(4) == h.left_mult_matrix(g) @ (r_ginv @ twist)

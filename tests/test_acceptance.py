@@ -75,7 +75,7 @@ def test_c06_normal_form_reconstructs_coproduct_of_integral(t3, t5):
         table = decomposition_of(h)
         nf = normal_form(h, table)  # raises if any block off-pattern
         flat = [cyc(h.order, 0)] * (h.dim * h.dim)
-        lam = integral_pair(h).integral.coords
+        lam = integral_pair(h).integral
         for (j, k), c in h.comult_pairs(lam).items():
             flat[j * h.dim + k] = c
         assert nf.reconstruction() == tuple(flat)

@@ -135,8 +135,8 @@ def test_operator_matrices_match_the_elementwise_definitions(corpus, sw):
     for h in (*corpus.values(), sw):
         basis = [basis_element(h, t) for t in range(h.dim)]
         products = [[h.multiply(a, c) for c in basis] for a in basis]
-        for beta in (h.counit, distinguished_character(h).coords,
-                     integral_pair(h).dual_integral.coords,
+        for beta in (h.counit, distinguished_character(h),
+                     integral_pair(h).dual_integral,
                      _seeded_element(h, rng, h.dim)):
             h_l = h.harpoon_matrix(beta, "left")
             h_r = h.harpoon_matrix(beta, "right")
@@ -165,9 +165,9 @@ def test_integral_g_alpha_and_counit_are_rank_one_identities(corpus, sw):
     # beta lambda = beta(g) lambda, lambda beta = beta(1) lambda and
     # eps(ab) = eps(a) eps(b)
     for h in (*corpus.values(), sw):
-        big, small = (x.coords for x in integral_pair(h))
-        g = distinguished_grouplike(h).coords
-        alpha = distinguished_character(h).coords
+        big, small = integral_pair(h)
+        g = distinguished_grouplike(h)
+        alpha = distinguished_character(h)
         assert h.right_mult_matrix(big) == _outer(h, big, h.counit), h.name
         assert h.left_mult_matrix(big) == _outer(h, big, alpha), h.name
         assert h.harpoon_matrix(small, "left") == _outer(h, g, small), h.name
@@ -218,7 +218,7 @@ def test_grouplikes_of_group_algebra_are_basis(z5, z3z3):
         found = find_grouplikes(h)
         assert len(found) == h.dim
         expect = {basis_element(h, i) for i in range(h.dim)}
-        assert {g.coords for g in found} == expect
+        assert set(found) == expect
 
 
 def test_grouplikes_of_taft_are_powers_of_g(t3, t5):
@@ -226,12 +226,16 @@ def test_grouplikes_of_taft_are_powers_of_g(t3, t5):
         found = find_grouplikes(h)
         # basis ordering is g^i x^j at index i*n + j; powers of g sit at j=0
         expect = {basis_element(h, i * n) for i in range(n)}
-        assert {g.coords for g in found} == expect
+        assert set(found) == expect
 
 
-def test_grouplikes_form_a_group(t3, z3z3):
-    for h in (t3, z3z3):
-        found = {g.coords for g in find_grouplikes(h)}
+def test_grouplikes_form_a_group(corpus):
+    # a group holding 1 and g, each the coordinate tuple that
+    # find_grouplikes lists
+    for h in corpus.values():
+        found = find_grouplikes(h)
+        assert h.unit in found, h.name
+        assert distinguished_grouplike(h) in found, h.name
         for a in found:
             for b in found:
                 assert h.multiply(a, b) in found
@@ -249,7 +253,7 @@ def test_grouplikes_listed_by_lowest_terms_coordinates(t3d, t3z5):
     # the report lists grouplikes in this order
     for h in (t3d, t3z5):
         keys = [tuple((f.numerator, f.denominator)
-                      for x in g.coords for f in x.coeffs)
+                      for x in g for f in x.coeffs)
                 for g in find_grouplikes(h)]
         assert keys == sorted(keys) and len(set(keys)) == len(keys)
 
@@ -355,7 +359,7 @@ def test_grouplikes_of_a_tensor_product_are_the_products(t3, t3d, z3, left):
     want = sorted((tuple(x * y for x in g for y in k)
                    for g in find_grouplikes(a) for k in find_grouplikes(b)),
                   key=_lowest_terms_key)
-    got = [g.coords for g in find_grouplikes(build_tensor(a, b))]
+    got = list(find_grouplikes(build_tensor(a, b)))
     assert len(want) == 9 and got == want
 
 
@@ -425,7 +429,7 @@ def test_grouplike_with_coordinate_outside_roots_of_unity():
                       (1, 1, 0, s * s)],
         comult_entries=[(0, 0, 0, one), (1, 1, 1, s.inverse())],
         unit=(one, zero), counit=(one, s))
-    got = {g.coords for g in find_grouplikes(h)}
+    got = set(find_grouplikes(h))
     assert got == {(one, zero), (zero, (1 - zeta) / 3)}
 
 
@@ -483,7 +487,7 @@ def _oracle_grouplike_vectors(h, min_poly_of_w=None):
 def test_grouplike_completeness_oracle_sweedler(sw):
     oracle = _oracle_grouplike_vectors(sw)
     found = find_grouplikes(sw)
-    got = {tuple(sp.Rational(c.as_rational()) for c in g.coords)
+    got = {tuple(sp.Rational(c.as_rational()) for c in g)
            for g in found}
     assert got == oracle
     assert len(oracle) == 2
@@ -494,7 +498,7 @@ def test_grouplike_completeness_oracle_taft3(t3):
     # solutions come in Galois pairs, projected down to the a-vectors
     oracle = _oracle_grouplike_vectors(t3, lambda w: w ** 2 + w + 1)
     found = find_grouplikes(t3)
-    got = {tuple(sp.Rational(c.as_rational()) for c in g.coords)
+    got = {tuple(sp.Rational(c.as_rational()) for c in g)
            for g in found}
     assert got == oracle
     assert len(oracle) == 3

@@ -11,7 +11,7 @@ import pytest
 from hopf_forge import (CHECK_TAGS, AxiomFailure, BadParameters, EigenTable,
                         HopfPresentation, IndexData, IndexEven, IndexOne,
                         Lemma24Result, Mat, NonSplitting, NotInvariant,
-                        OffPatternBlock, PreconditionFailed, Subspace,
+                        NotInvertible, OffPatternBlock, PreconditionFailed, Subspace,
                         alternating_form_check, build_report, build_taft,
                         build_cyclic_group_algebra, check_dim_symmetry,
                         compute_index, coradical, coradical_is_subcoalgebra,
@@ -22,7 +22,8 @@ from hopf_forge import (CHECK_TAGS, AxiomFailure, BadParameters, EigenTable,
                         root_of_unity, trace_s2p_report, x_exponent)
 from hopf_forge import invariants
 from hopf_forge.invariants import NormalForm, selects
-from hopf_forge.cli import document_to_presentation, presentation_to_document
+from hopf_forge.cli import (document_to_presentation, main,
+                            presentation_to_document)
 from conftest import basis_element, taken_as_certified
 
 
@@ -229,6 +230,32 @@ def test_eigen_split_stops_once_a_translation_eigenspace_is_full(
     assert sum(table.dims.values()) == h.dim
 
 
+def test_a_short_eigen_partition_is_a_library_error(monkeypatch, tmp_path,
+                                                    capsys):
+    # the table's inverse(P) proves that the blocks span H: the first S^2
+    # split of a translation eigenspace of taft(3), forced to {0}, leaves
+    # P short, and report exits 1 with the error, not a traceback
+    path = str(tmp_path / "t3.json")
+    assert main(["zoo", "taft", "--n", "3", "--out", path]) == 0
+    original, forced = invariants.eigenspace, []
+
+    def short(m, c):
+        if m.rows < 9 and not forced:
+            forced.append(c)
+            return Subspace.from_vectors(m.order, m.cols, ())
+        return original(m, c)
+
+    monkeypatch.setattr(invariants, "eigenspace", short)
+    with pytest.raises(NotInvertible, match="^non-square matrix$"):
+        table_of(build_taft(3))
+    assert forced
+    forced.clear()
+    capsys.readouterr()
+    assert main(["report", path]) == 1
+    assert forced
+    assert capsys.readouterr() == ("", "error: non-square matrix\n")
+
+
 def test_dim_symmetry_and_perturbation_witness(t3, t5):
     for h in (t3, t5):
         table = table_of(h)
@@ -253,7 +280,7 @@ def test_normal_form_taft(t3):
     assert nf.table is table and table.x_exp == 2
     # blockwise reconstruction returns Delta(Lambda) exactly
     flat = [cyc(3, 0)] * 81
-    lam = integral_pair(t3).integral.coords
+    lam = integral_pair(t3).integral
     for (j, k), c in t3.comult_pairs(lam).items():
         flat[j * 9 + k] = c
     assert nf.reconstruction() == tuple(flat)
