@@ -11,9 +11,12 @@ are equal.  Order 1 gives plain rationals (zeta_1 = 1).  Each field has
 one zero object, which every zero value is, and a product by 0 or 1 or
 a sum with 0 returns that zero or the other operand without arithmetic.
 
-Roots of unity go by exponent, read from the rows of zeta^k: +-zeta^a
-times +-zeta^b is the row of zeta^(a+b), x times +-zeta^k rotates x
-through the rows, and +-zeta^k / den inverts to +-den * zeta^(-k).
+A product is reduced from the top down by Phi_N's nonzero terms, in
+O(phi(N) * nnz(Phi_N)).  Roots of unity go by exponent: zeta^k for
+k < phi(N) is the basis vector e_k, and each field keeps only the rows of
+zeta^k for phi(N) <= k < N.  +-zeta^a times +-zeta^b is +-zeta^(a+b),
+x times +-zeta^k rotates x through the rows, and +-zeta^k / den inverts
+to +-den * zeta^(-k).
 
 Scalars of different orders are never coerced; mixing them raises
 OrderMismatch.  Plain ints and Fractions, which live in every Q(zeta_N),
@@ -96,43 +99,59 @@ def cyclotomic_poly(order: int) -> tuple:
 
 
 class _Field:
-    """Per-order context: modulus, zeta rows, reduction columns, unit_of."""
+    """Per-order context that stores only what it cannot derive: Phi_N's
+    nonzero terms below x^d (d = phi(N)), which reduce products, and the
+    rows of zeta^k for d <= k < N, which unit_of maps back to k.  zeta^k
+    for k < d is the basis vector e_k, built from k and known by its one
+    nonzero coordinate; min_zeros lets unit() skip denser values."""
 
-    __slots__ = ("order", "degree", "modulus", "zeta_rows", "red_cols",
-                 "unit_of", "zero")
+    __slots__ = ("order", "degree", "modulus", "low_terms", "high_rows",
+                 "min_zeros", "unit_of", "zero")
 
     def __init__(self, order):
         self.order = order
         self.modulus = cyclotomic_poly(order)
         d = self.degree = len(self.modulus) - 1
-        # zeta^k for k in 0..order-1, as reduced coefficient tuples
-        zrows = []
-        cur = [1] + [0] * (d - 1)
-        for _ in range(order):
-            zrows.append(tuple(cur))
-            cur = [0] + cur
+        self.low_terms = tuple((j, c) for j, c in
+                               enumerate(self.modulus[:-1]) if c)
+        # zeta^k for k in d..order-1: x times zeta^(k-1), from e_(d-1)
+        rows, cur = [], [0] * (d - 1) + [1]
+        for _ in range(order - d):
             lead = cur.pop()
+            cur = [0] + cur
             if lead:
-                cur = [a - lead * b for a, b in zip(cur, self.modulus)]
-        self.zeta_rows = tuple(zrows)
-        # red_cols[t][e] is coordinate t of x^(d+e) mod Phi, e < d-1:
-        # enough to reduce any product of two reduced values
-        self.red_cols = tuple(
-            tuple(zrows[(d + e) % order][t] for e in range(d - 1))
-            for t in range(d))
-        # keys are the zeta_rows tuples themselves, so no row is copied
-        self.unit_of = {row: k for k, row in enumerate(self.zeta_rows)}
+                cur = [a - lead * c for a, c in zip(cur, self.modulus)]
+            rows.append(tuple(cur))
+        self.high_rows = tuple(rows)
+        self.min_zeros = min([row.count(0) for row in rows], default=d)
+        # keys are the high_rows tuples themselves, so no row is copied
+        self.unit_of = {row: k for k, row in enumerate(rows, d)}
         self.zero = _new(CycNumber)  # _make returns it for every zero
         self.zero.order, self.zero.num, self.zero.den = order, (0,) * d, 1
 
+    def power(self, k, c=1):
+        """The coordinates of c * zeta^k."""
+        k, d = k % self.order, self.degree
+        if k < d:
+            return (0,) * k + (c,) + (0,) * (d - 1 - k)
+        row = self.high_rows[k - d]
+        return row if c == 1 else tuple([c * x for x in row])
+
     def unit(self, num):
-        """(k, s) with num the coordinates of s * zeta^k, s = +-1, or None;
-        for even orders -zeta^k is the row of zeta^(k + order/2)."""
+        """(k, s) with num the coordinates of s * zeta^k, s = +-1, or None.
+        For even orders -zeta^k is the row of zeta^(k + order/2), k < d
+        included, so s = 1; e_k is known by its d - 1 zeros."""
         k = self.unit_of.get(num)
-        if k is None and self.order % 2:
-            k = self.unit_of.get(tuple([-x for x in num]))
-            return None if k is None else (k, -1)
-        return None if k is None else (k, 1)
+        if k is not None:
+            return k, 1
+        zeros = num.count(0)
+        if zeros == self.degree - 1:  # c * e_k, with c the sum of num
+            c = sum(num)
+            return (num.index(c), c) if c == 1 or c == -1 else None
+        if zeros < self.min_zeros:  # denser than every row
+            return None
+        k = self.unit_of.get(tuple([-x for x in num]))
+        return None if k is None else (k, -1)
 
 
 @functools.lru_cache(maxsize=None)
@@ -254,22 +273,24 @@ class CycNumber:
         f = _field(self.order)
         ua, ub = f.unit(a), f.unit(b)
         if ua and ub:
-            row = f.zeta_rows[(ua[0] + ub[0]) % f.order]
-            return _make(self.order, row if ua[1] == ub[1]
-                         else tuple([-x for x in row]), den)
+            return _make(self.order, f.power(ua[0] + ub[0], ua[1] * ub[1]),
+                         den)
         if ua or ub:
             (k, s), x = (ua, b) if ua else (ub, a)
             return _make(self.order, _substitute(
                 x if s > 0 else [-y for y in x], f, 1, k), den)
-        # conv[k] = sum_i a[i] * b[k-i], then x^(d+e) -> red_cols[.][e]
-        d = len(a)
+        # conv[k] = sum_i a[i] * b[k-i], then x^(d+k) = -x^k (Phi - x^d)
+        # from the top down, through Phi's nonzero terms
+        d, terms = len(a), f.low_terms
         pad = (0,) * (d - 1)
         a, rb = pad + a + pad, b[::-1]
         conv = [sum(map(mul, a[k:k + d], rb)) for k in range(2 * d - 1)]
-        high = conv[d:]
-        return _make(self.order, tuple([
-            c + sum(map(mul, high, col))
-            for c, col in zip(conv, f.red_cols)]), den)
+        for k in range(d - 2, -1, -1):
+            c = conv.pop()
+            if c:
+                for j, m in terms:
+                    conv[k + j] -= c * m
+        return _make(self.order, tuple(conv), den)
 
     __rmul__ = __mul__
 
@@ -285,8 +306,7 @@ class CycNumber:
         order, num, den = self.order, self.num, self.den
         f = _field(order)
         if any(num[1:]) and (u := f.unit(num)) is not None:
-            out = _make(order, tuple([u[1] * den * x for x in
-                                      f.zeta_rows[-u[0] % order]]), 1)
+            out = _make(order, f.power(-u[0], u[1] * den), 1)
         else:
             r0, s0, t0 = list(f.modulus), [], 1
             r1, s1, t1 = _trim(list(num)), [1], 1
@@ -390,7 +410,7 @@ def cyc(order: int, value) -> CycNumber:
 
 def root_of_unity(order: int, k: int) -> CycNumber:
     """zeta_order^k as a canonical element of Q(zeta_order)."""
-    return _make(order, _field(order).zeta_rows[k % order], 1)
+    return _make(order, _field(order).power(k), 1)
 
 
 def _substitute(num, f: _Field, u: int, shift: int = 0) -> tuple:
@@ -403,7 +423,7 @@ def _substitute(num, f: _Field, u: int, shift: int = 0) -> tuple:
             if e < d:
                 out[e] += c
                 continue
-            for s, z in enumerate(f.zeta_rows[e]):
+            for s, z in enumerate(f.high_rows[e - d]):
                 if z:
                     out[s] += c * z
     return tuple(out)

@@ -419,13 +419,20 @@ def check_axioms(h: HopfPresentation) -> AxiomChecklist:
 
 
 @_memo
+def first_axiom_failure(h: HopfPresentation):
+    """The first (axiom, witness) of check_axioms(h), or None.  It returns
+    rather than raises, so it is stored and h is checked once."""
+    return next(iter(check_axioms(h).failures()), None)
+
+
+@_memo
 def certified(h: HopfPresentation) -> None:
     """Certify h a Hopf algebra: the first failure of check_axioms(h)
     raises AxiomFailure "axiom: witness", the line verify prints first;
     with no stored antipode, compute_antipode's NoAntipode is the
     certificate.  The invariants' theorems hold for Hopf algebras only,
     so the calls that read g, alpha or the index certify first."""
-    failure = next(iter(check_axioms(h).failures()), None)
+    failure = first_axiom_failure(h)
     if failure is not None:
         name, detail = failure
         raise AxiomFailure(f"{name}: {detail}")

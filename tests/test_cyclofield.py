@@ -4,6 +4,7 @@ tables, Galois action, order lifting, and the JSON scalar codec."""
 import json
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -304,20 +305,17 @@ from operator import add, mul, sub  # noqa: E402
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from hopf_forge.cyclofield import (_field, _make, _poly_mul,  # noqa: E402
-                                   _pseudo_divmod, _sum, _trim)
+from hopf_forge.cyclofield import (_Field, _field, _make,  # noqa: E402
+                                   _poly_mul, _pseudo_divmod, _sum, _trim)
 
 
 def reference_product(a, b):
-    """a * b by convolution of the numerators and reduction by red_cols."""
-    f = _field(a.order)
-    d = f.degree
-    pad = (0,) * (d - 1)
-    x, rb = pad + a.num + pad, b.num[::-1]
-    conv = [sum(map(mul, x[k:k + d], rb)) for k in range(2 * d - 1)]
-    high = conv[d:]
-    return _make(a.order, tuple(c + sum(map(mul, high, col))
-                                for c, col in zip(conv, f.red_cols)),
+    """a * b by schoolbook multiplication of the numerators and integer
+    pseudo-division by Phi, sharing no table with the field."""
+    _, r, m = _pseudo_divmod(_poly_mul(list(a.num), list(b.num)),
+                             list(cyclotomic_poly(a.order)))
+    assert m == 1
+    return _make(a.order, tuple(r) + (0,) * (len(a.num) - len(r)),
                  a.den * b.den)
 
 
@@ -451,3 +449,78 @@ def test_a_directly_built_zero_is_still_zero():
     assert raw * zeta is cyc(order, 0) and zeta * raw is cyc(order, 0)
     assert zeta + raw is zeta and raw + zeta is zeta
     assert (raw - zeta) == -zeta
+
+
+# -- large orders: the field keeps only the rows of zeta^k for k >= phi(N) ----
+#
+# Q(zeta_pq) for the twin primes 17, 19 and 29, 31, an even order and
+# 999 = 27 * 37, against reference_product and pseudo-division by Phi.
+
+LARGE_ORDERS = (323, 646, 899, 999)
+
+
+def power_oracle(order, k):
+    """The coordinates of zeta^k, as x^k mod Phi_order by pseudo-division."""
+    phi = list(cyclotomic_poly(order))
+    _, r, _ = _pseudo_divmod([0] * k + [1], phi)
+    return tuple(r) + (0,) * (len(phi) - 1 - len(r))
+
+
+@pytest.mark.parametrize("order", LARGE_ORDERS)
+def test_unit_knows_every_signed_root_of_unity_at_large_orders(order):
+    f, half = _field(order), order // 2
+    for k in range(order):
+        z = root_of_unity(order, k)
+        assert f.unit(z.num) == (k, 1)
+        # -zeta^k is zeta^(k + order/2) when the order is even
+        assert f.unit((-z).num) == (((k + half) % order, 1) if order % 2 == 0
+                                    else (k, -1))
+        assert f.unit((2 * z).num) is None
+        # zeta^k (1 + zeta) is no root of unity once the order exceeds 6
+        assert f.unit((z + root_of_unity(order, k + 1)).num) is None
+
+
+@pytest.mark.parametrize("order", LARGE_ORDERS)
+def test_roots_of_unity_and_unit_inverses_at_large_orders(order):
+    d, rng = _field(order).degree, random.Random(5000 + order)
+    for k in (0, 1, d - 1, d, d + 1, order - 1, *rng.sample(range(order), 3)):
+        z = root_of_unity(order, k)
+        assert z.num == power_oracle(order, k) and z.den == 1
+        inverse = power_oracle(order, -k % order)
+        for s, den in ((1, 1), (-1, 3)):
+            w = z * Fraction(s, den)
+            assert w.inverse().num == tuple(s * den * x for x in inverse)
+            assert_canonical(w.inverse())
+    w = root_of_unity(order, order - 2) * Fraction(-2, 7)
+    assert reference_product(w, w.inverse()) == 1
+
+
+@pytest.mark.parametrize("order", LARGE_ORDERS)
+def test_products_match_the_oracle_at_large_orders(order):
+    rng = random.Random(6000 + order)
+    degree = _field(order).degree
+    x, y = (CycNumber(order, [Fraction(rng.randint(-3, 3), rng.choice((1, 2)))
+                              for _ in range(degree)]) for _ in range(2))
+    got = x * y
+    assert_canonical(got)
+    assert got == reference_product(x, y)
+    for k in (3, order - 4):
+        u = -root_of_unity(order, k) / 5
+        assert u * x == reference_product(u, x) == x * u
+
+
+def test_a_field_keeps_only_what_it_cannot_derive():
+    # a directly built context, so _field's one zero object per order is
+    # left alone; the rows of zeta^k for k < phi(N) would cost megabytes
+    for order, bound in ((999, 2.5e6), (899, 1e6)):
+        cyclotomic_poly(order)  # the modulus is cached outside the field
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        before = tracemalloc.get_traced_memory()[0]
+        f = _Field(order)
+        retained = tracemalloc.get_traced_memory()[0] - before
+        if not tracing:
+            tracemalloc.stop()
+        assert retained <= bound, (order, retained)
+        assert len(f.high_rows) == order - f.degree

@@ -13,11 +13,13 @@ import pytest
 import hopf_forge.hopf as hopf_module
 import hopf_forge.integrals as integrals_module
 import hopf_forge.invariants as invariants_module
-from hopf_forge import (CycNumber, HopfPresentation, IntegralSpaceNotOneDim,
-                        build_report, build_taft, compute_index, coradical,
-                        cyc, distinguished_character,
-                        distinguished_grouplike, dual_right_integral,
-                        find_grouplikes, integral_pair, integral_subspace)
+from hopf_forge import (AxiomFailure, CycNumber, HopfPresentation,
+                        IntegralSpaceNotOneDim, build_report, build_taft,
+                        compute_index, coradical, cyc,
+                        distinguished_character, distinguished_grouplike,
+                        dual_right_integral, find_grouplikes, integral_pair,
+                        integral_subspace)
+from hopf_forge.cli import document_to_presentation, presentation_to_document
 
 
 def _count_charpoly(monkeypatch):
@@ -171,6 +173,7 @@ def test_t3z5_report_makes_one_product_per_s_power(monkeypatch, t3z5):
 
 MEMOIZED = {
     "antipode_matrix", "s_power_matrix", "algebra_generators", "certified",
+    "first_axiom_failure",
     "find_grouplikes", "integral_subspace", "dual_right_integral",
     "integral_pair", "distinguished_grouplike", "distinguished_character",
     "integral_form", "integral_coproduct", "trace_form", "compute_index",
@@ -234,6 +237,27 @@ def test_a_computation_that_raises_stores_nothing():
             _, calls = _entered(lambda: pytest.raises(error, run))
             assert [owner for _, owner in calls] == [h]
             assert h._cache == {}
+
+
+def test_a_failed_certificate_checks_the_axioms_once(monkeypatch):
+    # certified raises, so it stores nothing, but the failure it raises
+    # is stored: three calls on taft(3) read over Q(zeta_999) check once
+    calls = []
+    original = hopf_module.check_axioms
+
+    def counting(h):
+        calls.append(h)
+        return original(h)
+
+    monkeypatch.setattr(hopf_module, "check_axioms", counting)
+    doc = presentation_to_document(build_taft(3))
+    doc["cyclotomic_order"] = 999
+    h = document_to_presentation(doc)
+    for run in (distinguished_grouplike, distinguished_character,
+                compute_index):
+        with pytest.raises(AxiomFailure, match=r"^associativity: "):
+            run(h)
+    assert calls == [h]
 
 
 def test_every_cache_key_names_a_memoized_function(t3z5):
