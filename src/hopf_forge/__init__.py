@@ -5,9 +5,9 @@ Everything is computed in exact arithmetic (rationals and canonical
 power-basis cyclotomic numbers); no floats, no numerical tolerance.
 """
 
-from .cyclofield import (CycNumber, cyc, cyclotomic_poly, format_scalar,
-                         galois_conjugate, lift_scalar, root_of_unity,
-                         scalar_from_json, scalar_to_json)
+from .cyclofield import (CycNumber, cyc, cyclotomic_poly, galois_conjugate,
+                         lift_scalar, root_of_unity, scalar_from_json,
+                         scalar_to_json)
 from .errors import (AxiomFailure, BadParameters, BoundExceeded,
                      DegeneratePairing, DivisionByZero, EigenvalueNotInField,
                      HopfForgeError, IndexEven, IndexOne,

@@ -77,6 +77,17 @@ def _pseudo_divmod(a, b):
     return _trim(q), _trim(r), m
 
 
+def _power(mul, x, t: int):
+    """x^t (t >= 1) under the associative product mul, by squaring."""
+    acc = None
+    while t:
+        if t & 1:
+            acc = x if acc is None else mul(acc, x)
+        t >>= 1
+        x = mul(x, x) if t else x
+    return acc
+
+
 @functools.lru_cache(maxsize=None)
 def cyclotomic_poly(order: int) -> tuple:
     """Coefficients of Phi_order, ascending, as ints (monic).
@@ -343,17 +354,13 @@ class CycNumber:
         return _make(self.order, *oc) * self.inverse()
 
     def __pow__(self, n):
+        """self^n by _power; n == 0 gives 1, and a negative n inverts
+        first."""
         if not isinstance(n, int):
             return NotImplemented
-        base = self if n >= 0 else self.inverse()
-        n = abs(n)
-        acc = cyc(self.order, 1)
-        while n:
-            if n & 1:
-                acc = acc * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return acc
+        if not n:
+            return cyc(self.order, 1)
+        return _power(mul, self.inverse() if n < 0 else self, abs(n))
 
     # -- comparison ------------------------------------------------------
 
@@ -372,7 +379,7 @@ class CycNumber:
         return hash((self.order, self.num, self.den))
 
     def __repr__(self):
-        return f"CycNumber({self.order}, {format_scalar(self)!r})"
+        return f"CycNumber({self.order}, {scalar_to_json(self)!r})"
 
 
 _new = object.__new__
@@ -401,9 +408,11 @@ def coordinate_key(a: CycNumber) -> tuple:
 
 
 def cyc(order: int, value) -> CycNumber:
-    """A rational value embedded into Q(zeta_order)."""
+    """A rational value, an int or a Fraction, embedded into Q(zeta_order);
+    any other type raises TypeError, so no float is ever read."""
     if not isinstance(value, (int, Rational)):
-        value = Rational(value)
+        raise TypeError(f"cyc takes an int or a Fraction, not "
+                        f"{type(value).__name__}")
     return _make(order, (value.numerator,)
                  + (0,) * (_field(order).degree - 1), value.denominator)
 
@@ -479,24 +488,3 @@ def scalar_from_json(obj, order: int) -> CycNumber:
                      + (0,) * (d - len(num)), sign * den)
     raise OrderMismatch(f"unreadable scalar {obj!r}")
 
-
-def format_scalar(a: CycNumber) -> str:
-    """Short human-readable form; z stands for zeta_order."""
-    if not a:
-        return "0"
-    parts = []
-    for t, n in enumerate(a.num):
-        if not n:
-            continue
-        mag = abs(n)
-        if t == 0:
-            body = str(mag)
-        else:
-            zt = "z" if t == 1 else f"z^{t}"
-            body = zt if mag == 1 else f"{mag}*{zt}"
-        parts.append(("-" if n < 0 else "+") + body)
-    s = "".join(parts)
-    s = s[1:] if s.startswith("+") else s
-    if a.den != 1:
-        s = f"({s})/{a.den}" if len(parts) > 1 else f"{s}/{a.den}"
-    return s

@@ -615,9 +615,9 @@ def _line_grouplike(h: HopfPresentation, w: Subspace):
 
 
 def _acts_as_scalar(a, wcols, c) -> bool:
-    """A = c w^T exactly: then m = c I and R = 0, so the state for c is w.
-    Compares the nonzeros of a, {(l, r): A[l][r]}, and of wcols, column
-    l of w as (r, entry) pairs."""
+    """A = c w^T exactly: then m = c I and R = 0, so w is carried on
+    whole.  Compares the nonzeros of a, {(l, r): A[l][r]}, and of wcols,
+    column l of w as (r, entry) pairs."""
     got = {key: x for key, x in a.items() if x}
     if not c:
         return not got
@@ -640,12 +640,12 @@ def find_grouplikes(h: HopfPresentation) -> tuple:
     rational}.  A one-dimensional state span(v), with v = 1 at its pivot
     p, is closed at once: its only possible grouplike is lambda v with
     lambda = Delta(v)_(p,p), which is tested directly, so its eigenvalues
-    need not lie in that family.  A state on which T_k is a scalar c is
-    kept whole with c appended.  Each search finds the roots of each
-    characteristic polynomial, zero roots divided out, once.  If that of a
-    state of dimension >= 2 does not split over the family,
-    EigenvalueNotInField is raised, since completeness of the enumeration
-    could not be certified.
+    need not lie in that family.  A state on which T_k is a scalar is
+    carried on whole.  Each search finds the roots of each characteristic
+    polynomial, zero roots divided out, once.  If that of a state of
+    dimension >= 2 does not split over the family, EigenvalueNotInField
+    is raised, since completeness of the enumeration could not be
+    certified.
 
     States of K are refined by T_0, T_1, ..., each state w (RREF basis,
     pivots p_j, d = dim w) split in its own d coordinates.  A = T_k w^T
@@ -654,6 +654,10 @@ def find_grouplikes(h: HopfPresentation) -> tuple:
     v = w^T x, T_k v = c v exactly when (m - c) x = 0 and R x = 0.  The
     new state is w.image_of(X) for the kernel X in RREF: X w is already
     the canonical basis an rref would give.
+
+    After the last operator each state has Delta(v) = c (x) v = v (x) c
+    for all its v, so one of dimension >= 2 has c = 0 and no grouplike;
+    pass n closes the one-dimensional states and drops the rest.
     """
     n = h.dim
     z = cyc(h.order, 0)
@@ -662,20 +666,17 @@ def find_grouplikes(h: HopfPresentation) -> tuple:
     for i in range(n):
         for (k, l), c in h.comult[i].items():
             by_k[k].append((i, l, c))
-    states = [(_cocommutative_subspace(h), [])]
+    states = [_cocommutative_subspace(h)]
     roots_of = {}  # charpoly with its zero roots divided out -> its roots
-    for k in range(n):
-        open_states = []
-        for (w, assigned) in states:
-            if w.dim > 1:
-                open_states.append((w, assigned))
-            elif w.dim == 1 and (g := _line_grouplike(h, w)) is not None:
+    for k in range(n + 1):
+        for w in states:
+            if w.dim == 1 and (g := _line_grouplike(h, w)) is not None:
                 found.append(g)
-        states = open_states
-        if not states:
+        states = [w for w in states if w.dim > 1]
+        if k == n or not states:
             break
         new_states = []
-        for (w, assigned) in states:
+        for w in states:
             d, wcols = w.dim, {}
             for r, row in enumerate(w.basis.nonzeros()):
                 for i, x in row:
@@ -686,9 +687,8 @@ def find_grouplikes(h: HopfPresentation) -> tuple:
                     a[l, r] = a.get((l, r), z) + c * x
             m = Mat(h.order, [[a.get((p, r), z) for r in range(d)]
                               for p in w.pivots], cols=d)
-            c = m.data[0][0]
-            if _acts_as_scalar(a, wcols, c):
-                new_states.append((w, assigned + [c]))
+            if _acts_as_scalar(a, wcols, m.data[0][0]):
+                new_states.append(w)
                 continue
             chi = charpoly(m)
             zeros = next(i for i, x in enumerate(chi) if x)
@@ -714,12 +714,8 @@ def find_grouplikes(h: HopfPresentation) -> tuple:
                 ker = null_space_of_terms(
                     h.order, d, eqs + [(j, j, -c) for j in range(d)])
                 if ker.dim:
-                    new_states.append((w.image_of(ker), assigned + [c]))
+                    new_states.append(w.image_of(ker))
         states = new_states
-    for (_w, assigned) in states:
-        cand = tuple(assigned)
-        if is_grouplike(h, cand):
-            found.append(cand)
     found.sort(key=lambda v: tuple(map(coordinate_key, v)))
     return tuple(found)
 

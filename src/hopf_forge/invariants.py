@@ -25,7 +25,7 @@ from __future__ import annotations
 from collections import namedtuple
 from math import gcd, isqrt, lcm
 
-from .cyclofield import CycNumber, cyc, root_of_unity, scalar_to_json
+from .cyclofield import CycNumber, _power, cyc, root_of_unity, scalar_to_json
 from .errors import (BadParameters, IndexEven, IndexOne, NonSplitting,
                      NotInvariant, OffPatternBlock, PreconditionFailed)
 from .hopf import HopfPresentation, _memo, certified, find_grouplikes
@@ -70,17 +70,6 @@ def compute_index(h: HopfPresentation) -> IndexData:
     g_order = next(d for d in divisors if _power(h.multiply, g, d) == h.unit)
     return IndexData(n=lcm(s4_order, g_order), s4_order=s4_order,
                      g_order=g_order)
-
-
-def _power(mul, x, t: int):
-    """x^t (t >= 1) under the associative product mul, by squaring."""
-    acc = None
-    while t:
-        if t & 1:
-            acc = x if acc is None else mul(acc, x)
-        t >>= 1
-        x = mul(x, x) if t else x
-    return acc
 
 
 def omega_for_index(h: HopfPresentation, n: int,
@@ -614,9 +603,10 @@ def build_report(h: HopfPresentation, omega_power: int = 1,
 
     h is certified first (see certified), so non-Hopf input fails with
     its first axiom witness before any search, and every search is
-    bounded by a theorem (see compute_index).  Each check's (status, detail) is recorded once under its tag, and the
-    report lists CHECK_TAGS in order, keeping the tags that a selector in
-    selected names (see selects).  A stage that cannot run gives its
+    bounded by a theorem (see compute_index).  Each check's (status,
+    detail) is recorded once under its tag, and the report lists
+    CHECK_TAGS in order, keeping the tags that a selector in selected
+    names (see selects).  A stage that cannot run gives its
     skipped:REASON to every tag of its group still unrecorded.  The
     trace variants, the S^4 formula, the reconstruction, the projection
     traces and the alternating form run only when a tag of their group is

@@ -77,32 +77,11 @@ class Mat:
     def col(self, j):
         return tuple(row[j] for row in self.data)
 
-    def _check(self, other):
-        if self.order != other.order:
-            raise OrderMismatch("matrix orders differ")
-
     # -- arithmetic ------------------------------------------------------
 
-    def __add__(self, other):
-        self._check(other)
-        return Mat(self.order, [[a + b for a, b in zip(r1, r2)]
-                                for r1, r2 in zip(self.data, other.data)],
-                   cols=self.cols)
-
-    def __sub__(self, other):
-        self._check(other)
-        return Mat(self.order, [[a - b for a, b in zip(r1, r2)]
-                                for r1, r2 in zip(self.data, other.data)],
-                   cols=self.cols)
-
-    def __neg__(self):
-        return Mat(self.order, [[-a for a in r] for r in self.data], cols=self.cols)
-
-    def scale(self, c):
-        return Mat(self.order, [[a * c for a in r] for r in self.data], cols=self.cols)
-
     def __matmul__(self, other):
-        self._check(other)
+        if self.order != other.order:
+            raise OrderMismatch("matrix orders differ")
         if self.cols != other.rows:
             raise OrderMismatch(f"shape mismatch {self.rows}x{self.cols} @ "
                                 f"{other.rows}x{other.cols}")
@@ -244,9 +223,6 @@ class Subspace:
         needed for the canonical basis."""
         return Subspace(self.order, self.ambient_dim, ker.basis @ self.basis,
                         tuple(self.pivots[j] for j in ker.pivots))
-
-    def contains(self, vec) -> bool:
-        return self.coords_of(vec) is not None
 
     def coords_of(self, vec):
         """Coefficients of vec over the basis rows, or None if outside.

@@ -179,6 +179,36 @@ def test_order_mismatch_on_mixed_arithmetic():
         cyc(3, 1) + cyc(5, 1)
 
 
+def test_cyc_takes_only_exact_values():
+    # an int or a Fraction is read exactly; a float would enter as its
+    # binary value, so it is refused, as the arithmetic operators refuse it
+    assert cyc(1, Fraction(1, 10)) == Fraction(1, 10)
+    for value in (0.1, 0.5, "1/3", None):
+        with pytest.raises(TypeError):
+            cyc(3, value)
+    with pytest.raises(TypeError):
+        cyc(1, 1) + 0.5
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_powers_match_repeated_products(order):
+    rng = random.Random(order)
+    a = random_scalar(order, rng)
+    while not a:
+        a = random_scalar(order, rng)
+    acc = cyc(order, 1)
+    for n in range(9):
+        assert a ** n == acc and a ** -n == acc.inverse()
+        acc = acc * a
+    assert cyc(order, 0) ** 0 == 1 and cyc(order, 0) ** 3 == 0
+
+
+def test_repr_shows_the_json_form():
+    assert repr(cyc(3, 5)) == "CycNumber(3, 5)"
+    assert repr(CycNumber(3, [1, Fraction(-2, 3)])) == \
+        "CycNumber(3, {'num': [3, -2], 'den': 3})"
+
+
 def test_order_bound():
     with pytest.raises(BoundExceeded):
         cyclotomic_poly(0)

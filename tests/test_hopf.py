@@ -326,9 +326,9 @@ def test_each_fresh_presentation_runs_its_own_root_search(monkeypatch):
 
 
 def test_scalar_states_are_carried_whole(monkeypatch, corpus):
-    # a state on which T_k acts as a scalar c is carried on with c
-    # appended; splitting it by its characteristic polynomial instead
-    # gives the same grouplikes
+    # a state on which T_k acts as a scalar is carried on whole;
+    # splitting it by its characteristic polynomial instead gives the
+    # same grouplikes
     verdicts = []
     acts_as_scalar = hopf_module._acts_as_scalar
 
@@ -343,6 +343,25 @@ def test_scalar_states_are_carried_whole(monkeypatch, corpus):
     monkeypatch.setattr(hopf_module, "_acts_as_scalar", lambda *args: False)
     for name, h in corpus.items():
         assert hopf_module.find_grouplikes.__wrapped__(h) == want[name], name
+
+
+def test_states_left_after_the_last_operator_are_closed(monkeypatch):
+    # on dual(k[Z2]) over Q, T_0 is the identity on the cocommutative
+    # subspace and T_1 splits it, so both grouplikes, the characters
+    # (1, 1) and (1, -1), become one-dimensional states only after the
+    # last operator; those are closed as any other line is
+    closed = []
+    line_grouplike = hopf_module._line_grouplike
+
+    def recording(h, w):
+        closed.append(line_grouplike(h, w))
+        return closed[-1]
+
+    monkeypatch.setattr(hopf_module, "_line_grouplike", recording)
+    one, minus = cyc(1, 1), cyc(1, -1)
+    found = find_grouplikes(dual(build_group_algebra([[0, 1], [1, 0]])))
+    assert found == ((one, minus), (one, one))
+    assert len(closed) == 2 and set(closed) == set(found)
 
 
 def _lowest_terms_key(coords):
@@ -633,7 +652,7 @@ def _word_span(h, gens):
         for s in gens:
             for w in frontier:
                 p = h.multiply(basis_element(h, s), w)
-                if not span.contains(p):
+                if span.coords_of(p) is None:
                     new.append(p)
                     span = Subspace.from_vectors(h.order, h.dim, words + new)
         words, frontier = words + new, new

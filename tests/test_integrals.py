@@ -36,7 +36,8 @@ def stacked_integral_kernel(h, side="left"):
                                          for j in range(h.dim)))
         else:
             op = h.right_mult_matrix(a)
-        rows += (op - Mat.identity(h.order, h.dim).scale(h.counit[i])).data
+        rows += [[x - h.counit[i] if r == c else x for c, x in enumerate(row)]
+                 for r, row in enumerate(op.data)]
     return null_space(Mat(h.order, rows))
 
 
@@ -45,7 +46,7 @@ def test_left_integral_matches_stacked_kernel_oracle(corpus):
         ker = stacked_integral_kernel(h)
         assert ker.dim == 1, name
         lam = left_integral(h)
-        assert ker.contains(lam), name
+        assert ker.coords_of(lam) is not None, name
 
 
 def test_integral_spaces_equal_the_stacked_kernel_oracle(corpus, sw, t3,

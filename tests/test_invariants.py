@@ -15,11 +15,12 @@ from hopf_forge import (CHECK_TAGS, AxiomFailure, BadParameters, EigenTable,
                         alternating_form_check, build_report, build_taft,
                         build_cyclic_group_algebra, check_dim_symmetry,
                         compute_index, coradical, coradical_is_subcoalgebra,
-                        coradical_traces, cyc, eigen_decomposition,
+                        coradical_traces, cyc, dual, eigen_decomposition,
                         eigenspace, find_grouplikes, h_plus_minus,
                         integral_coproduct, integral_pair, lemma24_check,
-                        normal_form, omega_for_index, projection_traces,
-                        root_of_unity, trace_s2p_report, x_exponent)
+                        lift_order, normal_form, omega_for_index,
+                        projection_traces, root_of_unity, trace_s2p_report,
+                        x_exponent)
 from hopf_forge import invariants
 from hopf_forge.invariants import NormalForm, selects
 from hopf_forge.cli import (document_to_presentation, main,
@@ -140,7 +141,8 @@ def test_taft_fourier_eigenvector_oracle(t3, t5):
                     c * omega ** ((n - j) % n) for c in f)
                 assert tuple(rg.apply(f)) == tuple(
                     c * omega ** ((j + t) % n) for c in f)
-                assert table.spaces[(0, (n - j) % n, (j + t) % n)].contains(f)
+                space = table.spaces[(0, (n - j) % n, (j + t) % n)]
+                assert space.coords_of(f) is not None
         assert sum(table.dims.values()) == h.dim
         assert all(table.dims[(0, i, j)] == 1
                    for i in range(n) for j in range(n))
@@ -172,7 +174,7 @@ def test_eigen_projections_resolve_identity(t3, t5, t3z5):
         assert pinv @ p == ident
         assert len(labels) == p.cols == h.dim
         for c, key in enumerate(labels):
-            assert table.spaces[key].contains(p.col(c))
+            assert table.spaces[key].coords_of(p.col(c)) is not None
         assert len(set(labels)) > 1
 
 
@@ -328,8 +330,9 @@ def test_normal_form_blocks_are_expanded_on_demand(name, request):
         # rows in H_partner
         left = table.spaces[key]
         right = table.spaces[table.pattern_partner(key)]
-        assert all(left.contains([row[k] for row in m]) for k in range(h.dim))
-        assert all(right.contains(row) for row in m)
+        assert all(left.coords_of([row[k] for row in m]) is not None
+                   for k in range(h.dim))
+        assert all(right.coords_of(row) is not None for row in m)
     assert tuple(total) == nf.reconstruction()
 
 
@@ -670,6 +673,39 @@ def test_report_taft5_all_pass(t5):
 def test_report_omega_power_changes_x(t3):
     rep = build_report(t3, omega_power=2)
     assert rep.all_ok and rep.x_exp == 1
+
+
+def _document_changes(a, b):
+    """The keys of report document b whose values differ from a's."""
+    return {key for key in a if a[key] != b[key]}
+
+
+@pytest.mark.parametrize("n", (3, 5, 7))
+def test_report_of_a_taft_dual_equals_the_taft_report(n):
+    # taft(n) is self-dual, and no report field depends on the basis
+    want = build_report(build_taft(n)).to_document()
+    got = build_report(dual(build_taft(n))).to_document()
+    assert got["all_ok"] and _document_changes(want, got) == {"name"}
+
+
+@pytest.mark.parametrize("m", (6, 9, 15))
+def test_report_is_unchanged_by_a_field_lift(t3, m):
+    want = build_report(t3).to_document()
+    got = build_report(lift_order(t3, m)).to_document()
+    assert _document_changes(want, got) == {"cyclotomic_order"}
+
+
+@pytest.mark.parametrize("name, p", (("t3", 2), ("t5", 2), ("t5", 3),
+                                     ("t5", 4)))
+def test_report_omega_power_changes_only_x(name, p, request):
+    # alpha(g) = omega^x, so with omega^p in place of omega the exponent
+    # x_p solves p * x_p = x_1 (mod n); nothing else moves
+    h = request.getfixturevalue(name)
+    n = compute_index(h).n
+    want = build_report(h).to_document()
+    got = build_report(h, omega_power=p).to_document()
+    assert _document_changes(want, got) == {"omega_power", "x_exponent"}
+    assert p * got["x_exponent"] % n == want["x_exponent"]
 
 
 def test_report_skip_statuses_semisimple(z15):

@@ -240,7 +240,8 @@ def test_eigenspace_is_null_space_of_the_dense_shift(order):
     rng = random.Random(order * 101)
 
     def shifted(m, c):
-        return m - Mat.identity(order, m.rows).scale(c)
+        return Mat(order, [[x - c if r == j else x for j, x in enumerate(row)]
+                           for r, row in enumerate(m.data)], cols=m.cols)
 
     def scalar():
         return rand_mat(order, 1, 1, rng, density=1.0).data[0][0]
@@ -255,7 +256,7 @@ def test_eigenspace_is_null_space_of_the_dense_shift(order):
                      zip(rows[0], rows[-1])] if rows else [cyc(order, 0)])
         sing = Mat(order, rows, cols=n)
         c = scalar()
-        m = sing + Mat.identity(order, n).scale(c)
+        m = shifted(sing, -c)
         off = scalar()
         while null_space(shifted(m, off)).dim:
             off = off + 1
@@ -289,9 +290,11 @@ def test_subspace_membership_and_coordinates():
             for j in range(6):
                 rebuilt[j] = rebuilt[j] + c * sub.basis.data[t][j]
         assert tuple(rebuilt) == tuple(v)
-    outside = [cyc(5, 1)] * 6
-    if not sub.contains(outside):
-        assert sub.coords_of(outside) is None
+    # a vector of the span is zero if it is zero at every pivot, so a unit
+    # vector off the pivots lies outside it
+    j = next(j for j in range(6) if j not in sub.pivots)
+    outside = [cyc(5, 1) if t == j else cyc(5, 0) for t in range(6)]
+    assert sub.coords_of(outside) is None
 
 
 def test_restrict_operator():
