@@ -17,7 +17,7 @@ from .errors import (AxiomFailure, BadParameters, BoundExceeded,
                      PreconditionFailed)
 from .hopf import (AxiomChecklist, HopfPresentation, certified,
                    check_axioms, compute_antipode, dual, find_grouplikes,
-                   harpoon_left, harpoon_right, is_grouplike, lift_order)
+                   is_grouplike, lift_order)
 from .integrals import (IntegralPair, character_inverse,
                         distinguished_character, distinguished_grouplike,
                         dual_right_integral, integral_coproduct,

@@ -93,6 +93,10 @@ def document_to_presentation(doc) -> HopfPresentation:
     if not (isinstance(basis, list) and len(basis) == dim
             and all(isinstance(b, str) for b in basis)):
         raise MalformedFile("basis must be a list of dim labels")
+    try:  # a lone surrogate is a str that no UTF-8 document can hold
+        "".join([name, *basis]).encode()
+    except UnicodeEncodeError:
+        raise MalformedFile("name and labels must be Unicode text") from None
 
     parsed = {}  # each distinct scalar is parsed and checked once per file
 
@@ -364,6 +368,8 @@ def main(argv=None) -> int:
 
 
 def entry():
+    # stdout carries the UTF-8 bytes that --out writes, whatever the locale
+    sys.stdout.reconfigure(encoding="utf-8")
     raise SystemExit(main())
 
 

@@ -548,7 +548,7 @@ def compute_antipode(h: HopfPresentation) -> Mat:
     return s
 
 
-# -- dual and harpoons --------------------------------------------------------
+# -- dual ---------------------------------------------------------------------
 
 
 def dual(h: HopfPresentation) -> HopfPresentation:
@@ -560,26 +560,6 @@ def dual(h: HopfPresentation) -> HopfPresentation:
         comult_entries=[(i, j, k, c) for j, k, i, c in h.entries("mult")],
         unit=h.counit, counit=h.unit, antipode=s,
         basis=tuple(f"{lbl}*" for lbl in h.basis))
-
-
-def harpoon_left(h: HopfPresentation, beta, a) -> tuple:
-    """beta harpoon-from-left a = sum a_1 beta(a_2)."""
-    z = h.zero_scalar()
-    out = [z] * h.dim
-    for (j, k), c in h.comult_pairs(a).items():
-        if beta[k] is not z:
-            out[j] = out[j] + c * beta[k]
-    return tuple(out)
-
-
-def harpoon_right(h: HopfPresentation, a, beta) -> tuple:
-    """a harpoon-from-right beta = sum beta(a_1) a_2."""
-    z = h.zero_scalar()
-    out = [z] * h.dim
-    for (j, k), c in h.comult_pairs(a).items():
-        if beta[j] is not z:
-            out[k] = out[k] + c * beta[j]
-    return tuple(out)
 
 
 # -- grouplikes ---------------------------------------------------------------

@@ -58,14 +58,13 @@ def compute_index(h: HopfPresentation) -> IndexData:
     h is certified first.  S^4 is conjugation by g composed with the
     commuting alpha-twist (Radford 1976), and the orders of g and alpha
     divide dim H (Nichols-Zoeller 1989), so both orders divide dim H:
-    each is the least divisor d of dim H with (S^4)^d = I, resp.
-    g^d = 1, the powers taken by repeated squaring.
+    each is the least divisor d of dim H with S^(4d) = I, read from the
+    S-power memo, resp. g^d = 1, taken by repeated squaring.
     """
     certified(h)
     divisors = [d for d in range(1, h.dim + 1) if h.dim % d == 0]
-    s4, ident = h.s_power_matrix(4), Mat.identity(h.order, h.dim)
-    s4_order = next(d for d in divisors
-                    if _power(Mat.__matmul__, s4, d) == ident)
+    ident = Mat.identity(h.order, h.dim)
+    s4_order = next(d for d in divisors if h.s_power_matrix(4 * d) == ident)
     g = distinguished_grouplike(h)
     g_order = next(d for d in divisors if _power(h.multiply, g, d) == h.unit)
     return IndexData(n=lcm(s4_order, g_order), s4_order=s4_order,
@@ -81,8 +80,6 @@ def omega_for_index(h: HopfPresentation, n: int,
     cyclotomic order to lift to.
     """
     _check_coprime(power, n)
-    if n == 1:
-        return cyc(h.order, 1)
     if h.order % n == 0:
         return root_of_unity(h.order, (h.order // n) * power)
     if n == 2:
@@ -534,12 +531,13 @@ def check_selection(selected: list, shown: str):
 
 
 class InvariantReport(namedtuple("InvariantReport", (
-        "name dim order omega_power semisimple cosemisimple unimodular "
-        "index x_exp dims dim_h_plus dim_h_minus trace_s2p d "
-        "congruence_mod4_ok coradical_dim trace_s2p_on_c "
+        "name dim cyclotomic_order omega_power semisimple cosemisimple "
+        "unimodular index x_exponent eigen_dims dim_h_plus dim_h_minus "
+        "trace_s2p d congruence_mod4_ok coradical_dim trace_s2p_on_coradical "
         "trace_s2p_on_quotient pointed grouplike_count checks"))):
-    """Everything build_report found on one presentation; checks is a
-    list of (tag, status, detail) in CHECK_TAGS order."""
+    """Everything build_report found on one presentation, its fields named
+    and ordered as the keys of its JSON document; checks is a list of
+    (tag, status, detail) in CHECK_TAGS order."""
     __slots__ = ()
 
     @property
@@ -547,38 +545,17 @@ class InvariantReport(namedtuple("InvariantReport", (
         return all(status != "fail" for _, status, _ in self.checks)
 
     def to_document(self) -> dict:
-        doc = {
-            "name": self.name,
-            "dim": self.dim,
-            "cyclotomic_order": self.order,
-            "omega_power": self.omega_power,
-            "semisimple": self.semisimple,
-            "cosemisimple": self.cosemisimple,
-            "unimodular": self.unimodular,
-            "index": {"n": self.index.n, "s4_order": self.index.s4_order,
-                      "g_order": self.index.g_order},
-            "x_exponent": self.x_exp,
-            "eigen_dims": (
-                {f"{a},{i},{j}": d
-                 for (a, i, j), d in sorted(self.dims.items())}
-                if self.dims is not None else None),
-            "dim_h_plus": self.dim_h_plus,
-            "dim_h_minus": self.dim_h_minus,
-            "trace_s2p": self.trace_s2p,
-            "d": self.d,
-            "congruence_mod4_ok": self.congruence_mod4_ok,
-            "coradical_dim": self.coradical_dim,
-            "trace_s2p_on_coradical": scalar_to_json(self.trace_s2p_on_c),
-            "trace_s2p_on_quotient": scalar_to_json(
-                self.trace_s2p_on_quotient),
-            "pointed": self.pointed,
-            "grouplike_count": self.grouplike_count,
-            "checks": [
-                {"tag": tag, "status": status, "detail": detail}
-                for (tag, status, detail) in self.checks],
-            "all_ok": self.all_ok,
-        }
-        return doc
+        """The fields as JSON values, in field order, then all_ok."""
+        dims = self.eigen_dims
+        return dict(
+            self._asdict(), index=self.index._asdict(),
+            eigen_dims=None if dims is None else {
+                f"{a},{i},{j}": d for (a, i, j), d in sorted(dims.items())},
+            trace_s2p_on_coradical=scalar_to_json(self.trace_s2p_on_coradical),
+            trace_s2p_on_quotient=scalar_to_json(self.trace_s2p_on_quotient),
+            checks=[{"tag": tag, "status": status, "detail": detail}
+                    for tag, status, detail in self.checks],
+            all_ok=self.all_ok)
 
 
 def _factor_pq(dim: int):
@@ -699,9 +676,9 @@ def build_report(h: HopfPresentation, omega_power: int = 1,
             skip("skipped:OffPatternBlock", "eq3", "lem3.1")
         else:
             if wanted("eq3:reconstruction"):
-                p = table.p
                 results["eq3:reconstruction"] = _outcome(
-                    p @ nf.cprime @ p.transpose() == integral_coproduct(h))
+                    nf.reconstruction() == tuple(
+                        c for row in integral_coproduct(h).data for c in row))
             if wanted("eq3:projection-traces"):
                 bad = min((key for key, traces
                            in projection_traces(h, table).items()
@@ -735,16 +712,17 @@ def build_report(h: HopfPresentation, omega_power: int = 1,
             f"Tr on C = {_as_int(corat.trace_on_c)}, p = {n}")
 
     return InvariantReport(
-        name=h.name, dim=h.dim, order=h.order, omega_power=omega_power,
-        semisimple=semi, cosemisimple=cosemi, unimodular=unimod,
-        index=idx, x_exp=table.x_exp if table is not None else None,
-        dims=table.dims if table is not None else None,
+        name=h.name, dim=h.dim, cyclotomic_order=h.order,
+        omega_power=omega_power, semisimple=semi, cosemisimple=cosemi,
+        unimodular=unimod, index=idx,
+        x_exponent=table.x_exp if table is not None else None,
+        eigen_dims=table.dims if table is not None else None,
         dim_h_plus=hp, dim_h_minus=hm,
         trace_s2p=tc.trace if tc is not None else None,
         d=tc.d if tc is not None else None,
         congruence_mod4_ok=tc.congruence_ok if tc is not None else None,
         coradical_dim=cora.dim,
-        trace_s2p_on_c=corat.trace_on_c,
+        trace_s2p_on_coradical=corat.trace_on_c,
         trace_s2p_on_quotient=corat.trace_on_quotient,
         pointed=corat.pointed,
         grouplike_count=len(find_grouplikes(h)),

@@ -203,10 +203,6 @@ class Subspace:
 
     @staticmethod
     def from_vectors(order, ambient_dim, vectors: Iterable[Sequence[CycNumber]]):
-        vectors = [list(v) for v in vectors]
-        if not vectors:
-            return Subspace(order, ambient_dim,
-                            Mat(order, [], cols=ambient_dim), ())
         red, rank, pivots = rref(Mat(order, vectors, cols=ambient_dim))
         basis = Mat(order, red.data[:rank], cols=ambient_dim)
         return Subspace(order, ambient_dim, basis, pivots)
@@ -329,8 +325,7 @@ def restrict_operator(m: Mat, sub: Subspace) -> Mat:
         if coords is None:
             raise NotInvariant("operator does not preserve the subspace")
         cols.append(coords)
-    return Mat.from_cols(m.order, cols, rows_n=sub.dim) if cols else \
-        Mat(m.order, [], cols=0)
+    return Mat.from_cols(m.order, cols, rows_n=sub.dim)
 
 
 # -- characteristic polynomial -----------------------------------------------
@@ -360,8 +355,6 @@ def charpoly(m: Mat):
         raise OrderMismatch("charpoly of a non-square matrix")
     n = m.rows
     zero, one = cyc(m.order, 0), cyc(m.order, 1)
-    if n == 0:
-        return (one,)
     h = [list(row) for row in m.data]
     for j in range(n - 2):
         pivot = None

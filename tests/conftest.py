@@ -91,6 +91,28 @@ def basis_element(h, i) -> tuple:
     return tuple(o if t == i else z for t in range(h.dim))
 
 
+def harpoon_left(h: HopfPresentation, beta, a) -> tuple:
+    """beta harpoon-from-left a = sum a_1 beta(a_2), element by element:
+    the oracle for h.harpoon_matrix(beta, "left")."""
+    z = h.zero_scalar()
+    out = [z] * h.dim
+    for (j, k), c in h.comult_pairs(a).items():
+        if beta[k] is not z:
+            out[j] = out[j] + c * beta[k]
+    return tuple(out)
+
+
+def harpoon_right(h: HopfPresentation, a, beta) -> tuple:
+    """a harpoon-from-right beta = sum beta(a_1) a_2, element by element:
+    the oracle for h.harpoon_matrix(beta, "right")."""
+    z = h.zero_scalar()
+    out = [z] * h.dim
+    for (j, k), c in h.comult_pairs(a).items():
+        if beta[j] is not z:
+            out[k] = out[k] + c * beta[j]
+    return tuple(out)
+
+
 def random_endomorphism(h, rng: random.Random) -> Mat:
     """A sparse-ish random matrix with integer and root-of-unity entries."""
     zero = cyc(h.order, 0)

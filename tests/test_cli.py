@@ -271,6 +271,39 @@ def test_malformed_files_exit_two(taft3_file, tmp_path, capsys):
 
     assert run_cli(capsys, "verify", str(tmp_path / "absent.json"))[0] == 2
 
+    def changed(key, value):
+        doc = json.loads(text)
+        doc[key] = value
+        return doc
+
+    doc = json.loads(text)
+    comult = [list(e) for e in doc["comult"]]
+    comult[0][0] = True
+    # each file breaks one rule of the format; json.dumps writes "\ud800"
+    # as the escape of a lone surrogate, which no UTF-8 text can hold
+    for bad_doc, message in (
+            ([doc], "top level must be an object"),
+            ({k: v for k, v in doc.items() if k != "counit"},
+             "missing key 'counit'"),
+            (changed("name", 3), "name must be a string"),
+            (changed("dim", True), "dim must be a positive integer"),
+            (changed("cyclotomic_order", 0),
+             "cyclotomic_order must be a positive integer"),
+            (changed("basis", "".join(doc["basis"])),
+             "basis must be a list of dim labels"),
+            (changed("mult", {}), "mult must be a list of entries"),
+            (changed("comult", comult), "comult[0] must be [i, j, k, scalar]"),
+            (changed("unit", doc["unit"][1:]),
+             "unit must be a list of dim scalars"),
+            (changed("name", "t\ud800"),
+             "name and labels must be Unicode text"),
+            (changed("basis", ["\udfff", *doc["basis"][1:]]),
+             "name and labels must be Unicode text")):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(bad_doc))
+        assert run_cli(capsys, "verify", str(bad)) == \
+            (2, "", f"error: {message}\n"), message
+
 
 def test_verify_and_report_without_stored_antipode(taft3_file, tmp_path,
                                                    capsys):
@@ -627,6 +660,23 @@ def test_console_script_end_to_end(tmp_path):
         capture_output=True, text=True, env=_CHILD_ENV)
     assert verify.returncode == 0, verify.stderr
     assert "associativity: ok" in verify.stdout
+
+
+@pytest.mark.parametrize("encoding", ["ascii", "latin-1"])
+def test_stdout_carries_the_bytes_out_writes(tmp_path, encoding):
+    # a label outside both encodings: stdout is UTF-8 whatever the locale
+    doc = presentation_to_document(build_taft(3))
+    doc["basis"][1] = "\u03be"
+    path, out = tmp_path / "t3.json", tmp_path / "t3d.json"
+    path.write_bytes(canonical_bytes(doc))
+    command = [sys.executable, "-m", "hopf_forge.cli", "dual", str(path)]
+    wrote = subprocess.run(command + ["--out", str(out)],
+                           capture_output=True, env=_CHILD_ENV)
+    assert wrote.returncode == 0, wrote.stderr
+    run = subprocess.run(command, capture_output=True,
+                         env=dict(_CHILD_ENV, PYTHONIOENCODING=encoding))
+    assert (run.returncode, run.stderr) == (0, b"")
+    assert run.stdout == out.read_bytes()
 
 
 def test_report_does_not_import_sympy(tmp_path):

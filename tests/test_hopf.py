@@ -14,12 +14,11 @@ from hopf_forge import (CycNumber, EigenvalueNotInField, HopfPresentation,
                         Subspace, build_group_algebra,
                         build_taft, build_tensor, check_axioms,
                         compute_antipode, cyc, distinguished_character,
-                        distinguished_grouplike, dual,
-                        find_grouplikes, harpoon_left, harpoon_right,
-                        integral_pair, is_grouplike, lift_order,
-                        null_space, root_of_unity)
-from conftest import (basis_element, corrupted, rebased_z2, sites,
-                      structure)
+                        distinguished_grouplike, dual, find_grouplikes,
+                        integral_pair, is_grouplike, lift_order, null_space,
+                        root_of_unity)
+from conftest import (basis_element, corrupted, harpoon_left, harpoon_right,
+                      rebased_z2, sites, structure)
 
 
 def test_axioms_hold_on_corpus(corpus, sw):

@@ -14,14 +14,13 @@ from hopf_forge import (AxiomFailure, DegeneratePairing, HopfForgeError,
                         build_group_algebra, build_taft, build_tensor,
                         character_inverse, check_axioms, cyc,
                         distinguished_character, distinguished_grouplike,
-                        dual, dual_right_integral, harpoon_left,
-                        harpoon_right, integral_pair, integral_subspace,
-                        is_cosemisimple, is_semisimple, is_unimodular,
-                        left_integral, lift_order, null_space,
+                        dual, dual_right_integral, integral_pair,
+                        integral_subspace, is_cosemisimple, is_semisimple,
+                        is_unimodular, left_integral, lift_order, null_space,
                         radford_trace, root_of_unity, trace_form,
                         verify_s4_formula)
-from conftest import (basis_element, corrupted, random_endomorphism,
-                      sites, taken_as_certified)
+from conftest import (basis_element, corrupted, harpoon_left, harpoon_right,
+                      random_endomorphism, sites, taken_as_certified)
 
 
 def stacked_integral_kernel(h, side="left"):

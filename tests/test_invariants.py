@@ -22,7 +22,7 @@ from hopf_forge import (CHECK_TAGS, AxiomFailure, BadParameters, EigenTable,
                         projection_traces, root_of_unity, trace_s2p_report,
                         x_exponent)
 from hopf_forge import invariants
-from hopf_forge.invariants import NormalForm, selects
+from hopf_forge.invariants import InvariantReport, NormalForm, selects
 from hopf_forge.cli import (document_to_presentation, main,
                             presentation_to_document)
 from conftest import basis_element, taken_as_certified
@@ -653,26 +653,36 @@ def test_report_taft3_values_and_statuses(t3):
     assert [tag for tag, _, _ in rep.checks] == list(CHECK_TAGS)
     assert all(status == "pass" for _, status, _ in rep.checks)
     assert rep.index == IndexData(3, 3, 3)
-    assert rep.x_exp == 2
+    assert rep.x_exponent == 2
     assert rep.trace_s2p == 9 and rep.d == 1
     assert rep.congruence_mod4_ok
     assert (rep.dim_h_plus, rep.dim_h_minus) == (9, 0)
     assert rep.coradical_dim == 3 and rep.pointed
     assert rep.grouplike_count == 3
     assert not rep.semisimple and not rep.cosemisimple and not rep.unimodular
-    assert rep.dims[(0, 0, 0)] == 1 and rep.dims[(1, 0, 0)] == 0
+    assert rep.eigen_dims[(0, 0, 0)] == 1 and rep.eigen_dims[(1, 0, 0)] == 0
 
 
 def test_report_taft5_all_pass(t5):
     rep = build_report(t5)
     assert rep.all_ok
     assert all(status == "pass" for _, status, _ in rep.checks)
-    assert rep.trace_s2p == 25 and rep.d == 1 and rep.x_exp == 4
+    assert rep.trace_s2p == 25 and rep.d == 1 and rep.x_exponent == 4
 
 
 def test_report_omega_power_changes_x(t3):
     rep = build_report(t3, omega_power=2)
-    assert rep.all_ok and rep.x_exp == 1
+    assert rep.all_ok and rep.x_exponent == 1
+
+
+def test_report_document_keys_are_its_fields(t3, sw):
+    # one schema: the document lists the record's fields in order, then
+    # all_ok, also when the even index of sweedler leaves eigen_dims None
+    for h in (t3, sw):
+        rep = build_report(h)
+        assert tuple(rep.to_document()) == \
+            InvariantReport._fields + ("all_ok",)
+    assert rep.eigen_dims is None
 
 
 def _document_changes(a, b):
@@ -759,7 +769,7 @@ def test_report_tensor_product_values(t3z5):
     rep = build_report(t3z5)
     assert rep.all_ok
     assert rep.index == IndexData(3, 3, 3)
-    assert rep.dim == 45 and rep.order == 15
+    assert rep.dim == 45 and rep.cyclotomic_order == 15
     assert (rep.dim_h_plus, rep.dim_h_minus) == (45, 0)
     assert rep.coradical_dim == 15 and rep.pointed
     assert rep.grouplike_count == 15

@@ -139,7 +139,8 @@ def test_report_splits_s2n_once(monkeypatch):
 
 
 def test_t3z5_report_makes_one_product_per_s_power(monkeypatch, t3z5):
-    # S^2 = S S, S^4 = S^2 S^2 and S^6 = S^2 S^4: three 45 x 45 products
+    # S^2 = S S, S^4 = S^2 S^2, S^6 = S^2 S^4, and the index's S^8 = S^4 S^4
+    # and S^12 = S^4 S^8: five 45 x 45 products
     from hopf_forge import Mat
     from hopf_forge.cli import (document_to_presentation,
                                 presentation_to_document)
@@ -163,9 +164,9 @@ def test_t3z5_report_makes_one_product_per_s_power(monkeypatch, t3z5):
     monkeypatch.setattr(Mat, "__matmul__", counting)
     monkeypatch.setattr(HopfPresentation, "s_power_matrix", nested)
     build_report(h)
-    assert products == [(45, 45)] * 3
+    assert products == [(45, 45)] * 5
     assert sorted(k[1] for k in h._cache
-                  if k[0] == "s_power_matrix") == [1, 2, 4, 6]
+                  if k[0] == "s_power_matrix") == [1, 2, 4, 6, 8, 12]
 
 
 # -- the memo contract ---------------------------------------------------------
