@@ -10,11 +10,11 @@ from .cyclofield import (CycNumber, cyc, cyclotomic_poly, galois_conjugate,
                          scalar_to_json)
 from .errors import (AxiomFailure, BadParameters, BoundExceeded,
                      DegeneratePairing, DivisionByZero, EigenvalueNotInField,
-                     HopfForgeError, IndexEven, IndexOne,
-                     IntegralSpaceNotOneDim, MalformedFile, MalformedTensor,
-                     NoAntipode, NonSplitting, NotAGroup, NotInvariant,
-                     NotInvertible, OffPatternBlock, OrderMismatch,
-                     PreconditionFailed)
+                     FieldTooSmall, HopfForgeError, IndexEven, IndexOne,
+                     InputError, IntegralSpaceNotOneDim, MalformedFile,
+                     MalformedTensor, NoAntipode, NonSplitting, NotAGroup,
+                     NotInvariant, NotInvertible, OffPatternBlock,
+                     OrderMismatch, PreconditionFailed)
 from .hopf import (AxiomChecklist, HopfPresentation, certified,
                    check_axioms, compute_antipode, dual, find_grouplikes,
                    is_grouplike, lift_order)

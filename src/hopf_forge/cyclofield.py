@@ -422,6 +422,13 @@ def root_of_unity(order: int, k: int) -> CycNumber:
     return _make(order, _field(order).power(k), 1)
 
 
+def primitive_root(order: int, n: int, power: int = 1) -> CycNumber | None:
+    """zeta_n^power if n divides order, else -1 for n = 2, else None."""
+    if order % n == 0:
+        return root_of_unity(order, order // n * power)
+    return cyc(order, -1) if n == 2 else None
+
+
 def _substitute(num, f: _Field, u: int, shift: int = 0) -> tuple:
     """Coordinates in f of sum_t num[t] * zeta^(t*u + shift)."""
     d = f.degree

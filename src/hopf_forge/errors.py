@@ -1,19 +1,34 @@
 """Exception types shared across the package.
 
 Every error raised by the library derives from HopfForgeError, so callers
-can distinguish mathematical failures from programming mistakes.  The CLI
-maps these onto exit codes: input/shape problems exit 2, failed checks
-exit 1, and missing roots of unity (field too small) exit 3.
+can distinguish mathematical failures from programming mistakes.  Each
+category declares its CLI exit code: HopfForgeError a failed check (1),
+InputError a malformed input or bad parameters (2), FieldTooSmall a root
+of unity missing from Q(zeta_N) (3, with a hint to lift the order).
 """
 
 
 class HopfForgeError(Exception):
-    """Base class for all library errors."""
+    """Base class for all library errors; a failed check."""
+    exit_code = 1
+    hint = None
+
+
+class InputError(HopfForgeError):
+    """Malformed input or bad parameters."""
+    exit_code = 2
+
+
+class FieldTooSmall(HopfForgeError):
+    """The working field Q(zeta_N) lacks a root of unity the input needs."""
+    exit_code = 3
+    hint = ("rebuild the presentation over a larger cyclotomic field "
+            "(raise cyclotomic_order)")
 
 
 # -- scalar arithmetic ------------------------------------------------------
 
-class OrderMismatch(HopfForgeError):
+class OrderMismatch(InputError):
     """Two scalars (or presentations) with different cyclotomic orders."""
 
 
@@ -21,7 +36,7 @@ class DivisionByZero(HopfForgeError, ZeroDivisionError):
     """Inversion of the zero scalar."""
 
 
-class BoundExceeded(HopfForgeError):
+class BoundExceeded(InputError):
     """Cyclotomic order outside the supported range."""
 
 
@@ -37,11 +52,11 @@ class NotInvariant(HopfForgeError):
 
 # -- presentations ----------------------------------------------------------
 
-class MalformedTensor(HopfForgeError):
+class MalformedTensor(InputError):
     """Structure-constant entry with out-of-range indices or bad shape."""
 
 
-class MalformedFile(HopfForgeError):
+class MalformedFile(InputError):
     """Unreadable or schema-violating presentation file."""
 
 
@@ -55,7 +70,7 @@ class NoAntipode(HopfForgeError):
     inverse)."""
 
 
-class EigenvalueNotInField(HopfForgeError):
+class EigenvalueNotInField(FieldTooSmall):
     """A characteristic polynomial does not split over Q(zeta_N) against
     the candidate set; a field extension would be needed."""
 
@@ -72,7 +87,7 @@ class DegeneratePairing(HopfForgeError):
 
 # -- invariants -------------------------------------------------------------
 
-class NonSplitting(HopfForgeError):
+class NonSplitting(FieldTooSmall):
     """Q(zeta_N) has no primitive n-th root of unity for the index n."""
 
 
@@ -96,9 +111,9 @@ class OffPatternBlock(HopfForgeError):
 
 # -- zoo --------------------------------------------------------------------
 
-class NotAGroup(HopfForgeError):
+class NotAGroup(InputError):
     """Cayley table fails the group axioms."""
 
 
-class BadParameters(HopfForgeError):
+class BadParameters(InputError):
     """Invalid parameters for a zoo constructor."""

@@ -259,6 +259,7 @@ class HopfPresentation:
 # -- axioms -------------------------------------------------------------------
 
 
+@_memo
 def check_axioms(h: HopfPresentation) -> AxiomChecklist:
     """Full bialgebra/Hopf axiom checklist with first-failure witnesses.
 
@@ -419,23 +420,15 @@ def check_axioms(h: HopfPresentation) -> AxiomChecklist:
 
 
 @_memo
-def first_axiom_failure(h: HopfPresentation):
-    """The first (axiom, witness) of check_axioms(h), or None.  It returns
-    rather than raises, so it is stored and h is checked once."""
-    return next(iter(check_axioms(h).failures()), None)
-
-
-@_memo
 def certified(h: HopfPresentation) -> None:
-    """Certify h a Hopf algebra: the first failure of check_axioms(h)
-    raises AxiomFailure "axiom: witness", the line verify prints first;
-    with no stored antipode, compute_antipode's NoAntipode is the
-    certificate.  The invariants' theorems hold for Hopf algebras only,
-    so the calls that read g, alpha or the index certify first."""
-    failure = first_axiom_failure(h)
-    if failure is not None:
-        name, detail = failure
-        raise AxiomFailure(f"{name}: {detail}")
+    """Certify h a Hopf algebra: the first failure of the memoized
+    check_axioms(h), the line verify prints first, raises AxiomFailure
+    "axiom: witness"; with no stored antipode, compute_antipode's
+    NoAntipode is the certificate.  The invariants' theorems hold for Hopf
+    algebras only, so the calls that read g, alpha or the index certify."""
+    failures = check_axioms(h).failures()
+    if failures:
+        raise AxiomFailure("%s: %s" % failures[0])
     h.antipode_matrix()
 
 

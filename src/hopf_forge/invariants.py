@@ -25,7 +25,7 @@ from __future__ import annotations
 from collections import namedtuple
 from math import gcd, isqrt, lcm
 
-from .cyclofield import CycNumber, _power, cyc, root_of_unity, scalar_to_json
+from .cyclofield import CycNumber, _power, cyc, primitive_root, scalar_to_json
 from .errors import (BadParameters, IndexEven, IndexOne, NonSplitting,
                      NotInvariant, OffPatternBlock, PreconditionFailed)
 from .hopf import HopfPresentation, _memo, certified, find_grouplikes
@@ -80,13 +80,12 @@ def omega_for_index(h: HopfPresentation, n: int,
     cyclotomic order to lift to.
     """
     _check_coprime(power, n)
-    if h.order % n == 0:
-        return root_of_unity(h.order, (h.order // n) * power)
-    if n == 2:
-        return cyc(h.order, -1)
-    raise NonSplitting(
-        f"Q(zeta_{h.order}) has no primitive {n}-th root of unity; "
-        f"re-present the algebra over Q(zeta_{lcm(h.order, 2 * n)})")
+    omega = primitive_root(h.order, n, power)
+    if omega is None:
+        raise NonSplitting(
+            f"Q(zeta_{h.order}) has no primitive {n}-th root of unity; "
+            f"re-present the algebra over Q(zeta_{lcm(h.order, 2 * n)})")
+    return omega
 
 
 def _check_coprime(power: int, n: int):

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from math import gcd
 
-from .cyclofield import cyc, root_of_unity
+from .cyclofield import cyc, primitive_root
 from .errors import BadParameters, NotAGroup, OrderMismatch
 from .hopf import HopfPresentation
 from .linalg import Mat
@@ -149,11 +149,8 @@ def build_taft(n: int, root_power: int = 1,
             f"root_power {root_power} is not coprime to {n}; omega would "
             "not be a primitive n-th root of unity")
     order = n if cyclotomic_order is None else cyclotomic_order
-    if order % n == 0:
-        omega = root_of_unity(order, (order // n) * root_power)
-    elif n == 2:
-        omega = cyc(order, -1)
-    else:
+    omega = primitive_root(order, n, root_power)
+    if omega is None:
         raise BadParameters(
             f"Q(zeta_{order}) contains no primitive {n}-th root of unity; "
             f"use a cyclotomic order divisible by {n}")

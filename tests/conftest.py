@@ -163,3 +163,12 @@ def corrupted(h, table, site, shift):
         mult_entries=mult + extra if table == "mult" else mult,
         comult_entries=comult + extra if table == "comult" else comult,
         unit=vecs["unit"], counit=vecs["counit"])
+
+
+def outcome(run, *args):
+    """run(*args)'s value, or (type, message) of the exception it raised:
+    one parametrized table can then name a guard's error or a value."""
+    try:
+        return run(*args)
+    except Exception as exc:
+        return type(exc), str(exc)

@@ -170,8 +170,8 @@ def test_verify_cross_checks_a_stored_antipode_with_one_product(
 
 def test_crosscheck_reads_the_integral_formula(taft3_file, capsys,
                                                monkeypatch):
-    # with the integral form doubled, S (B C)^T = 2 I fails, and the
-    # candidate compute_antipode inverts, S / 2, fails its axioms
+    # with the integral form doubled, S (B C)^T = 2 I fails the one
+    # product the cross-check makes
     original = hopf_forge.integrals.integral_form
 
     def doubled(h):
@@ -184,8 +184,8 @@ def test_crosscheck_reads_the_integral_formula(taft3_file, capsys,
     code, out, _ = run_cli(capsys, "verify", str(taft3_file))
     assert code == 1
     assert out.splitlines()[-1] == (
-        "antipode: FAIL the integral candidate fails the left antipode "
-        "axiom on e0")
+        "antipode-crosscheck: FAIL stored antipode differs from the "
+        "computed one")
 
 
 def _shifted(scalar, delta):

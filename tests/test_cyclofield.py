@@ -15,6 +15,7 @@ from hopf_forge import (BoundExceeded, CycNumber, DivisionByZero,
                         lift_scalar, root_of_unity, scalar_from_json,
                         scalar_to_json)
 from hopf_forge.cyclofield import coordinate_key
+from conftest import outcome
 
 ORDERS = (1, 2, 3, 4, 5, 12, 15)
 
@@ -554,3 +555,17 @@ def test_a_field_keeps_only_what_it_cannot_derive():
             tracemalloc.stop()
         assert retained <= bound, (order, retained)
         assert len(f.high_rows) == order - f.degree
+
+
+@pytest.mark.parametrize("run, expect", (
+    # 1 + zeta_3 = -zeta_3^2, so 2 / (1 + zeta_3) = -2 zeta_3
+    (lambda w: 2 / (1 + w), -2 * root_of_unity(3, 1)),
+    (lambda w: Fraction(1, 2) / w, root_of_unity(3, 2) / 2),
+    (lambda w: "2" / w, (TypeError, "unsupported operand type(s) for /: "
+                                    "'str' and 'CycNumber'")),
+    (lambda w: galois_conjugate(w, 2), root_of_unity(3, 2)),
+    (lambda w: galois_conjugate(w, 3),
+     (ValueError, "3 not coprime to order 3")),
+))
+def test_reflected_division_and_the_galois_unit_guard(run, expect):
+    assert outcome(run, root_of_unity(3, 1)) == expect

@@ -18,7 +18,7 @@ from hopf_forge import (CycNumber, EigenvalueNotInField, HopfPresentation,
                         integral_pair, is_grouplike, lift_order, null_space,
                         root_of_unity)
 from conftest import (basis_element, corrupted, harpoon_left, harpoon_right,
-                      rebased_z2, sites, structure)
+                      outcome, rebased_z2, sites, structure)
 
 
 def test_axioms_hold_on_corpus(corpus, sw):
@@ -988,3 +988,36 @@ def test_rebased_group_algebra_matches_the_oracle():
             for shift in (1, -1):
                 m = corrupted(h, table, site, shift)
                 assert check_axioms(m).results == _oracle_axioms(m), m.name
+
+
+def _one_dim(**changes):
+    """k = Q(zeta_3) as a one-dimensional presentation, with changes."""
+    one = cyc(3, 1)
+    fields = dict(name="k", dim=1, order=3, mult_entries=[(0, 0, 0, one)],
+                  comult_entries=[(0, 0, 0, one)], unit=(one,),
+                  counit=(one,))
+    fields.update(changes)
+    return HopfPresentation(**fields)
+
+
+
+@pytest.mark.parametrize("changes, expect", (
+    ({"dim": 0, "mult_entries": [], "comult_entries": [], "unit": (),
+      "counit": ()}, (MalformedTensor, "dimension must be >= 1")),
+    ({"unit": ()}, (MalformedTensor, "unit/counit length must equal dim")),
+    ({"counit": (cyc(3, 1),) * 2},
+     (MalformedTensor, "unit/counit length must equal dim")),
+    ({"antipode": Mat.identity(3, 2)},
+     (MalformedTensor, "antipode must be dim x dim")),
+    ({"antipode": Mat.identity(1, 1)},
+     (OrderMismatch, "antipode scalar order differs")),
+    ({"basis": ("a", "b")},
+     (MalformedTensor, "basis label count must equal dim")),
+    ({"mult_entries": [(0, 0, 0, 1)]},
+     (MalformedTensor, "structure constant 1 is not a scalar")),
+    ({"counit": (cyc(1, 1),)},
+     (OrderMismatch, "scalar order 1 != presentation order 3")),
+    ({"antipode": Mat.identity(3, 1), "basis": ("1",)}, 1),
+))
+def test_the_constructor_names_each_malformed_field(changes, expect):
+    assert outcome(lambda: _one_dim(**changes).dim) == expect

@@ -13,7 +13,8 @@ from hopf_forge import (CHECK_TAGS, AxiomFailure, BadParameters, EigenTable,
                         Lemma24Result, Mat, NonSplitting, NotInvariant,
                         NotInvertible, OffPatternBlock, PreconditionFailed, Subspace,
                         alternating_form_check, build_report, build_taft,
-                        build_cyclic_group_algebra, check_dim_symmetry,
+                        build_cyclic_group_algebra, build_tensor,
+                        check_dim_symmetry,
                         compute_index, coradical, coradical_is_subcoalgebra,
                         coradical_traces, cyc, dual, eigen_decomposition,
                         eigenspace, find_grouplikes, h_plus_minus,
@@ -25,7 +26,7 @@ from hopf_forge import invariants
 from hopf_forge.invariants import InvariantReport, NormalForm, selects
 from hopf_forge.cli import (document_to_presentation, main,
                             presentation_to_document)
-from conftest import basis_element, taken_as_certified
+from conftest import basis_element, outcome, taken_as_certified
 
 
 def table_of(h, power=1):
@@ -783,6 +784,31 @@ def test_report_tensor_product_values(t3z5):
     assert status["thm3.4:trace-on-coradical-geq-p"] == "pass"
 
 
+_KEPT_BY_K_ZM = ("index", "semisimple", "cosemisimple", "unimodular",
+                 "pointed", "x_exponent")
+_SCALED_BY_K_ZM = ("grouplike_count", "coradical_dim", "dim_h_plus",
+                   "dim_h_minus", "trace_s2p_on_coradical",
+                   "trace_s2p_on_quotient")
+
+
+def test_tensoring_with_k_zm_scales_the_report_by_m(t3, z3, t3z5):
+    # H (x) k[Z_m] has antipode S (x) id, distinguished grouplike g (x) 1
+    # and character alpha (x) eps, grouplikes G(H) x Z_m and coradical
+    # H_0 (x) k[Z_m]: the index and flags stay, each S^2 and g eigenspace
+    # E becomes E (x) k[Z_m], and dim 9m is no product of two primes
+    base = build_report(t3).to_document()
+    assert base["trace_s2p"] == 9 and base["d"] == 1
+    for m, h in ((3, build_tensor(t3, lift_order(z3, 3))), (5, t3z5)):
+        doc = build_report(h).to_document()
+        assert [doc[k] for k in _KEPT_BY_K_ZM] == \
+            [base[k] for k in _KEPT_BY_K_ZM], m
+        assert [doc[k] for k in _SCALED_BY_K_ZM] == \
+            [m * base[k] for k in _SCALED_BY_K_ZM], m
+        assert doc["eigen_dims"] == {
+            label: m * d for label, d in base["eigen_dims"].items()}, m
+        assert (doc["trace_s2p"], doc["d"]) == (None, None), m
+
+
 @pytest.mark.parametrize("name", ["t3", "sw", "z15"])
 def test_report_selection_matches_filtered_full_report(name, request):
     # a selected report is the full one filtered by the selector: a check
@@ -853,3 +879,34 @@ def test_report_trivial_alpha_skips_j_independence(t3, monkeypatch):
         ("lem2.4:dim-difference", "pass", "d = 1"),
         ("lem2.4:j-independence", "skipped:AlphaTrivial", "")]
     assert rep.all_ok
+
+
+def _span(h, *indices):
+    return Subspace.from_vectors(h.order, h.dim,
+                                 [basis_element(h, i) for i in indices])
+
+
+def _index_one_trace_report(t3, monkeypatch):
+    # the non-semisimple inputs of dimension pq built here are Taft
+    # algebras, of index p, so a stand-in index drives this guard
+    monkeypatch.setattr(invariants, "compute_index",
+                        lambda h: IndexData(n=1, s4_order=1, g_order=1))
+    return trace_s2p_report(t3, 3, 3)
+
+
+@pytest.mark.parametrize("run, expect", (
+    (lambda t3, mp: x_exponent(t3, cyc(3, 2)),
+     (BadParameters, "omega is not an 3-th root of unity")),
+    (lambda t3, mp: x_exponent(t3, cyc(3, 1)),
+     (BadParameters, "omega is an 1-th root, not primitive")),
+    (_index_one_trace_report,
+     (PreconditionFailed, "index of taft(3) is 1, not p = 3")),
+    # Delta(x) = 1 (x) x + x (x) g in taft(3), basis g^i x^j at 3i + j:
+    # span(x) misses the left leg 1, span(1, x) the right leg g
+    (lambda t3, mp: coradical_is_subcoalgebra(t3, _span(t3, 1)), False),
+    (lambda t3, mp: coradical_is_subcoalgebra(t3, _span(t3, 0, 1)), False),
+    (lambda t3, mp: coradical_is_subcoalgebra(t3, _span(t3, 0, 3, 6)), True),
+))
+def test_guards_name_the_bad_omega_or_index_or_subspace(t3, monkeypatch,
+                                                         run, expect):
+    assert outcome(run, t3, monkeypatch) == expect

@@ -11,11 +11,13 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from hopf_forge import (CycNumber, Mat, NotInvariant, NotInvertible, Subspace, charpoly,
+from hopf_forge import (CycNumber, Mat, NotInvariant, NotInvertible,
+                        OrderMismatch, Subspace, charpoly,
                         cyc, eigenspace, inverse,
                         null_space, restrict_operator,
                         roots_in_field, root_of_unity, rref)
 from hopf_forge.linalg import _rational_roots
+from conftest import outcome
 
 
 def rand_mat(order, rows, cols, rng, density=0.7):
@@ -579,3 +581,23 @@ def test_a_directly_built_zero_is_left_out_of_the_view():
     assert rref(m)[0] == rref(dense)[0]
     assert null_space(m) == null_space(dense)
     assert eigenspace(m, zeta) == eigenspace(dense, zeta)
+
+
+@pytest.mark.parametrize("run, expect", (
+    (lambda one: Mat(1, [[one], []]), (OrderMismatch, "ragged matrix rows")),
+    (lambda one: Mat.identity(1, 2) @ Mat.identity(3, 2),
+     (OrderMismatch, "matrix orders differ")),
+    (lambda one: Mat.identity(1, 2) @ Mat.identity(1, 3),
+     (OrderMismatch, "shape mismatch 2x2 @ 3x3")),
+    (lambda one: Mat.identity(1, 2).apply([one]),
+     (OrderMismatch, "vector length mismatch")),
+    (lambda one: eigenspace(Mat(1, [[one, one]]), one),
+     (OrderMismatch, "eigenspace of a non-square matrix")),
+    (lambda one: charpoly(Mat(1, [[one, one]])),
+     (OrderMismatch, "charpoly of a non-square matrix")),
+    # coefficients run from the constant up: -1 + x + 0 x^2 is x - 1
+    (lambda one: roots_in_field([-one, one, 0 * one], 1),
+     ([(cyc(1, 1), 1)], 0)),
+))
+def test_guards_name_the_bad_shape_or_drop_the_zero_lead(run, expect):
+    assert outcome(run, cyc(1, 1)) == expect

@@ -174,7 +174,7 @@ def test_t3z5_report_makes_one_product_per_s_power(monkeypatch, t3z5):
 
 MEMOIZED = {
     "antipode_matrix", "s_power_matrix", "algebra_generators", "certified",
-    "first_axiom_failure",
+    "check_axioms",
     "find_grouplikes", "integral_subspace", "dual_right_integral",
     "integral_pair", "distinguished_grouplike", "distinguished_character",
     "integral_form", "integral_coproduct", "trace_form", "compute_index",
@@ -240,25 +240,21 @@ def test_a_computation_that_raises_stores_nothing():
             assert h._cache == {}
 
 
-def test_a_failed_certificate_checks_the_axioms_once(monkeypatch):
-    # certified raises, so it stores nothing, but the failure it raises
+def test_a_failed_certificate_checks_the_axioms_once():
+    # certified raises, so it stores nothing, but the checklist it reads
     # is stored: three calls on taft(3) read over Q(zeta_999) check once
-    calls = []
-    original = hopf_module.check_axioms
-
-    def counting(h):
-        calls.append(h)
-        return original(h)
-
-    monkeypatch.setattr(hopf_module, "check_axioms", counting)
     doc = presentation_to_document(build_taft(3))
     doc["cyclotomic_order"] = 999
     h = document_to_presentation(doc)
-    for run in (distinguished_grouplike, distinguished_character,
-                compute_index):
-        with pytest.raises(AxiomFailure, match=r"^associativity: "):
-            run(h)
-    assert calls == [h]
+
+    def certify_three_times():
+        for run in (distinguished_grouplike, distinguished_character,
+                    compute_index):
+            with pytest.raises(AxiomFailure, match=r"^associativity: "):
+                run(h)
+
+    _, calls = _entered(certify_three_times)
+    assert [owner for name, owner in calls if name == "check_axioms"] == [h]
 
 
 def test_every_cache_key_names_a_memoized_function(t3z5):
