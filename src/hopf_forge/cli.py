@@ -67,8 +67,8 @@ def presentation_to_document(h: HopfPresentation) -> dict:
         "counit": [scalar_to_json(c) for c in h.counit],
     }
     if h.antipode is not None:
-        doc["antipode"] = [[scalar_to_json(c) for c in h.antipode.col(i)]
-                           for i in range(h.dim)]
+        doc["antipode"] = [[scalar_to_json(c) for c in col]
+                           for col in h.antipode.transpose().data]
     return doc
 
 
@@ -203,7 +203,7 @@ def cmd_verify(args) -> int:
     elif ok:
         ok = (h.antipode @ (integral_form(h) @ integral_coproduct(h))
               .transpose() == Mat.identity(h.order, h.dim))
-        fail = "FAIL stored antipode differs from the computed one"
+        fail = "FAIL S (B C)^T != I"
         lines.append(f"antipode-crosscheck: {'ok' if ok else fail}")
     print("\n".join(lines))
     return 0 if ok else 1

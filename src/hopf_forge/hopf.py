@@ -3,7 +3,8 @@
 Conventions, fixed package-wide (most bugs in this domain are convention
 slips, so they are spelled out once here):
 
-- mult[i][j] is a sparse row {k: c} meaning  e_i e_j = sum_k c e_k.
+- mult[i][j] is a tuple of (k, c) pairs, k ascending and no c zero,
+  meaning  e_i e_j = sum_k c e_k; every empty cell is the one ().
 - comult[i] is a sparse tensor {(j, k): c} meaning
   Delta(e_i) = sum c e_j (x) e_k.  Leg order is part of the data and is
   never swapped silently.
@@ -69,6 +70,24 @@ def _product_memo():
     return mul
 
 
+def _cells(n, z, entries) -> tuple:
+    """The n x n table, laid out as HopfPresentation.mult, of the
+    (i, j, k, c) entries, whose c add up per (i, j, k); z is the zero."""
+    cells = {}
+    for i, j, k, c in entries:
+        if c is not z:
+            cells.setdefault(i * n + j, []).append((k, c))
+    table = [[()] * n for _ in range(n)]
+    for ij, pairs in cells.items():
+        if len(pairs) > 1:  # k ascending, each k once, no sum that cancels
+            sums = {}
+            for k, c in sorted(pairs, key=lambda pair: pair[0]):
+                sums[k] = c if (prev := sums.get(k)) is None else prev + c
+            pairs = [(k, c) for k, c in sums.items() if c is not z]
+        table[ij // n][ij % n] = tuple(pairs)
+    return tuple(map(tuple, table))
+
+
 class AxiomChecklist(namedtuple("AxiomChecklist", "results")):
     """results: a tuple of (name, ok, detail)."""
     __slots__ = ()
@@ -92,14 +111,11 @@ class HopfPresentation:
         self.order = order
         if dim < 1:
             raise MalformedTensor("dimension must be >= 1")
-        mult = [[{} for _ in range(dim)] for _ in range(dim)]
-        comult = [{} for _ in range(dim)]
         z = cyc(order, 0)
         checked = {}  # id -> each scalar object checked, kept alive
-        for table, entries, slot in (
-                ("mult", mult_entries, lambda i, j, k: (mult[i][j], k)),
-                ("comult", comult_entries,
-                 lambda i, j, k: (comult[i], (j, k)))):
+        mult_entries, comult = list(mult_entries), [{} for _ in range(dim)]
+        for table, entries in (("mult", mult_entries),
+                               ("comult", comult_entries)):
             for (i, j, k, c) in entries:
                 if id(c) not in checked:
                     self._check_scalar(c)
@@ -107,16 +123,12 @@ class HopfPresentation:
                 if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
                     raise MalformedTensor(
                         f"{table} index out of range: {(i, j, k)}")
-                if c is not z:  # every zero scalar is the field's zero
-                    row, key = slot(i, j, k)
-                    prev = row.get(key)
-                    c = c if prev is None else prev + c
-                    if c is not z:
-                        row[key] = c
-                    elif prev is not None:
-                        del row[key]
-        self.mult = tuple(tuple(row) for row in mult)
-        self.comult = tuple(comult)
+                if table == "comult" and c is not z:
+                    prev = comult[i].get((j, k))
+                    comult[i][j, k] = c if prev is None else prev + c
+        self.mult = _cells(dim, z, mult_entries)
+        self.comult = tuple({jk: c for jk, c in tensor.items() if c is not z}
+                            for tensor in comult)
         unit = tuple(unit)
         counit = tuple(counit)
         if len(unit) != dim or len(counit) != dim:
@@ -156,7 +168,7 @@ class HopfPresentation:
             if ai is not z:
                 for j, bj in b:
                     f = ai * bj
-                    for k, c in self.mult[i][j].items():
+                    for k, c in self.mult[i][j]:
                         acc[k] = acc.get(k, z) + f * c
         return tuple(acc.get(k, z) for k in range(self.dim))
 
@@ -166,7 +178,7 @@ class HopfPresentation:
         if table == "mult":
             return tuple(sorted((i, j, k, c) for i, row in enumerate(self.mult)
                                 for j, prod in enumerate(row)
-                                for k, c in prod.items()))
+                                for k, c in prod))
         return tuple(sorted((i, j, k, c) for i, ten in enumerate(self.comult)
                             for (j, k), c in ten.items()))
 
@@ -203,14 +215,14 @@ class HopfPresentation:
         return self.matrix((k, j, ai * c) for i, ai in enumerate(a)
                            if ai is not z
                            for j, prod in enumerate(self.mult[i])
-                           for k, c in prod.items())
+                           for k, c in prod)
 
     def right_mult_matrix(self, a) -> Mat:
         """R_a with column j = coordinates of e_j * a."""
         z = self.zero_scalar()
         return self.matrix((k, j, ai * c) for i, ai in enumerate(a)
                            if ai is not z for j in range(self.dim)
-                           for k, c in self.mult[j][i].items())
+                           for k, c in self.mult[j][i])
 
     def harpoon_matrix(self, beta, side: str) -> Mat:
         """H_l(beta) with column t = beta -> e_t (side "left"), or H_r(beta)
@@ -228,7 +240,7 @@ class HopfPresentation:
         return self.matrix((a, c, m * beta[k])
                            for a, row in enumerate(self.mult)
                            for c, prod in enumerate(row)
-                           for k, m in prod.items() if beta[k] is not z)
+                           for k, m in prod if beta[k] is not z)
 
     # -- derived quantities ---------------------------------------------------
 
@@ -299,13 +311,13 @@ def check_axioms(h: HopfPresentation) -> AxiomChecklist:
     def associativity(mult, comult, i):
         for j in range(n):
             lhs, rhs = {}, {}  # (l, m): e_m in (e_i e_j) e_l, e_i (e_j e_l)
-            for k, c in mult[i][j].items():
+            for k, c in mult[i][j]:
                 for l, prod in enumerate(mult[k]):
-                    for m, x in prod.items():
+                    for m, x in prod:
                         add(lhs, (l, m), mul(c, x))
             for l, prod in enumerate(mult[j]):
-                for k, c in prod.items():
-                    for m, x in mult[i][k].items():
+                for k, c in prod:
+                    for m, x in mult[i][k]:
                         add(rhs, (l, m), mul(c, x))
             lhs, rhs = nonzero(lhs), nonzero(rhs)
             if lhs != rhs:
@@ -333,19 +345,19 @@ def check_axioms(h: HopfPresentation) -> AxiomChecklist:
             for (c, d), y in t2.items():
                 if mult[a][c]:
                     f, r = mul(x, y), right.setdefault((a, c), {})
-                    for q, w in mult[b][d].items():
+                    for q, w in mult[b][d]:
                         add(r, q, mul(f, w))
         acc = {}
         for (a, c), r in right.items():
             for q, v in nonzero(r).items():
-                for p, u in mult[a][c].items():
+                for p, u in mult[a][c]:
                     add(acc, (p, q), u * v)
         return nonzero(acc)
 
     def comult_multiplicative(mult, comult, i):
         for j in range(n):
             lhs = {}
-            for k, c in mult[i][j].items():
+            for k, c in mult[i][j]:
                 for jk, x in comult[k].items():
                     add(lhs, jk, mul(c, x))
             if nonzero(lhs) != tensor_square_product(mult, comult[i],
@@ -363,11 +375,13 @@ def check_axioms(h: HopfPresentation) -> AxiomChecklist:
 
     def counit_multiplicative():
         """None when B_eps = eps eps^T, else the first failing (i, j)."""
-        b = h.form_matrix(h.counit)
-        if b.nonzeros() == _outer_rows(h.counit, h.counit, z):
+        got = h.form_matrix(h.counit).nonzeros()
+        want = _outer_rows(h.counit, h.counit, z)
+        if got == want:
             return None
-        i, j = next((i, j) for i in range(n) for j in range(n)
-                    if b.data[i][j] != h.counit[i] * h.counit[j])
+        i = next(i for i, (a, b) in enumerate(zip(got, want)) if a != b)
+        a, b = dict(got[i]), dict(want[i])
+        j = min(j for j in a.keys() | b.keys() if a.get(j) != b.get(j))
         return f"counit not multiplicative on (e{i}, e{j})"
 
     def scan(axiom, row, certify):
@@ -388,9 +402,8 @@ def check_axioms(h: HopfPresentation) -> AxiomChecklist:
     first, last, unit_ok, delta_ok = (associativity, coassociativity,
                                       unital is None, True)
     if counital is None:  # the generators of H*, up to as many as H has
-        dual_mult = [[{} for _ in range(n)] for _ in range(n)]
-        for i, j, k, c in h.entries("comult"):
-            dual_mult[j][k][i] = c
+        dual_mult = _cells(n, z, ((j, k, i, c)
+                                  for i, j, k, c in h.entries("comult")))
         dual_rows = tuple(itertools.islice(
             _generators(h.order, dual_mult, h.counit), len(rows)))
         if len(dual_rows) < len(rows):
@@ -476,7 +489,7 @@ def _generators(order: int, mult, unit):
             s, v = todo.pop()
             w = {}
             for j, c in v.items():
-                for k, x in mult[s][j].items():
+                for k, x in mult[s][j]:
                     w[k] = w.get(k, z) + c * x
             if add({k: x for k, x in w.items() if x is not z}):
                 todo += [(t, rows[-1][1]) for t in gens]
@@ -497,7 +510,7 @@ def _antipode_axiom_failure(h: HopfPresentation, s: Mat, side: str):
                 terms = ((st, h.mult[j][t]) for t, st in cols[k])
             for st, row in terms:
                 f = mul(c, st)
-                for m, x in row.items():
+                for m, x in row:
                     acc[m] = acc[m] + mul(f, x)
         if tuple(acc) != target[h.counit[i]]:
             return i
@@ -660,7 +673,7 @@ def find_grouplikes(h: HopfPresentation) -> tuple:
                     a[l, r] = a.get((l, r), z) + c * x
             m = Mat(h.order, [[a.get((p, r), z) for r in range(d)]
                               for p in w.pivots], cols=d)
-            if _acts_as_scalar(a, wcols, m.data[0][0]):
+            if _acts_as_scalar(a, wcols, a.get((w.pivots[0], 0), z)):
                 new_states.append(w)
                 continue
             chi = charpoly(m)

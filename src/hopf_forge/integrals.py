@@ -38,7 +38,7 @@ from .cyclofield import CycNumber
 from .errors import DegeneratePairing, IntegralSpaceNotOneDim
 from .hopf import (HopfPresentation, _memo, _outer_rows, algebra_generators,
                    certified)
-from .linalg import Mat, Subspace, null_space_of_terms
+from .linalg import Mat, Subspace, null_space_of_terms, product_diagonal
 
 
 # -- integral spaces -----------------------------------------------------------
@@ -62,7 +62,7 @@ def integral_subspace(h: HopfPresentation, side: str) -> Subspace:
     def solve(rows):
         return _integrals(h, ((i, j, k, c) for i in rows
                               for j, prod in enumerate(mult[i])
-                              for k, c in prod.items()),
+                              for k, c in prod),
                           {i: h.counit[i] for i in rows})
 
     space = solve(algebra_generators(h))
@@ -238,9 +238,7 @@ def radford_trace(h: HopfPresentation, f: Mat, variant: int = 1) -> CycNumber:
     is a structural red flag, which is exactly what the verification
     commands look for.
     """
-    g = trace_form(h, variant)
-    return sum((x * f.data[c][j] for j, row in enumerate(g.nonzeros())
-                for c, x in row), h.zero_scalar())
+    return sum(product_diagonal(trace_form(h, variant), f), h.zero_scalar())
 
 
 def verify_s4_formula(h: HopfPresentation) -> bool:

@@ -35,7 +35,7 @@ from .integrals import (distinguished_character, distinguished_grouplike,
                         is_semisimple, is_unimodular, radford_trace,
                         trace_form, verify_s4_formula)
 from .linalg import (Mat, Subspace, _is_prime, eigenspace, inverse,
-                     null_space, restrict_operator, rref)
+                     null_space, product_diagonal, restrict_operator, rref)
 
 
 def _as_int(c: CycNumber) -> int | None:
@@ -95,11 +95,12 @@ def _check_coprime(power: int, n: int):
 
 
 def _check_primitive(omega: CycNumber, n: int):
-    if omega ** n != 1:
-        raise BadParameters(f"omega is not an {n}-th root of unity")
-    for r in range(2, n + 1):
-        if n % r == 0 and omega ** (n // r) == 1:
-            raise BadParameters(f"omega is an {n // r}-th root, not primitive")
+    order = next((t for t in range(1, n + 1)
+                  if n % t == 0 and omega ** t == 1), None)
+    if order is None:
+        raise BadParameters(f"omega is not a root of unity of order {n}")
+    if order != n:
+        raise BadParameters(f"omega has order {order}, not {n}")
 
 
 def x_exponent(h: HopfPresentation, omega: CycNumber) -> int:
@@ -131,10 +132,11 @@ class EigenTable:
         self.spaces = spaces
         self.dims = dims
         keys = self.labels()
-        cols = [row for key in keys for row in spaces[key].basis.data]
+        rows = [row for key in keys for row in spaces[key].basis.nonzeros()]
         self.p_labels = tuple(key for key in keys
-                              for _ in spaces[key].basis.data)
-        self.p = Mat.from_cols(omega.order, cols, rows_n=len(cols))
+                              for _ in range(spaces[key].dim))
+        self.p = Mat(omega.order, cols=spaces[keys[0]].ambient_dim,
+                     nonzeros=rows).transpose()
         self.p_inv = inverse(self.p)
 
     def labels(self):
@@ -271,13 +273,10 @@ def projection_traces(h: HopfPresentation, t: EigenTable) -> dict:
     """
     z = h.zero_scalar()
 
-    def diagonal(m):  # (Pinv m)[c][c] for every c
-        return [sum((x * m.data[j][c] for j, x in row), z)
-                for c, row in enumerate(t.p_inv.nonzeros())]
-
     out = {key: (z, z) for key in t.labels()}
-    for key, direct, formula in zip(t.p_labels, diagonal(t.p),
-                                    diagonal(trace_form(h, 1) @ t.p)):
+    for key, direct, formula in zip(
+            t.p_labels, product_diagonal(t.p_inv, t.p),
+            product_diagonal(t.p_inv, trace_form(h, 1) @ t.p)):
         out[key] = (out[key][0] + direct, out[key][1] + formula)
     return out
 
@@ -313,16 +312,17 @@ def alternating_form_check(h: HopfPresentation,
     vkey = (1, (-ell) % n, ell % n)
     vidx = [r for r, lbl in enumerate(labels) if lbl == vkey]
     vdim = len(vidx)
-    cp = cprime.data
-    block = [[cp[r][s] for s in vidx] for r in vidx]
+    z = h.zero_scalar()
+    cp = {(r, s): x for r, row in enumerate(cprime.nonzeros()) for s, x in row}
+    block = [[cp.get((r, s), z) for s in vidx] for r in vidx]
     alternating = all(block[i][j] == -block[j][i]
                       for i in range(vdim) for j in range(vdim))
     nondeg = not vdim or rref(Mat(h.order, block, cols=vdim))[1] == vdim
     factors = [(-1) ** a * t.omega ** ((-i - j) % n) for a, i, j in labels]
-    support = {pos for r, row in enumerate(cprime.nonzeros())
-               for s, _ in row for pos in ((r, s), (s, r))}
+    support = {pos for r, s in cp for pos in ((r, s), (s, r))}
     witness = next(((labels[r], labels[s]) for r, s in sorted(support)
-                    if cp[s][r] != factors[r] * cp[r][s]), None)
+                    if cp.get((s, r), z) != factors[r] * cp.get((r, s), z)),
+                   None)
     return AlternatingFormReport(
         ell=ell, global_rank=rank, global_full_rank=(rank == h.dim),
         v_dim=vdim, v_dim_even=(vdim % 2 == 0), alternating_ok=alternating,
@@ -448,12 +448,9 @@ def coradical_is_subcoalgebra(h: HopfPresentation, c: Subspace) -> bool:
     """Delta(C) lies in C (x) C (checked on both legs)."""
     for vec in c.basis.data:
         m = h.comult_matrix(vec)
-        for k in range(h.dim):
-            if c.coords_of(m.col(k)) is None:
-                return False
-        for row in m.data:
-            if c.coords_of(row) is None:
-                return False
+        if any(c.coords_of(v) is None
+               for v in m.transpose().data + m.data):
+            return False
     return True
 
 

@@ -1,14 +1,15 @@
 """Exact linear algebra over Q(zeta_N) on the nonzeros of each row.
 
-Matrices are immutable row-major tuples of CycNumber that list each row's
-nonzero (column, entry) pairs when they are built; products, apply, rref
-and the kernels read only those.  rref, null_space and null_space_of_terms
-share one elimination on sparse {column: value} rows, which takes pivot
-columns in order and pivots each on its shortest candidate row.  The
-reduced row echelon form of a row space is unique, so RREF output (and
-hence every Subspace basis) is canonical: it does not depend on the pivot
-rows chosen, on row order or on repeated rows, and the same input yields
-byte-identical results on every run.
+A matrix stores only each row's nonzero (column, entry) pairs, in column
+order, and every constructor, product, transpose and elimination builds
+those pairs directly; the dense rows are rebuilt only when read, on cold
+paths.  rref, null_space and null_space_of_terms share one elimination
+on sparse {column: value} rows, which takes pivot columns in order and
+pivots each on its shortest candidate row.  The reduced row echelon form
+of a row space is unique, so RREF output (and hence every Subspace
+basis) is canonical: it does not depend on the pivot rows chosen, on row
+order or on repeated rows, and the same input yields byte-identical
+results on every run.
 
 Operators act on column coordinate vectors: column j of an operator
 matrix holds the coordinates of the image of basis vector j.
@@ -26,28 +27,37 @@ from .errors import NotInvariant, NotInvertible, OrderMismatch
 
 
 class Mat:
-    """A matrix that lists each row's nonzero (column, entry) pairs when
-    it is built; every zero is the field's one zero object."""
+    """A matrix kept as its rows' nonzero (column, entry) pairs in column
+    order; no zero is stored.  Mat(order, rows) lists those of dense
+    rows, Mat(order, cols=c, nonzeros=rows) takes pair lists as built,
+    and data rebuilds the dense rows on each read."""
 
-    __slots__ = ("order", "rows", "cols", "data", "_nonzeros")
+    __slots__ = ("order", "rows", "cols", "_nonzeros")
 
-    def __init__(self, order, data, cols=None):
-        data = tuple(tuple(row) for row in data)
-        self.order = order
-        self.rows = len(data)
-        self.cols = len(data[0]) if data else (0 if cols is None else cols)
-        self.data = data
-        z = cyc(order, 0)
-        nonzeros = []
-        for row in data:
-            if len(row) != self.cols:
+    def __init__(self, order, data=(), cols=None, *, nonzeros=None):
+        if nonzeros is None:
+            data = [tuple(row) for row in data]
+            cols = len(data[0]) if data else (0 if cols is None else cols)
+            if any(len(row) != cols for row in data):
                 raise OrderMismatch("ragged matrix rows")
-            nonzeros.append([(j, x) for j, x in enumerate(row) if x is not z])
+            z = cyc(order, 0)
+            nonzeros = [[(j, x) for j, x in enumerate(row) if x is not z]
+                        for row in data]
+        self.order = order
         self._nonzeros = tuple(nonzeros)
+        self.rows = len(self._nonzeros)
+        self.cols = cols
 
     def nonzeros(self):
         """Per row, its nonzero (column, entry) pairs in column order."""
         return self._nonzeros
+
+    @property
+    def data(self):
+        """The dense rows, built on each read (for tests and cold paths)."""
+        z = cyc(self.order, 0)
+        return tuple(tuple(row.get(j, z) for j in range(self.cols))
+                     for row in map(dict, self._nonzeros))
 
     # -- constructors ------------------------------------------------------
 
@@ -55,27 +65,29 @@ class Mat:
     def from_terms(order, rows, cols, terms):
         """The rows x cols matrix whose entry (r, c) is the sum of the x
         of the (r, c, x) in terms; a sum that cancels is the zero."""
-        z = cyc(order, 0)
-        out = [[z] * cols for _ in range(rows)]
+        out = [{} for _ in range(rows)]
         for r, c, x in terms:
-            out[r][c] = out[r][c] + x
-        return Mat(order, out, cols=cols)
+            row = out[r]
+            row[c] = x if (prev := row.get(c)) is None else prev + x
+        return Mat(order, cols=cols, nonzeros=_sorted_rows(order, out))
 
     @staticmethod
     def identity(order, n):
-        return Mat.from_terms(order, n, n, ((i, i, 1) for i in range(n)))
+        one = cyc(order, 1)
+        return Mat(order, cols=n, nonzeros=[[(i, one)] for i in range(n)])
 
     @staticmethod
     def from_cols(order, cols, rows_n=None):
+        """The matrix whose column j is the dense vector cols[j]."""
         cols = list(cols)
-        rows_n = len(cols[0]) if cols else rows_n
-        return Mat(order, [[col[i] for col in cols] for i in range(rows_n)],
-                   cols=len(cols))
+        return Mat(order, cols, cols=rows_n).transpose()
 
     # -- access --------------------------------------------------------------
 
     def col(self, j):
-        return tuple(row[j] for row in self.data)
+        z = cyc(self.order, 0)
+        return tuple(next((x for k, x in row if k == j), z)
+                     for row in self._nonzeros)
 
     # -- arithmetic ------------------------------------------------------
 
@@ -85,17 +97,17 @@ class Mat:
         if self.cols != other.rows:
             raise OrderMismatch(f"shape mismatch {self.rows}x{self.cols} @ "
                                 f"{other.rows}x{other.cols}")
-        z = cyc(self.order, 0)
         right = other.nonzeros()
         out = []
-        for row in self.nonzeros():
-            acc = [z] * other.cols
+        for row in self._nonzeros:
+            acc = {}
             for k, a in row:
                 for j, b in right[k]:
-                    x = acc[j]
-                    acc[j] = a * b if x is z else x + a * b
+                    x = acc.get(j)
+                    acc[j] = a * b if x is None else x + a * b
             out.append(acc)
-        return Mat(self.order, out, cols=other.cols)
+        return Mat(self.order, cols=other.cols,
+                   nonzeros=_sorted_rows(self.order, out))
 
     def apply(self, vec: Sequence[CycNumber]):
         """Matrix times column vector, over the nonzero entries."""
@@ -103,29 +115,42 @@ class Mat:
             raise OrderMismatch("vector length mismatch")
         z = cyc(self.order, 0)
         return tuple(sum((a * vec[k] for k, a in row if vec[k] is not z), z)
-                     for row in self.nonzeros())
+                     for row in self._nonzeros)
 
     def transpose(self):
-        return Mat(self.order, [self.col(j) for j in range(self.cols)],
-                   cols=self.rows)
+        out = [[] for _ in range(self.cols)]
+        for i, row in enumerate(self._nonzeros):
+            for j, x in row:
+                out[j].append((i, x))
+        return Mat(self.order, cols=self.rows, nonzeros=out)
 
     def trace(self):
-        acc = cyc(self.order, 0)
-        for i in range(min(self.rows, self.cols)):
-            acc = acc + self.data[i][i]
-        return acc
+        return sum((x for i, row in enumerate(self._nonzeros)
+                    for j, x in row if j == i), cyc(self.order, 0))
 
     def __eq__(self, other):
         if not isinstance(other, Mat):
             return NotImplemented
         return (self.order == other.order and self.cols == other.cols
-                and self.data == other.data)
-
-    def __hash__(self):
-        return hash((self.order, self.cols, self.data))
+                and self._nonzeros == other._nonzeros)
 
     def __repr__(self):
         return f"Mat({self.rows}x{self.cols}, order {self.order})"
+
+
+def _sorted_rows(order, rows):
+    """{column: value} rows as pair lists in column order, zeros dropped."""
+    z = cyc(order, 0)
+    return [[(j, row[j]) for j in sorted(row) if row[j] is not z]
+            for row in rows]
+
+
+def product_diagonal(a: Mat, b: Mat) -> list:
+    """The diagonal entries (a b)[c][c], each read from the nonzeros of
+    row c of a and column c of b."""
+    z, cols = cyc(a.order, 0), map(dict, b.transpose().nonzeros())
+    return [sum((x * col[k] for k, x in row if k in col), z)
+            for row, col in zip(a.nonzeros(), cols)]
 
 
 def _eliminate(order, rows):
@@ -183,11 +208,10 @@ def _eliminate(order, rows):
 
 def rref(m: Mat):
     """Reduced row echelon form; returns (Mat, rank, pivot column tuple)."""
-    z = cyc(m.order, 0)
     done, pivots = _eliminate(m.order, [dict(row) for row in m.nonzeros()])
-    data = [[row.get(c, z) for c in range(m.cols)] for row in done]
-    data += [[z] * m.cols] * (m.rows - len(done))
-    return Mat(m.order, data, cols=m.cols), len(done), pivots
+    rows = _sorted_rows(m.order, done)
+    rows += [[] for _ in range(m.rows - len(done))]
+    return Mat(m.order, cols=m.cols, nonzeros=rows), len(done), pivots
 
 
 class Subspace:
@@ -204,7 +228,7 @@ class Subspace:
     @staticmethod
     def from_vectors(order, ambient_dim, vectors: Iterable[Sequence[CycNumber]]):
         red, rank, pivots = rref(Mat(order, vectors, cols=ambient_dim))
-        basis = Mat(order, red.data[:rank], cols=ambient_dim)
+        basis = Mat(order, cols=ambient_dim, nonzeros=red.nonzeros()[:rank])
         return Subspace(order, ambient_dim, basis, pivots)
 
     @property
@@ -242,9 +266,6 @@ class Subspace:
         return (self.ambient_dim == other.ambient_dim
                 and self.basis == other.basis)
 
-    def __hash__(self):
-        return hash((self.ambient_dim, self.basis))
-
     def __repr__(self):
         return f"Subspace(dim {self.dim} of k^{self.ambient_dim})"
 
@@ -277,10 +298,10 @@ def _kernel(order, cols, rows) -> Subspace:
     done, pivots = _eliminate(order, rows)
     z, o = cyc(order, 0), cyc(order, 1)
     free = sorted(set(range(cols)).difference(pivots))
-    vectors = [[o if j == f else z for j in range(cols)] for f in free]
     if all(len(row) == 1 for row in done):
-        return Subspace(order, cols, Mat(order, vectors, cols=cols),
-                        tuple(free))
+        return Subspace(order, cols, Mat(order, cols=cols, nonzeros=[
+            [(f, o)] for f in free]), tuple(free))
+    vectors = [[o if j == f else z for j in range(cols)] for f in free]
     for row, pc in zip(done, pivots):
         for v, f in zip(vectors, free):
             v[pc] = -row.get(f, z)
@@ -305,23 +326,22 @@ def eigenspace(m: Mat, c: CycNumber) -> Subspace:
 def inverse(m: Mat) -> Mat:
     if m.rows != m.cols:
         raise NotInvertible("non-square matrix")
-    n, z, o = m.rows, cyc(m.order, 0), cyc(m.order, 1)
+    n, o = m.rows, cyc(m.order, 1)
     # eliminate the sparse rows of [m | I]; they always have full row
     # rank, and m is invertible only when every pivot lands in m's block
     done, pivots = _eliminate(m.order, [dict(row) | {n + i: o} for i, row
                                         in enumerate(m.nonzeros())])
     if pivots[:n] != tuple(range(n)):
         raise NotInvertible("matrix is singular")
-    return Mat(m.order, [[row.get(n + j, z) for j in range(n)]
-                         for row in done], cols=n)
+    return Mat(m.order, cols=n, nonzeros=_sorted_rows(m.order, [
+        {k - n: x for k, x in row.items() if k >= n} for row in done]))
 
 
 def restrict_operator(m: Mat, sub: Subspace) -> Mat:
     """Matrix of m on sub's basis; raises NotInvariant if m leaves sub."""
     cols = []
-    for r in range(sub.dim):
-        img = m.apply(sub.basis.data[r])
-        coords = sub.coords_of(img)
+    for vec in sub.basis.data:
+        coords = sub.coords_of(m.apply(vec))
         if coords is None:
             raise NotInvariant("operator does not preserve the subspace")
         cols.append(coords)

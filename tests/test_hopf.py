@@ -67,9 +67,28 @@ def test_duplicate_entries_accumulate():
         name="acc", dim=1, order=1,
         mult_entries=[(0, 0, 0, cyc(1, 2)), (0, 0, 0, cyc(1, -1))],
         comult_entries=[(0, 0, 0, one)], unit=(one,), counit=(one,))
-    assert h.mult[0][0][0] == 1
+    assert h.mult[0][0] == ((0, 1),)
     assert not check_axioms(h).failures()
-    assert zero not in h.mult[0][0].values()
+    assert zero not in (c for _, c in h.mult[0][0])
+
+
+def test_mult_cells_are_sorted_zero_free_pairs_with_one_empty_cell():
+    cells = [cell for row in build_taft(5).mult for cell in row]
+    assert len({id(cell) for cell in cells if not cell}) == 1
+    for cell in cells:
+        assert type(cell) is tuple
+        assert all(type(pair) is tuple and len(pair) == 2 and pair[1]
+                   for pair in cell)
+        assert [k for k, _ in cell] == sorted({k for k, _ in cell})
+    # duplicates add up, k sorts each cell, and a sum that cancels is ()
+    one, two = cyc(1, 1), cyc(1, 2)
+    h = HopfPresentation(
+        name="cells", dim=2, order=1,
+        mult_entries=[(0, 1, 1, one), (0, 1, 0, one), (0, 1, 1, one),
+                      (1, 1, 0, two), (1, 1, 0, -two)],
+        comult_entries=[], unit=(one, cyc(1, 0)), counit=(one, one))
+    assert h.mult[0][1] == ((0, one), (1, two))
+    assert h.mult[1][1] == () and h.mult[1][1] is h.mult[0][0]
 
 
 def test_double_dual_recovers_structure(t3, z5, sw):
@@ -428,7 +447,7 @@ def test_grouplikes_do_not_depend_on_the_counit(t3):
         name="taft(3), eps(e0) doubled", dim=t3.dim, order=t3.order,
         mult_entries=[(i, j, k, c) for i in range(t3.dim)
                       for j in range(t3.dim)
-                      for k, c in t3.mult[i][j].items()],
+                      for k, c in t3.mult[i][j]],
         comult_entries=[(i, j, k, c) for i in range(t3.dim)
                         for (j, k), c in t3.comult[i].items()],
         unit=t3.unit, counit=counit)
@@ -629,7 +648,7 @@ def test_lift_order_preserves_structure(t3):
     lifted = lift_order(t3, 15)
     assert lifted.order == 15
     assert not check_axioms(lifted).failures()
-    assert lifted.mult[3][1].keys() == t3.mult[3][1].keys()
+    assert [k for k, _ in lifted.mult[3][1]] == [k for k, _ in t3.mult[3][1]]
     assert len(find_grouplikes(lifted)) == 3
     with pytest.raises(OrderMismatch):
         lift_order(t3, 5)
@@ -697,7 +716,7 @@ def _oracle_axioms(h):
         return {key: x for key, x in out.items() if x}
 
     def mul(a, b):
-        return lin(a, lambda i: lin(b, lambda j: h.mult[i][j]))
+        return lin(a, lambda i: lin(b, lambda j: dict(h.mult[i][j])))
 
     def delta(a):
         return lin(a, lambda i: h.comult[i])
@@ -707,8 +726,8 @@ def _oracle_axioms(h):
 
     def tensor_mul(s, t):
         return lin(s, lambda ab: lin(t, lambda cd: {
-            (p, q): x * y for p, x in h.mult[ab[0]][cd[0]].items()
-            for q, y in h.mult[ab[1]][cd[1]].items()}))
+            (p, q): x * y for p, x in h.mult[ab[0]][cd[0]]
+            for q, y in h.mult[ab[1]][cd[1]]}))
 
     def first(failures):
         return next(failures, None)
@@ -911,10 +930,10 @@ def test_a_failing_counit_certifies_no_dual_row(monkeypatch):
     assert got == _oracle_axioms(h)
     assert hopf_module.algebra_generators(h) == (0, 1)
     assert [unit for unit, _ in seen] == [h.unit]  # H* was never searched
-    dual_mult = [[{}, {}], [{}, {}]]
+    dual_mult = [[[], []], [[], []]]
     for i, tensor in enumerate(h.comult):
         for (j, k), c in tensor.items():
-            dual_mult[j][k][i] = c
+            dual_mult[j][k].append((i, c))
     assert tuple(hopf_module._generators(1, dual_mult, h.counit)) == (1,)
     details = {name: detail for name, _, detail in got}
     assert details["counit"] == "counit fails on e0"

@@ -193,7 +193,7 @@ def test_trace_form_is_the_literal_functional_off_the_identity(t3):
         name="bent", dim=t3.dim, order=t3.order,
         mult_entries=[(i, j, k, c) for i in range(t3.dim)
                       for j in range(t3.dim)
-                      for k, c in t3.mult[i][j].items()],
+                      for k, c in t3.mult[i][j]],
         comult_entries=[(i, j, k, c) for i in range(t3.dim)
                         for (j, k), c in t3.comult[i].items()],
         unit=t3.unit, counit=t3.counit,
@@ -243,7 +243,7 @@ def _bent_antipode(h, i, j, shift):
         name=f"{h.name} S[{i}][{j}]{shift:+d}", dim=h.dim, order=h.order,
         mult_entries=[(a, b, k, c) for a in range(h.dim)
                       for b in range(h.dim)
-                      for k, c in h.mult[a][b].items()],
+                      for k, c in h.mult[a][b]],
         comult_entries=[(a, b, k, c) for a in range(h.dim)
                         for (b, k), c in h.comult[a].items()],
         unit=h.unit, counit=h.counit,

@@ -192,7 +192,7 @@ def test_eigen_decomposition_guards(z15, sw, t3):
     doctored = HopfPresentation(
         name="doctored", dim=9, order=3,
         mult_entries=[(i, j, k, c) for i in range(9) for j in range(9)
-                      for k, c in t3.mult[i][j].items()],
+                      for k, c in t3.mult[i][j]],
         comult_entries=[(i, j, k, c) for i in range(9)
                         for (j, k), c in t3.comult[i].items()],
         unit=t3.unit, counit=t3.counit, antipode=Mat(3, diag))
@@ -896,9 +896,9 @@ def _index_one_trace_report(t3, monkeypatch):
 
 @pytest.mark.parametrize("run, expect", (
     (lambda t3, mp: x_exponent(t3, cyc(3, 2)),
-     (BadParameters, "omega is not an 3-th root of unity")),
+     (BadParameters, "omega is not a root of unity of order 3")),
     (lambda t3, mp: x_exponent(t3, cyc(3, 1)),
-     (BadParameters, "omega is an 1-th root, not primitive")),
+     (BadParameters, "omega has order 1, not 3")),
     (_index_one_trace_report,
      (PreconditionFailed, "index of taft(3) is 1, not p = 3")),
     # Delta(x) = 1 (x) x + x (x) g in taft(3), basis g^i x^j at 3i + j:

@@ -583,6 +583,61 @@ def test_a_directly_built_zero_is_left_out_of_the_view():
     assert eigenspace(m, zeta) == eigenspace(dense, zeta)
 
 
+@st.composite
+def dense_operands(draw):
+    """(order, a, b, a2, v): dense rows of a (r x m), b (m x c), a2 equal
+    to a but maybe at one entry, and a vector of length m, over
+    Q(zeta_order).  Each row is zero-heavy (one entry in four drawn) or
+    dense (every entry drawn, zero now and then)."""
+    order = draw(st.sampled_from((1, 3, 15)))
+    z = cyc(order, 0)
+
+    def entry():
+        return (cyc(order, draw(st.integers(-3, 3)))
+                * root_of_unity(order, draw(st.integers(0, order - 1))))
+
+    def rows(n, cols):
+        out = []
+        for _ in range(n):
+            dense = draw(st.booleans())
+            out.append([entry() if dense or not draw(st.integers(0, 3))
+                        else z for _ in range(cols)])
+        return out
+
+    r, m, c = (draw(st.integers(0, 5)) for _ in range(3))
+    a, b, v = rows(r, m), rows(m, c), rows(1, m)[0]
+    a2 = [list(row) for row in a]
+    if r and m and draw(st.booleans()):
+        a2[draw(st.integers(0, r - 1))][draw(st.integers(0, m - 1))] = entry()
+    return order, a, b, a2, v
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(dense_operands())
+def test_sparse_rows_match_a_schoolbook_dense_oracle(case):
+    order, a, b, a2, v = case
+    z = cyc(order, 0)
+    r, m, c = len(a), len(v), len(b[0]) if b else 0
+    ma, mb = Mat(order, a, cols=m), Mat(order, b, cols=c)
+    for got, rows in ((ma, a), (mb, b)):
+        assert got.data == tuple(map(tuple, rows))
+        assert got.nonzeros() == tuple([(j, x) for j, x in enumerate(row)
+                                        if x] for row in rows)
+    assert (ma.rows, ma.cols, mb.rows, mb.cols) == (r, m, m, c)
+    assert (ma == Mat(order, a2, cols=m)) == (a == a2)
+    product = [[sum((a[i][k] * b[k][j] for k in range(m)), z)
+                for j in range(c)] for i in range(r)]
+    assert (ma @ mb).data == tuple(map(tuple, product))
+    assert ma @ mb == Mat(order, product, cols=c)
+    assert ma.apply(v) == tuple(sum((row[k] * v[k] for k in range(m)), z)
+                                for row in a)
+    columns = tuple(tuple(row[j] for row in a) for j in range(m))
+    assert ma.transpose().data == columns
+    assert ma.transpose() == Mat(order, columns, cols=r)
+    assert tuple(ma.col(j) for j in range(m)) == columns
+    assert ma.trace() == sum((a[i][i] for i in range(min(r, m))), z)
+
+
 @pytest.mark.parametrize("run, expect", (
     (lambda one: Mat(1, [[one], []]), (OrderMismatch, "ragged matrix rows")),
     (lambda one: Mat.identity(1, 2) @ Mat.identity(3, 2),

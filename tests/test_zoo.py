@@ -162,8 +162,8 @@ def test_taft_structure_constants():
     one = cyc(n, 1)
     g, x = n, 1  # basis g^i x^j at index i*n + j
     assert h.dim == n * n
-    assert h.mult[x][g] == {n + 1: omega}         # x g = omega g x
-    assert h.mult[g][x] == {n + 1: one}
+    assert h.mult[x][g] == ((n + 1, omega),)      # x g = omega g x
+    assert h.mult[g][x] == ((n + 1, one),)
     assert h.comult[x] == {(0, x): one, (x, g): one}  # 1(x)x + x(x)g
     assert h.comult[g] == {(g, g): one}                # g(x)g
     g_last = (n - 1) * n                                 # g^(n-1)
@@ -192,7 +192,7 @@ def test_taft_antipode_order():
 
 def test_taft_root_power_selects_omega():
     h = build_taft(3, root_power=2)
-    assert h.mult[1][3] == {4: root_of_unity(3, 2)}
+    assert h.mult[1][3] == ((4, root_of_unity(3, 2)),)
 
 
 def test_taft_parameter_guards():
@@ -235,8 +235,8 @@ def test_tensor_realizes_chinese_remainder_isomorphism():
     perm = [(c % 3) * 5 + (c % 5) for c in range(15)]
     for i in range(15):
         for j in range(15):
-            assert t.mult[perm[i]][perm[j]] == {
-                perm[k]: c for k, c in z15.mult[i][j].items()}
+            assert t.mult[perm[i]][perm[j]] == tuple(sorted(
+                (perm[k], c) for k, c in z15.mult[i][j]))
         assert t.comult[perm[i]] == {
             (perm[j], perm[k]): c for (j, k), c in z15.comult[i].items()}
 
