@@ -112,14 +112,11 @@ class HopfPresentation:
         if dim < 1:
             raise MalformedTensor("dimension must be >= 1")
         z = cyc(order, 0)
-        checked = {}  # id -> each scalar object checked, kept alive
         mult_entries, comult = list(mult_entries), [{} for _ in range(dim)]
         for table, entries in (("mult", mult_entries),
                                ("comult", comult_entries)):
             for (i, j, k, c) in entries:
-                if id(c) not in checked:
-                    self._check_scalar(c)
-                    checked[id(c)] = c
+                self._check_scalar(c)
                 if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
                     raise MalformedTensor(
                         f"{table} index out of range: {(i, j, k)}")
@@ -601,9 +598,9 @@ def _line_grouplike(h: HopfPresentation, w: Subspace):
 
 
 def _acts_as_scalar(a, wcols, c) -> bool:
-    """A = c w^T exactly: then m = c I and R = 0, so w is carried on
-    whole.  Compares the nonzeros of a, {(l, r): A[l][r]}, and of wcols,
-    column l of w as (r, entry) pairs."""
+    """A = c w^T exactly: then T_k v = c v for every v in w, so w is
+    carried on whole.  Compares the nonzeros of a, {(l, r): A[l][r]},
+    and of wcols, column l of w as (r, entry) pairs."""
     got = {key: x for key, x in a.items() if x}
     if not c:
         return not got
@@ -635,11 +632,12 @@ def find_grouplikes(h: HopfPresentation) -> tuple:
 
     States of K are refined by T_0, T_1, ..., each state w (RREF basis,
     pivots p_j, d = dim w) split in its own d coordinates.  A = T_k w^T
-    is read from the Delta terms with left leg k, m is A on the pivot
-    rows and R = A - w^T m, which is zero on the pivot rows.  For
-    v = w^T x, T_k v = c v exactly when (m - c) x = 0 and R x = 0.  The
-    new state is w.image_of(X) for the kernel X in RREF: X w is already
-    the canonical basis an rref would give.
+    is read from the Delta terms with left leg k.  For v = w^T x,
+    T_k v = c v exactly when (A - c w^T) x = 0; w^T is the identity on
+    the pivot rows, so c is an eigenvalue of m, A on those rows, and the
+    roots of charpoly(m) are the only candidates.  The new state is
+    w.image_of(X) for the kernel X in RREF: X w is already the canonical
+    basis an rref would give.
 
     After the last operator each state has Delta(v) = c (x) v = v (x) c
     for all its v, so one of dimension >= 2 has c = 0 and no grouplike;
@@ -667,7 +665,7 @@ def find_grouplikes(h: HopfPresentation) -> tuple:
             for r, row in enumerate(w.basis.nonzeros()):
                 for i, x in row:
                     wcols.setdefault(i, []).append((r, x))
-            a = {}  # (l, r) -> entry of A, and of R below
+            a = {}  # (l, r) -> entry of A
             for (i, l, c) in by_k[k]:
                 for r, x in wcols.get(i, ()):
                     a[l, r] = a.get((l, r), z) + c * x
@@ -688,17 +686,11 @@ def find_grouplikes(h: HopfPresentation) -> tuple:
                 raise EigenvalueNotInField(
                     f"operator {k}: characteristic polynomial leaves a "
                     f"degree-{rem_deg} factor unsplit over Q(zeta_{h.order})")
-            # R = A - w^T m, summed over the nonzeros of w and m
-            mrows = m.nonzeros()
-            for l, col in wcols.items():
-                for r, x in col:
-                    for r2, y in mrows[r]:
-                        a[l, r2] = a.get((l, r2), z) - x * y
-            eqs = [(j, r, x) for j, row in enumerate(mrows) for r, x in row]
-            eqs += [(d + l, r, x) for (l, r), x in a.items() if x]
+            eqs = [(l, r, x) for (l, r), x in a.items()]
             for (c, _mult) in roots:
-                ker = null_space_of_terms(
-                    h.order, d, eqs + [(j, j, -c) for j in range(d)])
+                ker = null_space_of_terms(h.order, d, eqs + [
+                    (l, r, -c * y)
+                    for l, col in wcols.items() for r, y in col])
                 if ker.dim:
                     new_states.append(w.image_of(ker))
         states = new_states

@@ -27,7 +27,10 @@ Each right side is linear in f, so it equals Tr(G_v f) for one matrix
 G_v (trace_form).  With C[j][k] the coefficient of e_j (x) e_k in
 Delta(Lambda) (integral_coproduct), B = integral_form and W1 = S^T B:
   G1 = C W1,   G2 = (W1 C)^T,   G3 = S C^T B^T.
-Formula v holds for every endomorphism f exactly when G_v = I.
+Formula v holds for every endomorphism f exactly when G_v = I.  G3 is
+also compute_antipode's S^-1 = (B C)^T checked against S with no
+inverse, S (B C)^T = I: the verify command reads it to cross-check a
+stored antipode.
 """
 
 from __future__ import annotations

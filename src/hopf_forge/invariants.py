@@ -83,8 +83,9 @@ def omega_for_index(h: HopfPresentation, n: int,
     omega = primitive_root(h.order, n, power)
     if omega is None:
         raise NonSplitting(
-            f"Q(zeta_{h.order}) has no primitive {n}-th root of unity; "
-            f"re-present the algebra over Q(zeta_{lcm(h.order, 2 * n)})")
+            f"Q(zeta_{h.order}) has no primitive root of unity of order "
+            f"{n}; re-present the algebra over "
+            f"Q(zeta_{lcm(h.order, 2 * n)})")
     return omega
 
 

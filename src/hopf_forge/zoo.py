@@ -118,11 +118,11 @@ def build_group_algebra(table, cyclotomic_order: int = 1,
         else tuple(f"g{i}" for i in range(n)))
 
 
-def build_cyclic_group_algebra(n: int, cyclotomic_order: int = 1,
-                               name: str | None = None) -> HopfPresentation:
+def build_cyclic_group_algebra(n: int,
+                               cyclotomic_order: int = 1) -> HopfPresentation:
     labels = ["1"] + [f"g^{i}" if i > 1 else "g" for i in range(1, n)]
     return build_group_algebra(cyclic_table(n), cyclotomic_order,
-                               name=name or f"k[Z{n}]", basis=tuple(labels))
+                               name=f"k[Z{n}]", basis=tuple(labels))
 
 
 # -- Taft algebras ------------------------------------------------------------
@@ -152,8 +152,8 @@ def build_taft(n: int, root_power: int = 1,
     omega = primitive_root(order, n, root_power)
     if omega is None:
         raise BadParameters(
-            f"Q(zeta_{order}) contains no primitive {n}-th root of unity; "
-            f"use a cyclotomic order divisible by {n}")
+            f"Q(zeta_{order}) contains no primitive root of unity of "
+            f"order {n}; use a cyclotomic order divisible by {n}")
     dim = n * n
     zero, one = cyc(order, 0), cyc(order, 1)
     w = [omega ** e for e in range(n)]  # omega^e, exponents taken mod n
@@ -201,8 +201,8 @@ def sweedler(cyclotomic_order: int = 1) -> HopfPresentation:
 # -- combinators --------------------------------------------------------------
 
 
-def build_tensor(h1: HopfPresentation, h2: HopfPresentation,
-                 name: str | None = None) -> HopfPresentation:
+def build_tensor(h1: HopfPresentation,
+                 h2: HopfPresentation) -> HopfPresentation:
     """Tensor product Hopf algebra, index (i1, i2) -> i1*dim2 + i2 alike
     in mult, comult and the antipode S1 (x) S2, from the factors' terms.
 
@@ -233,7 +233,7 @@ def build_tensor(h1: HopfPresentation, h2: HopfPresentation,
             for i2, r2 in enumerate(h2.antipode.nonzeros()) for j2, b in r2))
     labels = tuple(f"{a}(x){b}" for a in h1.basis for b in h2.basis)
     return HopfPresentation(
-        name=name or f"tensor({h1.name}, {h2.name})", dim=dim,
+        name=f"tensor({h1.name}, {h2.name})", dim=dim,
         order=h1.order, mult_entries=mult_entries,
         comult_entries=comult_entries, unit=unit, counit=counit,
         antipode=s, basis=labels)

@@ -18,7 +18,9 @@ import sympy
 from conftest import corrupted, rebased_z2, sites
 
 import hopf_forge
-from hopf_forge import Mat, build_group_algebra, build_taft, dual
+from hopf_forge import (BadParameters, Mat, NonSplitting,
+                        build_group_algebra, build_taft, dual,
+                        omega_for_index)
 from hopf_forge.cli import canonical_bytes, main, presentation_to_document
 
 # child interpreters import the package under test, wherever it was found
@@ -92,6 +94,31 @@ def test_zoo_rejects_order_zero(family, capsys):
     code, out, err = run_cli(capsys, "zoo", *family, "--order", "0")
     assert code == 2 and out == ""
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("cyclic, message", [
+    (["--cyclic", "3,x"], "bad --cyclic value: '3,x'"),
+    ([], "group needs --cyclic N[,N2,...]"),
+], ids=["bad-list", "missing"])
+def test_zoo_group_names_a_bad_cyclic_list(cyclic, message, capsys):
+    code, out, err = run_cli(capsys, "zoo", "group", *cyclic)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_missing_roots_of_unity_are_named_by_their_order(z5, capsys):
+    with pytest.raises(NonSplitting) as exc:
+        omega_for_index(z5, 3)
+    assert str(exc.value) == ("Q(zeta_1) has no primitive root of unity of "
+                              "order 3; re-present the algebra over "
+                              "Q(zeta_6)")
+    message = ("Q(zeta_4) contains no primitive root of unity of order 3; "
+               "use a cyclotomic order divisible by 3")
+    with pytest.raises(BadParameters) as exc:
+        build_taft(3, cyclotomic_order=4)
+    assert str(exc.value) == message
+    code, out, err = run_cli(capsys, "zoo", "taft", "--n", "3",
+                             "--order", "4")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_verify_names_failed_axiom(taft3_file, tmp_path, capsys):
@@ -179,8 +206,7 @@ def test_crosscheck_reads_the_integral_formula(taft3_file, capsys,
         return Mat(m.order, [[2 * x for x in row] for row in m.data],
                    cols=m.cols)
 
-    for module in (hopf_forge.cli, hopf_forge.integrals):
-        monkeypatch.setattr(module, "integral_form", doubled)
+    monkeypatch.setattr(hopf_forge.integrals, "integral_form", doubled)
     code, out, _ = run_cli(capsys, "verify", str(taft3_file))
     assert code == 1
     assert out.splitlines()[-1] == "antipode-crosscheck: FAIL S (B C)^T != I"

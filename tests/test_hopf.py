@@ -628,6 +628,22 @@ def _without_antipode(h):
         comult_entries=comult, unit=h.unit, counit=h.counit, basis=h.basis)
 
 
+@pytest.mark.parametrize("dropped, message", [
+    ((1, 4, 5), "the integral candidate for S^-1 is singular"),
+    ((0, 0, 0), "the integral candidate fails the left antipode axiom on e0"),
+    ((0, 7, 7), "the integral candidate fails the right antipode axiom on e1"),
+], ids=["singular", "left", "right"])
+def test_compute_antipode_names_why_the_candidate_fails(t3, dropped, message):
+    # taft(3) with one product entry removed still has a normalized
+    # integral pair; the candidate S is then singular or fails an axiom
+    mult = [e for e in t3.entries("mult") if e[:3] != dropped]
+    assert len(mult) == len(t3.entries("mult")) - 1
+    h = HopfPresentation(
+        name=t3.name, dim=t3.dim, order=t3.order, mult_entries=mult,
+        comult_entries=t3.entries("comult"), unit=t3.unit, counit=t3.counit)
+    assert outcome(compute_antipode, h) == (NoAntipode, message)
+
+
 def s3_table():
     perms = list(itertools.permutations(range(3)))
     return [[perms.index(tuple(p[q[i]] for i in range(3))) for q in perms]
