@@ -147,7 +147,7 @@ def build_taft(n: int, root_power: int = 1,
     if gcd(root_power, n) != 1:
         raise BadParameters(
             f"root_power {root_power} is not coprime to {n}; omega would "
-            "not be a primitive n-th root of unity")
+            f"not be a primitive root of unity of order {n}")
     order = n if cyclotomic_order is None else cyclotomic_order
     omega = primitive_root(order, n, root_power)
     if omega is None:

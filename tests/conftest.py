@@ -14,7 +14,8 @@ import pytest
 from hopf_forge import (HopfPresentation, Mat, build_cyclic_group_algebra,
                         build_group_algebra, build_taft, build_tensor, cyc,
                         cyclic_table, direct_product_table, dual,
-                        lift_order, root_of_unity, sweedler)
+                        lift_order, sweedler)
+from hopf_forge.cyclofield import root_of_unity
 
 
 @pytest.fixture(scope="session")
@@ -140,6 +141,14 @@ def structure(h):
 def sites(h):
     """Every (i, j, k) index triple of a mult or comult table of h."""
     return list(itertools.product(range(h.dim), repeat=3))
+
+
+def s3_table():
+    """Cayley table of S3 on the permutations of range(3), in
+    itertools.permutations order: entry [p][q] is the index of p∘q."""
+    perms = list(itertools.permutations(range(3)))
+    return [[perms.index(tuple(p[q[i]] for i in range(3))) for q in perms]
+            for p in perms]
 
 
 def taken_as_certified(h):

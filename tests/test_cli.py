@@ -15,7 +15,7 @@ import sys
 
 import pytest
 import sympy
-from conftest import corrupted, rebased_z2, sites
+from conftest import corrupted, rebased_z2, s3_table, sites
 
 import hopf_forge
 from hopf_forge import (BadParameters, Mat, NonSplitting,
@@ -490,7 +490,7 @@ def test_report_certifies_single_entry_corruptions(tmp_path, capsys):
     # witness of verify's first FAIL line, and names no axiom otherwise,
     # as on the unshifted control.  _oracle_axioms, a plain scan of every
     # triple, decides which mutants are no bialgebra
-    from test_hopf import _oracle_axioms, s3_table
+    from test_hopf import _oracle_axioms
     rng = random.Random(32)
     path = tmp_path / "mutant.json"
     verdicts = {"rejected": 0, "kept": 0}

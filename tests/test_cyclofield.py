@@ -11,10 +11,11 @@ import pytest
 import sympy
 
 from hopf_forge import (BoundExceeded, CycNumber, DivisionByZero,
-                        OrderMismatch, cyc, cyclotomic_poly, galois_conjugate,
-                        lift_scalar, root_of_unity, scalar_from_json,
-                        scalar_to_json)
-from hopf_forge.cyclofield import coordinate_key
+                        OrderMismatch, cyc)
+from hopf_forge.cyclofield import (coordinate_key, cyclotomic_poly,
+                                   galois_conjugate, lift_scalar,
+                                   root_of_unity, scalar_from_json,
+                                   scalar_to_json)
 from conftest import outcome
 
 ORDERS = (1, 2, 3, 4, 5, 12, 15)

@@ -11,14 +11,15 @@ import sympy as sp
 import hopf_forge.hopf as hopf_module
 from hopf_forge import (CycNumber, EigenvalueNotInField, HopfPresentation,
                         MalformedTensor, Mat, NoAntipode, OrderMismatch,
-                        Subspace, build_group_algebra,
-                        build_taft, build_tensor, check_axioms,
-                        compute_antipode, cyc, distinguished_character,
-                        distinguished_grouplike, dual, find_grouplikes,
-                        integral_pair, is_grouplike, lift_order, null_space,
-                        root_of_unity)
+                        build_group_algebra, build_taft, build_tensor,
+                        check_axioms, cyc, distinguished_grouplike, dual,
+                        find_grouplikes, integral_pair, lift_order)
+from hopf_forge.cyclofield import root_of_unity
+from hopf_forge.hopf import compute_antipode, is_grouplike
+from hopf_forge.integrals import distinguished_character
+from hopf_forge.linalg import Subspace, null_space
 from conftest import (basis_element, corrupted, harpoon_left, harpoon_right,
-                      outcome, rebased_z2, sites, structure)
+                      outcome, rebased_z2, s3_table, sites, structure)
 
 
 def test_axioms_hold_on_corpus(corpus, sw):
@@ -642,12 +643,6 @@ def test_compute_antipode_names_why_the_candidate_fails(t3, dropped, message):
         name=t3.name, dim=t3.dim, order=t3.order, mult_entries=mult,
         comult_entries=t3.entries("comult"), unit=t3.unit, counit=t3.counit)
     assert outcome(compute_antipode, h) == (NoAntipode, message)
-
-
-def s3_table():
-    perms = list(itertools.permutations(range(3)))
-    return [[perms.index(tuple(p[q[i]] for i in range(3))) for q in perms]
-            for p in perms]
 
 
 def test_antipode_matrix_without_stored_antipode(z3, t3, t3d, t3z5):

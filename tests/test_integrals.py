@@ -12,13 +12,15 @@ import hopf_forge.integrals as integrals_module
 from hopf_forge import (AxiomFailure, DegeneratePairing, HopfForgeError,
                         HopfPresentation, IntegralSpaceNotOneDim, Mat,
                         build_group_algebra, build_taft, build_tensor,
-                        character_inverse, check_axioms, cyc,
-                        distinguished_character, distinguished_grouplike,
-                        dual, dual_right_integral, integral_pair,
-                        integral_subspace, is_cosemisimple, is_semisimple,
-                        is_unimodular, left_integral, lift_order, null_space,
-                        radford_trace, root_of_unity, trace_form,
+                        check_axioms, cyc, distinguished_grouplike, dual,
+                        integral_pair, lift_order, radford_trace,
                         verify_s4_formula)
+from hopf_forge.cyclofield import root_of_unity
+from hopf_forge.integrals import (character_inverse, distinguished_character,
+                                  dual_right_integral, integral_subspace,
+                                  is_cosemisimple, is_semisimple,
+                                  is_unimodular, left_integral, trace_form)
+from hopf_forge.linalg import null_space
 from conftest import (basis_element, corrupted, harpoon_left, harpoon_right,
                       random_endomorphism, sites, taken_as_certified)
 

@@ -11,22 +11,24 @@ import pytest
 from hopf_forge import (CHECK_TAGS, AxiomFailure, BadParameters, EigenTable,
                         HopfPresentation, IndexData, IndexEven, IndexOne,
                         Lemma24Result, Mat, NonSplitting, NotInvariant,
-                        NotInvertible, OffPatternBlock, PreconditionFailed, Subspace,
-                        alternating_form_check, build_report, build_taft,
+                        NotInvertible, OffPatternBlock, PreconditionFailed,
+                        alternating_form_check, build_group_algebra,
+                        build_report, build_taft,
                         build_cyclic_group_algebra, build_tensor,
-                        check_dim_symmetry,
                         compute_index, coradical, coradical_is_subcoalgebra,
                         coradical_traces, cyc, dual, eigen_decomposition,
-                        eigenspace, find_grouplikes, h_plus_minus,
-                        integral_coproduct, integral_pair, lemma24_check,
-                        lift_order, normal_form, omega_for_index,
-                        projection_traces, root_of_unity, trace_s2p_report,
-                        x_exponent)
+                        find_grouplikes, h_plus_minus, integral_pair,
+                        lemma24_check, lift_order, normal_form,
+                        omega_for_index, projection_traces, trace_s2p_report)
 from hopf_forge import invariants
-from hopf_forge.invariants import InvariantReport, NormalForm, selects
+from hopf_forge.cyclofield import root_of_unity
+from hopf_forge.integrals import integral_coproduct
+from hopf_forge.invariants import (InvariantReport, NormalForm,
+                                   check_dim_symmetry, selects, x_exponent)
+from hopf_forge.linalg import Subspace, eigenspace
 from hopf_forge.cli import (document_to_presentation, main,
                             presentation_to_document)
-from conftest import basis_element, outcome, taken_as_certified
+from conftest import basis_element, outcome, s3_table, taken_as_certified
 
 
 def table_of(h, power=1):
@@ -84,7 +86,8 @@ def test_x_exponent_taft(t3, t5):
 
 
 def test_x_exponent_agrees_with_alpha_of_g(t3z5):
-    from hopf_forge import distinguished_character, distinguished_grouplike
+    from hopf_forge.integrals import (distinguished_character,
+                                      distinguished_grouplike)
     h = t3z5
     n = compute_index(h).n
     omega = omega_for_index(h, n)
@@ -807,6 +810,29 @@ def test_tensoring_with_k_zm_scales_the_report_by_m(t3, z3, t3z5):
         assert doc["eigen_dims"] == {
             label: m * d for label, d in base["eigen_dims"].items()}, m
         assert (doc["trace_s2p"], doc["d"]) == (None, None), m
+
+
+def test_report_taft3_s3_and_its_dual_one_not_pointed(t3):
+    # taft(3) (x) k[S3] is pointed, with grouplikes Z3 x S3.  Its dual
+    # taft(3)* (x) k^S3 has only 3 x 2 grouplikes, the characters of
+    # taft(3) times the linear characters of S3, but its coradical
+    # taft(3)*_0 (x) k^S3 has dim 3 * 6: the 2-dimensional irreducible
+    # representation of S3 makes a simple subcoalgebra of dim 4 in k^S3.
+    # Neither algebra is semisimple, cosemisimple or unimodular
+    h = build_tensor(t3, build_group_algebra(s3_table(), cyclotomic_order=3,
+                                             name="k[S3]"))
+    for a, grouplikes, pointed in ((h, 18, True), (dual(h), 6, False)):
+        rep = build_report(a)
+        assert rep.dim == 54 and rep.index.n == 3, a.name
+        assert not (rep.semisimple or rep.cosemisimple or rep.unimodular)
+        assert rep.all_ok, a.name
+        assert {tag: s for tag, s, _ in rep.checks
+                if tag.startswith(("thm2.2", "thm3.3"))} == {
+            "thm2.2:trace-p2d": "skipped:NotPQ",
+            "thm3.3:congruence-mod4": "skipped:NotPQ",
+            "thm3.3:h-minus-formula": "skipped:NotPQ"}, a.name
+        assert (rep.grouplike_count, rep.coradical_dim, rep.pointed) == \
+            (grouplikes, 18, pointed), a.name
 
 
 @pytest.mark.parametrize("name", ["t3", "sw", "z15"])

@@ -12,11 +12,10 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from hopf_forge import (CycNumber, Mat, NotInvariant, NotInvertible,
-                        OrderMismatch, Subspace, charpoly,
-                        cyc, eigenspace, inverse,
-                        null_space, restrict_operator,
-                        roots_in_field, root_of_unity, rref)
-from hopf_forge.linalg import _rational_roots
+                        OrderMismatch, cyc, restrict_operator, rref)
+from hopf_forge.cyclofield import root_of_unity
+from hopf_forge.linalg import (Subspace, _rational_roots, charpoly, eigenspace,
+                               inverse, null_space, roots_in_field)
 from conftest import outcome
 
 

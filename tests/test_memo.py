@@ -16,9 +16,10 @@ import hopf_forge.invariants as invariants_module
 from hopf_forge import (AxiomFailure, CycNumber, HopfPresentation,
                         IntegralSpaceNotOneDim, build_report, build_taft,
                         compute_index, coradical, cyc,
-                        distinguished_character, distinguished_grouplike,
-                        dual_right_integral, find_grouplikes, integral_pair,
-                        integral_subspace)
+                        distinguished_grouplike, find_grouplikes,
+                        integral_pair)
+from hopf_forge.integrals import (distinguished_character,
+                                  dual_right_integral, integral_subspace)
 from hopf_forge.cli import document_to_presentation, presentation_to_document
 
 

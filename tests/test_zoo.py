@@ -13,7 +13,8 @@ from hopf_forge import (BadParameters, Mat, NotAGroup, OrderMismatch,
                         build_taft, build_tensor, check_axioms, cyc,
                         cyclic_table, direct_product_table, dual,
                         find_grouplikes, integral_pair, lift_order,
-                        root_of_unity, sweedler)
+                        sweedler)
+from hopf_forge.cyclofield import root_of_unity
 from hopf_forge.zoo import _generators, _validate_group
 from conftest import basis_element, structure
 
@@ -200,6 +201,10 @@ def test_taft_parameter_guards():
         build_taft(1)
     with pytest.raises(BadParameters):
         build_taft(4, root_power=2)                 # gcd(2, 4) > 1
+    with pytest.raises(BadParameters, match=r"^root_power 0 is not coprime "
+                       r"to 3; omega would not be a primitive root of "
+                       r"unity of order 3$"):
+        build_taft(3, root_power=0)
     with pytest.raises(BadParameters):
         build_taft(3, cyclotomic_order=5)           # no cube root in Q(z5)
 
