@@ -282,17 +282,18 @@ def check_axioms(h: HopfPresentation) -> AxiomChecklist:
     N = {a : (ab)c = a(bc) for all b, c} of any bilinear product is closed
     under it: ((aa')b)c = (a(a'b))c = a((a'b)c) = a(a'(bc)) = (aa')(bc).
     The generators' words and 1 span the algebra, so a subalgebra holding
-    1 and the generators is all of it.  On H: the unit (then 1 is in N,
-    as (1b)c = bc = 1(bc)), associativity; Delta(1) = 1 (x) 1, then
-    Delta-multiplicativity ({a : Delta(ab) = Delta(a) Delta(b) for all b}
-    is a subalgebra by the same chain); coassociativity (the coassociative
-    elements of an algebra map Delta form a subalgebra holding 1).  On H*
-    (product comult^T, unit the counit, from transposed tables), the same
-    chain transposed: the counit, coassociativity; counit
-    multiplicativity, Delta-multiplicativity; associativity.  H* is taken
-    when the counit holds and H* has fewer generators.  A step runs on
-    generator rows once every step before it has passed; otherwise, or
-    when a generator row fails, it scans every row of H, so each witness
+    1 and the generators is all of it.  On H, given the unit (then 1 is
+    in N, as (1b)c = bc = 1(bc)) and Delta(1) = 1 (x) 1: associativity,
+    then Delta-multiplicativity ({a : Delta(ab) = Delta(a) Delta(b) for
+    all b} is a subalgebra by the same chain), then coassociativity (the
+    coassociative elements of an algebra map Delta form a subalgebra
+    holding 1).  On H* (product comult^T, unit the counit, from
+    transposed tables), given the counit and counit multiplicativity, the
+    same chain transposed: coassociativity, Delta-multiplicativity,
+    associativity.  H* is taken when the counit holds and H* has fewer
+    generators.  When the givens of the side taken hold and its every
+    generator row passes all three row checks, the three axioms are
+    proved at once; otherwise each scans every row of H, so each witness
     is the first failure in row-major order.  Sums drop their cancelled
     entries, so == compares them with zero-free tables.
     """
@@ -381,13 +382,6 @@ def check_axioms(h: HopfPresentation) -> AxiomChecklist:
         j = min(j for j in a.keys() | b.keys() if a.get(j) != b.get(j))
         return f"counit not multiplicative on (e{i}, e{j})"
 
-    def scan(axiom, row, certify):
-        """None if certify and row pass rows, else axiom's first failure on H."""
-        if certify and not any(row(*taken, i) for i in rows):
-            return None
-        return next(filter(None, (axiom(h.mult, h.comult, i)
-                                  for i in range(n))), None)
-
     ident = Mat.identity(h.order, n)
     unital = identities("unit", h.left_mult_matrix(h.unit),
                         h.right_mult_matrix(h.unit))
@@ -395,9 +389,10 @@ def check_axioms(h: HopfPresentation) -> AxiomChecklist:
                           h.harpoon_matrix(h.counit, "right"))
     counit_map = ("counit(1) != 1" if h.pair(h.counit, h.unit) != 1
                   else counit_multiplicative())
+    delta_unit = (h.comult_matrix(h.unit).nonzeros()
+                  == _outer_rows(h.unit, h.unit, z))
     taken, rows = (h.mult, h.comult), algebra_generators(h)
-    first, last, unit_ok, delta_ok = (associativity, coassociativity,
-                                      unital is None, True)
+    ready = unital is None and delta_unit
     if counital is None:  # the generators of H*, up to as many as H has
         dual_mult = _cells(n, z, ((j, k, i, c)
                                   for i, j, k, c in h.entries("comult")))
@@ -408,16 +403,20 @@ def check_axioms(h: HopfPresentation) -> AxiomChecklist:
             for i, j, k, c in h.entries("mult"):
                 dual_comult[k][i, j] = c
             taken, rows = (dual_mult, dual_comult), dual_rows
-            first, last, unit_ok, delta_ok = (coassociativity, associativity,
-                                              True, counit_map is None)
-    done = {first: scan(first, associativity, unit_ok)}
-    comult_map = "Delta(1) != 1 (x) 1"
-    if h.comult_matrix(h.unit).nonzeros() == _outer_rows(h.unit, h.unit, z):
-        comult_map = scan(comult_multiplicative, comult_multiplicative,
-                          unit_ok and done[first] is None and delta_ok)
-    done[last] = scan(last, coassociativity, comult_map is None and delta_ok)
-    results = [("associativity", done[associativity]), ("unit", unital),
-               ("coassociativity", done[coassociativity]),
+            ready = counit_map is None
+    proved = ready and not any(
+        row(*taken, i) for row in (associativity, comult_multiplicative,
+                                   coassociativity) for i in rows)
+
+    def scan(axiom):
+        """None if proved, else axiom's first failure on H."""
+        return None if proved else next(filter(None, (
+            axiom(h.mult, h.comult, i) for i in range(n))), None)
+
+    comult_map = (scan(comult_multiplicative) if delta_unit
+                  else "Delta(1) != 1 (x) 1")
+    results = [("associativity", scan(associativity)), ("unit", unital),
+               ("coassociativity", scan(coassociativity)),
                ("counit", counital), ("comult-algebra-map", comult_map),
                ("counit-algebra-map", counit_map)]
     if h.antipode is not None:

@@ -13,7 +13,8 @@ antipode and the distinguished grouplike g:
   (1, -l, l) with 2l = x;
 - parity and congruence facts: dim H_-, Tr(S^(2p)) = p^2 d for
   dimension-pq inputs, d odd and congruent to pq mod 4;
-- the coradical, its S^(2p)-invariance, and block traces.
+- the coradical (the row space of Delta(t), t the regular trace of H*),
+  its S^(2p)-invariance, and block traces.
 
 A failed check is a mathematical event (the input falsifies a statement
 this machinery is designed to witness) and is always surfaced as a
@@ -426,23 +427,23 @@ def lemma24_check(h: HopfPresentation, t: EigenTable, d: int) -> Lemma24Result:
 
 @_memo
 def coradical(h: HopfPresentation) -> Subspace:
-    """The coradical as the annihilator of the radical of H*.
+    """The coradical, the annihilator of the Jacobson radical of H*.
 
-    The Jacobson radical of the dual algebra is computed as the radical
-    of the trace form T(beta, gamma) = Tr(L_beta L_gamma) of the regular
-    representation (valid in characteristic zero); the coradical is the
-    subspace of H annihilated by it.
+    h is certified first.  In characteristic zero that radical is the
+    radical of the trace form Tr(L_beta L_gamma) of H*'s left regular
+    representation (Dickson).  With t in H, t_k = Tr(L_(e_k*)) = the sum
+    over j of the e_k (x) e_j coefficient of Delta(e_j), coassociativity
+    gives Tr(L_beta L_gamma) = (beta gamma)(t) = (beta (x) gamma) Delta(t):
+    the form's Gram matrix is Delta(t), whose kernel is the radical, so
+    the coradical is its row space.
     """
-    n = h.dim
-    # left multiplication in the dual: L_i[(k, j)] = c for the comult
-    # entry (k, i, j, c)
-    lmats = [dict() for _ in range(n)]
-    for k, i, j, c in h.entries("comult"):
-        lmats[i][(k, j)] = c
-    radical = null_space(h.matrix(
-        (i, j, c * lmats[j][l, k]) for i in range(n) for j in range(n)
-        for (k, l), c in lmats[i].items() if (l, k) in lmats[j]))
-    return null_space(radical.basis)
+    certified(h)
+    t = [h.zero_scalar()] * h.dim
+    for j, tensor in enumerate(h.comult):
+        for (k, l), c in tensor.items():
+            if l == j:
+                t[k] = t[k] + c
+    return Subspace.from_vectors(h.order, h.dim, h.comult_matrix(t).data)
 
 
 def coradical_is_subcoalgebra(h: HopfPresentation, c: Subspace) -> bool:

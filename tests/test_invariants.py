@@ -25,10 +25,11 @@ from hopf_forge.cyclofield import root_of_unity
 from hopf_forge.integrals import integral_coproduct
 from hopf_forge.invariants import (InvariantReport, NormalForm,
                                    check_dim_symmetry, selects, x_exponent)
-from hopf_forge.linalg import Subspace, eigenspace
+from hopf_forge.linalg import Subspace, eigenspace, null_space
 from hopf_forge.cli import (document_to_presentation, main,
                             presentation_to_document)
-from conftest import basis_element, outcome, s3_table, taken_as_certified
+from conftest import (basis_element, corrupted, outcome, rebased_z2, s3_table,
+                      taken_as_certified)
 
 
 def table_of(h, power=1):
@@ -601,6 +602,48 @@ def test_coradical_dimensions_across_corpus(corpus, sw):
         assert c.dim == expect[name], name
         assert coradical_is_subcoalgebra(h, c), name
     assert coradical(sw).dim == 2
+
+
+def _oracle_coradical(h):
+    """The coradical by its definition: the annihilator of the radical of
+    the trace form Tr(L_beta L_gamma) of H*'s left regular representation,
+    whose matrices are read off the comult entries (e_i* e_j* holds
+    c e_k* for the entry (k, i, j, c))."""
+    n = h.dim
+    lmats = [dict() for _ in range(n)]  # L_i[(k, j)]
+    for k, i, j, c in h.entries("comult"):
+        lmats[i][(k, j)] = c
+    radical = null_space(h.matrix(
+        (i, j, c * lmats[j][l, k]) for i in range(n) for j in range(n)
+        for (k, l), c in lmats[i].items() if (l, k) in lmats[j]))
+    return null_space(radical.basis)
+
+
+def test_coradical_is_the_annihilator_of_the_dual_radical(sw, t3, t5, t3z5):
+    # pointed and non-pointed inputs, their dual bases and a rebased
+    # group algebra: k^S3 and dual(taft(3) (x) k[S3]) are not pointed
+    s3 = build_group_algebra(s3_table(), name="k[S3]")
+    t3s3 = build_tensor(t3, build_group_algebra(
+        s3_table(), cyclotomic_order=3, name="k[S3]"))
+    inputs = [sw, t3, t5, build_taft(7), s3, t3z5, t3s3, rebased_z2(3)]
+    dims = {}
+    for h in inputs + [dual(h) for h in inputs]:
+        c = coradical(h)
+        assert c == _oracle_coradical(h), h.name
+        dims[h.name] = (c.dim, len(find_grouplikes(h)))
+    assert dims["dual(k[S3])"] == (6, 2)
+    assert dims["dual(tensor(taft(3), k[S3]))"] == (18, 6)
+    assert dims["dual(taft(7))"] == (7, 7)
+
+
+def test_coradical_certifies_first(sw):
+    # Delta(1) gains x (x) x: coassociativity fails, so Tr(L_beta L_gamma)
+    # is no longer (beta gamma)(t), and the row space of Delta(t) is not
+    # the coradical of the definition
+    with pytest.raises(AxiomFailure, match="^coassociativity: "):
+        coradical(corrupted(sw, "comult", (0, 1, 1), 1))
+    bad = taken_as_certified(corrupted(sw, "comult", (0, 1, 1), 1))
+    assert (coradical(bad).dim, _oracle_coradical(bad).dim) == (3, 2)
 
 
 def test_coradical_traces_taft3(t3):
