@@ -431,23 +431,24 @@ def _primitive(f):
     return [c // g for c in f]
 
 
-def _rational_roots(poly):
-    """Each distinct rational root of a polynomial over Q once, as a
-    Fraction, found without factoring any integer.
+def _rational_roots(poly, j=0):
+    """Each distinct rational root of the power-basis coordinate j of
+    poly, CycNumbers ascending, once, as a Fraction, found without
+    factoring any integer.
 
-    poly holds rational CycNumbers, ascending, with nonzero constant term
-    and nonzero lead.  Let f be its squarefree integer part, f / gcd(f, f')
-    by primitive pseudo-remainders, and M = max(|f_0|, |f_d|).  A root a/q
-    in lowest terms has |a| <= |f_0| and 0 < q <= |f_d| (Gauss), and
-    reduces to a simple root mod p, p the least prime not dividing f_d at
-    which every root of f mod p is simple (there are finitely many bad
-    primes, since f is squarefree).  Each root mod p is Newton-lifted to a
-    modulus p^(2^k) > 2 M^2; the first remainder <= M of the extended
-    Euclidean algorithm on that modulus and the lift reads a/q back, which
-    is kept only if f(a/q) = 0 exactly.
+    That polynomial must have nonzero constant term and nonzero lead.
+    Let f be its squarefree integer part, f / gcd(f, f') by primitive
+    pseudo-remainders, and M = max(|f_0|, |f_d|).  A root a/q in lowest
+    terms has |a| <= |f_0| and 0 < q <= |f_d| (Gauss), and reduces to a
+    simple root mod p, p the least prime not dividing f_d at which every
+    root of f mod p is simple (there are finitely many bad primes, since
+    f is squarefree).  Each root mod p is Newton-lifted to a modulus
+    p^(2^k) > 2 M^2; the first remainder <= M of the extended Euclidean
+    algorithm on that modulus and the lift reads a/q back, which is kept
+    only if f(a/q) = 0 exactly.
     """
     den = lcm(*(c.den for c in poly))
-    f = [c.num[0] * (den // c.den) for c in poly]
+    f = [c.num[j] * (den // c.den) for c in poly]
     a, b = f, [i * c for i, c in enumerate(f)][1:]
     while b:
         a, b = b, _primitive(_pseudo_divmod(a, b)[1])
@@ -480,69 +481,63 @@ def _rational_roots(poly):
 
 
 def roots_in_field(coeffs: Sequence[CycNumber], order: int):
-    """Roots of a monic-or-not polynomial that lie in Q(zeta_order).
+    """Roots of a monic-or-not polynomial p that lie in Q(zeta_order).
 
-    Only roots of the form r * zeta^t with r rational are searched; over
-    the orders this package targets that covers every eigenvalue the
-    algorithms may legitimately produce, and anything outside the family
+    Only roots r * zeta^t with r rational are searched, and anything else
     is reported via the unsplit remainder degree rather than guessed at.
+    That family misses eigenvalues of some genuine inputs: a rebased
+    basis can give a factor that splits over Q(zeta_order) in no root of
+    that form.
 
-    For each twist p(zeta^t s), the candidates r are the rational roots
-    of the product of its *distinct* Galois conjugates.  That set is
-    Galois-stable, so the product has rational coefficients, and the full
-    norm (the product over all phi(order) conjugates) is a power of it,
-    so both have the same rational roots.  Twists with the same set of
-    conjugates share one product.
+    1, zeta, ..., zeta^(phi(order)-1) are linearly independent over Q,
+    so a rational r is a root of q(s) = sum c_i s^i exactly when it is one
+    of every coordinate polynomial Q_j(s) = sum_i (c_i)_j s^i.  The
+    rational roots of one nonzero Q_j are candidates, kept only if the
+    synthetic division below confirms them.  Each t in Z_order is
+    d * u^-1 with d = gcd(t, order) and u a unit, and r zeta^t is a root
+    of p exactly when r is one of sigma_u(p)(zeta^d s).  So p is twisted
+    only by zeta^d, d dividing order, once per distinct conjugate, and
+    each r maps to r zeta^(d u^-1) for every unit u giving it.
 
     Returns (roots, remainder_degree) where roots is a list of
     (CycNumber, multiplicity) pairs and remainder_degree is the degree
     left after dividing out all found roots (0 means fully split).
     """
-    zero, one = cyc(order, 0), cyc(order, 1)
-    poly = [c for c in coeffs]
+    zero = cyc(order, 0)
+    poly = list(coeffs)
     while poly and not poly[-1]:
         poly.pop()
     if len(poly) <= 1:
         return [], 0
-    roots = []
     # strip zero roots first
-    zmult = 0
-    while not poly[0]:
-        poly.pop(0)
-        zmult += 1
-    if zmult:
-        roots.append((zero, zmult))
+    zmult = next(i for i, c in enumerate(poly) if c)
+    poly, roots = poly[zmult:], [(zero, zmult)] if zmult else []
     if len(poly) == 1:
         return roots, 0
 
-    zeta = [root_of_unity(order, k) for k in range(order)]
-    units = [u for u in range(1, order + 1) if gcd(u, order) == 1]
-    conjugates = [(u, [galois_conjugate(c, u) for c in poly]) for u in units]
-    norm_roots = {}  # set of conjugates -> rational roots of their product
+    conjugates = {}  # sigma_u(p) -> the units u giving it
+    for u in range(1, order + 1):
+        if gcd(u, order) == 1:
+            conj = tuple(galois_conjugate(c, u) for c in poly)
+            conjugates.setdefault(conj, []).append(u)
+    found = {}  # exponent t -> rational r that may give roots r zeta^t
+    for d in [d for d in range(1, order + 1) if order % d == 0]:
+        for conj, units in conjugates.items():
+            twisted = [c * root_of_unity(order, d * i)
+                       for i, c in enumerate(conj)]
+            # Q_j for j a nonzero coordinate of the lead has full degree;
+            # its zero roots are not roots of p
+            j = next(j for j, x in enumerate(twisted[-1].num) if x)
+            low = next(i for i, c in enumerate(twisted) if c.num[j])
+            if low < len(poly) - 1 and (
+                    rs := _rational_roots(twisted[low:], j)):
+                for t in {d * pow(u, -1, order) % order for u in units}:
+                    found.setdefault(t, set()).update(rs)
     candidates = {}
-    for t in range(order):
-        # the conjugate of p(zeta^t s) under zeta |-> zeta^u has
-        # coefficients sigma_u(c_i) * zeta^(t*u*i)
-        distinct = {}
-        for u, conj in conjugates:
-            twisted = [c * zeta[t * u * i % order] for i, c in enumerate(conj)]
-            distinct.setdefault(tuple(twisted), twisted)
-        orbit = frozenset(distinct)
-        if orbit not in norm_roots:
-            norm = [one]
-            for conj in distinct.values():
-                acc = [zero] * (len(norm) + len(conj) - 1)
-                for i, a in enumerate(norm):
-                    if a:
-                        for j, b in enumerate(conj):
-                            if b:
-                                acc[i + j] = acc[i + j] + a * b
-                norm = acc
-            assert all(c.is_rational() for c in norm), \
-                "galois norm must be rational"
-            norm_roots[orbit] = _rational_roots(norm)
-        for r in norm_roots[orbit]:
-            cand = zeta[t] * r
+    for t, rs in found.items():
+        zeta_t = root_of_unity(order, t)
+        for r in rs:
+            cand = zeta_t * r
             candidates[coordinate_key(cand)] = cand
 
     for key in sorted(candidates):

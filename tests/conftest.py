@@ -8,6 +8,7 @@ presentations, so sharing them across tests is safe.
 import itertools
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -15,7 +16,9 @@ from hopf_forge import (HopfPresentation, Mat, build_cyclic_group_algebra,
                         build_group_algebra, build_taft, build_tensor, cyc,
                         cyclic_table, direct_product_table, dual,
                         lift_order, sweedler)
-from hopf_forge.cyclofield import root_of_unity
+from hopf_forge.cyclofield import (coordinate_key, galois_conjugate,
+                                   root_of_unity)
+from hopf_forge.linalg import _rational_roots
 
 
 @pytest.fixture(scope="session")
@@ -181,3 +184,67 @@ def outcome(run, *args):
         return run(*args)
     except Exception as exc:
         return type(exc), str(exc)
+
+
+def galois_norm_roots(coeffs, order):
+    """The reference for linalg.roots_in_field: the roots r * zeta^t (r
+    rational) of coeffs, read from the rational roots of Galois norms.
+
+    For each twist p(zeta^t s) the candidates r are the rational roots of
+    the product of its distinct Galois conjugates.  That set is
+    Galois-stable, so the product has rational coefficients, and r is one
+    of its roots exactly when p(r zeta^t) = 0.  The found roots, listed
+    in coordinate_key order with their multiplicities, are divided out,
+    and the degree left is returned with them."""
+    zero, one = cyc(order, 0), cyc(order, 1)
+    poly = list(coeffs)
+    while poly and not poly[-1]:
+        poly.pop()
+    if len(poly) <= 1:
+        return [], 0
+    roots, zmult = [], 0
+    while not poly[0]:
+        poly.pop(0)
+        zmult += 1
+    if zmult:
+        roots.append((zero, zmult))
+    if len(poly) == 1:
+        return roots, 0
+    zeta = [root_of_unity(order, k) for k in range(order)]
+    conjugates = [(u, [galois_conjugate(c, u) for c in poly])
+                  for u in range(1, order + 1) if gcd(u, order) == 1]
+    norm_roots, candidates = {}, {}
+    for t in range(order):
+        # the conjugate of p(zeta^t s) under zeta |-> zeta^u has
+        # coefficients sigma_u(c_i) * zeta^(t*u*i)
+        distinct = {}
+        for u, conj in conjugates:
+            twisted = [c * zeta[t * u * i % order] for i, c in enumerate(conj)]
+            distinct.setdefault(tuple(twisted), twisted)
+        orbit = frozenset(distinct)
+        if orbit not in norm_roots:
+            norm = [one]
+            for conj in distinct.values():
+                acc = [zero] * (len(norm) + len(conj) - 1)
+                for i, a in enumerate(norm):
+                    for j, b in enumerate(conj):
+                        acc[i + j] = acc[i + j] + a * b
+                norm = acc
+            assert all(c.is_rational() for c in norm)
+            norm_roots[orbit] = _rational_roots(norm)
+        for r in norm_roots[orbit]:
+            cand = zeta[t] * r
+            candidates[coordinate_key(cand)] = cand
+    for key in sorted(candidates):
+        cand, mult = candidates[key], 0
+        while len(poly) > 1:
+            quot, acc = [zero] * (len(poly) - 1), poly[-1]
+            for i in range(len(poly) - 2, -1, -1):
+                quot[i] = acc
+                acc = poly[i] + cand * acc
+            if acc:
+                break
+            poly, mult = quot, mult + 1
+        if mult:
+            roots.append((cand, mult))
+    return roots, len(poly) - 1

@@ -745,7 +745,7 @@ def test_report_of_a_taft_dual_equals_the_taft_report(n):
     assert got["all_ok"] and _document_changes(want, got) == {"name"}
 
 
-@pytest.mark.parametrize("m", (6, 9, 15))
+@pytest.mark.parametrize("m", (6, 9, 15, 333))
 def test_report_is_unchanged_by_a_field_lift(t3, m):
     want = build_report(t3).to_document()
     got = build_report(lift_order(t3, m)).to_document()

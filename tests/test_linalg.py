@@ -16,7 +16,7 @@ from hopf_forge import (CycNumber, Mat, NotInvariant, NotInvertible,
 from hopf_forge.cyclofield import root_of_unity
 from hopf_forge.linalg import (Subspace, _rational_roots, charpoly, eigenspace,
                                inverse, null_space, roots_in_field)
-from conftest import outcome
+from conftest import galois_norm_roots, outcome
 
 
 def rand_mat(order, rows, cols, rng, density=0.7):
@@ -423,7 +423,7 @@ def test_roots_in_field_constant_after_zero_roots(monkeypatch):
         return real(a, u)
 
     monkeypatch.setattr(linalg, "galois_conjugate", counting)
-    # s over Q(zeta_15): nothing is left to norm once the zero root is out
+    # s over Q(zeta_15): no conjugate is formed once the zero root is out
     found, remainder = roots_in_field([cyc(15, 0), cyc(15, 1)], 15)
     assert found == [(cyc(15, 0), 1)] and remainder == 0
     assert calls == []
@@ -435,6 +435,66 @@ def test_roots_in_field_zero_and_repeated_rational_roots():
     found, remainder = roots_in_field(coeffs, 15)
     assert remainder == 0
     assert found == [(cyc(15, 0), 42), (cyc(15, 1), 3)]
+
+
+# -- roots_in_field against the Galois-norm search ----------------------------
+
+
+def seeded_polynomial(order, kind, seed, step=1):
+    """A seeded polynomial over Q(zeta_order) whose exponents t are drawn
+    from the multiples of step.  planted: factors (s - r zeta^t), some
+    repeated, times s^0..s^2.  twisted: zeta^t times a rational
+    polynomial; where no conjugate of zeta^t has a constant coordinate
+    (t odd at order 4, t prime to 3 at order 9), the constant-coordinate
+    polynomial of every conjugate vanishes at the twist by zeta^order.
+    irrational: factors
+    (s - r zeta^t) times s^2 - 2 zeta^t, which has no root r zeta^t, so
+    a remainder is left."""
+    rng = random.Random(seed)
+
+    def rational():
+        return Fraction(rng.choice((-1, 1)) * rng.randint(1, 6),
+                        rng.randint(1, 4))
+
+    def zeta():
+        return root_of_unity(order, step * rng.randrange(order // step))
+
+    if kind == "twisted":
+        roots = [cyc(order, rational()) for _ in range(rng.randint(1, 3))]
+        extra = (cyc(order, -2), cyc(order, 0), cyc(order, 1))
+        z = zeta()
+        return [z * c for c in poly_from_roots(
+            order, roots, extra if rng.random() < 0.5 else ())]
+    roots = [zeta() * rational()
+             for _ in range(rng.randint(1, 3 if kind == "planted" else 2))]
+    roots += rng.sample(roots, rng.randint(0, len(roots)))
+    if kind == "planted":
+        return ([cyc(order, 0)] * rng.randint(0, 2)
+                + poly_from_roots(order, roots))
+    return poly_from_roots(order, roots,
+                           (zeta() * -2, cyc(order, 0), cyc(order, 1)))
+
+
+KINDS = ("planted", "twisted", "irrational")
+
+
+# the reference forms N * phi(N) twisted conjugates and multiplies each
+# orbit out, so past order 9 the cases stay few, and at order 45 their
+# exponents lie in the subfields Q(zeta_5) and Q(zeta_3)
+@pytest.mark.parametrize("order, kind, seed, step", [
+    (o, kind, seed, 1) for o in (1, 2, 3, 4, 5, 6, 9) for kind in KINDS
+    for seed in range(3)] + [
+    (15, "planted", 1, 1), (15, "planted", 3, 1), (15, "twisted", 1, 1),
+    (15, "twisted", 3, 1), (15, "irrational", 3, 1),
+    (21, "planted", 3, 1), (21, "twisted", 2, 1), (21, "irrational", 1, 1),
+    (45, "planted", 2, 9), (45, "planted", 3, 15), (45, "twisted", 2, 9),
+    (45, "twisted", 2, 15)])
+def test_roots_in_field_matches_the_galois_norm_search(order, kind, seed,
+                                                       step):
+    p = seeded_polynomial(order, kind, seed, step)
+    found, remainder = roots_in_field(p, order)
+    assert (found, remainder) == galois_norm_roots(p, order)
+    assert kind != "irrational" or remainder >= 2
 
 
 # -- rational roots against sympy ----------------------------------------------
